@@ -167,11 +167,12 @@ def verify_homomorphism(ct: CharTable, sd: SchemeDescriptor):
     Returns (True, None) or (False, (h, i, j)).
     """
     size = ct.size
+    tensor = sd.tensor.tolist()  # Python ints: Eisenstein arithmetic stays exact
     for h in range(size):
         row = ct.entries[h]
         for i in range(size):
             for j in range(size):
-                rhs = sum((sd.tensor[l][i][j] * row[l] for l in range(size)),
+                rhs = sum((tensor[l][i][j] * row[l] for l in range(size)),
                           Eisenstein(0))
                 if row[i] * row[j] != rhs:
                     return False, (h, i, j)

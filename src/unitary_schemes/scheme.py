@@ -39,6 +39,18 @@ DENSE_BUDGET = 512
 
 MODES = ("bruteforce", "closed", "both")
 
+# Every tensor entry, row sum and valency is at most the number of points,
+# so keeping that below 2^63 keeps all int64 tensor arithmetic exact.
+INT64_LIMIT = 2**63
+
+
+def max_dimension(q: int) -> int:
+    """Largest n whose isotropic-point count stays below ``INT64_LIMIT``."""
+    n = 2
+    while isotropic_count(n + 1, q) < INT64_LIMIT:
+        n += 1
+    return n
+
 
 class OracleMismatch(AssertionError):
     """Closed-form and brute-force intersection numbers disagree."""
@@ -64,15 +76,16 @@ class RelationLabel:
 class SchemeDescriptor:
     """Rank, valencies, intersection tensor and conjugation map of one scheme.
 
-    ``tensor[h][i][j]`` counts, for any pair (x, y) in relation h, the vectors
-    z with (x, z) in relation i and (z, y) in relation j.
+    ``tensor[h, i, j]`` counts, for any pair (x, y) in relation h, the vectors
+    z with (x, z) in relation i and (z, y) in relation j.  The tensor is a
+    read-only int64 array of shape (rank, rank, rank).
     """
 
     n: int
     q: int
     rank: int
     valencies: tuple[int, ...]
-    tensor: tuple[tuple[tuple[int, ...], ...], ...]
+    tensor: np.ndarray
     conj_map: tuple[int, ...]
     sub_count: int
     parity_offset: int
@@ -83,7 +96,7 @@ class SchemeDescriptor:
         return isotropic_count(self.n, self.q)
 
     def p(self, h: int, i: int, j: int) -> int:
-        return self.tensor[h][i][j]
+        return int(self.tensor[h, i, j])
 
 
 def scheme_rank(n: int, q: int) -> int:
@@ -217,16 +230,36 @@ def intersection_number_closed(n: int, q: int, h: int, i: int, j: int) -> int:
     return (q * q * sub, sub, (q * q - 1) ** 2 + q**4 * isotropic_count(n - 4, q))[rh]
 
 
-def _closed_tensor(n: int, q: int) -> list[np.ndarray]:
+def _closed_tensor(n: int, q: int) -> np.ndarray:
+    """The whole closed-form tensor in one pass over the nine (i, j) kinds.
+
+    Each block holds the same values as ``intersection_number_closed`` on its
+    entries; the congruences are taken on exponents, which agree with the
+    sequential indices modulo q^2-1 (and so modulo q+1).
+    """
     rank = scheme_rank(n, q)
-    tensor = []
-    for h in range(rank):
-        mat = np.empty((rank, rank), dtype=np.int64)
-        for i in range(rank):
-            for j in range(rank):
-                mat[i, j] = intersection_number_closed(n, q, h, i, j)
-        tensor.append(mat)
-    return tensor
+    nrel = q * q - 1
+    sub = isotropic_count(n - 2, q)
+    e = np.arange(nrel, dtype=np.int64)
+    eh, ei, ej = e[:, None, None], e[None, :, None], e[None, None, :]
+    S, P, X = slice(0, nrel), slice(nrel, 2 * nrel), slice(2 * nrel, rank)
+    t = np.zeros((rank, rank, rank), dtype=np.int64)
+
+    t[S, S, S] = (ei + ej - eh) % nrel == 0
+    t[P, S, P] = (eh + ei - ej) % nrel == 0
+    t[P, P, S] = (ei + q * ej - eh) % nrel == 0
+    t[S, P, P] = np.where((q * (eh + ei) - ej) % nrel == 0, q ** (2 * n - 3), 0)
+    t[P, P, P] = np.where((ei + ej - eh - parity_offset(q)) % (q + 1) == 0,
+                          sub + 1, _product_product_offdiag(n, q))
+    if n >= 4:
+        far = q ** (2 * n - 5)
+        t[X, S, X] = t[X, X, S] = 1
+        t[X, P, P] = t[X, P, X] = t[X, X, P] = far
+        t[P, P, X] = t[P, X, P] = sub
+        t[S, X, X] = q * q * sub
+        t[P, X, X] = sub
+        t[X, X, X] = (q * q - 1) ** 2 + q**4 * isotropic_count(n - 4, q)
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -274,10 +307,8 @@ def _bruteforce_tensor(us: UnitarySpace, rank: int, seed: int,
     tensor = []
     conj_map = []
     valencies = None
-    reps = []
     for h in range(rank):
         x, y = witness_pair(h, us.n, us.q)
-        reps.append((x, y))
         rows = kernels.classify_row(np.asarray(x, dtype=np.int64), us.vectors, ft)
         cols = kernels.classify_col(np.asarray(y, dtype=np.int64), us.vectors, ft)
         if valencies is None:
@@ -294,7 +325,7 @@ def _bruteforce_tensor(us: UnitarySpace, rank: int, seed: int,
                 raise AssertionError(
                     f"intersection counts depend on the representative of relation {h}"
                 )
-    return tensor, valencies, tuple(conj_map)
+    return np.stack(tensor).astype(np.int64, copy=False), valencies, tuple(conj_map)
 
 
 # ---------------------------------------------------------------------------
@@ -305,21 +336,20 @@ def _check_descriptor(sd: SchemeDescriptor) -> None:
     order = sd.order
     if sum(sd.valencies) != order:
         raise AssertionError("valencies do not sum to the number of points")
-    for l in range(sd.rank):
-        lp = sd.conj_map[l]
-        if sd.conj_map[lp] != l:
-            raise AssertionError("conjugation map is not an involution")
-        if sd.valencies[lp] != sd.valencies[l]:
-            raise AssertionError("conjugate relations have different valencies")
-    for h in range(sd.rank):
-        for i in range(sd.rank):
-            if sum(sd.tensor[h][i]) != sd.valencies[i]:
-                raise AssertionError(f"row sum at (h,i)=({h},{i}) is not the valency")
-    for i in range(sd.rank):
-        for j in range(sd.rank):
-            want = sd.valencies[i] if j == sd.conj_map[i] else 0
-            if sd.tensor[0][i][j] != want:
-                raise AssertionError("identity-relation slice does not recover valencies")
+    conj = np.asarray(sd.conj_map, dtype=np.int64)
+    valencies = np.asarray(sd.valencies, dtype=np.int64)
+    if not np.array_equal(conj[conj], np.arange(sd.rank)):
+        raise AssertionError("conjugation map is not an involution")
+    if not np.array_equal(valencies[conj], valencies):
+        raise AssertionError("conjugate relations have different valencies")
+    bad = np.argwhere(sd.tensor.sum(axis=2) != valencies)
+    if bad.size:
+        h, i = bad[0]
+        raise AssertionError(f"row sum at (h,i)=({h},{i}) is not the valency")
+    want = np.zeros((sd.rank, sd.rank), dtype=np.int64)
+    want[np.arange(sd.rank), conj] = valencies
+    if not np.array_equal(sd.tensor[0], want):
+        raise AssertionError("identity-relation slice does not recover valencies")
 
 
 def build_descriptor(n: int, q: int, mode: str = "both", seed: int = 0) -> SchemeDescriptor:
@@ -330,6 +360,11 @@ def build_descriptor(n: int, q: int, mode: str = "both", seed: int = 0) -> Schem
     if n < 2:
         raise ValueError("n must be >= 2")
     build_field(q)  # validates q
+    if isotropic_count(n, q) >= INT64_LIMIT:
+        raise ValueError(
+            f"(n, q) = ({n}, {q}) has at least 2^63 points, beyond the int64 tensor;"
+            f" the largest n for q = {q} is {max_dimension(q)}"
+        )
     rank = scheme_rank(n, q)
 
     brute = closed = None
@@ -346,19 +381,17 @@ def build_descriptor(n: int, q: int, mode: str = "both", seed: int = 0) -> Schem
     if mode == "both":
         bt, bk, bc = brute
         ct, ck, cc = closed
-        for h in range(rank):
-            if not np.array_equal(bt[h], ct[h]):
-                i, j = np.argwhere(bt[h] != ct[h])[0]
-                raise OracleMismatch(n, q, h, int(i), int(j),
-                                     int(ct[h][i, j]), int(bt[h][i, j]))
+        diff = np.argwhere(bt != ct)
+        if diff.size:
+            h, i, j = (int(v) for v in diff[0])
+            raise OracleMismatch(n, q, h, i, j, int(ct[h, i, j]), int(bt[h, i, j]))
         if bk != ck:
             raise OracleMismatch(n, q, 0, -1, -1, ck, bk)
         if bc != cc:
             raise AssertionError(f"conjugation maps disagree: {bc} vs {cc}")
 
-    tensor_arrays, valencies, conj_map = brute if brute is not None else closed
-    tensor = tuple(tuple(tuple(int(v) for v in row) for row in np.asarray(mat))
-                   for mat in tensor_arrays)
+    tensor, valencies, conj_map = brute if brute is not None else closed
+    tensor.flags.writeable = False
     sd = SchemeDescriptor(
         n=n, q=q, rank=rank, valencies=tuple(valencies), tensor=tensor,
         conj_map=conj_map, sub_count=isotropic_count(n - 2, q),
@@ -370,19 +403,18 @@ def build_descriptor(n: int, q: int, mode: str = "both", seed: int = 0) -> Schem
 
 def intersection_matrices(sd: SchemeDescriptor) -> list[list[list[int]]]:
     """Matrices with (j, h) entry p_ij^h; they close under multiplication."""
-    return [
-        [[sd.tensor[h][i][j] for h in range(sd.rank)] for j in range(sd.rank)]
-        for i in range(sd.rank)
-    ]
+    return sd.tensor.transpose(1, 2, 0).tolist()
 
 
 def is_commutative(sd: SchemeDescriptor) -> tuple[bool, tuple[int, int, int] | None]:
-    """Whether p_ij^h = p_ji^h everywhere; if not, the first violating triple."""
-    for h in range(sd.rank):
-        for i in range(sd.rank):
-            for j in range(i + 1, sd.rank):
-                if sd.tensor[h][i][j] != sd.tensor[h][j][i]:
-                    return False, (h, i, j)
+    """Whether p_ij^h = p_ji^h everywhere; if not, the first violating triple.
+
+    The first difference in (h, i, j) order always has i < j, since its
+    mirror (h, j, i) differs too.
+    """
+    diff = np.argwhere(sd.tensor != sd.tensor.transpose(0, 2, 1))
+    if diff.size:
+        return False, tuple(int(v) for v in diff[0])
     return True, None
 
 
@@ -475,9 +507,7 @@ def verify_relation_matrix(M: np.ndarray, rank: int | None = None,
                 detail = f"triple counts differ between representatives of relation {h}"
                 break
         if constancy_ok and sd is not None and reference is not None:
-            expected = np.array([[sd.tensor[h][i][j] for j in range(rank)]
-                                 for i in range(rank)])
-            if not np.array_equal(reference, expected):
+            if not np.array_equal(reference, sd.tensor[h]):
                 constancy_ok = False
                 detail = f"triple counts at relation {h} differ from the descriptor"
         if not constancy_ok:
@@ -522,7 +552,7 @@ def build_adjacency_matrices(us: UnitarySpace, sd: SchemeDescriptor) -> list[np.
     for i in range(rank):
         for j in range(rank):
             lhs = _exact_product(mats[i], mats[j])
-            rhs = sum(sd.tensor[h][i][j] * mats[h] for h in range(rank))
+            rhs = sum(sd.tensor[h, i, j] * mats[h] for h in range(rank))
             if not np.array_equal(lhs, rhs):
                 raise AssertionError(f"A_{i} A_{j} does not decompose over the relations")
     return mats

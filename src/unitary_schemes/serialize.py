@@ -21,6 +21,7 @@ from .eisenstein import render as render_entry
 from .scheme import SchemeDescriptor, is_commutative
 
 FORMAT_LINE = "unitary-scheme-document 1"
+REQUIRED_FIELDS = ("n", "q", "rank", "order", "mode", "seed")
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,13 +43,9 @@ class SchemeDocument:
 
 
 def document_from_descriptor(sd: SchemeDescriptor, seed: int = 0) -> SchemeDocument:
-    entries = []
-    for h in range(sd.rank):
-        for i in range(sd.rank):
-            for j in range(sd.rank):
-                v = sd.tensor[h][i][j]
-                if v:
-                    entries.append((h, i, j, v))
+    # np.nonzero walks in C order, which is the lexicographic (h, i, j) order
+    where = np.nonzero(sd.tensor)
+    entries = zip(*(axis.tolist() for axis in where), sd.tensor[where].tolist())
     commutative, witness = is_commutative(sd)
     return SchemeDocument(
         n=sd.n, q=sd.q, rank=sd.rank, order=sd.order, mode=sd.mode, seed=seed,
@@ -108,52 +105,73 @@ def render_document(doc: SchemeDocument) -> str:
 
 
 def parse_document(text: str) -> SchemeDocument:
+    """Parse a rendered document; malformed input raises a ValueError that
+    names the offending (1-based) line."""
     lines = text.splitlines()
     if not lines or lines[0] != FORMAT_LINE:
         raise ValueError("not a scheme document")
     fields: dict = {}
     pos = 1
-    while pos < len(lines):
-        line = lines[pos]
-        pos += 1
-        if line == "end":
-            break
-        key, _, rest = line.partition(" ")
-        if key in ("n", "q", "rank", "order", "seed"):
-            fields[key] = int(rest)
-        elif key == "mode":
-            fields["mode"] = rest
-        elif key == "valencies":
-            fields["valencies"] = tuple(int(x) for x in rest.split())
-        elif key == "conjugation":
-            fields["conj_map"] = tuple(int(x) for x in rest.split())
-        elif key == "tensor":
-            count = int(rest)
-            quads = []
-            for _ in range(count):
-                quads.append(tuple(int(x) for x in lines[pos].split()))
-                pos += 1
-            fields["tensor_entries"] = tuple(quads)
-        elif key == "commutative":
-            fields["commutative"] = rest == "true"
-        elif key == "witness":
-            fields["witness"] = tuple(int(x) for x in rest.split())
-        elif key == "fusion":
-            fields["fusion"] = rest
-        elif key == "chartable":
-            count = int(rest)
-            rows = []
-            for _ in range(count):
-                rows.append(tuple(lines[pos].split()))
-                pos += 1
-            fields["chartable"] = tuple(rows)
-        elif key == "multiplicities":
-            fields["multiplicities"] = tuple(int(x) for x in rest.split())
+    block_end = 0  # lines before this index belong to the block being read
+    try:
+        while pos < len(lines):
+            line = lines[pos]
+            pos += 1
+            if line == "end":
+                break
+            key, _, rest = line.partition(" ")
+            if key in ("n", "q", "rank", "order", "seed"):
+                fields[key] = int(rest)
+            elif key == "mode":
+                fields["mode"] = rest
+            elif key == "valencies":
+                fields["valencies"] = tuple(int(x) for x in rest.split())
+            elif key == "conjugation":
+                fields["conj_map"] = tuple(int(x) for x in rest.split())
+            elif key == "tensor":
+                count = int(rest)
+                block_end = _block_end(lines, pos, count, key)
+                quads = []
+                for _ in range(count):
+                    quads.append(tuple(int(x) for x in lines[pos].split()))
+                    pos += 1
+                fields["tensor_entries"] = tuple(quads)
+            elif key == "commutative":
+                fields["commutative"] = rest == "true"
+            elif key == "witness":
+                fields["witness"] = tuple(int(x) for x in rest.split())
+            elif key == "fusion":
+                fields["fusion"] = rest
+            elif key == "chartable":
+                count = int(rest)
+                block_end = _block_end(lines, pos, count, key)
+                rows = []
+                for _ in range(count):
+                    rows.append(tuple(lines[pos].split()))
+                    pos += 1
+                fields["chartable"] = tuple(rows)
+            elif key == "multiplicities":
+                fields["multiplicities"] = tuple(int(x) for x in rest.split())
+            else:
+                raise ValueError(f"unknown document line {line!r}")
         else:
-            raise ValueError(f"unknown document line {line!r}")
-    else:
-        raise ValueError("document has no end line")
+            raise ValueError("document has no end line")
+    except ValueError as exc:
+        # inside a block pos indexes the failing line; otherwise it is one past
+        line_no = pos + 1 if pos < block_end else pos
+        raise ValueError(f"line {line_no}: {exc}") from None
+    missing = [key for key in REQUIRED_FIELDS if key not in fields]
+    if missing:
+        raise ValueError(f"line {pos}: document ends without its "
+                         f"{', '.join(missing)} line(s)")
     return SchemeDocument(**fields)
+
+
+def _block_end(lines: list[str], pos: int, count: int, key: str) -> int:
+    """Index one past a block of ``count`` lines starting at ``pos``."""
+    if count < 0 or pos + count >= len(lines):
+        raise ValueError(f"{key} block of {count} lines is cut off before the end line")
+    return pos + count
 
 
 def tensor_csv(doc: SchemeDocument) -> str:
@@ -187,19 +205,31 @@ def render_relation_matrix(matrix: np.ndarray, rank: int) -> str:
 
 
 def parse_relation_matrix(text: str) -> tuple[np.ndarray, int]:
-    lines = [line for line in text.splitlines() if line.strip()]
+    """Parse the exchange format; malformed input raises a ValueError that
+    names the offending (1-based) line."""
+    lines = [(k, line) for k, line in enumerate(text.splitlines(), 1) if line.strip()]
     if not lines:
         raise ValueError("empty relation-matrix file")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ValueError("header must be 'points rank'")
-    count, rank = int(header[0]), int(header[1])
+    header_no, header = lines[0][0], lines[0][1].split()
+    try:
+        count, rank = (int(x) for x in header)
+    except ValueError:
+        raise ValueError(f"line {header_no}: header must be 'points rank'") from None
+    if count < 1:
+        raise ValueError(f"line {header_no}: a relation matrix needs at least one point")
     if len(lines) != count + 1:
         raise ValueError(f"expected {count} matrix rows, found {len(lines) - 1}")
-    matrix = np.array([[int(x) for x in line.split()] for line in lines[1:]],
-                      dtype=np.int64)
-    if matrix.shape != (count, count):
-        raise ValueError("relation matrix is not square")
+    rows = []
+    for k, line in lines[1:]:
+        try:
+            row = [int(x) for x in line.split()]
+        except ValueError as exc:
+            raise ValueError(f"line {k}: {exc}") from None
+        if len(row) != count:
+            raise ValueError(f"line {k}: expected {count} entries, found {len(row)};"
+                             " relation matrix is not square")
+        rows.append(row)
+    matrix = np.array(rows, dtype=np.int64)
     if matrix.min() < 0 or matrix.max() >= rank:
         raise ValueError("relation indices exceed the declared rank")
     return matrix, rank

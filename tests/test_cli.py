@@ -123,3 +123,25 @@ def test_verify_closed_mode(capsys):
     code, out, _ = run(capsys, "verify", "--n", "8", "--q", "2", "--mode", "closed")
     assert code == 0
     assert "enumeration skipped" in out
+
+
+def test_verify_bruteforce_mode_passes(capsys):
+    code, out, _ = run(capsys, "verify", "--n", "3", "--q", "2", "--mode", "bruteforce")
+    assert code == 0
+    assert out.strip().splitlines()[-1] == "PASS"
+    assert "FAIL" not in out
+    assert "note - oracle: bruteforce mode, closed form not computed, skipped" in out
+
+
+def test_build_largest_int64_dimension(capsys):
+    code, out, _ = run(capsys, "build", "--n", "31", "--q", "2", "--mode", "closed")
+    assert code == 0
+    doc = parse_document(out)
+    assert doc.n == 31 and doc.order < 2**63
+
+
+def test_build_rejects_dimension_beyond_int64(capsys):
+    code, out, err = run(capsys, "build", "--n", "32", "--q", "2", "--mode", "closed")
+    assert code == 2
+    assert out == ""
+    assert "largest n for q = 2 is 31" in err

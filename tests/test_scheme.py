@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from unitary_schemes import scheme as scheme_mod
+from unitary_schemes.fields import SUPPORTED_Q
 from unitary_schemes.scheme import (
     build_adjacency_matrices,
     build_descriptor,
@@ -124,6 +126,44 @@ def test_closed_formula_rejections():
         intersection_number_closed(4, 2, 7, 0, 0)
     with pytest.raises(ValueError):
         intersection_number_closed(4, 2, -1, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "n,q", [(n, q) for q in SUPPORTED_Q for n in range(2, 6 if q < 7 else 5)])
+def test_closed_tensor_matches_scalar_formula(n, q):
+    sd = build_descriptor(n, q, mode="closed")
+    rank = scheme_rank(n, q)
+    assert isinstance(sd.tensor, np.ndarray)
+    assert sd.tensor.dtype == np.int64
+    assert sd.tensor.shape == (rank, rank, rank)
+    assert not sd.tensor.flags.writeable
+    scalar = [[[intersection_number_closed(n, q, h, i, j) for j in range(rank)]
+               for i in range(rank)] for h in range(rank)]
+    assert sd.tensor.tolist() == scalar
+    assert type(sd.p(rank - 1, rank - 1, rank - 1)) is int
+
+
+@pytest.mark.parametrize("q,largest", [(2, 31), (3, 20), (4, 16), (5, 14),
+                                       (7, 11), (8, 11), (9, 10)])
+@pytest.mark.parametrize("mode", ["closed", "bruteforce", "both"])
+def test_int64_dimension_bound(q, largest, mode):
+    with pytest.raises(ValueError, match=f"largest n for q = {q} is {largest}$"):
+        build_descriptor(largest + 1, q, mode=mode)
+
+
+def test_oracle_reports_first_mismatch(monkeypatch):
+    honest = scheme_mod._closed_tensor
+
+    def skewed(n, q):
+        t = honest(n, q).copy()
+        t[3, 4, 5] += 1
+        t[4, 0, 1] += 1
+        return t
+
+    monkeypatch.setattr(scheme_mod, "_closed_tensor", skewed)
+    with pytest.raises(scheme_mod.OracleMismatch) as info:
+        build_descriptor(2, 2, mode="both")
+    assert info.value.triple == (3, 4, 5)
 
 
 @pytest.mark.parametrize("n,q", [(2, 2), (2, 3)])
@@ -267,7 +307,7 @@ def test_scheme_from_relation_matrix_roundtrip(get_space, get_descriptor):
     assert rank == sd.rank
     assert valencies == sd.valencies
     assert conj == sd.conj_map
-    assert tensor == sd.tensor
+    assert np.array_equal(tensor, sd.tensor)
 
 
 def test_scheme_from_relation_matrix_rejects_garbage():

@@ -114,3 +114,36 @@ def test_parse_relation_matrix_rejections():
         parse_relation_matrix("2 2\n0 1\n")
     with pytest.raises(ValueError):
         parse_relation_matrix("2 2\n0 5\n1 0\n")
+
+
+def test_parse_document_truncated_blocks(get_descriptor):
+    text = render_document(document_from_descriptor(get_descriptor(2, 2)))
+    lines = text.splitlines()
+    start = next(k for k, line in enumerate(lines) if line.startswith("tensor "))
+    cut = "\n".join(lines[:start + 3]) + "\n"
+    with pytest.raises(ValueError, match=f"^line {start + 1}: tensor block"):
+        parse_document(cut)
+    table = "unitary-scheme-document 1\nn 2\nchartable 3\n1 1 1\n"
+    with pytest.raises(ValueError, match="^line 3: chartable block"):
+        parse_document(table)
+
+
+def test_parse_document_bad_block_line_is_named(get_descriptor):
+    text = render_document(document_from_descriptor(get_descriptor(2, 2)))
+    lines = text.splitlines()
+    start = next(k for k, line in enumerate(lines) if line.startswith("tensor "))
+    lines[start + 2] = "0 1 x 1"
+    with pytest.raises(ValueError, match=f"^line {start + 3}: invalid literal"):
+        parse_document("\n".join(lines) + "\n")
+
+
+def test_parse_document_missing_header_fields():
+    with pytest.raises(ValueError, match="^line 4: .*rank, order, mode, seed"):
+        parse_document("unitary-scheme-document 1\nn 2\nq 2\nend\n")
+
+
+def test_parse_relation_matrix_ragged_rows():
+    with pytest.raises(ValueError, match="^line 4: expected 3 entries, found 2"):
+        parse_relation_matrix("3 2\n0 1 1\n\n1 0\n1 1 0\n")
+    with pytest.raises(ValueError, match="^line 2: invalid literal"):
+        parse_relation_matrix("2 2\n0 one\n1 0\n")
