@@ -51,7 +51,9 @@ class FieldTables:
     """Lookup-table model of F_{q^2} with the involution x -> x^q.
 
     ``exp_table[e]`` is the id of g^e and ``log_table`` is its inverse (-1 at
-    zero).  ``modulus_poly`` holds the ids of the constant, linear and leading
+    zero).  ``coeff_table[a]`` packs the coefficients of a over F_p, lowest
+    degree first, as a base-p number, so addition is digit-wise modulo p.
+    ``modulus_poly`` holds the ids of the constant, linear and leading
     coefficients of the minimal polynomial of g over the embedded F_q.
     """
 
@@ -67,6 +69,7 @@ class FieldTables:
     neg_table: np.ndarray
     inv_table: np.ndarray
     norm_table: np.ndarray
+    coeff_table: np.ndarray
     base_field: tuple[int, ...]
 
     # -- element constants ------------------------------------------------
@@ -220,6 +223,7 @@ def build_field(q: int) -> FieldTables:
     inv_table[1:] = 1 + (n1 - (nz - 1)) % n1
 
     norm_table = mul_table[ids, conj_table]
+    coeff_table = np.array(code_of_id, dtype=np.int64)
 
     base_field = tuple(int(a) for a in ids if conj_table[a] == a)
 
@@ -230,14 +234,15 @@ def build_field(q: int) -> FieldTables:
     modulus_poly = (nrm, int(neg_table[tr]), 1)
 
     for arr in (exp_table, log_table, conj_table, add_table, mul_table,
-                neg_table, inv_table, norm_table):
+                neg_table, inv_table, norm_table, coeff_table):
         arr.setflags(write=False)
 
     return FieldTables(
         q=q, p=p, order=order, modulus_poly=modulus_poly,
         exp_table=exp_table, log_table=log_table, conj_table=conj_table,
         add_table=add_table, mul_table=mul_table, neg_table=neg_table,
-        inv_table=inv_table, norm_table=norm_table, base_field=base_field,
+        inv_table=inv_table, norm_table=norm_table, coeff_table=coeff_table,
+        base_field=base_field,
     )
 
 

@@ -1,127 +1,65 @@
-"""Hot inner loops: isotropic-vector scans and pairwise orbit classification.
+"""Hot inner loops: the isotropic scan and the block-table pair classifier.
 
-Every kernel exists twice: a numba-compiled version and a pure-numpy one.
-The active backend is chosen by the UNITARY_SCHEMES_BACKEND environment
-variable ("numba", "numpy", or "auto"), falling back to numpy when numba is
-not importable.  ``benchmarks/bench_kernels.py`` compares the two paths.
+A point z is stored as block codes.  Its n coordinates are split into blocks
+of ``width`` consecutive coordinates, the first block being the short one
+when ``width`` does not divide n, and each block is kept as its lexicographic
+code, a number below order**width.  These are the base order**width digits
+of the point's full lexicographic code, so the scan's codes give them
+directly.
+
+For a fixed x, one table per block holds the partial Hermitian products
+sum_i x_i * conj(z_i) for every possible block of z.  A row pass gathers
+each table at the block codes and adds the blocks, which gives <x, z> for
+every point at once.  Field elements in the tables are *packed*: the
+coefficients of an element over F_p are the base-B digits of an integer,
+with B = n*(p-1)+1, so a sum of at most n packed elements is an ordinary
+integer sum without carries, and one lookup turns it into a label.  Packed
+values stay below 2^24 (B^m <= 15625 within the scan budget), so the tables
+are built exactly by one float32 product with a 0/1 digit-indicator matrix.
 """
 
 from __future__ import annotations
 
-import os
+from dataclasses import dataclass
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-        return lambda fn: fn
-
-
-ENV_FLAG = "UNITARY_SCHEMES_BACKEND"
-
-
-def _resolve(name: str | None) -> str:
-    name = (name or os.environ.get(ENV_FLAG) or "auto").lower()
-    if name not in ("auto", "numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}; use 'numba', 'numpy' or 'auto'")
-    if name == "auto":
-        return "numba" if HAVE_NUMBA else "numpy"
-    if name == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    return name
-
-
-_backend = _resolve(None)
-
-
-def get_backend() -> str:
-    return _backend
-
-
-def set_backend(name: str) -> str:
-    """Switch the kernel backend; returns the previously active one."""
-    global _backend
-    previous = _backend
-    _backend = _resolve(name)
-    return previous
-
+# Largest number of entries of one block table.  The codes fit in uint16.
+BLOCK_LIMIT = 8192
 
 # ---------------------------------------------------------------------------
-# isotropic scan: all nonzero vectors with zero Hermitian self-product,
-# emitted in lexicographic coordinate order (first coordinate most
-# significant, element ids ascending).
+# isotropic scan: the lexicographic codes (first coordinate most significant,
+# element ids ascending) of all nonzero vectors with zero Hermitian
+# self-product, in increasing order.
 
 
-@njit(cache=True)
-def _scan_isotropic_nb(n, size, norm_table, add_table, out):  # pragma: no cover
-    total = 1
-    for _ in range(n):
-        total *= size
-    digits = np.zeros(n, np.int64)
-    found = 0
-    for _ in range(total):
-        acc = 0
-        nonzero = False
-        for i in range(n):
-            d = digits[i]
-            if d != 0:
-                nonzero = True
-            acc = add_table[acc, norm_table[d]]
-        if nonzero and acc == 0:
-            for i in range(n):
-                out[found, i] = digits[i]
-            found += 1
-        i = n - 1
-        while i >= 0:
-            digits[i] += 1
-            if digits[i] == size:
-                digits[i] = 0
-                i -= 1
-            else:
-                break
-    return found
-
-
-def _scan_isotropic_np(n, size, norm_table, add_table, chunk=1 << 18):
+def isotropic_scan(n: int, size: int, norm_table, add_table, expected: int,
+                   chunk: int = 1 << 18) -> np.ndarray:
+    """Scan all size**n coordinate vectors; return the isotropic ones' codes."""
     total = size**n
     parts = []
     for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        digs = np.empty((idx.size, n), dtype=np.int64)
-        t = idx
-        for i in range(n - 1, -1, -1):
-            digs[:, i] = t % size
-            t = t // size
-        acc = np.zeros(idx.size, dtype=np.int64)
-        for i in range(n):
-            acc = add_table[acc, norm_table[digs[:, i]]]
+        codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        acc = np.zeros(codes.size, dtype=np.int64)
+        rest = codes
+        for _ in range(n):
+            rest, digit = np.divmod(rest, size)
+            acc = add_table[acc, norm_table[digit]]
         mask = acc == 0
         if start == 0:
             mask[0] = False  # the zero vector
-        parts.append(digs[mask])
-    return np.concatenate(parts, axis=0)
+        parts.append(codes[mask])
+    codes = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    if codes.size != expected:
+        raise AssertionError(f"scan found {codes.size} isotropic vectors, expected {expected}")
+    return codes
 
 
-def isotropic_scan(n: int, size: int, norm_table, add_table, expected: int) -> np.ndarray:
-    """Scan all size**n coordinate vectors; return the isotropic ones."""
-    if _backend == "numba":
-        out = np.empty((expected, n), dtype=np.int64)
-        found = _scan_isotropic_nb(n, size, norm_table, add_table, out)
-        if found != expected:
-            raise AssertionError(f"scan found {found} isotropic vectors, expected {expected}")
-        return out
-    vectors = _scan_isotropic_np(n, size, norm_table, add_table)
-    if vectors.shape[0] != expected:
-        raise AssertionError(f"scan found {vectors.shape[0]} isotropic vectors, expected {expected}")
-    return vectors
+def digits(codes: np.ndarray, size: int, width: int) -> np.ndarray:
+    """The ``width`` base-``size`` digits of each code, most significant first."""
+    out = codes[:, None] // size ** np.arange(width - 1, -1, -1)
+    out %= size
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -129,150 +67,122 @@ def isotropic_scan(n: int, size: int, norm_table, add_table, expected: int) -> n
 #   scalar pairs (z = lam * x)        -> log(lam)            in [0, q^2-2]
 #   product pairs (<x,z> = g^e != 0)  -> (q^2-1) + e
 #   perpendicular independent pairs   -> 2*(q^2-1)
-# ``piv`` is the first nonzero coordinate of the fixed vector and ``piv_inv``
-# its inverse, so the scalar candidate is one table lookup per row.
 
 
-@njit(cache=True)
-def _classify_first_nb(x, vecs, add, mul, conj, nrel, piv, piv_inv, out):  # pragma: no cover
-    count, n = vecs.shape
-    for a in range(count):
-        acc = 0
-        for i in range(n):
-            acc = add[acc, mul[x[i], conj[vecs[a, i]]]]
-        if acc != 0:
-            out[a] = nrel + acc - 1
-        else:
-            lam = mul[vecs[a, piv], piv_inv]
-            ok = lam != 0
-            if ok:
-                for i in range(n):
-                    if vecs[a, i] != mul[lam, x[i]]:
-                        ok = False
-                        break
-            out[a] = lam - 1 if ok else 2 * nrel
+@dataclass(frozen=True, eq=False)
+class BlockTables:
+    """Everything a row pass over one space needs that does not depend on x.
+
+    ``digits[c]`` are the element ids of block code c, and ``indicator`` has
+    a 1 in row j*order + d, column c, when digit j of c is d.
+    ``products[a, d]`` is the packed a * conj(d).  ``sum_labels[s]`` is the
+    label of a pair whose packed inner product is s, a zero product reading
+    as perpendicular; scalar pairs are set afterwards.  ``place`` turns a
+    padded vector into its full code, ``lookup`` a full code into a point
+    index, and ``conj_labels[l]`` is the label of the reversed pairs of
+    relation l.
+    """
+
+    width: int
+    blocks: int
+    pad: np.ndarray
+    digits: np.ndarray
+    indicator: np.ndarray
+    products: np.ndarray
+    sum_labels: np.ndarray
+    nonzero_mul: np.ndarray
+    place: np.ndarray
+    lookup: np.ndarray
+    conj_labels: np.ndarray
+
+    def encode(self, codes: np.ndarray) -> np.ndarray:
+        """Block codes, one row per point, from full lexicographic codes."""
+        size = self.digits.shape[0]
+        # column-major, so that the codes of one block are contiguous
+        out = np.asfortranarray(digits(codes, size, self.blocks).astype(np.uint16))
+        out.setflags(write=False)
+        return out
 
 
-@njit(cache=True)
-def _classify_second_nb(y, cy, vecs, add, mul, nrel, piv, piv_inv, out):  # pragma: no cover
-    count, n = vecs.shape
-    for a in range(count):
-        acc = 0
-        for i in range(n):
-            acc = add[acc, mul[vecs[a, i], cy[i]]]
-        if acc != 0:
-            out[a] = nrel + acc - 1
-        else:
-            nu = mul[vecs[a, piv], piv_inv]
-            ok = nu != 0
-            if ok:
-                for i in range(n):
-                    if vecs[a, i] != mul[nu, y[i]]:
-                        ok = False
-                        break
-            out[a] = (nrel - (nu - 1)) % nrel if ok else 2 * nrel
+def block_width(order: int, count: int) -> int:
+    """Largest b >= 1 with order**b <= min(BLOCK_LIMIT, count)."""
+    width = 1
+    while order ** (width + 1) <= min(BLOCK_LIMIT, count):
+        width += 1
+    return width
 
 
-def _classify_first_np(x, vecs, add, mul, conj, nrel, piv, piv_inv):
-    acc = np.zeros(vecs.shape[0], dtype=np.int64)
-    for i in range(vecs.shape[1]):
-        acc = add[acc, mul[x[i], conj[vecs[:, i]]]]
-    lam = mul[vecs[:, piv], piv_inv]
-    multiple = lam != 0
-    for i in range(vecs.shape[1]):
-        multiple &= vecs[:, i] == mul[lam, x[i]]
-    out = np.full(vecs.shape[0], 2 * nrel, dtype=np.int64)
-    out[multiple] = lam[multiple] - 1
-    nz = acc != 0
-    out[nz] = nrel + acc[nz] - 1
+def block_tables(ft, n: int, count: int, lookup: np.ndarray) -> BlockTables:
+    """The x-independent tables of the row kernel for ``count`` points in F^n."""
+    order, p, q = ft.order, ft.p, ft.q
+    nrel = order - 1
+    width = block_width(order, count)
+    blocks = -(-n // width)
+    m = 1
+    while p**m < order:
+        m += 1
+    base = n * (p - 1) + 1
+
+    coeffs = ft.coeff_table[:, None] // p ** np.arange(m) % p
+    packed = coeffs @ base ** np.arange(m)
+    products = packed[ft.mul_table[:, ft.conj_table]].astype(np.float32)
+
+    table_digits = digits(np.arange(order**width), order, width)
+    indicator = np.zeros((width * order, order**width), dtype=np.float32)
+    indicator[np.arange(width) * order + table_digits, np.arange(order**width)[:, None]] = 1
+
+    sums = np.arange(base**m)
+    ids = np.argsort(ft.coeff_table)[(sums[:, None] // base ** np.arange(m) % base % p)
+                                     @ p ** np.arange(m)]
+    sum_labels = np.where(ids == 0, 2 * nrel, nrel + ids - 1)
+
+    e = np.arange(nrel)
+    conj_labels = np.concatenate((-e % nrel, nrel + q * e % nrel, [2 * nrel]))
+    return BlockTables(
+        width=width, blocks=blocks,
+        pad=np.zeros(blocks * width - n, dtype=np.int64),
+        digits=table_digits, indicator=indicator, products=products,
+        sum_labels=sum_labels,
+        nonzero_mul=np.ascontiguousarray(ft.mul_table[1:]),
+        place=order ** np.arange(blocks * width - 1, -1, -1, dtype=np.int64),
+        lookup=lookup, conj_labels=conj_labels,
+    )
+
+
+def _row_labels(xb: np.ndarray, codes: np.ndarray, t: BlockTables) -> np.ndarray:
+    """Labels of (x, z) for every point z; ``xb`` is x padded, one row per block."""
+    sums = (t.products[xb].reshape(t.blocks, -1) @ t.indicator).astype(np.intp)
+    packed = sums[0][codes[:, 0]]
+    for k in range(1, t.blocks):
+        packed += sums[k][codes[:, k]]
+    out = t.sum_labels[packed]
+    # the q^2-1 multiples lam * x, found by their codes; <x, lam x> = 0
+    multiples = t.lookup[t.nonzero_mul[:, xb.ravel()] @ t.place]
+    if multiples[0] < 0:
+        raise ValueError("x is not a nonzero isotropic vector")
+    out[multiples] = np.arange(multiples.size)
     return out
 
 
-def _classify_second_np(y, cy, vecs, add, mul, nrel, piv, piv_inv):
-    acc = np.zeros(vecs.shape[0], dtype=np.int64)
-    for i in range(vecs.shape[1]):
-        acc = add[acc, mul[vecs[:, i], cy[i]]]
-    nu = mul[vecs[:, piv], piv_inv]
-    multiple = nu != 0
-    for i in range(vecs.shape[1]):
-        multiple &= vecs[:, i] == mul[nu, y[i]]
-    out = np.full(vecs.shape[0], 2 * nrel, dtype=np.int64)
-    out[multiple] = (nrel - (nu[multiple] - 1)) % nrel
-    nz = acc != 0
-    out[nz] = nrel + acc[nz] - 1
-    return out
+def _blocked(x, t: BlockTables) -> np.ndarray:
+    return np.concatenate((t.pad, x)).reshape(t.blocks, t.width)
 
 
-def _pivot(vec, inv_table):
-    piv = int(np.flatnonzero(vec)[0])
-    return piv, int(inv_table[vec[piv]])
+def classify_row(x, codes: np.ndarray, t: BlockTables) -> np.ndarray:
+    """Labels of the pairs (x, z) for every point z, given by its block codes."""
+    return _row_labels(_blocked(x, t), codes, t)
 
 
-def classify_row(x, vecs, ft) -> np.ndarray:
-    """Labels of the pairs (x, z) for every row z of ``vecs``."""
-    x = np.asarray(x, dtype=np.int64)
-    nrel = ft.order - 1
-    piv, piv_inv = _pivot(x, ft.inv_table)
-    if _backend == "numba":
-        out = np.empty(vecs.shape[0], dtype=np.int64)
-        _classify_first_nb(x, vecs, ft.add_table, ft.mul_table, ft.conj_table,
-                           nrel, piv, piv_inv, out)
-        return out
-    return _classify_first_np(x, vecs, ft.add_table, ft.mul_table, ft.conj_table,
-                              nrel, piv, piv_inv)
+def classify_col(y, codes: np.ndarray, t: BlockTables) -> np.ndarray:
+    """Labels of the pairs (z, y): the converses of the pairs (y, z)."""
+    return t.conj_labels[_row_labels(_blocked(y, t), codes, t)]
 
 
-def classify_col(y, vecs, ft) -> np.ndarray:
-    """Labels of the pairs (z, y) for every row z of ``vecs``."""
-    y = np.asarray(y, dtype=np.int64)
-    cy = ft.conj_table[y]
-    nrel = ft.order - 1
-    piv, piv_inv = _pivot(y, ft.inv_table)
-    if _backend == "numba":
-        out = np.empty(vecs.shape[0], dtype=np.int64)
-        _classify_second_nb(y, cy, vecs, ft.add_table, ft.mul_table,
-                            nrel, piv, piv_inv, out)
-        return out
-    return _classify_second_np(y, cy, vecs, ft.add_table, ft.mul_table,
-                               nrel, piv, piv_inv)
-
-
-@njit(cache=True)
-def _classify_all_nb(vecs, add, mul, conj, nrel, pivots, piv_invs, out):  # pragma: no cover
-    count, n = vecs.shape
-    for a in range(count):
-        piv = pivots[a]
-        piv_inv = piv_invs[a]
-        for b in range(count):
-            acc = 0
-            for i in range(n):
-                acc = add[acc, mul[vecs[a, i], conj[vecs[b, i]]]]
-            if acc != 0:
-                out[a, b] = nrel + acc - 1
-            else:
-                lam = mul[vecs[b, piv], piv_inv]
-                ok = lam != 0
-                if ok:
-                    for i in range(n):
-                        if vecs[b, i] != mul[lam, vecs[a, i]]:
-                            ok = False
-                            break
-                out[a, b] = lam - 1 if ok else 2 * nrel
-
-
-def classify_matrix(vecs, ft) -> np.ndarray:
-    """Full pairwise label matrix M with M[a, b] = label of (vecs[a], vecs[b])."""
-    count = vecs.shape[0]
-    nrel = ft.order - 1
-    pivots = np.argmax(vecs != 0, axis=1).astype(np.int64)
-    piv_invs = ft.inv_table[vecs[np.arange(count), pivots]]
-    if _backend == "numba":
-        out = np.empty((count, count), dtype=np.int64)
-        _classify_all_nb(vecs, ft.add_table, ft.mul_table, ft.conj_table,
-                         nrel, pivots, piv_invs, out)
-        return out
+def classify_matrix(codes: np.ndarray, t: BlockTables) -> np.ndarray:
+    """Full pairwise label matrix M with M[a, b] = label of (point a, point b)."""
+    count = codes.shape[0]
+    xbs = t.digits[codes]
     out = np.empty((count, count), dtype=np.int64)
     for a in range(count):
-        out[a] = _classify_first_np(vecs[a], vecs, ft.add_table, ft.mul_table,
-                                    ft.conj_table, nrel, int(pivots[a]), int(piv_invs[a]))
+        out[a] = _row_labels(xbs[a], codes, t)
     return out

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -173,12 +172,12 @@ def closed_valencies(n: int, q: int) -> tuple[int, ...]:
 
 
 def _product_product_offdiag(n: int, q: int) -> int:
-    # q^(2n-5) + (-q)^(n-3); at n = 2 the two fractional terms cancel exactly.
+    # q^(2n-5) + (-q)^(n-3); at n = 2 the two fractional terms cancel exactly,
+    # checked on the terms multiplied through by q^(5-2n) * q^(3-n).
     if n >= 3:
         return q ** (2 * n - 5) + (-q) ** (n - 3)
     sign = -1 if (n - 3) % 2 else 1
-    value = Fraction(1, q ** (5 - 2 * n)) + Fraction(sign, q ** (3 - n))
-    if value != 0:
+    if q ** (3 - n) + sign * q ** (5 - 2 * n) != 0:
         raise AssertionError("expected exact cancellation in dimension 2")
     return 0
 
@@ -281,36 +280,37 @@ def intersection_number_bruteforce(us: UnitarySpace, h: int, i: int, j: int,
     if pair is None:
         pair = witness_pair(h, us.n, us.q)
     x, y = pair
-    rows = kernels.classify_row(np.asarray(x, dtype=np.int64), us.vectors, us.ft)
-    cols = kernels.classify_col(np.asarray(y, dtype=np.int64), us.vectors, us.ft)
+    rows = kernels.classify_row(x, us.block_codes, us.tables)
+    cols = kernels.classify_col(y, us.block_codes, us.tables)
     return int(np.sum((rows == i) & (cols == j)))
+
+
+def _sampled_rows(us: UnitarySpace, h: int, count: int, rng: random.Random):
+    """Yield (a, row of point a, b) for ``count`` random pairs (a, b) in relation h."""
+    for _ in range(count):
+        a = rng.randrange(us.size)
+        rows = kernels.classify_row(us.vectors[a], us.block_codes, us.tables)
+        candidates = np.flatnonzero(rows == h)
+        yield a, rows, int(candidates[rng.randrange(candidates.size)])
 
 
 def sample_representatives(us: UnitarySpace, h: int, count: int,
                            rng: random.Random) -> list[tuple[tuple, tuple]]:
     """Random ordered pairs lying in relation h, drawn via random first points."""
-    pairs = []
-    for _ in range(count):
-        a = rng.randrange(us.size)
-        x = us.vectors[a]
-        rows = kernels.classify_row(x, us.vectors, us.ft)
-        candidates = np.flatnonzero(rows == h)
-        b = int(candidates[rng.randrange(candidates.size)])
-        pairs.append((tuple(int(c) for c in x),
-                      tuple(int(c) for c in us.vectors[b])))
-    return pairs
+    return [(tuple(int(c) for c in us.vectors[a]), tuple(int(c) for c in us.vectors[b]))
+            for a, _, b in _sampled_rows(us, h, count, rng)]
 
 
 def _bruteforce_tensor(us: UnitarySpace, rank: int, seed: int,
                        spot_checks: int = 5):
-    ft = us.ft
+    codes, tables = us.block_codes, us.tables
     tensor = []
     conj_map = []
     valencies = None
     for h in range(rank):
         x, y = witness_pair(h, us.n, us.q)
-        rows = kernels.classify_row(np.asarray(x, dtype=np.int64), us.vectors, ft)
-        cols = kernels.classify_col(np.asarray(y, dtype=np.int64), us.vectors, ft)
+        rows = kernels.classify_row(x, codes, tables)
+        cols = kernels.classify_col(y, codes, tables)
         if valencies is None:
             valencies = tuple(int(c) for c in np.bincount(rows, minlength=rank))
         tensor.append(_joint_histogram(rows, cols, rank))
@@ -318,9 +318,9 @@ def _bruteforce_tensor(us: UnitarySpace, rank: int, seed: int,
 
     rng = random.Random(seed)
     for h in range(rank):
-        for x, y in sample_representatives(us, h, spot_checks, rng):
-            rows = kernels.classify_row(np.asarray(x, dtype=np.int64), us.vectors, ft)
-            cols = kernels.classify_col(np.asarray(y, dtype=np.int64), us.vectors, ft)
+        # the row that picked the partner is the row of the spot check
+        for _, rows, b in _sampled_rows(us, h, spot_checks, rng):
+            cols = kernels.classify_col(us.vectors[b], codes, tables)
             if not np.array_equal(_joint_histogram(rows, cols, rank), tensor[h]):
                 raise AssertionError(
                     f"intersection counts depend on the representative of relation {h}"
@@ -437,7 +437,7 @@ def relation_matrix(us: UnitarySpace) -> np.ndarray:
         raise ValueError(
             f"{us.size}^2 pairs exceed the classification budget of {PAIR_BUDGET}"
         )
-    return kernels.classify_matrix(us.vectors, us.ft)
+    return kernels.classify_matrix(us.block_codes, us.tables)
 
 
 def verify_relation_matrix(M: np.ndarray, rank: int | None = None,
@@ -542,7 +542,7 @@ def build_adjacency_matrices(us: UnitarySpace, sd: SchemeDescriptor) -> list[np.
     A_i A_j = sum_h p_ij^h A_h holds exactly."""
     if us.size > DENSE_BUDGET:
         raise ValueError(f"{us.size} points exceed the dense-matrix budget of {DENSE_BUDGET}")
-    M = kernels.classify_matrix(us.vectors, us.ft)
+    M = kernels.classify_matrix(us.block_codes, us.tables)
     rank = sd.rank
     mats = [(M == l).astype(np.int64) for l in range(rank)]
     if not np.array_equal(mats[0], np.eye(us.size, dtype=np.int64)):

@@ -129,11 +129,22 @@ def parse_document(text: str) -> SchemeDocument:
             elif key == "conjugation":
                 fields["conj_map"] = tuple(int(x) for x in rest.split())
             elif key == "tensor":
+                if "rank" not in fields:
+                    raise ValueError("tensor block comes before the rank line")
+                rank = fields["rank"]
                 count = int(rest)
                 block_end = _block_end(lines, pos, count, key)
                 quads = []
                 for _ in range(count):
-                    quads.append(tuple(int(x) for x in lines[pos].split()))
+                    quad = tuple(map(int, lines[pos].split()))
+                    if len(quad) != 4:
+                        raise ValueError(f"tensor line has {len(quad)} integers, "
+                                         "expected 4 (h i j value)")
+                    h, i, j, _ = quad
+                    if not (0 <= h < rank and 0 <= i < rank and 0 <= j < rank):
+                        raise ValueError(f"tensor index out of range [0, {rank}) "
+                                         f"in {lines[pos]!r}")
+                    quads.append(quad)
                     pos += 1
                 fields["tensor_entries"] = tuple(quads)
             elif key == "commutative":

@@ -2,12 +2,12 @@
 
 Vectors are tuples (or int64 arrays) of field-element ids; the Hermitian
 product is <x, y> = sum_i x_i * conj(y_i).  ``UnitarySpace`` holds the full
-list of nonzero isotropic vectors in canonical (lexicographic) order.
+list of nonzero isotropic vectors in canonical (lexicographic) order, and
+the same points as block codes for the classification kernels.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,13 +30,19 @@ def isotropic_count(n: int, q: int) -> int:
 
 @dataclass(eq=False)
 class UnitarySpace:
-    """Enumerated isotropic vectors of F_{q^2}^n with O(1) index lookup."""
+    """Enumerated isotropic vectors of F_{q^2}^n with O(1) index lookup.
+
+    ``block_codes`` and ``tables`` are the arguments the kernels in
+    ``kernels`` take after the fixed vector; ``tables.lookup`` maps a
+    vector's lexicographic code to its index (-1 off the point set).
+    """
 
     n: int
     q: int
     ft: FieldTables
     vectors: np.ndarray
-    _lookup: np.ndarray = field(repr=False)
+    block_codes: np.ndarray = field(repr=False)
+    tables: kernels.BlockTables = field(repr=False)
 
     @property
     def size(self) -> int:
@@ -51,13 +57,13 @@ class UnitarySpace:
     def index_of(self, vec) -> int:
         if len(vec) != self.n:
             raise ValueError(f"expected a vector of length {self.n}")
-        idx = int(self._lookup[self._encode(vec)])
+        idx = int(self.tables.lookup[self._encode(vec)])
         if idx < 0:
             raise ValueError(f"{tuple(int(c) for c in vec)} is not a nonzero isotropic vector")
         return idx
 
     def __contains__(self, vec) -> bool:
-        return len(vec) == self.n and int(self._lookup[self._encode(vec)]) >= 0
+        return len(vec) == self.n and int(self.tables.lookup[self._encode(vec)]) >= 0
 
     def hermitian_inner(self, x, y) -> int:
         return hermitian_inner(self.ft, x, y)
@@ -88,20 +94,17 @@ def hyperbolic_partner(ft: FieldTables, n: int, u) -> tuple[int, ...]:
 
     Takes the first w in canonical vector order with <u, w> != 0, rescales it
     to <u, w> = 1, then subtracts the multiple of u that kills <w, w> (a trace
-    equation over F_q).
+    equation over F_q).  That first w is the unit vector e_k at the last
+    nonzero coordinate k of u: every vector before e_k is supported after k,
+    where u vanishes.
     """
     if len(u) != n:
         raise ValueError(f"expected a vector of length {n}")
     if all(c == 0 for c in u) or hermitian_inner(ft, u, u) != 0:
         raise ValueError("hyperbolic partner needs a nonzero isotropic vector")
-    for w in itertools.product(range(ft.order), repeat=n):
-        c = hermitian_inner(ft, u, w)
-        if c != 0:
-            break
-    else:  # pragma: no cover - impossible for a non-degenerate form
-        raise AssertionError("no vector pairs non-trivially with u")
-    scale = ft.inv(ft.conj(c))
-    w = tuple(ft.mul(scale, wc) for wc in w)
+    k = max(i for i, c in enumerate(u) if c)
+    # <u, e_k> = u_k, so scale e_k by 1 / conj(u_k)
+    w = (0,) * k + (ft.inv(ft.conj(int(u[k]))),) + (0,) * (n - k - 1)
     lam = trace_solutions(ft, hermitian_inner(ft, w, w))[0]
     v = tuple(ft.sub(wc, ft.mul(lam, uc)) for wc, uc in zip(w, u))
     if hermitian_inner(ft, v, v) != 0 or hermitian_inner(ft, u, v) != 1:
@@ -120,19 +123,15 @@ def enumerate_isotropic(n: int, q: int) -> UnitarySpace:
             f"enumerating q^(2n) = {total} vectors exceeds the scan budget of {SCAN_BUDGET}"
         )
     expected = isotropic_count(n, q)
-    if expected == 0:
-        vectors = np.empty((0, n), dtype=np.int64)
-    else:
-        vectors = kernels.isotropic_scan(n, ft.order, ft.norm_table, ft.add_table, expected)
+    codes = kernels.isotropic_scan(n, ft.order, ft.norm_table, ft.add_table, expected)
+    vectors = kernels.digits(codes, ft.order, n)
     lookup = np.full(total, -1, dtype=np.int32)  # positions are far below 2^31
-    if expected:
-        codes = np.zeros(expected, dtype=np.int64)
-        for i in range(n):
-            codes = codes * ft.order + vectors[:, i]
-        lookup[codes] = np.arange(expected)
+    lookup[codes] = np.arange(expected)
     vectors.setflags(write=False)
     lookup.setflags(write=False)
-    return UnitarySpace(n=n, q=q, ft=ft, vectors=vectors, _lookup=lookup)
+    tables = kernels.block_tables(ft, n, expected, lookup)
+    return UnitarySpace(n=n, q=q, ft=ft, vectors=vectors,
+                        block_codes=tables.encode(codes), tables=tables)
 
 
 def unit_norm_witness(ft: FieldTables) -> int:

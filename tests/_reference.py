@@ -135,3 +135,21 @@ def tensor(F, vectors, rank):
                 assert counts == seen, f"relation {h} counts depend on the pair"
         out[h] = seen
     return out
+
+
+def hyperbolic_partner_scan(F, u):
+    """Isotropic v with <u, v> = 1 by the original canonical-order scan.
+
+    Takes the first w in canonical vector order with <u, w> != 0, rescales it
+    to <u, w> = 1 and subtracts the first multiple lam * u (lam in canonical
+    element order) with lam + conj(lam) = <w, w>.
+    """
+    for w in itertools.product(F.elements, repeat=len(u)):
+        c = inner(F, u, w)
+        if c != F.zero:
+            break
+    scale = F.pw(F.conj(c), F.q * F.q - 2)  # 1 / conj(c)
+    w = tuple(F.mul(scale, wc) for wc in w)
+    ww = inner(F, w, w)
+    lam = next(a for a in F.elements if F.add(a, F.conj(a)) == ww)
+    return tuple(F.add(wc, F.neg(F.mul(lam, uc))) for wc, uc in zip(w, u))

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from unitary_schemes.scheme import (
     intersection_number_closed,
     is_commutative,
     relation_matrix,
+    sample_representatives,
     scheme_from_relation_matrix,
     scheme_rank,
     verify_scheme_axioms,
@@ -331,3 +334,11 @@ def test_representative_independence(get_space, get_descriptor):
         pair = (tuple(int(c) for c in us.vectors[xs[k]]),
                 tuple(int(c) for c in us.vectors[ys[k]]))
         assert intersection_number_bruteforce(us, 4, 3, 4, pair=pair) == sd.p(4, 3, 4)
+
+
+def test_sample_representatives_stream(get_space):
+    us = get_space(3, 2)
+    pairs = sample_representatives(us, 4, 3, random.Random(7))
+    # the draws are fixed by the seed: one randrange per point, one per partner
+    assert pairs == [((1, 0, 2), (0, 3, 1)), ((1, 1, 0), (0, 3, 1)), ((0, 1, 3), (0, 2, 3))]
+    assert all(classify_pair(us, x, y).index == 4 for x, y in pairs)

@@ -147,3 +147,36 @@ def test_parse_relation_matrix_ragged_rows():
         parse_relation_matrix("3 2\n0 1 1\n\n1 0\n1 1 0\n")
     with pytest.raises(ValueError, match="^line 2: invalid literal"):
         parse_relation_matrix("2 2\n0 one\n1 0\n")
+
+
+def _tensor_lines(get_descriptor):
+    text = render_document(document_from_descriptor(get_descriptor(2, 2)))
+    lines = text.splitlines()
+    return lines, next(k for k, line in enumerate(lines) if line.startswith("tensor "))
+
+
+@pytest.mark.parametrize("entry", ["0 0", "0 1 2 3 4"])
+def test_parse_document_tensor_line_arity(entry, get_descriptor):
+    lines, start = _tensor_lines(get_descriptor)
+    lines[start + 2] = entry
+    count = len(entry.split())
+    with pytest.raises(ValueError,
+                       match=f"^line {start + 3}: tensor line has {count} integers"):
+        parse_document("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("entry", ["6 0 0 1", "0 -1 0 1", "0 0 99 1"])
+def test_parse_document_tensor_index_range(entry, get_descriptor):
+    lines, start = _tensor_lines(get_descriptor)
+    lines[start + 2] = entry
+    with pytest.raises(ValueError,
+                       match=rf"^line {start + 3}: tensor index out of range \[0, 6\)"):
+        parse_document("\n".join(lines) + "\n")
+
+
+def test_parse_document_tensor_before_rank(get_descriptor):
+    lines, start = _tensor_lines(get_descriptor)
+    del lines[lines.index("rank 6")]
+    with pytest.raises(ValueError,
+                       match=f"^line {start}: tensor block comes before the rank line"):
+        parse_document("\n".join(lines) + "\n")

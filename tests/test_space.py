@@ -14,7 +14,7 @@ from unitary_schemes.space import (
     witness_pair,
 )
 
-from _reference import RefField, inner, isotropic_vectors
+from _reference import RefField, hyperbolic_partner_scan, inner, isotropic_vectors
 
 COUNTS = {
     (2, 2): 9, (3, 2): 27, (4, 2): 135, (5, 2): 495, (6, 2): 2079,
@@ -127,6 +127,16 @@ def test_hyperbolic_partner_exhaustive_4_2(get_space):
         assert hermitian_inner(ft, u, v) == 1
         assert hermitian_inner(ft, v, v) == 0
         assert us.hyperbolic_partner(u) == v  # deterministic
+
+
+@pytest.mark.parametrize("n,q", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4), (2, 5)])
+def test_hyperbolic_partner_matches_canonical_scan(n, q, get_space):
+    us = get_space(n, q)
+    ref = RefField(q)
+    for u in us.vectors:
+        u = tuple(int(c) for c in u)
+        scanned = hyperbolic_partner_scan(ref, tuple(ref.elements[c] for c in u))
+        assert us.hyperbolic_partner(u) == tuple(ref.id_of(c) for c in scanned)
 
 
 def test_hyperbolic_partner_spot_3_3(get_space):
