@@ -19,6 +19,7 @@ from .chartable import (
     second_eigenmatrix,
     verify_homomorphism,
     verify_orthogonality,
+    verify_reconstruction,
 )
 from .eisenstein import OMEGA, Eisenstein
 from .fields import FieldTables, build_field, norm_solutions, trace_solutions
@@ -73,8 +74,8 @@ __all__ = [
     "CharTable", "char_table_closed", "closed_multiplicity_formulas",
     "idempotents", "minimal_polynomial_annihilates", "multiplicities",
     "reconstruct_intersection", "second_eigenmatrix", "verify_homomorphism",
-    "verify_orthogonality", "OMEGA", "Eisenstein", "FieldTables",
-    "build_field", "norm_solutions", "trace_solutions", "FusedTable",
+    "verify_orthogonality", "verify_reconstruction", "OMEGA", "Eisenstein",
+    "FieldTables", "build_field", "norm_solutions", "trace_solutions", "FusedTable",
     "FusionError", "canonical_fusions", "coarse_partition", "fuse",
     "symmetrization_partition", "AxiomReport", "OracleMismatch",
     "RelationLabel", "SchemeDescriptor", "build_adjacency_matrices",

@@ -2,17 +2,22 @@
 
 The first eigenmatrix P has entry P[i][j] = eigenvalue of relation j on the
 i-th common eigenspace; row 0 carries the valencies and column 0 is all ones.
-Every entry lies in Q(w), and every identity here (orthogonality, the algebra
-homomorphism property, parameter reconstruction, P Q = |X| I, and minimal
-polynomial annihilation) is verified exactly.
+Every entry lies in Z[w], and every identity here (orthogonality, the algebra
+homomorphism property, parameter reconstruction, P Q = |X| I, minimal
+polynomial annihilation and the idempotents) is checked as an equality of
+exact integer matrices over Z[w], with the denominators cleared once by
+L = lcm(k).
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .eisenstein import OMEGA, Eisenstein
+import numpy as np
+
+from .eisenstein import OMEGA, ZERO, Eisenstein
 from .scheme import SchemeDescriptor
 from .space import isotropic_count
 
@@ -34,77 +39,31 @@ class CharTable:
         return self.entries[i][j]
 
 
-def _rows_n2() -> list[list]:
+def _rows(n: int) -> list[list]:
+    """The rows of P in conjugate triples (1, 1, 1, e, e, e),
+    (1, w, w^2, f, f w^2, f w), (1, w^2, w, f, f w, f w^2); from n = 4 on a
+    seventh row and the perpendicular column follow."""
     w, wb = OMEGA, OMEGA.conj()
-    return [
-        [1, 1, 1, 2, 2, 2],
-        [1, w, wb, 2, 2 * wb, 2 * w],
-        [1, wb, w, 2, 2 * w, 2 * wb],
-        [1, 1, 1, -1, -1, -1],
-        [1, w, wb, -1, -wb, -w],
-        [1, wb, w, -1, -w, -wb],
-    ]
 
+    def triple(e, f):
+        return [[1, 1, 1, e, e, e], [1, w, wb, f, f * wb, f * w], [1, wb, w, f, f * w, f * wb]]
 
-def _rows_n3() -> list[list]:
-    w, wb = OMEGA, OMEGA.conj()
-    return [
-        [1, 1, 1, 8, 8, 8],
-        [1, w, wb, -4, -4 * wb, -4 * w],
-        [1, wb, w, -4, -4 * w, -4 * wb],
-        [1, 1, 1, -1, -1, -1],
-        [1, w, wb, 2, 2 * wb, 2 * w],
-        [1, wb, w, 2, 2 * w, 2 * wb],
-    ]
-
-
-def _rows_general(n: int) -> list[list]:
-    w, wb = OMEGA, OMEGA.conj()
+    if n == 2:
+        return triple(2, 2) + triple(-1, -1)
+    if n == 3:
+        return triple(8, -4) + triple(-1, 2)
     big = 2 ** (2 * n - 3)
-    e1 = -((-2) ** (n - 1))
-    e3 = -((-2) ** (n - 2))
-    e6 = -((-2) ** (n - 3))
-    return [
-        [1, 1, 1, big, big, big, big - (-2) ** (n - 1) - 4],
-        [1, w, wb, e1, e1 * wb, e1 * w, 0],
-        [1, wb, w, e1, e1 * w, e1 * wb, 0],
-        [1, 1, 1, e3, e3, e3, 3 * (-2) ** (n - 2) - 3],
-        [1, w, wb, e3, e3 * wb, e3 * w, 0],
-        [1, wb, w, e3, e3 * w, e3 * wb, 0],
-        [1, 1, 1, e6, e6, e6, 3 * (-2) ** (n - 3) - 3],
-    ]
-
-
-def multiplicities(entries: Matrix, valencies, order: int) -> tuple[int, ...]:
-    """Eigenspace dimensions m_i = order / sum_j |P[i][j]|^2 / k_j.
-
-    A non-integer or non-positive result means the table is not the character
-    table of a scheme of this order, so it is a hard failure.
-    """
-    out = []
-    for i, row in enumerate(entries):
-        denom = sum((x.abs_square() / k for x, k in zip(row, valencies)), Fraction(0))
-        m = Fraction(order) / denom
-        if m.denominator != 1 or m <= 0:
-            raise ArithmeticError(f"multiplicity of row {i} is {m}, not a positive integer")
-        out.append(int(m))
-    return tuple(out)
+    e1, e3, e6 = (-((-2) ** (n - t)) for t in (1, 2, 3))
+    rows = triple(big, e1) + triple(e3, e3) + [[1, 1, 1, e6, e6, e6]]
+    last = (big + e1 - 4, 0, 0, -3 * e3 - 3, 0, 0, -3 * e6 - 3)
+    return [row + [x] for row, x in zip(rows, last)]
 
 
 def char_table_closed(n: int) -> CharTable:
     """The character table of the q = 2 scheme in dimension n (n >= 2)."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    if n == 2:
-        rows = _rows_n2()
-    elif n == 3:
-        rows = _rows_n3()
-    else:
-        rows = _rows_general(n)
-    entries = tuple(
-        tuple(x if isinstance(x, Eisenstein) else Eisenstein(x) for x in row)
-        for row in rows
-    )
+    entries = tuple(tuple(ZERO + x for x in row) for row in _rows(n))
     valencies = tuple(x.as_rational().numerator for x in entries[0])
     order = isotropic_count(n, 2)
     mult = multiplicities(entries, valencies, order)
@@ -129,58 +88,127 @@ def closed_multiplicity_formulas(n: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
+# Z[w] integer matrices: the pair (A, B) of Python-int object arrays standing
+# for A + B w, with w^2 = -1 - w, stacked as one array of shape (2, ...).  A
+# rational factor (scaling, transpose, a product with an integer matrix) acts
+# on both parts alike.
+
+
+def _pair(entries):
+    """d P as a Z[w] matrix, d the least common denominator of the entries (1
+    for a scheme, whose eigenvalues are algebraic integers).  Every identity
+    is homogeneous in P, so it is checked on d P with the power of d it needs."""
+    d = math.lcm(*(f.denominator for row in entries for x in row for f in (x.a, x.b)))
+    return np.array([[[int(getattr(x, part) * d) for x in row] for row in entries]
+                     for part in "ab"], dtype=object), d
+
+
+def _mul(x, y):
+    (a, b), (c, d) = x, y
+    return np.stack([a * c - b * d, a * d + b * c - b * d])
+
+
+def _matmul(x, y):
+    (a, b), (c, d) = x, y
+    bd = b @ d
+    return np.stack([a @ c - bd, a @ d + b @ c - bd])
+
+
+def _conj(x):
+    return np.stack([x[0] - x[1], -x[1]])
+
+
+def _differs(x, a, b=0) -> np.ndarray:
+    """Mask of the entries at which x is not a + b w."""
+    return (x[0] != a) | (x[1] != b)
+
+
+def _verdict(mask: np.ndarray, *kind):
+    """(True, None), or (False, kind + the first index of ``mask`` in C order)."""
+    bad = np.argwhere(mask)
+    return (False, (*kind, *(int(v) for v in bad[0]))) if bad.size else (True, None)
+
+
+def _to_eisenstein(x, scale: int) -> Matrix:
+    """The Z[w] matrix x / scale as nested tuples of Eisenstein values."""
+    value = functools.cache(lambda a, b: Eisenstein(a, b) / scale)
+    return tuple(tuple(map(value, ra, rb)) for ra, rb in zip(*x.tolist()))
+
+
+def _vector(values) -> np.ndarray:
+    return np.array(values, dtype=object)
+
+
+# ---------------------------------------------------------------------------
 # exact identity checks
 
 
+def multiplicities(entries: Matrix, valencies, order: int) -> tuple[int, ...]:
+    """Eigenspace dimensions m_i = order / sum_j |P[i][j]|^2 / k_j, as the
+    exact integer division order L / sum_j |P[i][j]|^2 (L / k_j).
+
+    A non-integer or non-positive result means the table is not the character
+    table of a scheme of this order, so it is a hard failure.
+    """
+    p, d = _pair(entries)
+    lcm = math.lcm(*valencies)
+    numerator = order * lcm * d * d
+    norms = _mul(p, _conj(p))[0]  # |x|^2 = x conj(x) is rational
+    out = []
+    for i, total in enumerate(norms @ (lcm // _vector(valencies))):
+        m, rest = divmod(numerator, total)
+        if rest or m <= 0:
+            ratio = (Eisenstein(numerator) / total).as_rational()
+            raise ArithmeticError(f"multiplicity of row {i} is {ratio}, not a positive integer")
+        out.append(m)
+    return tuple(out)
+
+
 def verify_orthogonality(ct: CharTable):
-    """Both orthogonality relations, as exact equalities.
+    """Both orthogonality relations, as exact equalities over Z[w]:
+    diag(m) P diag(L/k) conj(P)^T = L |X| I and P^T diag(m) conj(P) = |X| diag(k).
 
     Returns (True, None) or (False, (kind, i1, i2)) naming the first failure.
     """
-    size = ct.size
-    for i1 in range(size):
-        for i2 in range(size):
-            total = sum(
-                (ct.entries[i1][j] * ct.entries[i2][j].conj() * Fraction(1, ct.valencies[j])
-                 for j in range(size)),
-                Eisenstein(0),
-            )
-            want = Fraction(ct.order, ct.multiplicities[i1]) if i1 == i2 else 0
-            if total != Eisenstein(want):
-                return False, ("rows", i1, i2)
-    for j1 in range(size):
-        for j2 in range(size):
-            total = sum(
-                (ct.entries[i][j1] * ct.entries[i][j2].conj() * ct.multiplicities[i]
-                 for i in range(size)),
-                Eisenstein(0),
-            )
-            want = ct.order * ct.valencies[j1] if j1 == j2 else 0
-            if total != Eisenstein(want):
-                return False, ("columns", j1, j2)
-    return True, None
+    p, d = _pair(ct.entries)
+    lcm = math.lcm(*ct.valencies)
+    m, k = _vector(ct.multiplicities)[:, None], _vector(ct.valencies)
+    rows = _matmul(p * (lcm // k), _conj(p).transpose(0, 2, 1)) * m
+    rows = _differs(rows, np.identity(ct.size, dtype=object) * (d * d * lcm * ct.order))
+    columns = _matmul((p * m).transpose(0, 2, 1), _conj(p))
+    columns = _differs(columns, np.diag(k) * (d * d * ct.order))
+    return _verdict(rows, "rows") if rows.any() else _verdict(columns, "columns")
 
 
 def verify_homomorphism(ct: CharTable, sd: SchemeDescriptor):
-    """Each row is an algebra homomorphism: P[h][i] P[h][j] = sum_l p_ij^l P[h][l].
+    """Each row is an algebra homomorphism: P[h][i] P[h][j] = sum_l p_ij^l P[h][l],
+    checked for every (h, i, j) at once.
 
     Returns (True, None) or (False, (h, i, j)).
     """
-    size = ct.size
-    tensor = sd.tensor.tolist()  # Python ints: Eisenstein arithmetic stays exact
-    for h in range(size):
-        row = ct.entries[h]
-        for i in range(size):
-            for j in range(size):
-                rhs = sum((tensor[l][i][j] * row[l] for l in range(size)),
-                          Eisenstein(0))
-                if row[i] * row[j] != rhs:
-                    return False, (h, i, j)
-    return True, None
+    p, d = _pair(ct.entries)
+    lhs = _mul(p[..., :, None], p[..., None, :])
+    rhs = (p @ sd.tensor.reshape(ct.size, -1)).reshape(lhs.shape) * d
+    return _verdict(_differs(lhs, *rhs))
 
 
-def reconstruct_intersection(ct: CharTable, h: int, i: int, j: int) -> Fraction:
-    """Recover p_ij^h from the table: (1/(order*k_h)) sum_l P_i(l) P_j(l) conj(P_h(l)) m_l."""
+def verify_reconstruction(ct: CharTable, sd: SchemeDescriptor):
+    """The table recovers every intersection number (reconstruct_intersection
+    over the whole tensor): sum_l m_l P[l][i] P[l][j] conj(P[l][h]) = |X| k_h p_ij^h.
+
+    Returns (True, None) or (False, (h, i, j)).
+    """
+    p, d = _pair(ct.entries)
+    products = _mul(p[..., :, None], p[..., None, :]).reshape(2, ct.size, -1)
+    weights = _conj(p).transpose(0, 2, 1) * _vector(ct.multiplicities)
+    total = _matmul(weights, products).reshape(2, *sd.tensor.shape)
+    scale = _vector(ct.valencies)[:, None, None] * (d ** 3 * ct.order)
+    return _verdict(_differs(total, sd.tensor * scale))
+
+
+def reconstruct_intersection(ct: CharTable, h: int, i: int, j: int):
+    """Recover p_ij^h from the table as an exact rational, (1/(order*k_h))
+    sum_l P_i(l) P_j(l) conj(P_h(l)) m_l: the scalar form of verify_reconstruction."""
     total = sum(
         (ct.entries[l][i] * ct.entries[l][j] * ct.entries[l][h].conj() * ct.multiplicities[l]
          for l in range(ct.size)),
@@ -191,91 +219,55 @@ def reconstruct_intersection(ct: CharTable, h: int, i: int, j: int) -> Fraction:
 
 
 def second_eigenmatrix(ct: CharTable) -> Matrix:
-    """Q with Q[i][j] = m_j * conj(P[j][i]) / k_i; checks P Q = Q P = order * I."""
-    size = ct.size
-    q_matrix = tuple(
-        tuple(ct.entries[j][i].conj() * Fraction(ct.multiplicities[j], ct.valencies[i])
-              for j in range(size))
-        for i in range(size)
-    )
-    identity = mat_scale(mat_identity(size), ct.order)
-    if mat_mul(ct.entries, q_matrix) != identity or mat_mul(q_matrix, ct.entries) != identity:
+    """Q with Q[i][j] = m_j * conj(P[j][i]) / k_i; checks P Q = Q P = order * I
+    on d L Q[i][j] = m_j conj(d P[j][i]) L / k_i, which is in Z[w]."""
+    p, d = _pair(ct.entries)
+    lcm = math.lcm(*ct.valencies)
+    cq = _conj(p).transpose(0, 2, 1) * np.outer(lcm // _vector(ct.valencies),
+                                                 ct.multiplicities)
+    target = np.identity(ct.size, dtype=object) * (d * d * lcm * ct.order)
+    if _differs(_matmul(p, cq), target).any() or _differs(_matmul(cq, p), target).any():
         raise AssertionError("P Q = Q P = order * I fails")
-    return q_matrix
-
-
-# ---------------------------------------------------------------------------
-# small exact matrices (entries support +, *, and int coercion via Eisenstein)
-
-
-def mat_identity(size: int) -> Matrix:
-    return tuple(tuple(Eisenstein(int(i == j)) for j in range(size)) for i in range(size))
-
-
-def mat_scale(mat: Matrix, c) -> Matrix:
-    return tuple(tuple(x * c for x in row) for row in mat)
-
-
-def mat_mul(a, b) -> Matrix:
-    size = len(a)
-    return tuple(
-        tuple(sum((a[i][l] * b[l][j] for l in range(size)), Eisenstein(0))
-              for j in range(size))
-        for i in range(size)
-    )
-
-
-def mat_sub(a, b) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_is_zero(a) -> bool:
-    return all(not x for row in a for x in row)
-
-
-def _lift(int_matrix) -> Matrix:
-    return tuple(tuple(Eisenstein(int(x)) for x in row) for row in int_matrix)
+    return _to_eisenstein(cq, d * lcm)
 
 
 def minimal_polynomial_annihilates(ct: CharTable, intersection_mats) -> bool:
     """prod over distinct column-j values v of (B_j - v I) must vanish, for
     every j; this certifies the column entries are exactly the eigenvalues."""
-    size = ct.size
-    identity = mat_identity(size)
-    for j in range(size):
-        values = []
-        for i in range(size):
-            if ct.entries[i][j] not in values:
-                values.append(ct.entries[i][j])
-        product = identity
-        b = _lift(intersection_mats[j])
-        for v in values:
-            product = mat_mul(product, mat_sub(b, mat_scale(identity, v)))
-        if not mat_is_zero(product):
+    p, d = _pair(ct.entries)
+    identity = np.identity(ct.size, dtype=object)
+    for j in range(ct.size):
+        b = np.asarray(intersection_mats[j], dtype=object) * d
+        product = np.stack([identity, identity * 0])
+        for va, vb in dict.fromkeys(zip(*p[:, :, j].tolist())):
+            product = _matmul(product, np.stack([b - va * identity, -vb * identity]))
+        if _differs(product, 0).any():
             return False
     return True
 
 
 def idempotents(ct: CharTable, adjacency) -> list[Matrix]:
     """The primitive idempotents E_i = (1/order) sum_j Q[j][i] A_j, verified
-    idempotent with trace m_i.  Meant for small orders only."""
+    idempotent with trace m_i.  Meant for small orders only; each A_j enters
+    as the 0/1 pattern of its nonzero entries.
+
+    With c Q in Z[w] (c the common denominator of Q), F_i = c order E_i is a
+    Z[w] matrix, checked by F_i^2 = c order F_i and tr F_i = c order m_i.
+    """
     if ct.order > 27:
         raise ValueError("idempotents are only materialised for order <= 27")
-    q_matrix = second_eigenmatrix(ct)
+    cq, scale = _pair(second_eigenmatrix(ct))
+    scale *= ct.order
     points = adjacency[0].shape[0]
+    masks = (np.asarray(adjacency) != 0).astype(np.int64).reshape(len(adjacency), -1)
+    f = (cq.transpose(0, 2, 1) @ masks).reshape(2, ct.size, points, points)
     out = []
     for i in range(ct.size):
-        acc = [[Eisenstein(0)] * points for _ in range(points)]
-        for j in range(ct.size):
-            coef = q_matrix[j][i] / ct.order
-            a = adjacency[j]
-            for r, c in zip(*a.nonzero()):
-                acc[r][c] = acc[r][c] + coef
-        e = tuple(tuple(row) for row in acc)
-        if mat_mul(e, e) != e:
+        fi = f[:, i]
+        if _differs(_matmul(fi, fi), *(fi * scale)).any():
             raise AssertionError(f"E_{i} is not idempotent")
-        trace = sum((e[r][r] for r in range(points)), Eisenstein(0))
+        trace = Eisenstein(*fi.trace(axis1=1, axis2=2)) / scale
         if trace != Eisenstein(ct.multiplicities[i]):
             raise AssertionError(f"E_{i} has trace {trace}, expected {ct.multiplicities[i]}")
-        out.append(e)
+        out.append(_to_eisenstein(fi, scale))
     return out

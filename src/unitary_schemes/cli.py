@@ -10,27 +10,18 @@ from . import chartable as ct_mod
 from . import fusion as fusion_mod
 from . import scheme as scheme_mod
 from . import serialize
-from .eisenstein import Eisenstein
+from .eisenstein import Eisenstein, _rat_str
 from .space import enumerate_isotropic, isotropic_count
 from .fields import SUPPORTED_Q
 
 
 def _pretty(x: Eisenstein) -> str:
-    def rat(r):
-        return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
-
     if x.b == 0:
-        return rat(x.a)
+        return _rat_str(x.a)
+    tail = "w" if abs(x.b) == 1 else f"{_rat_str(abs(x.b))}w"
     if x.a == 0:
-        if x.b == 1:
-            return "w"
-        if x.b == -1:
-            return "-w"
-        return f"{rat(x.b)}w"
-    sep = "-" if x.b < 0 else "+"
-    b = -x.b if x.b < 0 else x.b
-    tail = "w" if b == 1 else f"{rat(b)}w"
-    return f"{rat(x.a)}{sep}{tail}"
+        return tail if x.b > 0 else "-" + tail
+    return f"{_rat_str(x.a)}{'-' if x.b < 0 else '+'}{tail}"
 
 
 def _print_table(table: ct_mod.CharTable) -> None:
@@ -51,7 +42,7 @@ def _write(text: str, path: str | None) -> None:
 
 
 def cmd_build(args) -> int:
-    sd = scheme_mod.build_descriptor(args.n, args.q, mode=args.mode, seed=args.seed)
+    sd, us = scheme_mod.build_descriptor_with_space(args.n, args.q, args.mode, args.seed)
     if args.format == "doc":
         doc = serialize.document_from_descriptor(sd, seed=args.seed)
         _write(serialize.render_document(doc), args.out)
@@ -59,7 +50,8 @@ def cmd_build(args) -> int:
         doc = serialize.document_from_descriptor(sd, seed=args.seed)
         _write(serialize.tensor_csv(doc), args.out)
     else:  # hanaki
-        us = enumerate_isotropic(args.n, args.q)
+        if us is None:  # closed mode enumerates nothing
+            us = enumerate_isotropic(args.n, args.q)
         matrix = scheme_mod.relation_matrix(us)
         _write(serialize.render_relation_matrix(matrix, sd.rank), args.out)
     return 0
@@ -107,11 +99,10 @@ def cmd_verify(args) -> int:
     lines: list[tuple[bool, str]] = []
     notes: list[str] = []
 
-    sd = scheme_mod.build_descriptor(n, q, mode=args.mode, seed=args.seed)
+    sd, us = scheme_mod.build_descriptor_with_space(n, q, args.mode, args.seed)
     order = sd.order
 
-    if args.mode in ("bruteforce", "both"):
-        us = enumerate_isotropic(n, q)
+    if us is not None:
         lines.append((us.size == order,
                       f"counting: enumeration gives {us.size}, closed form {order}"))
         if args.mode == "both":
@@ -142,11 +133,7 @@ def cmd_verify(args) -> int:
         table = ct_mod.char_table_closed(n)
         ok_orth, _ = ct_mod.verify_orthogonality(table)
         ok_hom, _ = ct_mod.verify_homomorphism(table, sd)
-        tensor = sd.tensor.tolist()
-        ok_rec = all(
-            ct_mod.reconstruct_intersection(table, h, i, j) == tensor[h][i][j]
-            for h in range(sd.rank) for i in range(sd.rank) for j in range(sd.rank)
-        )
+        ok_rec, _ = ct_mod.verify_reconstruction(table, sd)
         try:
             ct_mod.second_eigenmatrix(table)
             ok_q = True
@@ -154,9 +141,11 @@ def cmd_verify(args) -> int:
             ok_q = False
         ok_min = ct_mod.minimal_polynomial_annihilates(
             table, scheme_mod.intersection_matrices(sd))
+        square, cube = 2 * table.size ** 2, sd.tensor.size
         lines.append((ok_orth and ok_hom and ok_rec and ok_q and ok_min,
-                      "character table: orthogonality, homomorphism, reconstruction, "
-                      "eigenmatrix inverse, minimal polynomials"))
+                      f"character table: {square} orthogonality, {cube} homomorphism, "
+                      f"{cube} reconstruction, {square} eigenmatrix inverse and "
+                      f"{cube} minimal polynomial equalities"))
     if n <= 3:
         notes.append("perpendicular class empty (dimension < 4)")
 

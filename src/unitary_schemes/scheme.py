@@ -355,6 +355,13 @@ def _check_descriptor(sd: SchemeDescriptor) -> None:
 def build_descriptor(n: int, q: int, mode: str = "both", seed: int = 0) -> SchemeDescriptor:
     """Build the scheme descriptor, cross-checking formulas against counting
     when mode is "both" (the default)."""
+    return build_descriptor_with_space(n, q, mode, seed)[0]
+
+
+def build_descriptor_with_space(n: int, q: int, mode: str = "both", seed: int = 0
+                                ) -> tuple[SchemeDescriptor, UnitarySpace | None]:
+    """The descriptor and the space it enumerated (None in closed mode), for
+    callers that need the points too and should not enumerate them again."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     if n < 2:
@@ -367,7 +374,7 @@ def build_descriptor(n: int, q: int, mode: str = "both", seed: int = 0) -> Schem
         )
     rank = scheme_rank(n, q)
 
-    brute = closed = None
+    brute = closed = us = None
     if mode in ("bruteforce", "both"):
         us = enumerate_isotropic(n, q)
         brute = _bruteforce_tensor(us, rank, seed)
@@ -398,7 +405,7 @@ def build_descriptor(n: int, q: int, mode: str = "both", seed: int = 0) -> Schem
         parity_offset=parity_offset(q), mode=mode,
     )
     _check_descriptor(sd)
-    return sd
+    return sd, us
 
 
 def intersection_matrices(sd: SchemeDescriptor) -> list[list[list[int]]]:

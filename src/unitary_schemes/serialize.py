@@ -68,6 +68,11 @@ def chartable_from_document(doc: SchemeDocument) -> CharTable:
     if doc.chartable is None or doc.multiplicities is None:
         raise ValueError("document carries no character table")
     entries = tuple(tuple(parse_entry(x) for x in row) for row in doc.chartable)
+    for i, row in enumerate(entries):  # eigenvalues of integer matrices
+        for j, x in enumerate(row):
+            if x.a.denominator != 1 or x.b.denominator != 1:
+                raise ValueError(f"chartable row {i}, column {j}: {doc.chartable[i][j]} "
+                                 "is not in Z[w]")
     if doc.valencies is None:
         raise ValueError("document carries no valencies")
     return CharTable(entries=entries, multiplicities=doc.multiplicities,

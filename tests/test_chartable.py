@@ -13,6 +13,7 @@ from unitary_schemes.chartable import (
     second_eigenmatrix,
     verify_homomorphism,
     verify_orthogonality,
+    verify_reconstruction,
 )
 from unitary_schemes.eisenstein import OMEGA, Eisenstein
 from unitary_schemes.scheme import build_adjacency_matrices, intersection_matrices
@@ -83,10 +84,23 @@ def test_multiplicities_match_closed_formulas(n, get_table):
     assert ct.multiplicities[0] == 1
 
 
+def tampered(ct, rows=None, multiplicities=None):
+    """``ct`` with its rows and/or multiplicities replaced."""
+    rows = ct.entries if rows is None else tuple(tuple(r) for r in rows)
+    return CharTable(entries=rows, multiplicities=multiplicities or ct.multiplicities,
+                     valencies=ct.valencies, order=ct.order)
+
+
+def with_entry(ct, i, j, value):
+    rows = [list(r) for r in ct.entries]
+    rows[i][j] = value
+    return tampered(ct, rows)
+
+
 def test_multiplicity_failure_on_wrong_table(get_table):
     ct = get_table(2)
     broken = tuple(tuple(2 * x for x in row) for row in ct.entries)
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ArithmeticError, match="^multiplicity of row 0 is 1/4, not"):
         multiplicities(broken, ct.valencies, ct.order)
 
 
@@ -111,17 +125,31 @@ def test_orthogonality_detects_row_multiplicity_mismatch(get_table):
     ct = get_table(4)
     rows = list(ct.entries)
     rows[1], rows[3] = rows[3], rows[1]
-    tampered = CharTable(entries=tuple(rows), multiplicities=ct.multiplicities,
-                         valencies=ct.valencies, order=ct.order)
-    ok, witness = verify_orthogonality(tampered)
-    assert not ok
-    assert witness is not None
+    assert verify_orthogonality(tampered(ct, rows)) == (False, ("rows", 1, 1))
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_identities_on_non_integral_table(n, get_table, get_descriptor):
+    # entries outside Z[w] are cleared by their common denominator, with the
+    # same verdicts and witnesses as exact rational arithmetic gives
+    ct = with_entry(get_table(n), 1, 1, OMEGA / 2)
+    assert verify_orthogonality(ct) == (False, ("rows", 0, 1))
+    assert verify_homomorphism(ct, get_descriptor(n, 2, "closed")) == (False, (1, 1, 1))
+    with pytest.raises(ArithmeticError, match="^multiplicity of row 1 is "):
+        multiplicities(ct.entries, ct.valencies, ct.order)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_homomorphism(n, get_table, get_descriptor):
     ok, witness = verify_homomorphism(get_table(n), get_descriptor(n, 2))
     assert ok, witness
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_homomorphism_witness_on_changed_entry(n, get_table, get_descriptor):
+    ct = get_table(n)
+    changed = with_entry(ct, 2, 4, ct.entries[2][4] + 1)
+    assert verify_homomorphism(changed, get_descriptor(n, 2, "closed")) == (False, (2, 1, 4))
 
 
 def test_homomorphism_row0_is_counting_identity(get_table, get_descriptor):
@@ -142,6 +170,28 @@ def test_reconstruction_full(n, get_table, get_descriptor):
         for i in range(ct.size):
             for j in range(ct.size):
                 assert reconstruct_intersection(ct, h, i, j) == sd.tensor[h][i][j]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_reconstruction_array_matches_scalar(n, get_table, get_descriptor):
+    ct = get_table(n)
+    sd = get_descriptor(n, 2, "closed")
+    assert verify_reconstruction(ct, sd) == (True, None)
+    assert all(reconstruct_intersection(ct, h, i, j) == sd.p(h, i, j)
+               for h in range(ct.size) for i in range(ct.size) for j in range(ct.size))
+    # on a tampered table the array names the scalar form's first failure
+    # (a wrong rational, or a w part where the scalar form raises)
+    changed = with_entry(ct, 2, 4, ct.entries[2][4] + 1)
+
+    def scalar_fails(h, i, j):
+        try:
+            return reconstruct_intersection(changed, h, i, j) != sd.p(h, i, j)
+        except ValueError:
+            return True
+
+    first = next((h, i, j) for h in range(ct.size) for i in range(ct.size)
+                 for j in range(ct.size) if scalar_fails(h, i, j))
+    assert verify_reconstruction(changed, sd) == (False, first)
 
 
 def test_reconstruction_examples(get_table, get_descriptor):
@@ -169,6 +219,17 @@ def test_second_eigenmatrix(n, get_table):
     q_matrix = second_eigenmatrix(ct)  # raises if P Q != order I
     for i in range(ct.size):
         assert q_matrix[i][0] == 1
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_second_eigenmatrix_rejects_tampered_table(n, get_table):
+    ct = get_table(n)
+    doubled = tampered(ct, [[2 * x for x in row] for row in ct.entries])
+    rows = list(ct.entries)
+    rows[1], rows[3] = rows[3], rows[1]
+    for table in (doubled, tampered(ct, rows), with_entry(ct, 2, 4, ct.entries[2][4] + 1)):
+        with pytest.raises(AssertionError, match="^P Q = Q P = order \\* I fails$"):
+            second_eigenmatrix(table)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -209,15 +270,27 @@ def test_idempotents(n, get_table, get_space, get_descriptor):
 
 
 def test_idempotents_mutually_orthogonal(get_table, get_space, get_descriptor):
-    from unitary_schemes.chartable import mat_mul, mat_is_zero
+    # E_i E_j = 0 as a product of Z[w] integer matrices (denominators cleared)
+    from unitary_schemes.chartable import _differs, _matmul, _pair
 
     ct = get_table(2)
     adj = build_adjacency_matrices(get_space(2, 2), get_descriptor(2, 2))
-    ems = idempotents(ct, adj)
+    ems = [_pair(e)[0] for e in idempotents(ct, adj)]
     for i in range(6):
         for j in range(6):
-            if i != j:
-                assert mat_is_zero(mat_mul(ems[i], ems[j]))
+            product = _matmul(ems[i], ems[j])
+            assert _differs(product, 0).any() == (i == j)
+
+
+def test_idempotents_reject_tampered_input(get_table, get_space, get_descriptor):
+    ct = get_table(2)
+    adj = build_adjacency_matrices(get_space(2, 2), get_descriptor(2, 2))
+    doubled = tampered(ct, [[2 * x for x in row] for row in ct.entries])
+    with pytest.raises(AssertionError, match="^P Q = Q P = order \\* I fails$"):
+        idempotents(doubled, adj)
+    swapped = [adj[0], adj[3], adj[2], adj[1]] + adj[4:]
+    with pytest.raises(AssertionError, match="^E_1 is not idempotent$"):
+        idempotents(ct, swapped)
 
 
 def test_idempotents_budget(get_table):

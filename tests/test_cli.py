@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from unitary_schemes.cli import main
+from unitary_schemes.space import enumerate_isotropic
 from unitary_schemes.scheme import verify_relation_matrix
 from unitary_schemes.serialize import parse_document, parse_relation_matrix
 
@@ -110,6 +112,33 @@ def test_verify_pass_q2(capsys):
     assert code == 0
     assert out.strip().endswith("PASS")
     assert "perpendicular class empty" in out
+    # rank 6: 2 * 6^2 matrix entries for the two-sided relations, 6^3 for the rest
+    assert ("ok   - character table: 72 orthogonality, 216 homomorphism, "
+            "216 reconstruction, 72 eigenmatrix inverse and 216 minimal polynomial "
+            "equalities") in out.splitlines()
+    assert out.splitlines()[-1] == "PASS"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--n", "4", "--q", "2"),
+    ("verify", "--n", "3", "--q", "2", "--mode", "bruteforce"),
+    ("build", "--n", "4", "--q", "2", "--format", "hanaki"),
+    ("build", "--n", "3", "--q", "2", "--mode", "closed", "--format", "hanaki"),
+])
+def test_commands_enumerate_once(argv, capsys, monkeypatch):
+    from unitary_schemes import cli, scheme
+
+    calls = []
+
+    def counting(n, q):
+        calls.append((n, q))
+        return enumerate_isotropic(n, q)
+
+    monkeypatch.setattr(scheme, "enumerate_isotropic", counting)
+    monkeypatch.setattr(cli, "enumerate_isotropic", counting)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert calls == [(int(argv[2]), int(argv[4]))]
 
 
 def test_verify_pass_q3(capsys):

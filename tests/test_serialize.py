@@ -53,6 +53,17 @@ def test_chartable_document_roundtrip(get_table, get_descriptor):
     assert parse_document(text).fusion == "coarse"
 
 
+def test_chartable_document_rejects_entries_outside_z_omega(get_table):
+    text = render_document(document_from_chartable(get_table(2), 2))
+    bad = text.replace("\n1+0*w 1+0*w 1+0*w -1+0*w", "\n1+0*w 1/2+0*w 1+0*w -1+0*w", 1)
+    assert bad != text
+    with pytest.raises(ValueError, match="^chartable row 3, column 1: 1/2\\+0\\*w is not in Z\\[w\\]$"):
+        chartable_from_document(parse_document(bad))
+    # a decimal spelling of a non-integer is caught too
+    with pytest.raises(ValueError, match="row 3, column 1"):
+        chartable_from_document(parse_document(bad.replace("1/2+0*w", "0.5+0*w")))
+
+
 def test_csv_renderings(get_table, get_descriptor):
     doc = document_from_descriptor(get_descriptor(2, 2))
     csv = tensor_csv(doc)
