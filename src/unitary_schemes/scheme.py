@@ -109,18 +109,6 @@ def parity_offset(q: int) -> int:
     return 0 if q % 2 == 0 else (q + 1) // 2
 
 
-def label_of_index(l: int, n: int, q: int) -> RelationLabel:
-    rank = scheme_rank(n, q)
-    if not 0 <= l < rank:
-        raise ValueError(f"relation index {l} out of range [0, {rank - 1}]")
-    nrel = q * q - 1
-    if l < nrel:
-        return RelationLabel(SCALAR, l, l)
-    if l < 2 * nrel:
-        return RelationLabel(PRODUCT, l - nrel, l)
-    return RelationLabel(PERP, None, l)
-
-
 def conjugate_index(l: int, n: int, q: int) -> int:
     """Index of the reversed relation: scalar e -> -e, product e -> q*e, perp fixed."""
     rank = scheme_rank(n, q)
@@ -447,6 +435,92 @@ def relation_matrix(us: UnitarySpace) -> np.ndarray:
     return kernels.classify_matrix(us.block_codes, us.tables)
 
 
+@dataclass(frozen=True)
+class _Structure:
+    """One pass over the pair codes of a relation matrix: ``sizes[l]`` pairs
+    lie in relation l, ``present`` relations are non-empty, ``rows[x, l]``
+    points y have M[x, y] = l, the reversed pairs of relation l fall in
+    ``spread[l]`` relations (0 when l is empty), ``conj[l]`` is that relation
+    where it is unique, and ``split`` is the first relation whose spread is
+    not 1."""
+
+    rank: int
+    sizes: list[int]
+    present: int
+    rows: np.ndarray
+    identity: bool
+    spread: np.ndarray
+    conj: tuple[int, ...]
+    split: int | None
+
+
+def _structure(M: np.ndarray, rank: int | None) -> _Structure:
+    """Shape and label checks, relation sizes, converse map and row counts.
+
+    ``rank`` defaults to the largest label plus one.  A matrix that is not
+    square, is empty, holds labels outside [0, rank) or has more relations
+    than points (in a scheme every relation meets every row) raises a
+    ``ValueError``; the last bound also keeps the rank x rank histogram small.
+    """
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError("relation matrix must be square")
+    if M.size == 0:
+        raise ValueError("relation matrix is empty")
+    if M.dtype.kind not in "iu":
+        raise ValueError("relation labels must be integers")
+    count = M.shape[0]
+    low, high = int(M.min()), int(M.max())
+    if rank is None:
+        rank = high + 1
+    if low < 0 or high >= rank:
+        raise ValueError(f"relation labels must lie in 0..{rank - 1}")
+    if rank > count:
+        raise ValueError(f"{rank} relations cannot all meet each row of {count} points")
+    labels = M.astype(np.int64)
+    # pairs[a, b]: ordered pairs (x, y) with M[x, y] = a and M[y, x] = b
+    codes = labels * rank
+    codes += labels.T
+    pairs = np.bincount(codes.ravel(), minlength=rank * rank).reshape(rank, rank)
+    labels += (np.arange(count, dtype=np.int64) * rank)[:, None]
+    rows = np.bincount(labels.ravel(), minlength=count * rank).reshape(count, rank)
+    sizes = pairs.sum(axis=1).tolist()
+    identity = bool((np.diagonal(M) == 0).all()) and sizes[0] == count
+    spread = np.count_nonzero(pairs, axis=1)
+    split = np.flatnonzero(spread != 1)
+    return _Structure(rank, sizes, int(np.count_nonzero(sizes)), rows, identity, spread,
+                      tuple(pairs.argmax(axis=1).tolist()), int(split[0]) if split.size else None)
+
+
+def _triple_counts(M: np.ndarray, st: _Structure) -> tuple[np.ndarray, np.ndarray]:
+    """Exact triple counts of a relation matrix, every pair checked.
+
+    Row x gives (A_i A_j)[x, y] for every y, i and j at once, as the joint
+    histogram of (M[x, z], M[z, y]) over z.  ``tensor[h, i, j]`` is read at
+    one representative pair of each non-empty relation h, and
+    ``varies[h, i, j]`` marks where the count is not constant over the pairs
+    of relation h.  Time is O(N^3 + N^2 rank^2), memory O(N^2 + N rank^2).
+    """
+    count, rank = M.shape[0], st.rank
+    square = rank * rank
+    xs = (st.rows > 0).argmax(axis=0)
+    ys = (M[xs] == np.arange(rank)[:, None]).argmax(axis=1)
+    labels = M.astype(np.int64)
+    # cols[z, y] + M[x, z] * rank is the cell (y, M[x, z], M[z, y]) of row x's counts
+    cols = labels + np.arange(count, dtype=np.int64) * square
+    tensor = np.zeros((rank, rank, rank), dtype=np.int64)
+    varies = np.zeros((rank, rank, rank), dtype=bool)
+    for x in range(count):
+        counts = np.bincount((cols + labels[x, :, None] * rank).ravel(),
+                             minlength=count * square).reshape(count, rank, rank)
+        first = np.flatnonzero(xs == x)  # relations first met in row x
+        tensor[first] = counts[ys[first]]
+        wrong = counts != tensor[labels[x]]
+        if wrong.any():
+            y, i, j = np.nonzero(wrong)
+            varies[labels[x, y], i, j] = True
+    return tensor, varies
+
+
 def verify_relation_matrix(M: np.ndarray, rank: int | None = None,
                            sd: SchemeDescriptor | None = None,
                            samples: int = 5, seed: int = 0) -> AxiomReport:
@@ -455,58 +529,44 @@ def verify_relation_matrix(M: np.ndarray, rank: int | None = None,
     Verifies the partition into relations, the identity relation on the
     diagonal, converse-closure, and constancy of the triple counts over
     ``samples`` random representatives per relation (compared against the
-    descriptor tensor when one is supplied).
+    descriptor tensor when one is supplied).  A malformed matrix raises a
+    ``ValueError``.
     """
-    checks: list[tuple[str, bool, str]] = []
-    count = M.shape[0]
+    M = np.asarray(M)
     if sd is not None and rank is None:
         rank = sd.rank
-    if rank is None:
-        rank = int(M.max()) + 1
+    st = _structure(M, rank)
+    checks: list[tuple[str, bool, str]] = [
+        ("partition", st.present == st.rank, f"{st.present} of {st.rank} relations present"),
+        ("identity", st.identity, "diagonal pairs and only those in relation 0"),
+    ]
 
-    in_range = bool((M >= 0).all() and (M < rank).all())
-    present = np.unique(M)
-    partition_ok = in_range and present.size == rank
-    checks.append(("partition", partition_ok,
-                   f"{present.size} of {rank} relations present" if in_range
-                   else "labels out of range"))
-
-    diag = np.diagonal(M)
-    identity_ok = bool((diag == 0).all() and int((M == 0).sum()) == count)
-    checks.append(("identity", identity_ok, "diagonal pairs and only those in relation 0"))
-
-    conj = np.full(rank, -1, dtype=np.int64)
-    converse_ok = True
+    converse_ok = st.split is None
     detail = "reverse pairs land in a single conjugate relation"
-    MT = M.T
-    for l in range(rank):
-        values = np.unique(MT[M == l])
-        if values.size != 1:
-            converse_ok = False
-            detail = f"reversed pairs of relation {l} fall in {values.size} relations"
-            break
-        conj[l] = values[0]
-    if converse_ok and sd is not None and tuple(int(c) for c in conj) != sd.conj_map:
+    if not converse_ok:
+        detail = f"reversed pairs of relation {st.split} fall in {st.spread[st.split]} relations"
+    elif sd is not None and st.conj != sd.conj_map:
         converse_ok = False
         detail = "conjugation map differs from the descriptor"
     checks.append(("converse", converse_ok, detail))
 
     if sd is not None:
-        offsets = np.arange(count, dtype=np.int64) * rank
-        counts = np.bincount((M + offsets[:, None]).ravel(),
-                             minlength=count * rank).reshape(count, rank)
-        valency_ok = bool((counts == np.asarray(sd.valencies)).all())
+        valency_ok = bool((st.rows == np.asarray(sd.valencies)).all())
         checks.append(("valencies", valency_ok, "every row realises the valencies"))
 
+    # the p-th pair of relation h in row-major order lies in the first row
+    # whose running count of h exceeds p
+    running = np.cumsum(st.rows, axis=0)
     rng = random.Random(seed)
     constancy_ok = True
     detail = f"triple counts constant over {samples} sampled pairs per relation"
-    for h in range(rank):
-        xs, ys = np.nonzero(M == h)
-        picks = [rng.randrange(xs.size) for _ in range(min(samples, xs.size))]
+    for h in range(st.rank):
+        picks = [rng.randrange(st.sizes[h]) for _ in range(min(samples, st.sizes[h]))]
         reference = None
         for p in picks:
-            hist = _joint_histogram(M[xs[p], :], M[:, ys[p]], rank)
+            x = int(np.searchsorted(running[:, h], p, side="right"))
+            y = np.flatnonzero(M[x] == h)[p - running[x, h] + st.rows[x, h]]
+            hist = _joint_histogram(M[x, :], M[:, y], st.rank)
             if reference is None:
                 reference = hist
             elif not np.array_equal(hist, reference):
@@ -535,79 +595,49 @@ def verify_scheme_axioms(us: UnitarySpace, sd: SchemeDescriptor | None = None,
 # dense adjacency algebra
 
 
-def _exact_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # float64 BLAS product of small 0/1 matrices; all counts stay far below 2^53
-    prod = a.astype(np.float64) @ b.astype(np.float64)
-    out = prod.astype(np.int64)
-    if not (out == prod).all():  # pragma: no cover - guards the exactness claim
-        raise AssertionError("matrix product left the exact integer range")
-    return out
-
-
 def build_adjacency_matrices(us: UnitarySpace, sd: SchemeDescriptor) -> list[np.ndarray]:
     """0/1 adjacency matrices of all relations, verified to span the algebra:
     A_i A_j = sum_h p_ij^h A_h holds exactly."""
     if us.size > DENSE_BUDGET:
         raise ValueError(f"{us.size} points exceed the dense-matrix budget of {DENSE_BUDGET}")
     M = kernels.classify_matrix(us.block_codes, us.tables)
-    rank = sd.rank
-    mats = [(M == l).astype(np.int64) for l in range(rank)]
-    if not np.array_equal(mats[0], np.eye(us.size, dtype=np.int64)):
+    st = _structure(M, sd.rank)
+    if not st.identity:
         raise AssertionError("relation 0 is not the identity")
-    if not np.array_equal(sum(mats), np.ones((us.size, us.size), dtype=np.int64)):
-        raise AssertionError("adjacency matrices do not sum to the all-ones matrix")
-    for i in range(rank):
-        for j in range(rank):
-            lhs = _exact_product(mats[i], mats[j])
-            rhs = sum(sd.tensor[h, i, j] * mats[h] for h in range(rank))
-            if not np.array_equal(lhs, rhs):
-                raise AssertionError(f"A_{i} A_{j} does not decompose over the relations")
-    return mats
+    tensor, varies = _triple_counts(M, st)
+    bad = np.argwhere((varies | (tensor != sd.tensor)).any(axis=0))
+    if bad.size:
+        i, j = bad[0]
+        raise AssertionError(f"A_{i} A_{j} does not decompose over the relations")
+    if tuple(st.rows[0].tolist()) != sd.valencies or st.conj != sd.conj_map:
+        raise AssertionError("valencies or conjugation map differ from the descriptor")
+    return [(M == l).astype(np.int64) for l in range(sd.rank)]
 
 
 def scheme_from_relation_matrix(M: np.ndarray):
     """Validate an arbitrary relation matrix as an association scheme and
     recover (rank, valencies, conjugation map, tensor) exactly.
 
-    Constancy of the triple counts is verified for every ordered pair at once
-    through the adjacency-matrix products, so this is a full check.
+    Constancy of the triple counts is verified for every ordered pair, so
+    this is a full check.
     """
     M = np.asarray(M)
-    count = M.shape[0]
-    if M.ndim != 2 or M.shape[1] != count:
-        raise ValueError("relation matrix must be square")
-    if count > DENSE_BUDGET:
-        raise ValueError(f"{count} points exceed the dense-matrix budget of {DENSE_BUDGET}")
-    rank = int(M.max()) + 1
-    if np.unique(M).size != rank or M.min() < 0:
+    st = _structure(M, None)
+    if M.shape[0] > DENSE_BUDGET:
+        raise ValueError(f"{M.shape[0]} points exceed the dense-matrix budget of {DENSE_BUDGET}")
+    if st.present != st.rank:
         raise ValueError("relation labels must be 0..rank-1 with every label present")
-    if not (np.diagonal(M) == 0).all() or int((M == 0).sum()) != count:
+    if not st.identity:
         raise ValueError("relation 0 must be exactly the diagonal")
-
-    conj = []
-    MT = M.T
-    for l in range(rank):
-        values = np.unique(MT[M == l])
-        if values.size != 1:
-            raise ValueError(f"reversed pairs of relation {l} do not form one relation")
-        conj.append(int(values[0]))
-
-    masks = [(M == l) for l in range(rank)]
-    valencies = tuple(int(m[0].sum()) for m in masks)
-    tensor = [[[0] * rank for _ in range(rank)] for _ in range(rank)]
-    for i in range(rank):
-        ai = masks[i].astype(np.int64)
-        for j in range(rank):
-            prod = _exact_product(ai, masks[j].astype(np.int64))
-            for h in range(rank):
-                values = np.unique(prod[masks[h]])
-                if values.size != 1:
-                    raise ValueError(
-                        f"triple count (h,i,j)=({h},{i},{j}) is not constant"
-                    )
-                tensor[h][i][j] = int(values[0])
-    tensor = tuple(tuple(tuple(row) for row in mat) for mat in tensor)
-    return rank, valencies, tuple(conj), tensor
+    if st.split is not None:
+        raise ValueError(f"reversed pairs of relation {st.split} do not form one relation")
+    tensor, varies = _triple_counts(M, st)
+    bad = np.argwhere(varies.transpose(1, 2, 0))
+    if bad.size:
+        i, j, h = bad[0]
+        raise ValueError(f"triple count (h,i,j)=({h},{i},{j}) is not constant")
+    return (st.rank, tuple(st.rows[0].tolist()), st.conj,
+            tuple(tuple(map(tuple, mat)) for mat in tensor.tolist()))
 
 
 def fuse_relation_matrix(M: np.ndarray, blocks) -> np.ndarray:

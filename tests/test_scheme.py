@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -11,6 +12,7 @@ from unitary_schemes.scheme import (
     classify_pair,
     conjugate_index,
     conjugate_relation,
+    fuse_relation_matrix,
     intersection_matrices,
     intersection_number_bruteforce,
     intersection_number_closed,
@@ -19,6 +21,7 @@ from unitary_schemes.scheme import (
     sample_representatives,
     scheme_from_relation_matrix,
     scheme_rank,
+    verify_relation_matrix,
     verify_scheme_axioms,
 )
 from unitary_schemes.space import witness_pair
@@ -342,3 +345,111 @@ def test_sample_representatives_stream(get_space):
     # the draws are fixed by the seed: one randrange per point, one per partner
     assert pairs == [((1, 0, 2), (0, 3, 1)), ((1, 1, 0), (0, 3, 1)), ((0, 1, 3), (0, 2, 3))]
     assert all(classify_pair(us, x, y).index == 4 for x, y in pairs)
+
+
+@pytest.mark.parametrize("n,q", [(3, 2), (4, 2), (2, 3), (3, 3), (2, 4)])
+def test_scheme_from_relation_matrix_matches_descriptor(n, q, get_space, get_descriptor):
+    us = get_space(n, q)
+    sd = get_descriptor(n, q)
+    rank, valencies, conj, tensor = scheme_from_relation_matrix(relation_matrix(us))
+    assert (rank, valencies, conj) == (sd.rank, sd.valencies, sd.conj_map)
+    assert tensor == tuple(tuple(map(tuple, mat)) for mat in sd.tensor.tolist())
+    mats = build_adjacency_matrices(us, sd)
+    assert [int(m.sum()) for m in mats] == [k * us.size for k in sd.valencies]
+
+
+@pytest.mark.parametrize("entry", ["verify", "recover"])
+@pytest.mark.parametrize("M,rank,message", [
+    (np.array([[0, 1, 1], [1, 0, 1]]), None, "square"),
+    (np.array([0, 1]), None, "square"),
+    (np.array([[0, 2], [2, 0]]), 2, "lie in 0..1|cannot all meet"),
+    (np.array([[0, -1], [-1, 0]]), None, "lie in 0..0"),
+    (np.zeros((0, 0), dtype=np.int64), None, "empty"),
+    (np.array([[0, 5], [5, 0]]), None, "6 relations cannot all meet each row of 2 points"),
+    (np.array([[0.0, 1.0], [1.0, 0.0]]), None, "integers"),
+], ids=["non-square", "one-dimensional", "beyond-rank", "negative", "empty",
+        "more-relations-than-points", "float"])
+def test_malformed_relation_matrices_raise_value_error(entry, M, rank, message):
+    with pytest.raises(ValueError, match=message):
+        if entry == "verify":
+            verify_relation_matrix(M, rank=rank)
+        else:
+            scheme_from_relation_matrix(M)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.uint64])
+def test_relation_matrix_integer_dtypes(dtype, get_space):
+    M = relation_matrix(get_space(2, 2))
+    assert scheme_from_relation_matrix(M.astype(dtype)) == scheme_from_relation_matrix(M)
+    assert verify_relation_matrix(M.astype(dtype)).checks == verify_relation_matrix(M).checks
+
+
+def _tamper_diagonal(M):
+    T = M.copy()
+    T[1, 1] = 3
+    return T
+
+
+def _tamper_converse(M):
+    x, y = np.argwhere(M == 3)[0]
+    T = M.copy()
+    T[y, x] = 5  # (x, y) stays in relation 3, its reverse leaves conj(3) = 3
+    return T
+
+
+def _tamper_partition(M):
+    return np.where(M == 1, 2, M)
+
+
+def _tamper_constancy(M):
+    return fuse_relation_matrix(M, ((0,), (1, 2), (3, 6), (4, 5)))  # not a fusion
+
+
+@pytest.mark.parametrize("tamper,check,message", [
+    (_tamper_diagonal, "identity", "exactly the diagonal"),
+    (_tamper_converse, "converse", "reversed pairs of relation 3"),
+    (_tamper_partition, "partition", "every label present"),
+    (_tamper_constancy, "constancy", r"\(h,i,j\)=\(2,1,2\) is not constant"),
+], ids=["identity", "converse", "partition", "constancy"])
+def test_validators_detect_tampered_matrices(tamper, check, message, get_space):
+    T = tamper(relation_matrix(get_space(4, 2)))
+    for seed in range(5):
+        report = verify_relation_matrix(T, seed=seed)
+        assert not report.passed
+        assert check in [name for name, _, _ in report.failing()]
+    with pytest.raises(ValueError, match=message):
+        scheme_from_relation_matrix(T)
+
+
+def test_adjacency_rejects_tampered_descriptor(get_space, get_descriptor):
+    us = get_space(4, 2)
+    sd = get_descriptor(4, 2)
+    tensor = sd.tensor.copy()
+    tensor[3, 4, 5] += 1
+    with pytest.raises(AssertionError, match="A_4 A_5 does not decompose"):
+        build_adjacency_matrices(us, dataclasses.replace(sd, tensor=tensor))
+    for field, value in (("valencies", tuple(reversed(sd.valencies))),
+                         ("conj_map", tuple(range(sd.rank)))):
+        with pytest.raises(AssertionError, match="valencies or conjugation map"):
+            build_adjacency_matrices(us, dataclasses.replace(sd, **{field: value}))
+
+
+def test_sampled_pairs_follow_row_major_order(monkeypatch, get_space):
+    # the sampled check draws the p-th pair of relation h in np.nonzero order
+    M = relation_matrix(get_space(4, 2))
+    seen = []
+
+    def record(rows, cols, rank):
+        seen.append((rows, cols))
+        return np.zeros((rank, rank), dtype=np.int64)
+
+    monkeypatch.setattr(scheme_mod, "_joint_histogram", record)
+    verify_relation_matrix(M, seed=3)
+    rng = random.Random(3)
+    expected = []
+    for h in range(7):
+        xs, ys = np.nonzero(M == h)
+        expected += [(xs[p], ys[p]) for p in [rng.randrange(xs.size) for _ in range(5)]]
+    assert len(seen) == len(expected) == 35
+    for (rows, cols), (x, y) in zip(seen, expected):
+        assert np.array_equal(rows, M[x]) and np.array_equal(cols, M[:, y])
