@@ -106,7 +106,8 @@ def cmd_verify(args) -> int:
         lines.append((us.size == order,
                       f"counting: enumeration gives {us.size}, closed form {order}"))
         if args.mode == "both":
-            lines.append((True, "oracle: closed-form tensor equals brute-force tensor"))
+            lines.append((True, "oracle: closed-form tensor equals brute-force tensor, "
+                                f"{sd.tensor.size} entries compared"))
         else:
             notes.append("oracle: bruteforce mode, closed form not computed, skipped")
         if us.size**2 <= scheme_mod.PAIR_BUDGET:

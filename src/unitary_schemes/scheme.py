@@ -51,6 +51,18 @@ def max_dimension(q: int) -> int:
     return n
 
 
+def _check_parameters(n: int, q: int) -> None:
+    """Reject n < 2, an unsupported q, and (n, q) with 2^63 points or more."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    build_field(q)  # validates q
+    if isotropic_count(n, q) >= INT64_LIMIT:
+        raise ValueError(
+            f"(n, q) = ({n}, {q}) has at least 2^63 points, beyond the int64 tensor;"
+            f" the largest n for q = {q} is {max_dimension(q)}"
+        )
+
+
 class OracleMismatch(AssertionError):
     """Closed-form and brute-force intersection numbers disagree."""
 
@@ -159,70 +171,32 @@ def closed_valencies(n: int, q: int) -> tuple[int, ...]:
     return (1,) * nrel + (q ** (2 * n - 3),) * nrel + (q * q * isotropic_count(n - 2, q),)
 
 
-def _product_product_offdiag(n: int, q: int) -> int:
-    # q^(2n-5) + (-q)^(n-3); at n = 2 the two fractional terms cancel exactly,
-    # checked on the terms multiplied through by q^(5-2n) * q^(3-n).
-    if n >= 3:
-        return q ** (2 * n - 5) + (-q) ** (n - 3)
-    sign = -1 if (n - 3) % 2 else 1
-    if q ** (3 - n) + sign * q ** (5 - 2 * n) != 0:
-        raise AssertionError("expected exact cancellation in dimension 2")
-    return 0
-
-
 def intersection_number_closed(n: int, q: int, h: int, i: int, j: int) -> int:
-    """Closed-form intersection number for sequential indices (h, i, j).
+    """Closed-form intersection number p^h_ij for sequential indices (h, i, j).
 
-    Congruences on scalar/product indices are taken modulo q^2-1 on the raw
-    sequential values, except the all-product case which works modulo q+1
-    with the parity offset.
+    An index into ``_closed_tensor``, which builds all rank^3 entries on
+    every call; read ``build_descriptor(n, q, mode="closed").tensor`` when
+    many entries are needed.
     """
+    _check_parameters(n, q)
     rank = scheme_rank(n, q)
-    nrel = q * q - 1
-    last = 2 * nrel
+    last = 2 * (q * q - 1)
     for l in (h, i, j):
         if not 0 <= l < rank:
             if l == last and n <= 3:
                 raise ValueError("perpendicular relation requires dimension >= 4")
             raise ValueError(f"relation index {l} out of range [0, {rank - 1}]")
-
-    def rng(l: int) -> int:
-        return 2 if l == last else (0 if l < nrel else 1)
-
-    ri, rj, rh = rng(i), rng(j), rng(h)
-    sub = isotropic_count(n - 2, q)
-
-    if ri == 0 and rj == 0:
-        return 1 if rh == 0 and (i + j - h) % nrel == 0 else 0
-    if ri == 0 and rj == 1:
-        return 1 if rh == 1 and (h + i - j) % nrel == 0 else 0
-    if ri == 0 and rj == 2:
-        return 1 if rh == 2 else 0
-    if ri == 1 and rj == 0:
-        return 1 if rh == 1 and (i + q * j - h) % nrel == 0 else 0
-    if ri == 1 and rj == 1:
-        if rh == 0:
-            return q ** (2 * n - 3) if (q * (h + i) - j) % nrel == 0 else 0
-        if rh == 1:
-            if (i + j - h - parity_offset(q)) % (q + 1) == 0:
-                return sub + 1
-            return _product_product_offdiag(n, q)
-        return q ** (2 * n - 5)
-    if ri == 1 and rj == 2:
-        return (0, sub, q ** (2 * n - 5))[rh]
-    if ri == 2 and rj == 0:
-        return 1 if rh == 2 else 0
-    if ri == 2 and rj == 1:
-        return (0, sub, q ** (2 * n - 5))[rh]
-    return (q * q * sub, sub, (q * q - 1) ** 2 + q**4 * isotropic_count(n - 4, q))[rh]
+    return int(_closed_tensor(n, q)[h, i, j])
 
 
 def _closed_tensor(n: int, q: int) -> np.ndarray:
     """The whole closed-form tensor in one pass over the nine (i, j) kinds.
 
-    Each block holds the same values as ``intersection_number_closed`` on its
-    entries; the congruences are taken on exponents, which agree with the
-    sequential indices modulo q^2-1 (and so modulo q+1).
+    This is the one transcription of the paper's formulas.  Congruences are
+    taken on the scalar and product exponents modulo q^2-1, except in the
+    all-product block, which works modulo q+1 with the parity offset.  The
+    tests recount every entry, for every supported (n, q), by orthogonal
+    decomposition of the space around a witness pair.
     """
     rank = scheme_rank(n, q)
     nrel = q * q - 1
@@ -236,8 +210,10 @@ def _closed_tensor(n: int, q: int) -> np.ndarray:
     t[P, S, P] = (eh + ei - ej) % nrel == 0
     t[P, P, S] = (ei + q * ej - eh) % nrel == 0
     t[S, P, P] = np.where((q * (eh + ei) - ej) % nrel == 0, q ** (2 * n - 3), 0)
+    # q^(2n-5) + (-q)^(n-3); at n = 2 the two terms are 1/q - 1/q = 0
+    offdiag = q ** (2 * n - 5) + (-q) ** (n - 3) if n >= 3 else 0
     t[P, P, P] = np.where((ei + ej - eh - parity_offset(q)) % (q + 1) == 0,
-                          sub + 1, _product_product_offdiag(n, q))
+                          sub + 1, offdiag)
     if n >= 4:
         far = q ** (2 * n - 5)
         t[X, S, X] = t[X, X, S] = 1
@@ -352,14 +328,7 @@ def build_descriptor_with_space(n: int, q: int, mode: str = "both", seed: int = 
     callers that need the points too and should not enumerate them again."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    build_field(q)  # validates q
-    if isotropic_count(n, q) >= INT64_LIMIT:
-        raise ValueError(
-            f"(n, q) = ({n}, {q}) has at least 2^63 points, beyond the int64 tensor;"
-            f" the largest n for q = {q} is {max_dimension(q)}"
-        )
+    _check_parameters(n, q)
     rank = scheme_rank(n, q)
 
     brute = closed = us = None
@@ -529,11 +498,13 @@ def verify_relation_matrix(M: np.ndarray, rank: int | None = None,
     Verifies the partition into relations, the identity relation on the
     diagonal, converse-closure, and constancy of the triple counts over
     ``samples`` random representatives per relation (compared against the
-    descriptor tensor when one is supplied).  A malformed matrix raises a
-    ``ValueError``.
+    descriptor tensor when one is supplied).  A malformed matrix, or a
+    ``rank`` other than the descriptor's, raises a ``ValueError``.
     """
     M = np.asarray(M)
-    if sd is not None and rank is None:
+    if sd is not None:
+        if rank is not None and rank != sd.rank:
+            raise ValueError(f"rank {rank} differs from the descriptor's rank {sd.rank}")
         rank = sd.rank
     st = _structure(M, rank)
     checks: list[tuple[str, bool, str]] = [

@@ -1,12 +1,17 @@
-"""Independent brute-force oracle used by the tests.
+"""Independent oracles used by the tests.
 
 Field elements are coefficient tuples with schoolbook polynomial arithmetic
 modulo the same pinned Conway polynomials the library uses; nothing here
-touches the library's lookup tables, discrete logs, or kernels.  Slow on
-purpose; only run at small sizes.
+touches the library's lookup tables, discrete logs, or kernels.  The
+brute-force functions are slow on purpose and only run at small sizes; the
+orthogonal-decomposition count at the end enumerates only vectors of F_{q^2}^2
+and covers every supported (n, q).
 """
 
+import functools
 import itertools
+
+import numpy as np
 
 CONWAY = {
     (2, 2): (1, 1, 1),
@@ -153,3 +158,162 @@ def hyperbolic_partner_scan(F, u):
     ww = inner(F, w, w)
     lam = next(a for a in F.elements if F.add(a, F.conj(a)) == ww)
     return tuple(F.add(wc, F.neg(F.mul(lam, uc))) for wc, uc in zip(w, u))
+
+
+# ---------------------------------------------------------------------------
+# Intersection numbers by orthogonal decomposition, without enumeration
+#
+# Every witness pair (x, y) lies in the first d coordinates (d = 2, or d = 4
+# for the perpendicular relation), which span a non-degenerate U; the other
+# m = n - d coordinates span W = U^perp.  A point z = u + w (u in U, w in W)
+# with w != 0 is never a multiple of x or y, so the relations of (x, z) and
+# (z, y) depend only on <x, u> and <u, y>, and the number of such w with
+# <w, w> = -<u, u> is N_m(-<u, u>) - [<u, u> = 0].  The points with w = 0 lie
+# in U and are classified exactly.  Each relation therefore gives one
+# histogram over u, keyed by (relation of (x, u), relation of (u, y), slot),
+# where slot is <u, u> for the w != 0 terms and the extra slot q^2 for the
+# w = 0 terms, which count once.  The histograms do not depend on n.
+
+
+def _id_tables(F):
+    """Addition, multiplication and conjugation on element ids."""
+    index = {a: k for k, a in enumerate(F.elements)}
+    add = np.array([[index[F.add(a, b)] for b in F.elements] for a in F.elements])
+    mul = np.array([[index[F.mul(a, b)] for b in F.elements] for a in F.elements])
+    conj = np.array([index[F.conj(a)] for a in F.elements])
+    return add, mul, conj
+
+
+@functools.lru_cache(maxsize=None)
+def _decomposition(q):
+    """Per q: the negation map, N_1, and the sparse local histograms of the
+    relations with d = 2 and of the perpendicular relation, as sorted
+    (code, count) pairs with code = ((h * L + i) * L + j) * (Q + 1) + slot."""
+    F = RefField(q)
+    Q, nrel = q * q, q * q - 1
+    L = 2 * nrel + 1  # relation labels: scalar e, product e, perpendicular
+    perp = 2 * nrel
+    add, mul, conj = _id_tables(F)
+    neg = (add == 0).argmax(axis=1)
+    ids = np.arange(Q)
+
+    # the local vectors of one hyperbolic plane, in lexicographic order, so
+    # that the vector (a, b) sits at row a * Q + b
+    V = np.array(list(itertools.product(range(Q), repeat=2)))
+
+    def inner(x, y):
+        return add[mul[x[..., 0], conj[y[..., 0]]], mul[x[..., 1], conj[y[..., 1]]]]
+
+    def product_label(c):
+        # id k is g^(k-1): a nonzero product <., .> = g^e has label nrel + e
+        return np.where(c == 0, perp, nrel + c - 1)
+
+    def multiples(v):
+        # exponent e at the row of g^e v, -1 elsewhere
+        out = np.full(Q * Q, -1)
+        out[mul[ids[1:], v[0]] * Q + mul[ids[1:], v[1]]] = ids[1:] - 1
+        return out
+
+    norm = inner(V, V)
+    fq = np.unique(norm)  # the ids of F_q, where the norms land
+    isotropic = norm == 0
+    isotropic[0] = False  # the zero vector
+    a = int(np.flatnonzero(mul[ids, conj] == neg[1])[0])
+    x = np.array([1, a])  # (1, a) with a * conj(a) = -1
+    of_x = multiples(x)
+    x_generic = product_label(inner(x, V))
+    x_exact = np.where(of_x >= 0, of_x, x_generic)  # (x, g^e x) is scalar e
+
+    def label_towards(y):
+        """Relations of (u, y) for u != 0 outside U, and for u in U."""
+        generic = product_label(inner(V, y))
+        of_y = multiples(y)  # y = g^-e (g^e y): (g^e y, y) is scalar -e
+        return generic, np.where(of_y >= 0, (-of_y) % nrel, generic)
+
+    codes = []
+    for h in range(perp):
+        if h < nrel:
+            y = mul[h + 1, x]
+        else:
+            y = V[np.flatnonzero((inner(x, V) == h - nrel + 1) & (norm == 0))[0]]
+        y_generic, y_exact = label_towards(y)
+        cell = (h * L + x_generic) * L + y_generic
+        codes.append(cell * (Q + 1) + norm)
+        cell = (h * L + x_exact[isotropic]) * L + y_exact[isotropic]
+        codes.append(cell * (Q + 1) + Q)
+    codes = np.concatenate(codes)
+    local = np.unique(codes, return_counts=True)
+
+    # perpendicular relation: x = (1, a) in U_1 (coordinates 1-2) and
+    # y = (1, a) in U_2 (coordinates 3-4), joined over <u1, u1> + <u2, u2>
+    y_generic, y_exact = label_towards(x)
+    G1 = np.zeros((L, Q), dtype=np.int64)
+    G2 = np.zeros((L, Q), dtype=np.int64)
+    np.add.at(G1, (x_generic, norm), 1)
+    np.add.at(G2, (y_generic, norm), 1)
+    H = np.zeros((L, L, Q + 1), dtype=np.int64)
+    for c1 in fq:
+        for c2 in fq:
+            H[:, :, add[c1, c2]] += np.outer(G1[:, c1], G2[:, c2])
+    # w = 0: u = u1 + u2 != 0 and isotropic; u is a multiple of x only when
+    # u2 = 0, and of y only when u1 = 0
+    np.add.at(H[:, :, Q], (x_exact[isotropic], perp), 1)
+    np.add.at(H[:, :, Q], (perp, y_exact[isotropic]), 1)
+    G1[perp, 0] -= 1  # u1 != 0 and u2 != 0 from here on
+    G2[perp, 0] -= 1
+    for c1 in fq:
+        H[:, :, Q] += np.outer(G1[:, c1], G2[:, neg[c1]])
+    cells = np.flatnonzero(H)
+    perp_local = (perp * L * L * (Q + 1) + cells, H.ravel()[cells])
+
+    N1 = np.bincount(mul[ids, conj], minlength=Q)
+    return add, neg, N1, local, perp_local
+
+
+def norm_counts(q, m):
+    """N_m: for each element id t, the number of w in F_{q^2}^m with
+    <w, w> = t, as the m-fold additive convolution of the one-coordinate
+    counts N_1.  Every count is at most q^(2m), below 2^63 wherever used."""
+    add, _, N1, _, _ = _decomposition(q)
+    out = np.zeros(q * q, dtype=np.int64)
+    out[0] = 1
+    for _ in range(m):
+        nxt = np.zeros_like(out)
+        np.add.at(nxt, add, np.outer(out, N1))
+        out = nxt
+    return out
+
+
+def decomposition_tensor(n, q):
+    """The (rank, rank, rank) intersection tensor counted by orthogonal
+    decomposition.  Each weighted sum counts the points of one intersection
+    set, so the int64 arithmetic is exact below 2^63 points."""
+    _, neg, _, local, perp_local = _decomposition(q)
+    Q, nrel = q * q, q * q - 1
+    L = 2 * nrel + 1
+    flat = np.zeros(L**3, dtype=np.int64)
+    for (codes, counts), m in ((local, n - 2), (perp_local, n - 4)):
+        if m < 0:
+            continue
+        weight = norm_counts(q, m)[neg]  # N_m(-c) for slot c
+        weight[0] -= 1  # w != 0
+        weight = np.append(weight, 1)  # slot Q: w = 0
+        np.add.at(flat, codes // (Q + 1), counts * weight[codes % (Q + 1)])
+    full = flat.reshape(L, L, L)
+    rank = L if n >= 4 else L - 1
+    assert not full[:, rank:].any() and not full[:, :, rank:].any(), (
+        f"perpendicular pairs counted in dimension {n}")
+    return full[:rank, :rank, :rank]
+
+
+def assert_matches_decomposition(tensor, n, q):
+    """Raise an AssertionError naming the first entry of ``tensor`` that
+    differs from the orthogonal-decomposition count."""
+    expected = decomposition_tensor(n, q)
+    assert tensor.shape == expected.shape, f"shape {tensor.shape}, expected {expected.shape}"
+    diff = np.argwhere(tensor != expected)
+    if diff.size:
+        h, i, j = (int(v) for v in diff[0])
+        raise AssertionError(
+            f"tensor[{h}, {i}, {j}] = {tensor[h, i, j]}, orthogonal decomposition"
+            f" counts {expected[h, i, j]} at (n, q) = ({n}, {q})")

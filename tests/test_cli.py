@@ -112,6 +112,8 @@ def test_verify_pass_q2(capsys):
     assert code == 0
     assert out.strip().endswith("PASS")
     assert "perpendicular class empty" in out
+    assert ("ok   - oracle: closed-form tensor equals brute-force tensor, "
+            "216 entries compared") in out.splitlines()
     # rank 6: 2 * 6^2 matrix entries for the two-sided relations, 6^3 for the rest
     assert ("ok   - character table: 72 orthogonality, 216 homomorphism, "
             "216 reconstruction, 72 eigenmatrix inverse and 216 minimal polynomial "

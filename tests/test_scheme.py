@@ -17,6 +17,7 @@ from unitary_schemes.scheme import (
     intersection_number_bruteforce,
     intersection_number_closed,
     is_commutative,
+    max_dimension,
     relation_matrix,
     sample_representatives,
     scheme_from_relation_matrix,
@@ -26,7 +27,8 @@ from unitary_schemes.scheme import (
 )
 from unitary_schemes.space import witness_pair
 
-from _reference import RefField, isotropic_vectors, tensor as reference_tensor
+from _reference import (RefField, assert_matches_decomposition, isotropic_vectors,
+                        tensor as reference_tensor)
 
 
 def test_rank_formula():
@@ -132,29 +134,33 @@ def test_closed_formula_rejections():
         intersection_number_closed(4, 2, 7, 0, 0)
     with pytest.raises(ValueError):
         intersection_number_closed(4, 2, -1, 0, 0)
+    for q in (1, 6):
+        with pytest.raises(ValueError, match=f"q must be a prime power, got {q}"):
+            intersection_number_closed(2, q, 0, 0, 0)
 
 
 @pytest.mark.parametrize(
-    "n,q", [(n, q) for q in SUPPORTED_Q for n in range(2, 6 if q < 7 else 5)])
-def test_closed_tensor_matches_scalar_formula(n, q):
+    "n,q", [(n, q) for q in SUPPORTED_Q for n in range(2, max_dimension(q) + 1)])
+def test_closed_tensor_matches_orthogonal_decomposition(n, q):
     sd = build_descriptor(n, q, mode="closed")
     rank = scheme_rank(n, q)
     assert isinstance(sd.tensor, np.ndarray)
     assert sd.tensor.dtype == np.int64
     assert sd.tensor.shape == (rank, rank, rank)
     assert not sd.tensor.flags.writeable
-    scalar = [[[intersection_number_closed(n, q, h, i, j) for j in range(rank)]
-               for i in range(rank)] for h in range(rank)]
-    assert sd.tensor.tolist() == scalar
+    assert_matches_decomposition(sd.tensor, n, q)
     assert type(sd.p(rank - 1, rank - 1, rank - 1)) is int
 
 
 @pytest.mark.parametrize("q,largest", [(2, 31), (3, 20), (4, 16), (5, 14),
                                        (7, 11), (8, 11), (9, 10)])
-@pytest.mark.parametrize("mode", ["closed", "bruteforce", "both"])
+@pytest.mark.parametrize("mode", ["closed", "bruteforce", "both", "scalar"])
 def test_int64_dimension_bound(q, largest, mode):
     with pytest.raises(ValueError, match=f"largest n for q = {q} is {largest}$"):
-        build_descriptor(largest + 1, q, mode=mode)
+        if mode == "scalar":
+            intersection_number_closed(largest + 1, q, 0, 0, 0)
+        else:
+            build_descriptor(largest + 1, q, mode=mode)
 
 
 def test_oracle_reports_first_mismatch(monkeypatch):
@@ -419,6 +425,12 @@ def test_validators_detect_tampered_matrices(tamper, check, message, get_space):
         assert check in [name for name, _, _ in report.failing()]
     with pytest.raises(ValueError, match=message):
         scheme_from_relation_matrix(T)
+
+
+def test_verify_rejects_rank_other_than_descriptor(get_space, get_descriptor):
+    M = relation_matrix(get_space(2, 2))
+    with pytest.raises(ValueError, match="rank 7 differs from the descriptor's rank 6"):
+        verify_relation_matrix(M, rank=7, sd=get_descriptor(2, 2))
 
 
 def test_adjacency_rejects_tampered_descriptor(get_space, get_descriptor):
