@@ -19,7 +19,7 @@ import numpy as np
 
 from .eisenstein import OMEGA, ZERO, Eisenstein
 from .scheme import SchemeDescriptor
-from .space import isotropic_count
+from .space import check_budget, isotropic_count
 
 Matrix = tuple[tuple[Eisenstein, ...], ...]
 
@@ -254,8 +254,7 @@ def idempotents(ct: CharTable, adjacency) -> list[Matrix]:
     With c Q in Z[w] (c the common denominator of Q), F_i = c order E_i is a
     Z[w] matrix, checked by F_i^2 = c order F_i and tr F_i = c order m_i.
     """
-    if ct.order > 27:
-        raise ValueError("idempotents are only materialised for order <= 27")
+    check_budget("idempotents", ct.order)
     cq, scale = _pair(second_eigenmatrix(ct))
     scale *= ct.order
     points = adjacency[0].shape[0]

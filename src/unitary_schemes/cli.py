@@ -11,7 +11,7 @@ from . import fusion as fusion_mod
 from . import scheme as scheme_mod
 from . import serialize
 from .eisenstein import Eisenstein, _rat_str
-from .space import enumerate_isotropic, isotropic_count
+from .space import check_budget, enumerate_isotropic, isotropic_count
 from .fields import SUPPORTED_Q
 
 
@@ -42,18 +42,12 @@ def _write(text: str, path: str | None) -> None:
 
 
 def cmd_build(args) -> int:
-    sd, us = scheme_mod.build_descriptor_with_space(args.n, args.q, args.mode, args.seed)
-    if args.format == "doc":
-        doc = serialize.document_from_descriptor(sd, seed=args.seed)
-        _write(serialize.render_document(doc), args.out)
-    elif args.format == "csv":
-        doc = serialize.document_from_descriptor(sd, seed=args.seed)
-        _write(serialize.tensor_csv(doc), args.out)
-    else:  # hanaki
-        if us is None:  # closed mode enumerates nothing
-            us = enumerate_isotropic(args.n, args.q)
-        matrix = scheme_mod.relation_matrix(us)
-        _write(serialize.render_relation_matrix(matrix, sd.rank), args.out)
+    if args.format == "hanaki":
+        return cmd_export(args)
+    sd = scheme_mod.build_descriptor(args.n, args.q, args.mode, args.seed)
+    doc = serialize.document_from_descriptor(sd, seed=args.seed)
+    _write(serialize.render_document(doc) if args.format == "doc"
+           else serialize.tensor_csv(doc), args.out)
     return 0
 
 
@@ -82,15 +76,15 @@ def cmd_chartable(args) -> int:
 
 
 def cmd_export(args) -> int:
-    size = isotropic_count(args.n, args.q)
-    if size > scheme_mod.DENSE_BUDGET:
-        print(f"error: {size} points exceed the export budget of "
-              f"{scheme_mod.DENSE_BUDGET}", file=sys.stderr)
-        return 2
-    us = enumerate_isotropic(args.n, args.q)
-    matrix = scheme_mod.relation_matrix(us)
-    rank = scheme_mod.scheme_rank(args.n, args.q)
-    _write(serialize.render_relation_matrix(matrix, rank), args.out)
+    """The relation matrix, for ``export`` and ``build --format hanaki``, which
+    first builds and cross-checks the descriptor in its ``--mode``.  The pairs
+    budget is checked from the closed point count before any enumeration."""
+    n, q, mode = args.n, args.q, getattr(args, "mode", None)  # export has no --mode
+    scheme_mod.check_parameters(n, q)
+    check_budget("pairs", isotropic_count(n, q) ** 2)
+    us = scheme_mod.build_descriptor_with_space(n, q, mode, args.seed)[1] if mode else None
+    matrix = scheme_mod.relation_matrix(us if us is not None else enumerate_isotropic(n, q))
+    _write(serialize.render_relation_matrix(matrix, scheme_mod.scheme_rank(n, q)), args.out)
     return 0
 
 
@@ -110,12 +104,14 @@ def cmd_verify(args) -> int:
                                 f"{sd.tensor.size} entries compared"))
         else:
             notes.append("oracle: bruteforce mode, closed form not computed, skipped")
-        if us.size**2 <= scheme_mod.PAIR_BUDGET:
+        try:
+            check_budget("pairs", us.size**2)
+        except ValueError as refusal:
+            notes.append(f"axioms: skipped, {refusal}")
+        else:
             report = scheme_mod.verify_scheme_axioms(us, sd, seed=args.seed)
             detail = ", ".join(name for name, _, _ in report.checks)
             lines.append((report.passed, f"axioms: {detail}"))
-        else:
-            notes.append("axioms: pair classification over budget, skipped")
     else:
         notes.append("counting/axioms: closed mode, enumeration skipped")
 

@@ -139,7 +139,9 @@ def parse(text: str) -> Eisenstein:
     body = body[:-2]
     for pos in range(1, len(body)):
         if body[pos] in "+-" and body[pos - 1] not in "/+-":
-            a = Fraction(body[:pos])
-            sign = -1 if body[pos] == "-" else 1
-            return Eisenstein(a, sign * Fraction(body[pos + 1:]))
+            try:
+                a, b = Fraction(body[:pos]), Fraction(body[pos + 1:])
+            except ZeroDivisionError:  # a zero denominator
+                break
+            return Eisenstein(a, -b if body[pos] == "-" else b)
     raise ValueError(f"cannot parse {text!r} as an Eisenstein value")

@@ -21,6 +21,7 @@ from . import kernels
 from .fields import build_field
 from .space import (
     UnitarySpace,
+    check_budget,
     enumerate_isotropic,
     hermitian_inner,
     isotropic_count,
@@ -31,10 +32,9 @@ SCALAR = "scalar"
 PRODUCT = "product"
 PERP = "perp"
 
-# Exhaustive pair classification is attempted only below this many pairs.
-PAIR_BUDGET = 5_000_000
-# Dense adjacency-matrix algebra is attempted only up to this many points.
-DENSE_BUDGET = 512
+# Random pairs per relation in the representative spot checks of the
+# brute-force tensor and in the constancy check of ``verify_relation_matrix``.
+SAMPLES_PER_RELATION = 5
 
 MODES = ("bruteforce", "closed", "both")
 
@@ -51,7 +51,7 @@ def max_dimension(q: int) -> int:
     return n
 
 
-def _check_parameters(n: int, q: int) -> None:
+def check_parameters(n: int, q: int) -> None:
     """Reject n < 2, an unsupported q, and (n, q) with 2^63 points or more."""
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -178,7 +178,7 @@ def intersection_number_closed(n: int, q: int, h: int, i: int, j: int) -> int:
     every call; read ``build_descriptor(n, q, mode="closed").tensor`` when
     many entries are needed.
     """
-    _check_parameters(n, q)
+    check_parameters(n, q)
     rank = scheme_rank(n, q)
     last = 2 * (q * q - 1)
     for l in (h, i, j):
@@ -265,8 +265,7 @@ def sample_representatives(us: UnitarySpace, h: int, count: int,
             for a, _, b in _sampled_rows(us, h, count, rng)]
 
 
-def _bruteforce_tensor(us: UnitarySpace, rank: int, seed: int,
-                       spot_checks: int = 5):
+def _bruteforce_tensor(us: UnitarySpace, rank: int, seed: int):
     codes, tables = us.block_codes, us.tables
     tensor = []
     conj_map = []
@@ -283,7 +282,7 @@ def _bruteforce_tensor(us: UnitarySpace, rank: int, seed: int,
     rng = random.Random(seed)
     for h in range(rank):
         # the row that picked the partner is the row of the spot check
-        for _, rows, b in _sampled_rows(us, h, spot_checks, rng):
+        for _, rows, b in _sampled_rows(us, h, SAMPLES_PER_RELATION, rng):
             cols = kernels.classify_col(us.vectors[b], codes, tables)
             if not np.array_equal(_joint_histogram(rows, cols, rank), tensor[h]):
                 raise AssertionError(
@@ -328,7 +327,7 @@ def build_descriptor_with_space(n: int, q: int, mode: str = "both", seed: int = 
     callers that need the points too and should not enumerate them again."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    _check_parameters(n, q)
+    check_parameters(n, q)
     rank = scheme_rank(n, q)
 
     brute = closed = us = None
@@ -397,10 +396,7 @@ class AxiomReport:
 
 def relation_matrix(us: UnitarySpace) -> np.ndarray:
     """Full pairwise classification matrix over the enumerated vectors."""
-    if us.size * us.size > PAIR_BUDGET:
-        raise ValueError(
-            f"{us.size}^2 pairs exceed the classification budget of {PAIR_BUDGET}"
-        )
+    check_budget("pairs", us.size**2)
     return kernels.classify_matrix(us.block_codes, us.tables)
 
 
@@ -492,13 +488,13 @@ def _triple_counts(M: np.ndarray, st: _Structure) -> tuple[np.ndarray, np.ndarra
 
 def verify_relation_matrix(M: np.ndarray, rank: int | None = None,
                            sd: SchemeDescriptor | None = None,
-                           samples: int = 5, seed: int = 0) -> AxiomReport:
+                           seed: int = 0) -> AxiomReport:
     """Check the defining axioms on an explicit relation matrix.
 
     Verifies the partition into relations, the identity relation on the
     diagonal, converse-closure, and constancy of the triple counts over
-    ``samples`` random representatives per relation (compared against the
-    descriptor tensor when one is supplied).  A malformed matrix, or a
+    ``SAMPLES_PER_RELATION`` random representatives per relation (compared
+    against the descriptor tensor when one is supplied).  A malformed matrix, or a
     ``rank`` other than the descriptor's, raises a ``ValueError``.
     """
     M = np.asarray(M)
@@ -528,6 +524,7 @@ def verify_relation_matrix(M: np.ndarray, rank: int | None = None,
     # the p-th pair of relation h in row-major order lies in the first row
     # whose running count of h exceeds p
     running = np.cumsum(st.rows, axis=0)
+    samples = SAMPLES_PER_RELATION
     rng = random.Random(seed)
     constancy_ok = True
     detail = f"triple counts constant over {samples} sampled pairs per relation"
@@ -556,10 +553,9 @@ def verify_relation_matrix(M: np.ndarray, rank: int | None = None,
 
 
 def verify_scheme_axioms(us: UnitarySpace, sd: SchemeDescriptor | None = None,
-                         samples: int = 5, seed: int = 0) -> AxiomReport:
+                         seed: int = 0) -> AxiomReport:
     """Exhaustively classify all pairs and check the scheme axioms."""
-    return verify_relation_matrix(relation_matrix(us), sd=sd,
-                                  samples=samples, seed=seed)
+    return verify_relation_matrix(relation_matrix(us), sd=sd, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -569,8 +565,7 @@ def verify_scheme_axioms(us: UnitarySpace, sd: SchemeDescriptor | None = None,
 def build_adjacency_matrices(us: UnitarySpace, sd: SchemeDescriptor) -> list[np.ndarray]:
     """0/1 adjacency matrices of all relations, verified to span the algebra:
     A_i A_j = sum_h p_ij^h A_h holds exactly."""
-    if us.size > DENSE_BUDGET:
-        raise ValueError(f"{us.size} points exceed the dense-matrix budget of {DENSE_BUDGET}")
+    check_budget("dense", us.size)
     M = kernels.classify_matrix(us.block_codes, us.tables)
     st = _structure(M, sd.rank)
     if not st.identity:
@@ -593,9 +588,8 @@ def scheme_from_relation_matrix(M: np.ndarray):
     this is a full check.
     """
     M = np.asarray(M)
+    check_budget("dense", max(M.shape, default=0))
     st = _structure(M, None)
-    if M.shape[0] > DENSE_BUDGET:
-        raise ValueError(f"{M.shape[0]} points exceed the dense-matrix budget of {DENSE_BUDGET}")
     if st.present != st.rank:
         raise ValueError("relation labels must be 0..rank-1 with every label present")
     if not st.identity:
@@ -617,5 +611,8 @@ def fuse_relation_matrix(M: np.ndarray, blocks) -> np.ndarray:
     for b, block in enumerate(blocks):
         for l in block:
             block_of[l] = b
-    lut = np.array([block_of[l] for l in range(int(M.max()) + 1)], dtype=np.int64)
-    return lut[M]
+    labels = range(int(M.max()) + 1)
+    missing = [l for l in labels if l not in block_of]
+    if missing:
+        raise ValueError(f"relation {missing[0]} lies in no block")
+    return np.array([block_of[l] for l in labels], dtype=np.int64)[M]

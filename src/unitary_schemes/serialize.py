@@ -65,16 +65,31 @@ def document_from_chartable(ct: CharTable, n: int, fusion: str | None = None,
 
 
 def chartable_from_document(doc: SchemeDocument) -> CharTable:
+    """The character table of a document; a table that is not square, does
+    not match the rank line, or has valencies or multiplicities of another
+    length or not all positive raises a ValueError naming the field."""
     if doc.chartable is None or doc.multiplicities is None:
         raise ValueError("document carries no character table")
+    if doc.valencies is None:
+        raise ValueError("document carries no valencies")
+    size = len(doc.chartable)
+    if size != doc.rank or size == 0:
+        raise ValueError(f"chartable has {size} rows, the rank line says {doc.rank}")
+    for i, row in enumerate(doc.chartable):
+        if len(row) != size:
+            raise ValueError(f"chartable row {i} has {len(row)} entries, expected {size}")
+    for name in ("valencies", "multiplicities"):
+        values = getattr(doc, name)
+        if len(values) != size:
+            raise ValueError(f"{name} has {len(values)} entries, expected {size}")
+        if min(values) <= 0:
+            raise ValueError(f"{name} must be positive, got {min(values)}")
     entries = tuple(tuple(parse_entry(x) for x in row) for row in doc.chartable)
     for i, row in enumerate(entries):  # eigenvalues of integer matrices
         for j, x in enumerate(row):
             if x.a.denominator != 1 or x.b.denominator != 1:
                 raise ValueError(f"chartable row {i}, column {j}: {doc.chartable[i][j]} "
                                  "is not in Z[w]")
-    if doc.valencies is None:
-        raise ValueError("document carries no valencies")
     return CharTable(entries=entries, multiplicities=doc.multiplicities,
                      valencies=doc.valencies, order=doc.order)
 

@@ -15,8 +15,20 @@ import numpy as np
 from . import kernels
 from .fields import FieldTables, build_field, norm_solutions, trace_solutions
 
-# Upper bound on the number of vectors an exhaustive scan may visit.
-SCAN_BUDGET = 1 << 24
+# Every size limit of the package, name: (unit, limit); README lists what each gates.
+BUDGETS = {
+    "scan": ("candidate vectors", 1 << 24),
+    "pairs": ("pairs", 5_000_000),
+    "dense": ("points", 512),
+    "idempotents": ("points", 27),
+}
+
+
+def check_budget(name: str, amount: int) -> None:
+    """Refuse, before the work it bounds, an ``amount`` over budget ``name``."""
+    unit, limit = BUDGETS[name]
+    if amount > limit:
+        raise ValueError(f"{amount} {unit} exceed the {name} budget of {limit}")
 
 
 def isotropic_count(n: int, q: int) -> int:
@@ -54,21 +66,33 @@ class UnitarySpace:
             code = code * self.ft.order + int(c)
         return code
 
-    def index_of(self, vec) -> int:
+    def _check_vector(self, vec) -> None:
+        """Reject ``vec`` unless it is n field-element ids in [0, q^2)."""
         if len(vec) != self.n:
             raise ValueError(f"expected a vector of length {self.n}")
+        if not all(0 <= c < self.ft.order for c in vec):
+            raise ValueError(f"coordinates of {tuple(int(c) for c in vec)} must be"
+                             f" field-element ids in [0, {self.ft.order})")
+
+    def index_of(self, vec) -> int:
+        self._check_vector(vec)
         idx = int(self.tables.lookup[self._encode(vec)])
         if idx < 0:
             raise ValueError(f"{tuple(int(c) for c in vec)} is not a nonzero isotropic vector")
         return idx
 
     def __contains__(self, vec) -> bool:
-        return len(vec) == self.n and int(self.tables.lookup[self._encode(vec)]) >= 0
+        try:
+            self.index_of(vec)
+        except ValueError:
+            return False
+        return True
 
     def hermitian_inner(self, x, y) -> int:
         return hermitian_inner(self.ft, x, y)
 
     def is_isotropic(self, x) -> bool:
+        self._check_vector(x)
         return any(c != 0 for c in x) and hermitian_inner(self.ft, x, x) == 0
 
     def scalar_multiple(self, lam: int, x) -> tuple[int, ...]:
@@ -118,10 +142,7 @@ def enumerate_isotropic(n: int, q: int) -> UnitarySpace:
         raise ValueError("dimension must be non-negative")
     ft = build_field(q)
     total = ft.order**n
-    if total > SCAN_BUDGET:
-        raise ValueError(
-            f"enumerating q^(2n) = {total} vectors exceeds the scan budget of {SCAN_BUDGET}"
-        )
+    check_budget("scan", total)
     expected = isotropic_count(n, q)
     codes = kernels.isotropic_scan(n, ft.order, ft.norm_table, ft.add_table, expected)
     vectors = kernels.digits(codes, ft.order, n)

@@ -294,5 +294,5 @@ def test_idempotents_reject_tampered_input(get_table, get_space, get_descriptor)
 
 
 def test_idempotents_budget(get_table):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^135 points exceed the idempotents budget of 27$"):
         idempotents(get_table(4), [])

@@ -95,16 +95,40 @@ def test_export_roundtrip(capsys, tmp_path):
 
 
 def test_export_budget(capsys):
-    code, _, err = run(capsys, "export", "--n", "6", "--q", "2")
+    code, _, err = run(capsys, "export", "--n", "7", "--q", "2")
     assert code == 2
-    assert "budget" in err or "budget" in err.lower()
+    assert err == "error: 66048129 pairs exceed the pairs budget of 5000000\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("export", "--n", "7", "--q", "2"),
+    ("build", "--n", "7", "--q", "2", "--format", "hanaki"),
+    ("build", "--n", "7", "--q", "2", "--mode", "closed", "--format", "hanaki"),
+    ("build", "--n", "12", "--q", "2", "--format", "hanaki"),
+    ("build", "--n", "5", "--q", "5", "--format", "hanaki"),
+])
+def test_relation_matrix_refused_before_enumeration(argv, capsys, monkeypatch):
+    from unitary_schemes import cli, scheme
+
+    def refuse(n, q):
+        raise AssertionError("enumerated past the pairs budget")
+
+    monkeypatch.setattr(scheme, "enumerate_isotropic", refuse)
+    monkeypatch.setattr(cli, "enumerate_isotropic", refuse)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "pairs exceed the pairs budget of 5000000" in err
 
 
 def test_export_byte_stable(capsys, tmp_path):
-    one, two = tmp_path / "a.txt", tmp_path / "b.txt"
+    one, two, built = tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "c.txt"
     run(capsys, "export", "--n", "3", "--q", "2", "--out", str(one))
     run(capsys, "export", "--n", "3", "--q", "2", "--out", str(two))
     assert one.read_bytes() == two.read_bytes()
+    # build --format hanaki writes the same file
+    assert run(capsys, "build", "--n", "3", "--q", "2", "--format", "hanaki",
+               "--out", str(built))[0] == 0
+    assert built.read_bytes() == one.read_bytes()
 
 
 def test_verify_pass_q2(capsys):
@@ -118,6 +142,14 @@ def test_verify_pass_q2(capsys):
     assert ("ok   - character table: 72 orthogonality, 216 homomorphism, "
             "216 reconstruction, 72 eigenmatrix inverse and 216 minimal polynomial "
             "equalities") in out.splitlines()
+    assert out.splitlines()[-1] == "PASS"
+
+
+def test_verify_notes_the_pairs_budget(capsys):
+    code, out, _ = run(capsys, "verify", "--n", "6", "--q", "3")
+    assert code == 0
+    assert ("note - axioms: skipped, 31553127424 pairs exceed the pairs budget of 5000000"
+            in out.splitlines())
     assert out.splitlines()[-1] == "PASS"
 
 

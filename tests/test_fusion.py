@@ -138,3 +138,9 @@ def test_unfusable_partition_reports_block(get_table, get_descriptor):
     # conjugation-closed, but the row sums cannot become block-constant
     with pytest.raises(FusionError, match="constant row sums"):
         fuse(get_table(4), get_descriptor(4, 2), ((0,), (1, 2), (3, 6), (4, 5)))
+
+
+def test_relation_level_fusion_needs_every_label(get_space):
+    M = relation_matrix(get_space(2, 2))
+    with pytest.raises(ValueError, match="^relation 3 lies in no block$"):
+        fuse_relation_matrix(M, [(0,), (1, 2)])

@@ -136,6 +136,7 @@ def test_row_kernel_rejects_non_points(get_space):
 
 @pytest.mark.parametrize("n,q,spot_checks", [(4, 2, 5), (3, 3, 2)])
 def test_bruteforce_tensor_row_passes(n, q, spot_checks, get_space, monkeypatch):
+    monkeypatch.setattr(scheme_mod, "SAMPLES_PER_RELATION", spot_checks)
     us = get_space(n, q)
     rank = scheme_rank(n, q)
     calls = []
@@ -146,7 +147,7 @@ def test_bruteforce_tensor_row_passes(n, q, spot_checks, get_space, monkeypatch)
         return row_labels(*args)
 
     monkeypatch.setattr(kernels, "_row_labels", counting)
-    scheme_mod._bruteforce_tensor(us, rank, seed=3, spot_checks=spot_checks)
+    scheme_mod._bruteforce_tensor(us, rank, seed=3)
     assert len(calls) == 2 * rank * (1 + spot_checks)
 
 

@@ -285,7 +285,7 @@ def test_axioms_exhaustive(n, q, get_space, get_descriptor):
 
 def test_axiom_budget(get_space):
     us = get_space(4, 3)
-    with pytest.raises(ValueError, match="budget"):
+    with pytest.raises(ValueError, match="^5017600 pairs exceed the pairs budget of 5000000$"):
         verify_scheme_axioms(us)
 
 
@@ -308,8 +308,17 @@ def test_adjacency_matrices(get_space, get_descriptor):
 
 
 def test_adjacency_budget(get_space, get_descriptor):
-    with pytest.raises(ValueError, match="budget"):
+    with pytest.raises(ValueError, match="^2079 points exceed the dense budget of 512$"):
         build_adjacency_matrices(get_space(6, 2), get_descriptor(6, 2))
+
+
+def test_dense_budget_checked_before_structure(monkeypatch):
+    def structure(M, rank):
+        raise AssertionError("a pass over an over-budget matrix")
+
+    monkeypatch.setattr(scheme_mod, "_structure", structure)
+    with pytest.raises(ValueError, match="^513 points exceed the dense budget of 512$"):
+        scheme_from_relation_matrix(np.zeros((513, 513), dtype=np.int64))
 
 
 def test_scheme_from_relation_matrix_roundtrip(get_space, get_descriptor):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,44 @@ def test_chartable_document_rejects_entries_outside_z_omega(get_table):
     # a decimal spelling of a non-integer is caught too
     with pytest.raises(ValueError, match="row 3, column 1"):
         chartable_from_document(parse_document(bad.replace("1/2+0*w", "0.5+0*w")))
+
+
+def _chartable3_text():
+    from unitary_schemes.chartable import char_table_closed
+
+    return render_document(document_from_chartable(char_table_closed(3), 3))
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("\n1+0*w 0+1*w -1-1*w -4+0*w 4+4*w 0-4*w\n", "\n1+0*w 0+1*w -1-1*w -4+0*w 4+4*w\n",
+     "^chartable row 1 has 5 entries, expected 6$"),
+    ("valencies 1 1 1 8 8 8", "valencies 1 1 1 8 0 8", "^valencies must be positive, got 0$"),
+    ("multiplicities 1 3 3 8 6 6", "multiplicities 1 3 3 -8 6 6",
+     "^multiplicities must be positive, got -8$"),
+    ("valencies 1 1 1 8 8 8", "valencies 1 1 1 8 8", "^valencies has 5 entries, expected 6$"),
+    ("multiplicities 1 3 3 8 6 6", "multiplicities 1 3 3 8 6 6 1",
+     "^multiplicities has 7 entries, expected 6$"),
+    ("rank 6", "rank 5", "^chartable has 6 rows, the rank line says 5$"),
+], ids=["short-row", "zero-valency", "negative-multiplicity", "short-valencies",
+        "long-multiplicities", "rank"])
+def test_chartable_document_rejects_malformed_tables(old, new, message):
+    text = _chartable3_text()
+    assert text.count(old) == 1
+    with pytest.raises(ValueError, match=message):
+        chartable_from_document(parse_document(text.replace(old, new)))
+
+
+def test_chartable_document_rejects_empty_table():
+    doc = parse_document(_chartable3_text())
+    empty = dataclasses.replace(doc, rank=0, chartable=(), valencies=(), multiplicities=())
+    with pytest.raises(ValueError, match="^chartable has 0 rows, the rank line says 0$"):
+        chartable_from_document(empty)
+
+
+def test_chartable_document_rejects_zero_denominator():
+    text = _chartable3_text().replace("-4+0*w 4+4*w", "-4/0+0*w 4+4*w", 1)
+    with pytest.raises(ValueError, match="cannot parse '-4/0\\+0\\*w'"):
+        chartable_from_document(parse_document(text))
 
 
 def test_csv_renderings(get_table, get_descriptor):

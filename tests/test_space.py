@@ -4,8 +4,9 @@ import random
 import pytest
 
 from unitary_schemes.fields import build_field
+from unitary_schemes.scheme import classify_pair
 from unitary_schemes.space import (
-    SCAN_BUDGET,
+    BUDGETS,
     enumerate_isotropic,
     hermitian_inner,
     hyperbolic_partner,
@@ -43,9 +44,10 @@ def test_degenerate_dimensions():
 
 
 def test_budget_rejection():
-    with pytest.raises(ValueError, match="budget"):
+    with pytest.raises(ValueError, match="^67108864 candidate vectors exceed the scan"
+                                         " budget of 16777216$"):
         enumerate_isotropic(13, 2)  # 4^13 > 2^24
-    assert 4**13 > SCAN_BUDGET
+    assert 4**13 > BUDGETS["scan"][1]
 
 
 @pytest.mark.parametrize("n,q", [(2, 2), (3, 2), (2, 3)])
@@ -74,6 +76,20 @@ def test_index_of_rejects_outsiders(get_space):
         us.index_of((1, 0))  # <x,x> = 1, not isotropic
     with pytest.raises(ValueError):
         us.index_of((1, 1, 0))
+
+
+@pytest.mark.parametrize("vec", [(-1, 3), (0, -1), (0, 16), (1, 99), (3, 4)])
+def test_coordinates_must_be_element_ids(vec, get_space):
+    # q = 2: ids lie in [0, 4); (-1, 3) used to wrap to the index of (3, 3)
+    us = get_space(2, 2)
+    with pytest.raises(ValueError, match=r"field-element ids in \[0, 4\)"):
+        us.index_of(vec)
+    with pytest.raises(ValueError, match=r"field-element ids in \[0, 4\)"):
+        us.is_isotropic(vec)
+    with pytest.raises(ValueError, match="field-element ids"):
+        classify_pair(us, vec, (1, 2))
+    assert vec not in us
+    assert (3, 3) in us and us.index_of((3, 3)) == 8
 
 
 @pytest.mark.parametrize("q", [2, 3])
