@@ -8,6 +8,7 @@ equality, never to a tolerance.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 _Rat = (int, Fraction)
@@ -131,9 +132,17 @@ def render(x: Eisenstein) -> str:
     return f"{_rat_str(x.a)}{sep}{_rat_str(b)}*w"
 
 
+# what render writes for every element of Z[w]
+_INTEGRAL = re.compile(r"(-?\d+)([+-])(\d+)\*w")
+
+
 def parse(text: str) -> Eisenstein:
     """Exact inverse of :func:`render`."""
     body = text.strip()
+    match = _INTEGRAL.fullmatch(body)
+    if match is not None:
+        a, sign, b = match.groups()
+        return Eisenstein(int(a), int(b) if sign == "+" else -int(b))
     if not body.endswith("*w"):
         raise ValueError(f"cannot parse {text!r} as an Eisenstein value")
     body = body[:-2]

@@ -146,6 +146,17 @@ class FieldTables:
         return int(self.exp_table[e % (self.order - 1)])
 
 
+def _check_ids(vec, order: int, n: int | None = None) -> None:
+    """Reject ``vec`` unless it is field-element ids in [0, order), and n of
+    them when n is given."""
+    ids = vec.tolist() if isinstance(vec, np.ndarray) else vec  # min/max are slow on arrays
+    if n is not None and len(ids) != n:
+        raise ValueError(f"expected a vector of length {n}")
+    if ids and not (0 <= min(ids) and max(ids) < order):
+        raise ValueError(f"coordinates of {tuple(int(c) for c in vec)} must be"
+                         f" field-element ids in [0, {order})")
+
+
 def _encode(digits: list[int], p: int) -> int:
     code = 0
     for d in reversed(digits):

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import _check_ids
+
 # Largest number of entries of one block table.  The codes fit in uint16.
 BLOCK_LIMIT = 8192
 
@@ -165,6 +167,8 @@ def _row_labels(xb: np.ndarray, codes: np.ndarray, t: BlockTables) -> np.ndarray
 
 
 def _blocked(x, t: BlockTables) -> np.ndarray:
+    """``x`` padded, one row per block, once it is checked to be n element ids."""
+    _check_ids(x, t.products.shape[0], t.blocks * t.width - t.pad.size)
     return np.concatenate((t.pad, x)).reshape(t.blocks, t.width)
 
 

@@ -4,6 +4,11 @@ Documents are line-oriented, one scheme per file, with the intersection
 tensor stored as sparse (h, i, j, value) quadruples in lexicographic order.
 Rendering the parse of a rendered document reproduces it byte for byte.
 
+Integer blocks (tensor quadruples, relation-matrix rows) are written by one
+``%`` pass over the array.  ASCII text is read back by one int64 conversion;
+other text, or a block that this conversion or a check on its result
+rejects, is read line by line with ``int``, which names the failing line.
+
 The relation-matrix format is the small-scheme exchange layout: a header
 line "points rank" followed by one whitespace-separated integer row per
 point, entry (x, y) being the sequential relation index of that pair.
@@ -11,6 +16,7 @@ point, entry (x, y) being the sequential relation index of that pair.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +40,7 @@ class SchemeDocument:
     seed: int
     valencies: tuple[int, ...] | None = None
     conj_map: tuple[int, ...] | None = None
-    tensor_entries: tuple[tuple[int, int, int, int], ...] | None = None
+    tensor_entries: np.ndarray | None = None  # read-only (E, 4) int64 rows h, i, j, value
     commutative: bool | None = None
     witness: tuple[int, int, int] | None = None
     chartable: tuple[tuple[str, ...], ...] | None = None
@@ -45,12 +51,13 @@ class SchemeDocument:
 def document_from_descriptor(sd: SchemeDescriptor, seed: int = 0) -> SchemeDocument:
     # np.nonzero walks in C order, which is the lexicographic (h, i, j) order
     where = np.nonzero(sd.tensor)
-    entries = zip(*(axis.tolist() for axis in where), sd.tensor[where].tolist())
+    entries = np.stack(where + (sd.tensor[where],), axis=1)
+    entries.setflags(write=False)
     commutative, witness = is_commutative(sd)
     return SchemeDocument(
         n=sd.n, q=sd.q, rank=sd.rank, order=sd.order, mode=sd.mode, seed=seed,
         valencies=sd.valencies, conj_map=sd.conj_map,
-        tensor_entries=tuple(entries), commutative=commutative, witness=witness,
+        tensor_entries=entries, commutative=commutative, witness=witness,
     )
 
 
@@ -106,8 +113,7 @@ def render_document(doc: SchemeDocument) -> str:
         lines.append("conjugation " + " ".join(map(str, doc.conj_map)))
     if doc.tensor_entries is not None:
         lines.append(f"tensor {len(doc.tensor_entries)}")
-        for quad in doc.tensor_entries:
-            lines.append(" ".join(map(str, quad)))
+        _append_rows(lines, doc.tensor_entries, " ")
     if doc.commutative is not None:
         lines.append(f"commutative {'true' if doc.commutative else 'false'}")
         if doc.witness is not None:
@@ -154,19 +160,24 @@ def parse_document(text: str) -> SchemeDocument:
                 rank = fields["rank"]
                 count = int(rest)
                 block_end = _block_end(lines, pos, count, key)
-                quads = []
-                for _ in range(count):
-                    quad = tuple(map(int, lines[pos].split()))
-                    if len(quad) != 4:
-                        raise ValueError(f"tensor line has {len(quad)} integers, "
-                                         "expected 4 (h i j value)")
-                    h, i, j, _ = quad
-                    if not (0 <= h < rank and 0 <= i < rank and 0 <= j < rank):
-                        raise ValueError(f"tensor index out of range [0, {rank}) "
-                                         f"in {lines[pos]!r}")
-                    quads.append(quad)
-                    pos += 1
-                fields["tensor_entries"] = tuple(quads)
+                entries = _int_rows(lines[pos:block_end], 4) if text.isascii() else None
+                if entries is None or ((entries[:, :3] < 0) | (entries[:, :3] >= rank)).any():
+                    quads = []  # line by line, to name the failing line
+                    for _ in range(count):
+                        quad = _line_ints(lines[pos])
+                        if len(quad) != 4:
+                            raise ValueError(f"tensor line has {len(quad)} integers, "
+                                             "expected 4 (h i j value)")
+                        h, i, j, _ = quad
+                        if not (0 <= h < rank and 0 <= i < rank and 0 <= j < rank):
+                            raise ValueError(f"tensor index out of range [0, {rank}) "
+                                             f"in {lines[pos]!r}")
+                        quads.append(quad)
+                        pos += 1
+                    entries = np.array(quads, dtype=np.int64).reshape(count, 4)
+                pos = block_end
+                entries.setflags(write=False)
+                fields["tensor_entries"] = entries
             elif key == "commutative":
                 fields["commutative"] = rest == "true"
             elif key == "witness":
@@ -205,11 +216,46 @@ def _block_end(lines: list[str], pos: int, count: int, key: str) -> int:
     return pos + count
 
 
+# ---------------------------------------------------------------------------
+# integer blocks
+
+
+def _append_rows(lines: list[str], rows: np.ndarray, sep: str) -> None:
+    """Append the rows of an integer array to ``lines`` as one string of
+    ``sep``-separated decimals, one line per row, written in one ``%`` pass."""
+    count, width = rows.shape
+    if count:
+        template = "\n".join([sep.join(["%d"] * width)] * count)
+        lines.append(template % tuple(rows.ravel().tolist()))
+
+
+def _int_rows(lines: list[str], width: int) -> np.ndarray | None:
+    """``lines`` as a (len(lines), width) int64 array in one conversion, or
+    None if it fails (blank lines, ``1_0``, values past int64) or gives
+    another shape.  ASCII only: numpy reads '1' + U+9C6CB as 640677."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # "input contained no data"
+            rows = np.loadtxt(lines, dtype=np.int64, comments=None, ndmin=2)
+    except (ValueError, Warning):
+        return None
+    return rows if rows.shape == (len(lines), width) else None
+
+
+def _line_ints(line: str) -> list[int]:
+    """The integers of one line as ``int`` reads them; each must fit int64."""
+    values = [int(x) for x in line.split()]
+    for v in values:
+        if not -(1 << 63) <= v < 1 << 63:
+            raise ValueError(f"{v} is outside the int64 range")
+    return values
+
+
 def tensor_csv(doc: SchemeDocument) -> str:
     if doc.tensor_entries is None:
         raise ValueError("document carries no tensor")
     lines = ["h,i,j,value"]
-    lines.extend(",".join(map(str, quad)) for quad in doc.tensor_entries)
+    _append_rows(lines, doc.tensor_entries, ",")
     return "\n".join(lines) + "\n"
 
 
@@ -228,10 +274,8 @@ def chartable_csv(doc: SchemeDocument) -> str:
 
 def render_relation_matrix(matrix: np.ndarray, rank: int) -> str:
     matrix = np.asarray(matrix)
-    count = matrix.shape[0]
-    lines = [f"{count} {rank}"]
-    for row in matrix:
-        lines.append(" ".join(str(int(x)) for x in row))
+    lines = [f"{matrix.shape[0]} {rank}"]
+    _append_rows(lines, matrix, " ")
     return "\n".join(lines) + "\n"
 
 
@@ -250,17 +294,20 @@ def parse_relation_matrix(text: str) -> tuple[np.ndarray, int]:
         raise ValueError(f"line {header_no}: a relation matrix needs at least one point")
     if len(lines) != count + 1:
         raise ValueError(f"expected {count} matrix rows, found {len(lines) - 1}")
-    rows = []
-    for k, line in lines[1:]:
-        try:
-            row = [int(x) for x in line.split()]
-        except ValueError as exc:
-            raise ValueError(f"line {k}: {exc}") from None
-        if len(row) != count:
-            raise ValueError(f"line {k}: expected {count} entries, found {len(row)};"
-                             " relation matrix is not square")
-        rows.append(row)
-    matrix = np.array(rows, dtype=np.int64)
+    body = [line for _, line in lines[1:]]
+    matrix = _int_rows(body, count) if text.isascii() else None
+    if matrix is None:
+        rows = []
+        for k, line in lines[1:]:
+            try:
+                row = _line_ints(line)
+            except ValueError as exc:
+                raise ValueError(f"line {k}: {exc}") from None
+            if len(row) != count:
+                raise ValueError(f"line {k}: expected {count} entries, found {len(row)};"
+                                 " relation matrix is not square")
+            rows.append(row)
+        matrix = np.array(rows, dtype=np.int64)
     if matrix.min() < 0 or matrix.max() >= rank:
         raise ValueError("relation indices exceed the declared rank")
     return matrix, rank

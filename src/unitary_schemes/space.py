@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .fields import FieldTables, build_field, norm_solutions, trace_solutions
+from .fields import FieldTables, _check_ids, build_field, norm_solutions, trace_solutions
 
 # Every size limit of the package, name: (unit, limit); README lists what each gates.
 BUDGETS = {
@@ -66,16 +66,8 @@ class UnitarySpace:
             code = code * self.ft.order + int(c)
         return code
 
-    def _check_vector(self, vec) -> None:
-        """Reject ``vec`` unless it is n field-element ids in [0, q^2)."""
-        if len(vec) != self.n:
-            raise ValueError(f"expected a vector of length {self.n}")
-        if not all(0 <= c < self.ft.order for c in vec):
-            raise ValueError(f"coordinates of {tuple(int(c) for c in vec)} must be"
-                             f" field-element ids in [0, {self.ft.order})")
-
     def index_of(self, vec) -> int:
-        self._check_vector(vec)
+        _check_ids(vec, self.ft.order, self.n)
         idx = int(self.tables.lookup[self._encode(vec)])
         if idx < 0:
             raise ValueError(f"{tuple(int(c) for c in vec)} is not a nonzero isotropic vector")
@@ -92,10 +84,13 @@ class UnitarySpace:
         return hermitian_inner(self.ft, x, y)
 
     def is_isotropic(self, x) -> bool:
-        self._check_vector(x)
+        _check_ids(x, self.ft.order, self.n)
         return any(c != 0 for c in x) and hermitian_inner(self.ft, x, x) == 0
 
     def scalar_multiple(self, lam: int, x) -> tuple[int, ...]:
+        _check_ids(x, self.ft.order, self.n)
+        if not 0 <= lam < self.ft.order:
+            raise ValueError(f"scalar {lam} must be a field-element id in [0, {self.ft.order})")
         mul = self.ft.mul_table
         return tuple(int(mul[lam, c]) for c in x)
 
@@ -107,6 +102,8 @@ def hermitian_inner(ft: FieldTables, x, y) -> int:
     """<x, y> = sum_i x_i * conj(y_i)."""
     if len(x) != len(y):
         raise ValueError("vectors must have the same length")
+    _check_ids(x, ft.order)
+    _check_ids(y, ft.order)
     acc = 0
     for a, b in zip(x, y):
         acc = int(ft.add_table[acc, ft.mul_table[a, ft.conj_table[b]]])
@@ -122,8 +119,7 @@ def hyperbolic_partner(ft: FieldTables, n: int, u) -> tuple[int, ...]:
     nonzero coordinate k of u: every vector before e_k is supported after k,
     where u vanishes.
     """
-    if len(u) != n:
-        raise ValueError(f"expected a vector of length {n}")
+    _check_ids(u, ft.order, n)
     if all(c == 0 for c in u) or hermitian_inner(ft, u, u) != 0:
         raise ValueError("hyperbolic partner needs a nonzero isotropic vector")
     k = max(i for i, c in enumerate(u) if c)

@@ -8,6 +8,7 @@ import pytest
 from unitary_schemes.scheme import _closed_tensor, scheme_rank
 
 from _reference import RefField, assert_matches_decomposition, inner, norm_counts
+from test_acceptance import ORACLE_GRID
 
 
 @pytest.mark.parametrize("q,m", [(q, m) for q in (2, 3) for m in range(5)]
@@ -38,3 +39,9 @@ def test_decomposition_catches_one_wrong_entry(i_kind, j_kind):
     tensor[h, i, j] += 1
     with pytest.raises(AssertionError, match=rf"^tensor\[{h}, {i}, {j}\] = "):
         assert_matches_decomposition(tensor, n, q)
+
+
+def test_decomposition_equals_bruteforce_tensor(get_descriptor):
+    # every (n, q) that the acceptance suite's oracle criterion enumerates
+    for n, q in ORACLE_GRID:
+        assert_matches_decomposition(get_descriptor(n, q, "bruteforce").tensor, n, q)

@@ -1,10 +1,19 @@
+import csv
 import dataclasses
+import io
 
 import numpy as np
 import pytest
 
+from unitary_schemes.fields import SUPPORTED_Q
 from unitary_schemes.fusion import coarse_partition, fuse
-from unitary_schemes.scheme import relation_matrix, scheme_rank, verify_relation_matrix
+from unitary_schemes.scheme import (
+    build_descriptor,
+    max_dimension,
+    relation_matrix,
+    scheme_rank,
+    verify_relation_matrix,
+)
 from unitary_schemes.serialize import (
     chartable_csv,
     chartable_from_document,
@@ -27,14 +36,23 @@ def test_descriptor_document_roundtrip(n, q, get_descriptor):
     parsed = parse_document(text)
     assert parsed.n == n and parsed.q == q
     assert parsed.valencies == doc.valencies
-    assert parsed.tensor_entries == doc.tensor_entries
+    entries = np.count_nonzero(get_descriptor(n, q).tensor)
+    for quads in (doc.tensor_entries, parsed.tensor_entries):
+        assert quads.dtype == np.int64
+        assert quads.shape == (entries, 4)
+        assert not quads.flags.writeable
+    assert np.array_equal(parsed.tensor_entries, doc.tensor_entries)
     assert parsed.commutative == (q == 2)
 
 
 def test_document_sparse_entries_sorted(get_descriptor):
     doc = document_from_descriptor(get_descriptor(4, 2))
-    assert list(doc.tensor_entries) == sorted(doc.tensor_entries)
-    assert all(v != 0 for *_, v in doc.tensor_entries)
+    quads = doc.tensor_entries
+    # strictly increasing (h, i, j): lexsort (last key primary) keeps the
+    # order, and no two neighbours share their index triple
+    assert np.array_equal(np.lexsort(quads[:, 2::-1].T), np.arange(len(quads)))
+    assert (np.diff(quads[:, :3], axis=0) != 0).any(axis=1).all()
+    assert (quads[:, 3] != 0).all()
     total = sum(1 for h in range(7) for i in range(7) for j in range(7)
                 if get_descriptor(4, 2).tensor[h][i][j])
     assert len(doc.tensor_entries) == total
@@ -206,7 +224,7 @@ def _tensor_lines(get_descriptor):
     return lines, next(k for k, line in enumerate(lines) if line.startswith("tensor "))
 
 
-@pytest.mark.parametrize("entry", ["0 0", "0 1 2 3 4"])
+@pytest.mark.parametrize("entry", ["0 0", "0 1 2 3 4", ""])
 def test_parse_document_tensor_line_arity(entry, get_descriptor):
     lines, start = _tensor_lines(get_descriptor)
     lines[start + 2] = entry
@@ -231,3 +249,74 @@ def test_parse_document_tensor_before_rank(get_descriptor):
     with pytest.raises(ValueError,
                        match=f"^line {start}: tensor block comes before the rank line"):
         parse_document("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+def test_tensor_block_renders_like_per_entry_join(q):
+    # n = max_dimension(q): values up to 5.8e17, 557 k entries at (10, 9)
+    sd = build_descriptor(max_dimension(q), q, mode="closed")
+    doc = document_from_descriptor(sd)
+    where = np.nonzero(sd.tensor)
+    quads = list(zip(*(axis.tolist() for axis in where), sd.tensor[where].tolist()))
+    block = "\n".join(" ".join(map(str, quad)) for quad in quads)
+    text = render_document(doc)
+    assert f"\ntensor {len(quads)}\n{block}\ncommutative " in text
+    assert tensor_csv(doc) == "h,i,j,value\n" + block.replace(" ", ",") + "\n"
+    parsed = parse_document(text)
+    assert np.array_equal(parsed.tensor_entries, doc.tensor_entries)
+    assert render_document(parsed) == text
+
+
+@pytest.mark.parametrize("value", ["9223372036854775808", "-9223372036854775809"])
+def test_parse_document_tensor_value_past_int64(value, get_descriptor):
+    # int64 is the tensor's own dtype; such a value used to be kept as a Python int
+    lines, start = _tensor_lines(get_descriptor)
+    lines[start + 2] = "0 0 0 " + value
+    with pytest.raises(ValueError, match=f"^line {start + 3}: {value} is outside the int64 range$"):
+        parse_document("\n".join(lines) + "\n")
+
+
+def test_parse_document_names_the_first_of_two_bad_lines(get_descriptor):
+    # 3 + 5 tokens keep the block's token count a multiple of 4, so only a
+    # per-line count catches them
+    lines, start = _tensor_lines(get_descriptor)
+    lines[start + 2], lines[start + 3] = "0 1 1", "1 0 1 1 1"
+    with pytest.raises(ValueError, match=f"^line {start + 3}: tensor line has 3 integers"):
+        parse_document("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("spelling,value", [("1_0", 10), ("١", 1), ("+1", 1), (" 1\t", 1)],
+                         ids=["underscore", "arabic-indic-digit", "plus", "whitespace"])
+def test_parse_document_reads_tokens_as_int_does(spelling, value, get_descriptor):
+    lines, start = _tensor_lines(get_descriptor)
+    assert lines[start + 1] == "0 0 0 1"
+    expected = parse_document("\n".join(lines) + "\n").tensor_entries.copy()
+    expected[0, 3] = value
+    lines[start + 1] = "0 0 0 " + spelling
+    parsed = parse_document("\n".join(lines) + "\n")
+    assert np.array_equal(parsed.tensor_entries, expected)
+    assert not parsed.tensor_entries.flags.writeable
+
+
+def test_parse_relation_matrix_int64_and_int_tokens():
+    # the value past int64 used to raise OverflowError
+    with pytest.raises(ValueError, match="^line 3: 9223372036854775808 is outside the int64 range$"):
+        parse_relation_matrix("2 2\n0 1\n9223372036854775808 0\n")
+    matrix, _ = parse_relation_matrix("2 2\n0 0_1\n١ 0\n")
+    assert matrix.tolist() == [[0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (3, 2)])
+def test_relation_matrix_and_csv_roundtrip_byte_for_byte(n, q, get_space, get_descriptor):
+    M = relation_matrix(get_space(n, q))
+    text = render_relation_matrix(M, scheme_rank(n, q))
+    rows = [" ".join(map(str, row)) for row in M.tolist()]
+    assert text == "\n".join([f"{M.shape[0]} {scheme_rank(n, q)}"] + rows) + "\n"
+    assert render_relation_matrix(*parse_relation_matrix(text)) == text
+
+    doc = document_from_descriptor(get_descriptor(n, q))
+    csv_text = tensor_csv(doc)
+    header, *records = csv.reader(io.StringIO(csv_text))
+    assert header == ["h", "i", "j", "value"]
+    back = dataclasses.replace(doc, tensor_entries=np.array(records, dtype=np.int64))
+    assert tensor_csv(back) == csv_text

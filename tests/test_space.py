@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from unitary_schemes import kernels
 from unitary_schemes.fields import build_field
 from unitary_schemes.scheme import classify_pair
 from unitary_schemes.space import (
@@ -90,6 +91,28 @@ def test_coordinates_must_be_element_ids(vec, get_space):
         classify_pair(us, vec, (1, 2))
     assert vec not in us
     assert (3, 3) in us and us.index_of((3, 3)) == 8
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda us: kernels.classify_row((-1, 3), us.block_codes, us.tables),
+     r"coordinates of \(-1, 3\) must be field-element ids in \[0, 4\)"),
+    (lambda us: kernels.classify_row((1, 99), us.block_codes, us.tables),
+     r"coordinates of \(1, 99\) must be field-element ids in \[0, 4\)"),
+    (lambda us: kernels.classify_col((1, 99), us.block_codes, us.tables),
+     r"coordinates of \(1, 99\) must be field-element ids in \[0, 4\)"),
+    (lambda us: hermitian_inner(us.ft, (-1, 3), (1, 1)),
+     r"coordinates of \(-1, 3\) must be field-element ids in \[0, 4\)"),
+    (lambda us: hyperbolic_partner(us.ft, 2, (-1, 3)),
+     r"coordinates of \(-1, 3\) must be field-element ids in \[0, 4\)"),
+    (lambda us: us.scalar_multiple(7, (1, 1)),
+     r"scalar 7 must be a field-element id in \[0, 4\)"),
+], ids=["classify_row-negative", "classify_row-large", "classify_col-large",
+        "hermitian_inner", "hyperbolic_partner", "scalar_multiple"])
+def test_element_ids_checked_by_every_entry_point(call, message, get_space):
+    # (2, 2): (-1, 3) used to read as (3, 3), (1, 99) and the scalar 7 failed
+    # with numpy's IndexError, and hermitian_inner returned 0
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(get_space(2, 2))
 
 
 @pytest.mark.parametrize("q", [2, 3])
