@@ -14,8 +14,12 @@ every point at once.  Field elements in the tables are *packed*: the
 coefficients of an element over F_p are the base-B digits of an integer,
 with B = n*(p-1)+1, so a sum of at most n packed elements is an ordinary
 integer sum without carries, and one lookup turns it into a label.  Packed
-values stay below 2^24 (B^m <= 15625 within the scan budget), so the tables
-are built exactly by one float32 product with a 0/1 digit-indicator matrix.
+values stay below B^m <= 15625 within the scan budget, so the tables and
+their sums are uint16; a block's table is built by outer sums over its
+coordinates.
+
+The q^2-1 nonzero multiples of x are found among the points by binary
+search on the points' sorted full codes.
 """
 
 from __future__ import annotations
@@ -29,32 +33,55 @@ from .fields import _check_ids
 # Largest number of entries of one block table.  The codes fit in uint16.
 BLOCK_LIMIT = 8192
 
+# Points per gather in a row pass, so that numpy's conversion of the uint16
+# codes to index arrays stays in cache.
+CHUNK = 1 << 14
+
 # ---------------------------------------------------------------------------
 # isotropic scan: the lexicographic codes (first coordinate most significant,
 # element ids ascending) of all nonzero vectors with zero Hermitian
-# self-product, in increasing order.
+# self-product, in increasing order.  Meet in the middle (Horowitz and Sahni,
+# 1974): the self-product of a vector is the sum of its two halves' norms, so
+# the isotropic vectors with a given first half are that half followed by
+# every second half of the opposite norm.
 
 
-def isotropic_scan(n: int, size: int, norm_table, add_table, expected: int,
-                   chunk: int = 1 << 18) -> np.ndarray:
-    """Scan all size**n coordinate vectors; return the isotropic ones' codes."""
-    total = size**n
-    parts = []
-    for start in range(0, total, chunk):
-        codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        acc = np.zeros(codes.size, dtype=np.int64)
-        rest = codes
-        for _ in range(n):
-            rest, digit = np.divmod(rest, size)
-            acc = add_table[acc, norm_table[digit]]
-        mask = acc == 0
-        if start == 0:
-            mask[0] = False  # the zero vector
-        parts.append(codes[mask])
-    codes = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-    if codes.size != expected:
-        raise AssertionError(f"scan found {codes.size} isotropic vectors, expected {expected}")
-    return codes
+def _half_norms(width: int, size: int, norm_table, add_table) -> np.ndarray:
+    """Hermitian self-product of every vector of ``width`` coordinates, by code."""
+    rest = np.arange(size**width, dtype=np.int64)
+    acc = np.zeros(rest.size, dtype=np.int64)
+    for _ in range(width):
+        rest, digit = np.divmod(rest, size)
+        acc = add_table[acc, norm_table[digit]]
+    return acc
+
+
+def isotropic_scan(n: int, size: int, norm_table, add_table, expected: int) -> np.ndarray:
+    """Codes of the isotropic vectors among all size**n coordinate vectors.
+
+    The first halves are taken in increasing code order, each followed by its
+    second halves in increasing order, so the codes come out sorted; the
+    only array of the output's size is the output.
+    """
+    high = n // 2  # coordinates in the first half, the shorter one
+    scale = size ** (n - high)
+    first = _half_norms(high, size, norm_table, add_table)
+    second = _half_norms(n - high, size, norm_table, add_table)
+    # second halves grouped by norm, ascending within each group
+    by_norm = np.argsort(second, kind="stable")
+    sizes = np.bincount(second, minlength=size)
+    ends = np.cumsum(sizes).tolist()
+    opposite = np.argmax(add_table == 0, axis=1)[first]
+    count = int(sizes[opposite].sum())
+    if count - 1 != expected:  # the zero vector is counted too
+        raise AssertionError(f"scan found {count - 1} isotropic vectors, expected {expected}")
+    out = np.empty(count, dtype=np.int64)
+    pos = 0
+    for head, norm in enumerate(opposite.tolist()):
+        tail = by_norm[ends[norm] - int(sizes[norm]):ends[norm]]
+        np.add(tail, head * scale, out=out[pos:pos + tail.size])
+        pos += tail.size
+    return out[1:]  # the zero vector is the first code
 
 
 def digits(codes: np.ndarray, size: int, width: int) -> np.ndarray:
@@ -75,33 +102,42 @@ def digits(codes: np.ndarray, size: int, width: int) -> np.ndarray:
 class BlockTables:
     """Everything a row pass over one space needs that does not depend on x.
 
-    ``digits[c]`` are the element ids of block code c, and ``indicator`` has
-    a 1 in row j*order + d, column c, when digit j of c is d.
-    ``products[a, d]`` is the packed a * conj(d).  ``sum_labels[s]`` is the
-    label of a pair whose packed inner product is s, a zero product reading
-    as perpendicular; scalar pairs are set afterwards.  ``place`` turns a
-    padded vector into its full code, ``lookup`` a full code into a point
-    index, and ``conj_labels[l]`` is the label of the reversed pairs of
-    relation l.
+    ``digits[c]`` are the element ids of block code c, and
+    ``products[a, d]`` is the packed a * conj(d).  ``sum_labels[0, s]`` is
+    the label of a pair whose packed inner product is s, a zero product
+    reading as perpendicular; scalar pairs are set afterwards, to
+    ``scalar_labels[0]``.  Row 1 of both holds the labels of the reversed
+    pairs, which a column pass writes.  ``place`` turns a padded vector
+    into its full code, and ``points`` holds the points' full codes in
+    increasing order.  ``conj_labels[l]`` is the label of the reversed pairs
+    of relation l, and ``scale_labels[s, l]`` the label of (g^s x, z) when
+    (x, z) has label l: scalar exponents drop by s, product exponents rise
+    by s (the product is linear in its first argument), and perpendicular
+    pairs stay so.
     """
 
     width: int
     blocks: int
     pad: np.ndarray
     digits: np.ndarray
-    indicator: np.ndarray
     products: np.ndarray
     sum_labels: np.ndarray
+    scalar_labels: np.ndarray
     nonzero_mul: np.ndarray
     place: np.ndarray
-    lookup: np.ndarray
+    points: np.ndarray
     conj_labels: np.ndarray
+    scale_labels: np.ndarray
 
     def encode(self, codes: np.ndarray) -> np.ndarray:
         """Block codes, one row per point, from full lexicographic codes."""
         size = self.digits.shape[0]
         # column-major, so that the codes of one block are contiguous
-        out = np.asfortranarray(digits(codes, size, self.blocks).astype(np.uint16))
+        out = np.empty((codes.size, self.blocks), dtype=np.uint16, order="F")
+        for k in range(self.blocks):
+            block = codes // size ** (self.blocks - 1 - k)
+            block %= size
+            out[:, k] = block
         out.setflags(write=False)
         return out
 
@@ -114,11 +150,12 @@ def block_width(order: int, count: int) -> int:
     return width
 
 
-def block_tables(ft, n: int, count: int, lookup: np.ndarray) -> BlockTables:
-    """The x-independent tables of the row kernel for ``count`` points in F^n."""
+def block_tables(ft, n: int, points: np.ndarray) -> BlockTables:
+    """The x-independent tables of the row kernel for the points of F^n with
+    the given sorted full codes."""
     order, p, q = ft.order, ft.p, ft.q
     nrel = order - 1
-    width = block_width(order, count)
+    width = block_width(order, points.size)
     blocks = -(-n // width)
     m = 1
     while p**m < order:
@@ -127,11 +164,7 @@ def block_tables(ft, n: int, count: int, lookup: np.ndarray) -> BlockTables:
 
     coeffs = ft.coeff_table[:, None] // p ** np.arange(m) % p
     packed = coeffs @ base ** np.arange(m)
-    products = packed[ft.mul_table[:, ft.conj_table]].astype(np.float32)
-
-    table_digits = digits(np.arange(order**width), order, width)
-    indicator = np.zeros((width * order, order**width), dtype=np.float32)
-    indicator[np.arange(width) * order + table_digits, np.arange(order**width)[:, None]] = 1
+    products = packed[ft.mul_table[:, ft.conj_table]].astype(np.uint16)
 
     sums = np.arange(base**m)
     ids = np.argsort(ft.coeff_table)[(sums[:, None] // base ** np.arange(m) % base % p)
@@ -140,29 +173,43 @@ def block_tables(ft, n: int, count: int, lookup: np.ndarray) -> BlockTables:
 
     e = np.arange(nrel)
     conj_labels = np.concatenate((-e % nrel, nrel + q * e % nrel, [2 * nrel]))
+    s = e[:, None]
+    scale_labels = np.concatenate(((e - s) % nrel, nrel + (e + s) % nrel,
+                                   np.full((nrel, 1), 2 * nrel)), axis=1)
     return BlockTables(
         width=width, blocks=blocks,
         pad=np.zeros(blocks * width - n, dtype=np.int64),
-        digits=table_digits, indicator=indicator, products=products,
-        sum_labels=sum_labels,
+        digits=digits(np.arange(order**width), order, width), products=products,
+        sum_labels=np.stack((sum_labels, conj_labels[sum_labels])),
+        scalar_labels=np.stack((e, conj_labels[e])),
         nonzero_mul=np.ascontiguousarray(ft.mul_table[1:]),
         place=order ** np.arange(blocks * width - 1, -1, -1, dtype=np.int64),
-        lookup=lookup, conj_labels=conj_labels,
+        points=points, conj_labels=conj_labels, scale_labels=scale_labels,
     )
 
 
-def _row_labels(xb: np.ndarray, codes: np.ndarray, t: BlockTables) -> np.ndarray:
-    """Labels of (x, z) for every point z; ``xb`` is x padded, one row per block."""
-    sums = (t.products[xb].reshape(t.blocks, -1) @ t.indicator).astype(np.intp)
-    packed = sums[0][codes[:, 0]]
-    for k in range(1, t.blocks):
-        packed += sums[k][codes[:, k]]
-    out = t.sum_labels[packed]
+def _row_labels(xb: np.ndarray, codes: np.ndarray, t: BlockTables,
+                converse: int) -> np.ndarray:
+    """Labels of (x, z) for every point z, or of (z, x) when ``converse`` is 1;
+    ``xb`` is x padded, one row per block."""
+    parts = t.products[xb]  # parts[k, j, d]: coordinate j of block k times conj(d)
+    sums = parts[:, 0]
+    for j in range(1, t.width):
+        sums = (sums[:, :, None] + parts[:, j, None, :]).reshape(t.blocks, -1)
+    labels = t.sum_labels[converse]
+    out = np.empty(codes.shape[0], dtype=np.int64)
+    for start in range(0, out.size, CHUNK):
+        part = codes[start:start + CHUNK]
+        packed = sums[0].take(part[:, 0])
+        for k in range(1, t.blocks):
+            packed += sums[k].take(part[:, k])
+        labels.take(packed, out=out[start:start + CHUNK])
     # the q^2-1 multiples lam * x, found by their codes; <x, lam x> = 0
-    multiples = t.lookup[t.nonzero_mul[:, xb.ravel()] @ t.place]
-    if multiples[0] < 0:
+    multiples = t.nonzero_mul[:, xb.ravel()] @ t.place
+    found = np.searchsorted(t.points, multiples)
+    if found[0] == t.points.size or t.points[found[0]] != multiples[0]:
         raise ValueError("x is not a nonzero isotropic vector")
-    out[multiples] = np.arange(multiples.size)
+    out[found] = t.scalar_labels[converse]
     return out
 
 
@@ -174,12 +221,12 @@ def _blocked(x, t: BlockTables) -> np.ndarray:
 
 def classify_row(x, codes: np.ndarray, t: BlockTables) -> np.ndarray:
     """Labels of the pairs (x, z) for every point z, given by its block codes."""
-    return _row_labels(_blocked(x, t), codes, t)
+    return _row_labels(_blocked(x, t), codes, t, 0)
 
 
 def classify_col(y, codes: np.ndarray, t: BlockTables) -> np.ndarray:
     """Labels of the pairs (z, y): the converses of the pairs (y, z)."""
-    return t.conj_labels[_row_labels(_blocked(y, t), codes, t)]
+    return _row_labels(_blocked(y, t), codes, t, 1)
 
 
 def classify_matrix(codes: np.ndarray, t: BlockTables) -> np.ndarray:
@@ -188,5 +235,5 @@ def classify_matrix(codes: np.ndarray, t: BlockTables) -> np.ndarray:
     xbs = t.digits[codes]
     out = np.empty((count, count), dtype=np.int64)
     for a in range(count):
-        out[a] = _row_labels(xbs[a], codes, t)
+        out[a] = _row_labels(xbs[a], codes, t, 0)
     return out

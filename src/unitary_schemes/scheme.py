@@ -18,12 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .fields import build_field
+from .fields import _check_ids, build_field
 from .space import (
     UnitarySpace,
+    _inner,
+    _isotropic,
     check_budget,
     enumerate_isotropic,
-    hermitian_inner,
     isotropic_count,
     witness_pair,
 )
@@ -144,9 +145,10 @@ def classify_pair(us: UnitarySpace, x, y) -> RelationLabel:
     """The unique relation containing the ordered pair (x, y)."""
     ft = us.ft
     for v in (x, y):
-        if not us.is_isotropic(v):
+        _check_ids(v, ft.order, us.n)
+        if not _isotropic(ft, v):
             raise ValueError("classification requires nonzero isotropic vectors")
-    ip = hermitian_inner(ft, x, y)
+    ip = _inner(ft, x, y)
     nrel = ft.order - 1
     if ip != 0:
         e = ft.log(ip)
@@ -249,50 +251,100 @@ def intersection_number_bruteforce(us: UnitarySpace, h: int, i: int, j: int,
     return int(np.sum((rows == i) & (cols == j)))
 
 
-def _sampled_rows(us: UnitarySpace, h: int, count: int, rng: random.Random):
-    """Yield (a, row of point a, b) for ``count`` random pairs (a, b) in relation h."""
-    for _ in range(count):
-        a = rng.randrange(us.size)
-        rows = kernels.classify_row(us.vectors[a], us.block_codes, us.tables)
-        candidates = np.flatnonzero(rows == h)
-        yield a, rows, int(candidates[rng.randrange(candidates.size)])
+def _draw_partner(rows: np.ndarray, h: int, rng: random.Random) -> int:
+    """A uniformly random point b with label ``h`` in the row ``rows``."""
+    candidates = np.flatnonzero(rows == h)
+    return int(candidates[rng.randrange(candidates.size)])
 
 
 def sample_representatives(us: UnitarySpace, h: int, count: int,
                            rng: random.Random) -> list[tuple[tuple, tuple]]:
     """Random ordered pairs lying in relation h, drawn via random first points."""
-    return [(tuple(int(c) for c in us.vectors[a]), tuple(int(c) for c in us.vectors[b]))
-            for a, _, b in _sampled_rows(us, h, count, rng)]
+    pairs = []
+    for _ in range(count):
+        a = rng.randrange(us.size)
+        rows = kernels.classify_row(us.point(a), us.block_codes, us.tables)
+        pairs.append((us.point(a), us.point(_draw_partner(rows, h, rng))))
+    return pairs
 
 
-def _bruteforce_tensor(us: UnitarySpace, rank: int, seed: int):
-    codes, tables = us.block_codes, us.tables
-    tensor = []
-    conj_map = []
-    valencies = None
-    for h in range(rank):
-        x, y = witness_pair(h, us.n, us.q)
-        rows = kernels.classify_row(x, codes, tables)
-        cols = kernels.classify_col(y, codes, tables)
-        if valencies is None:
-            valencies = tuple(int(c) for c in np.bincount(rows, minlength=rank))
-        tensor.append(_joint_histogram(rows, cols, rank))
-        conj_map.append(classify_pair(us, y, x).index)
+def _column_counts(keys: np.ndarray, y, us: UnitarySpace, rank: int) -> np.ndarray:
+    """Joint histogram, over the points z, of the label i of (x, z), given as
+    ``keys[z]`` = rank * i, and the label j of (z, y)."""
+    cols = kernels.classify_col(y, us.block_codes, us.tables)
+    cols += keys
+    return np.bincount(cols, minlength=rank * rank).reshape(rank, rank)
 
+
+def _witness_tensor(us: UnitarySpace, rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """The tensor counted at the witness pairs, and the valencies.
+
+    The witness pairs are (x, g^e x), (g^e x, v) and (x, y), with one x, v
+    and y for all relations (``witness_pair``).  Since (g^e x, z) has the
+    label ``scale_labels[e]`` of (x, z), every histogram comes from the
+    passes row(x), col(v) and, when there is a perpendicular relation,
+    col(y): scalar relation e puts the count of label i at
+    (i, conj(scale_e(i))), and product relation e is the joint histogram of
+    row(x) and col(v) with its rows relabelled by scale_e.
+    """
+    tables = us.tables
+    nrel = us.ft.order - 1
+    e = np.arange(nrel)[:, None]
+    scale = tables.scale_labels[:, :rank]
+    x, v = witness_pair(nrel, us.n, us.q)  # (g^0 x, v)
+    keys = kernels.classify_row(x, us.block_codes, tables)
+    valencies = np.bincount(keys, minlength=rank)
+    keys *= rank
+    tensor = np.zeros((rank, rank, rank), dtype=np.int64)
+    tensor[e, np.arange(rank), tables.conj_labels[scale]] = valencies
+    tensor[nrel + e, scale] = _column_counts(keys, v, us, rank)
+    if rank > 2 * nrel:
+        tensor[2 * nrel] = _column_counts(keys, witness_pair(2 * nrel, us.n, us.q)[1], us, rank)
+    return tensor, valencies
+
+
+def _spot_check(us: UnitarySpace, tensor: np.ndarray, seed: int) -> None:
+    """Recount every relation at ``SAMPLES_PER_RELATION`` random pairs.
+
+    Each sample counts row(a) at a uniformly random point a, and for every
+    relation h col(b) at a partner b drawn uniformly from the points with
+    (a, b) in h.  All relations have constant valencies, so each (a, b) is a
+    uniformly random pair of its relation; the draws of a are shared across
+    relations.
+    """
+    rank = tensor.shape[0]
     rng = random.Random(seed)
-    for h in range(rank):
-        # the row that picked the partner is the row of the spot check
-        for _, rows, b in _sampled_rows(us, h, SAMPLES_PER_RELATION, rng):
-            cols = kernels.classify_col(us.vectors[b], codes, tables)
-            if not np.array_equal(_joint_histogram(rows, cols, rank), tensor[h]):
+    for _ in range(SAMPLES_PER_RELATION):
+        keys = kernels.classify_row(us.point(rng.randrange(us.size)), us.block_codes, us.tables)
+        partners = [_draw_partner(keys, h, rng) for h in range(rank)]
+        keys *= rank
+        for h, b in enumerate(partners):
+            if not np.array_equal(_column_counts(keys, us.point(b), us, rank), tensor[h]):
                 raise AssertionError(
                     f"intersection counts depend on the representative of relation {h}"
                 )
-    return np.stack(tensor).astype(np.int64, copy=False), valencies, tuple(conj_map)
+
+
+def _bruteforce_tensor(us: UnitarySpace, rank: int, seed: int):
+    tensor, valencies = _witness_tensor(us, rank)
+    _spot_check(us, tensor, seed)
+    conj_map = tuple(classify_pair(us, *witness_pair(h, us.n, us.q)[::-1]).index
+                     for h in range(rank))
+    return tensor, tuple(valencies.tolist()), conj_map
 
 
 # ---------------------------------------------------------------------------
 # descriptor assembly
+
+
+def _first_difference(a: np.ndarray, b) -> tuple[int, ...] | None:
+    """Index of the first entry, in C order, where ``a`` and ``b`` differ
+    once broadcast together, or None where they agree everywhere."""
+    diff = np.not_equal(a, b)
+    first = int(diff.argmax())
+    if not diff.flat[first]:
+        return None
+    return tuple(int(v) for v in np.unravel_index(first, diff.shape))
 
 
 def _check_descriptor(sd: SchemeDescriptor) -> None:
@@ -305,9 +357,9 @@ def _check_descriptor(sd: SchemeDescriptor) -> None:
         raise AssertionError("conjugation map is not an involution")
     if not np.array_equal(valencies[conj], valencies):
         raise AssertionError("conjugate relations have different valencies")
-    bad = np.argwhere(sd.tensor.sum(axis=2) != valencies)
-    if bad.size:
-        h, i = bad[0]
+    bad = _first_difference(sd.tensor.sum(axis=2), valencies)
+    if bad is not None:
+        h, i = bad
         raise AssertionError(f"row sum at (h,i)=({h},{i}) is not the valency")
     want = np.zeros((sd.rank, sd.rank), dtype=np.int64)
     want[np.arange(sd.rank), conj] = valencies
@@ -344,9 +396,9 @@ def build_descriptor_with_space(n: int, q: int, mode: str = "both", seed: int = 
     if mode == "both":
         bt, bk, bc = brute
         ct, ck, cc = closed
-        diff = np.argwhere(bt != ct)
-        if diff.size:
-            h, i, j = (int(v) for v in diff[0])
+        diff = _first_difference(bt, ct)
+        if diff is not None:
+            h, i, j = diff
             raise OracleMismatch(n, q, h, i, j, int(ct[h, i, j]), int(bt[h, i, j]))
         if bk != ck:
             raise OracleMismatch(n, q, 0, -1, -1, ck, bk)
@@ -375,10 +427,8 @@ def is_commutative(sd: SchemeDescriptor) -> tuple[bool, tuple[int, int, int] | N
     The first difference in (h, i, j) order always has i < j, since its
     mirror (h, j, i) differs too.
     """
-    diff = np.argwhere(sd.tensor != sd.tensor.transpose(0, 2, 1))
-    if diff.size:
-        return False, tuple(int(v) for v in diff[0])
-    return True, None
+    diff = _first_difference(sd.tensor, sd.tensor.transpose(0, 2, 1))
+    return diff is None, diff
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """The n-dimensional unitary geometry over F_{q^2}.
 
 Vectors are tuples (or int64 arrays) of field-element ids; the Hermitian
-product is <x, y> = sum_i x_i * conj(y_i).  ``UnitarySpace`` holds the full
-list of nonzero isotropic vectors in canonical (lexicographic) order, and
-the same points as block codes for the classification kernels.
+product is <x, y> = sum_i x_i * conj(y_i).  ``UnitarySpace`` holds the
+nonzero isotropic vectors in canonical (lexicographic) order as their
+lexicographic codes, and the same points as block codes for the
+classification kernels; coordinates are decoded from the codes on demand.
 """
 
 from __future__ import annotations
@@ -42,23 +43,34 @@ def isotropic_count(n: int, q: int) -> int:
 
 @dataclass(eq=False)
 class UnitarySpace:
-    """Enumerated isotropic vectors of F_{q^2}^n with O(1) index lookup.
+    """Enumerated isotropic vectors of F_{q^2}^n, kept as sorted codes.
 
+    ``codes[i]`` is the lexicographic code of point i (first coordinate most
+    significant), so a vector's index is a binary search for its code.
     ``block_codes`` and ``tables`` are the arguments the kernels in
-    ``kernels`` take after the fixed vector; ``tables.lookup`` maps a
-    vector's lexicographic code to its index (-1 off the point set).
+    ``kernels`` take after the fixed vector.
     """
 
     n: int
     q: int
     ft: FieldTables
-    vectors: np.ndarray
+    codes: np.ndarray = field(repr=False)
     block_codes: np.ndarray = field(repr=False)
     tables: kernels.BlockTables = field(repr=False)
 
     @property
     def size(self) -> int:
-        return self.vectors.shape[0]
+        return self.codes.size
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """All points as a (size, n) int64 array, decoded on each access."""
+        return kernels.digits(self.codes, self.ft.order, self.n)
+
+    def point(self, index: int) -> tuple[int, ...]:
+        """The coordinates of point ``index``."""
+        code, order = int(self.codes[index]), self.ft.order
+        return tuple(code // order**k % order for k in range(self.n - 1, -1, -1))
 
     def _encode(self, vec) -> int:
         code = 0
@@ -68,8 +80,9 @@ class UnitarySpace:
 
     def index_of(self, vec) -> int:
         _check_ids(vec, self.ft.order, self.n)
-        idx = int(self.tables.lookup[self._encode(vec)])
-        if idx < 0:
+        code = self._encode(vec)
+        idx = int(np.searchsorted(self.codes, code))
+        if idx == self.size or self.codes[idx] != code:
             raise ValueError(f"{tuple(int(c) for c in vec)} is not a nonzero isotropic vector")
         return idx
 
@@ -85,7 +98,7 @@ class UnitarySpace:
 
     def is_isotropic(self, x) -> bool:
         _check_ids(x, self.ft.order, self.n)
-        return any(c != 0 for c in x) and hermitian_inner(self.ft, x, x) == 0
+        return _isotropic(self.ft, x)
 
     def scalar_multiple(self, lam: int, x) -> tuple[int, ...]:
         _check_ids(x, self.ft.order, self.n)
@@ -104,10 +117,20 @@ def hermitian_inner(ft: FieldTables, x, y) -> int:
         raise ValueError("vectors must have the same length")
     _check_ids(x, ft.order)
     _check_ids(y, ft.order)
+    return _inner(ft, x, y)
+
+
+def _inner(ft: FieldTables, x, y) -> int:
+    """``hermitian_inner`` of two vectors already checked to be element ids."""
     acc = 0
     for a, b in zip(x, y):
         acc = int(ft.add_table[acc, ft.mul_table[a, ft.conj_table[b]]])
     return acc
+
+
+def _isotropic(ft: FieldTables, x) -> bool:
+    """Whether checked element ids ``x`` form a nonzero isotropic vector."""
+    return any(c != 0 for c in x) and _inner(ft, x, x) == 0
 
 
 def hyperbolic_partner(ft: FieldTables, n: int, u) -> tuple[int, ...]:
@@ -133,21 +156,16 @@ def hyperbolic_partner(ft: FieldTables, n: int, u) -> tuple[int, ...]:
 
 
 def enumerate_isotropic(n: int, q: int) -> UnitarySpace:
-    """Exhaustively scan F_{q^2}^n and collect the nonzero isotropic vectors."""
+    """Collect the nonzero isotropic vectors of F_{q^2}^n by a meet-in-the-middle scan."""
     if n < 0:
         raise ValueError("dimension must be non-negative")
     ft = build_field(q)
-    total = ft.order**n
-    check_budget("scan", total)
-    expected = isotropic_count(n, q)
-    codes = kernels.isotropic_scan(n, ft.order, ft.norm_table, ft.add_table, expected)
-    vectors = kernels.digits(codes, ft.order, n)
-    lookup = np.full(total, -1, dtype=np.int32)  # positions are far below 2^31
-    lookup[codes] = np.arange(expected)
-    vectors.setflags(write=False)
-    lookup.setflags(write=False)
-    tables = kernels.block_tables(ft, n, expected, lookup)
-    return UnitarySpace(n=n, q=q, ft=ft, vectors=vectors,
+    check_budget("scan", ft.order**n)
+    codes = kernels.isotropic_scan(n, ft.order, ft.norm_table, ft.add_table,
+                                   isotropic_count(n, q))
+    codes.setflags(write=False)
+    tables = kernels.block_tables(ft, n, codes)
+    return UnitarySpace(n=n, q=q, ft=ft, codes=codes,
                         block_codes=tables.encode(codes), tables=tables)
 
 

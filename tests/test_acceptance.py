@@ -78,7 +78,7 @@ def test_criterion_02_rank(get_space):
             for _ in range(20_000):
                 a = rng.randrange(us.size)
                 b = rng.randrange(us.size)
-                label = classify_pair(us, tuple(us.vectors[a]), tuple(us.vectors[b]))
+                label = classify_pair(us, us.point(a), us.point(b))
                 ok &= 0 <= label.index < rank
     report(2, "ranks 6/7/16/17 via exhaustive classification or witnesses", ok)
 

@@ -25,14 +25,10 @@ def _numpy_ids(cases):
 
 @pytest.mark.parametrize("n,q", SCAN_CASES)
 def test_scan_same_on_both_backends(n, q):
-    """The chunked numpy scan equals a single pass and the scalar oracle."""
+    """The meet-in-the-middle scan equals the scalar oracle."""
     ft = build_field(q)
-    expected = isotropic_count(n, q)
-    whole = kernels.isotropic_scan(n, ft.order, ft.norm_table, ft.add_table, expected)
-    # an odd chunk makes the chunk edges fall between codes of every width
-    chunked = kernels.isotropic_scan(n, ft.order, ft.norm_table, ft.add_table,
-                                     expected, chunk=7)
-    assert np.array_equal(chunked, whole)
+    whole = kernels.isotropic_scan(n, ft.order, ft.norm_table, ft.add_table,
+                                   isotropic_count(n, q))
     ref = RefField(q)
     oracle = []
     for vec in isotropic_vectors(ref, n):
@@ -41,6 +37,20 @@ def test_scan_same_on_both_backends(n, q):
             code = code * ft.order + ref.id_of(c)
         oracle.append(code)
     assert whole.tolist() == oracle
+
+
+@pytest.mark.parametrize("n,q", [(8, 2), (4, 3), (3, 9)])
+def test_scan_codes_increase_and_are_isotropic(n, q):
+    ft = build_field(q)
+    codes = kernels.isotropic_scan(n, ft.order, ft.norm_table, ft.add_table,
+                                   isotropic_count(n, q))
+    assert codes.size == isotropic_count(n, q)
+    assert (np.diff(codes) > 0).all() and codes[0] > 0
+    # the self-product of every decoded vector, summed coordinate by coordinate
+    acc = np.zeros(codes.size, dtype=np.int64)
+    for column in kernels.digits(codes, ft.order, n).T:
+        acc = ft.add_table[acc, ft.norm_table[column]]
+    assert not acc.any()
 
 
 @pytest.mark.parametrize("n,q", SCAN_CASES)
@@ -70,13 +80,13 @@ def test_vector_kernels_agree_with_scalar_classification(n, q, get_space):
     us = get_space(n, q)
     M = kernels.classify_matrix(us.block_codes, us.tables)
     for a in range(us.size):
-        x = tuple(int(c) for c in us.vectors[a])
+        x = us.point(a)
         rows = kernels.classify_row(x, us.block_codes, us.tables)
         cols = kernels.classify_col(x, us.block_codes, us.tables)
         assert np.array_equal(rows, M[a, :])
         assert np.array_equal(cols, M[:, a])
         for b in range(0, us.size, 5):
-            y = tuple(int(c) for c in us.vectors[b])
+            y = us.point(b)
             assert classify_pair(us, x, y).index == M[a, b]
 
 
@@ -114,10 +124,10 @@ def test_rows_across_short_blocks(n, q, get_space):
     us = get_space(n, q)
     rng = random.Random(n)
     for a in (0, us.size - 1, rng.randrange(us.size)):
-        x = tuple(int(c) for c in us.vectors[a])
+        x = us.point(a)
         rows = kernels.classify_row(x, us.block_codes, us.tables)
         for b in range(0, us.size, 97):
-            y = tuple(int(c) for c in us.vectors[b])
+            y = us.point(b)
             assert rows[b] == classify_pair(us, x, y).index
 
 
@@ -148,11 +158,40 @@ def test_bruteforce_tensor_row_passes(n, q, spot_checks, get_space, monkeypatch)
 
     monkeypatch.setattr(kernels, "_row_labels", counting)
     scheme_mod._bruteforce_tensor(us, rank, seed=3)
-    assert len(calls) == 2 * rank * (1 + spot_checks)
+    # row(x), col(v) and, with a perpendicular relation, col(y) at the
+    # witnesses; then per sample one row and one column per relation
+    witness_passes = 3 if n >= 4 else 2
+    assert len(calls) == witness_passes + spot_checks * (1 + rank)
 
 
-@pytest.mark.parametrize("chunk", [1 << 18], ids=["numpy"])
-def test_scan_count_mismatch_is_detected(chunk):
+def test_scan_count_mismatch_is_detected():
     ft = build_field(2)
-    with pytest.raises(AssertionError):
-        kernels.isotropic_scan(2, ft.order, ft.norm_table, ft.add_table, 10, chunk=chunk)
+    with pytest.raises(AssertionError, match="scan found 9 isotropic vectors, expected 10"):
+        kernels.isotropic_scan(2, ft.order, ft.norm_table, ft.add_table, 10)
+
+
+@pytest.mark.parametrize("n,q", ROW_CASES)
+def test_scaled_rows_are_relabelled_rows(n, q, get_space):
+    """row(lam x) is row(x) under the label permutation of log(lam)."""
+    us = get_space(n, q)
+    ft, t = us.ft, us.tables
+    x = us.point(random.Random(n * q).randrange(us.size))
+    rows = kernels.classify_row(x, us.block_codes, t)
+    for lam in range(1, ft.order):
+        scaled = kernels.classify_row(us.scalar_multiple(lam, x), us.block_codes, t)
+        assert np.array_equal(scaled, t.scale_labels[ft.log(lam)][rows])
+
+
+@pytest.mark.parametrize("n,q,h", [(4, 2, 1), (4, 2, 4), (4, 2, 6), (3, 3, 5), (3, 3, 12)],
+                         ids=["scalar", "product", "perp", "scalar-n3", "product-n3"])
+def test_spot_check_catches_a_wrong_histogram(n, q, h, get_space):
+    us = get_space(n, q)
+    tensor, _ = scheme_mod._witness_tensor(us, scheme_rank(n, q))
+    scheme_mod._spot_check(us, tensor, seed=0)  # the true counts pass
+    # move one count within the histogram of relation h, keeping its row sums
+    i, j = np.argwhere(tensor[h] > 0)[0]
+    tensor[h, i, j] -= 1
+    tensor[h, i, (j + 1) % tensor.shape[0]] += 1
+    with pytest.raises(AssertionError,
+                       match=f"depend on the representative of relation {h}$"):
+        scheme_mod._spot_check(us, tensor, seed=0)

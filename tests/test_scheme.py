@@ -178,6 +178,16 @@ def test_oracle_reports_first_mismatch(monkeypatch):
     assert info.value.triple == (3, 4, 5)
 
 
+def test_descriptor_check_reports_first_bad_row_sum(get_descriptor):
+    sd = get_descriptor(2, 2)
+    tensor = sd.tensor.copy()
+    tensor[4, 1, 0] += 1
+    tensor[2, 3, 5] += 1
+    with pytest.raises(AssertionError, match=r"^row sum at \(h,i\)=\(2,3\) is not"):
+        scheme_mod._check_descriptor(dataclasses.replace(sd, tensor=tensor))
+    scheme_mod._check_descriptor(sd)
+
+
 @pytest.mark.parametrize("n,q", [(2, 2), (2, 3)])
 def test_tensor_matches_independent_reference(n, q, get_descriptor):
     ref = RefField(q)
@@ -349,8 +359,7 @@ def test_representative_independence(get_space, get_descriptor):
     M = relation_matrix(us)
     xs, ys = np.nonzero(M == 4)
     for k in range(0, xs.size, xs.size // 7):
-        pair = (tuple(int(c) for c in us.vectors[xs[k]]),
-                tuple(int(c) for c in us.vectors[ys[k]]))
+        pair = (us.point(xs[k]), us.point(ys[k]))
         assert intersection_number_bruteforce(us, 4, 3, 4, pair=pair) == sd.p(4, 3, 4)
 
 

@@ -267,3 +267,19 @@ def test_scan_order_is_code_order(get_space):
     full = list(itertools.product(range(us.ft.order), repeat=2))
     positions = [full.index(tuple(int(c) for c in vec)) for vec in us.vectors]
     assert positions == sorted(positions)
+
+
+@pytest.mark.parametrize("n,q", [(3, 2), (2, 3), (4, 2)])
+def test_points_decode_from_sorted_codes(n, q, get_space):
+    us = get_space(n, q)
+    assert not us.codes.flags.writeable and (us.codes[1:] > us.codes[:-1]).all()
+    vectors = us.vectors
+    assert vectors.shape == (us.size, n)
+    for i in range(us.size):
+        assert us.point(i) == tuple(int(c) for c in vectors[i])
+        assert us._encode(us.point(i)) == us.codes[i]
+    # the search ends before the first code and, unless it is a point, after
+    # the last one
+    assert (0,) * n not in us
+    top = (us.ft.order - 1,) * n
+    assert (top in us) == (us.codes[-1] == us._encode(top))
