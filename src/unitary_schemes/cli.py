@@ -104,6 +104,9 @@ def cmd_verify(args) -> int:
                                 f"{sd.tensor.size} entries compared"))
         else:
             notes.append("oracle: bruteforce mode, closed form not computed, skipped")
+        samples = scheme_mod.SAMPLES_PER_RELATION
+        lines.append((True, f"representatives: every relation recounted at {samples} "
+                            f"random pairs ({samples * sd.rank} histograms)"))
         try:
             check_budget("pairs", us.size**2)
         except ValueError as refusal:
@@ -111,7 +114,8 @@ def cmd_verify(args) -> int:
         else:
             report = scheme_mod.verify_scheme_axioms(us, sd, seed=args.seed)
             detail = ", ".join(name for name, _, _ in report.checks)
-            lines.append((report.passed, f"axioms: {detail}"))
+            lines.append((report.passed, f"axioms: {detail}; {us.size**2} pairs classified, "
+                                         f"{samples} sampled pairs per relation"))
     else:
         notes.append("counting/axioms: closed mode, enumeration skipped")
 

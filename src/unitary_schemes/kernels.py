@@ -10,7 +10,14 @@ directly.
 For a fixed x, one table per block holds the partial Hermitian products
 sum_i x_i * conj(z_i) for every possible block of z.  A row pass gathers
 each table at the block codes and adds the blocks, which gives <x, z> for
-every point at once.  Field elements in the tables are *packed*: the
+every point at once.  The kernel takes a stack of r vectors x and returns
+an (r, N) label array for the N points: it gathers ``group_size(N)`` =
+max(1, CHUNK // N) vectors at a time and builds a group's tables only when
+the group runs.  A table has order**width <= N entries, so a group's tables
+are never larger than its gather, and the gather's temporaries stay
+O(blocks * CHUNK) whatever r is; only the output and the (q^2-1) * r
+scalar multiples grow with r.  Past ``CHUNK`` points one vector is gathered
+at a time.  Field elements in the tables are *packed*: the
 coefficients of an element over F_p are the base-B digits of an integer,
 with B = n*(p-1)+1, so a sum of at most n packed elements is an ordinary
 integer sum without carries, and one lookup turns it into a label.  Packed
@@ -33,8 +40,8 @@ from .fields import _check_ids
 # Largest number of entries of one block table.  The codes fit in uint16.
 BLOCK_LIMIT = 8192
 
-# Points per gather in a row pass, so that numpy's conversion of the uint16
-# codes to index arrays stays in cache.
+# Elements (vectors x points) per gather in a row pass, so that numpy's
+# conversion of the uint16 codes to index arrays stays in cache.
 CHUNK = 1 << 14
 
 # ---------------------------------------------------------------------------
@@ -188,28 +195,50 @@ def block_tables(ft, n: int, points: np.ndarray) -> BlockTables:
     )
 
 
-def _row_labels(xb: np.ndarray, codes: np.ndarray, t: BlockTables,
+def group_size(count: int) -> int:
+    """Vectors gathered together in a pass over ``count`` points: as many as
+    fill ``CHUNK`` gathered elements, and at least one."""
+    return max(1, CHUNK // count)
+
+
+def _row_labels(xbs: np.ndarray, codes: np.ndarray, t: BlockTables,
                 converse: int) -> np.ndarray:
-    """Labels of (x, z) for every point z, or of (z, x) when ``converse`` is 1;
-    ``xb`` is x padded, one row per block."""
-    parts = t.products[xb]  # parts[k, j, d]: coordinate j of block k times conj(d)
-    sums = parts[:, 0]
-    for j in range(1, t.width):
-        sums = (sums[:, :, None] + parts[:, j, None, :]).reshape(t.blocks, -1)
-    labels = t.sum_labels[converse]
-    out = np.empty(codes.shape[0], dtype=np.int64)
-    for start in range(0, out.size, CHUNK):
-        part = codes[start:start + CHUNK]
-        packed = sums[0].take(part[:, 0])
-        for k in range(1, t.blocks):
-            packed += sums[k].take(part[:, k])
-        labels.take(packed, out=out[start:start + CHUNK])
-    # the q^2-1 multiples lam * x, found by their codes; <x, lam x> = 0
-    multiples = t.nonzero_mul[:, xb.ravel()] @ t.place
+    """Labels of (x, z) for every x of a stack and every point z, or of (z, x)
+    when ``converse`` is 1, as an (r, N) array; ``xbs[v]`` is the v-th x
+    padded, one row per block.
+
+    The stack is gathered ``group_size(N)`` vectors at a time, and a group's
+    tables are built when it runs; past ``CHUNK`` points one vector is
+    gathered at a time, in chunks of ``CHUNK`` points.  A non-point anywhere
+    in the stack raises a ``ValueError`` before any gather.
+    """
+    count, rows = codes.shape[0], xbs.shape[0]
+    # the q^2-1 multiples lam * x of every x, found by their codes; <x, lam x> = 0
+    multiples = t.nonzero_mul[:, xbs.reshape(rows, -1)] @ t.place
     found = np.searchsorted(t.points, multiples)
-    if found[0] == t.points.size or t.points[found[0]] != multiples[0]:
+    if t.points.take(found[0], mode="clip").tolist() != multiples[0].tolist():
         raise ValueError("x is not a nonzero isotropic vector")
-    out[found] = t.scalar_labels[converse]
+    labels = t.sum_labels[converse]
+    out = np.empty((rows, count), dtype=np.int64)
+    group = group_size(count)
+    for first in range(0, rows, group):
+        # parts[v, k, j, d]: coordinate j of block k of vector v times conj(d);
+        # the tables grow from the last coordinate, so that the broadcast
+        # sums run along their long axis
+        parts = t.products[xbs[first:first + group]]
+        sums = parts[:, :, -1]
+        for j in range(t.width - 2, -1, -1):
+            sums = (parts[:, :, j, :, None] + sums[:, :, None, :]).reshape(
+                sums.shape[0], t.blocks, -1)
+        head, *rest = sums.transpose(1, 0, 2)  # one (vectors, table) view per block
+        dest = out[first:first + group]
+        for start in range(0, count, CHUNK):
+            part = codes[start:start + CHUNK]
+            packed = head.take(part[:, 0], axis=1)
+            for k, table in enumerate(rest, 1):
+                packed += table.take(part[:, k], axis=1)
+            labels.take(packed, out=dest[:, start:start + CHUNK])
+    out[np.arange(rows), found] = t.scalar_labels[converse][:, None]
     return out
 
 
@@ -221,19 +250,14 @@ def _blocked(x, t: BlockTables) -> np.ndarray:
 
 def classify_row(x, codes: np.ndarray, t: BlockTables) -> np.ndarray:
     """Labels of the pairs (x, z) for every point z, given by its block codes."""
-    return _row_labels(_blocked(x, t), codes, t, 0)
+    return _row_labels(_blocked(x, t)[None], codes, t, 0)[0]
 
 
 def classify_col(y, codes: np.ndarray, t: BlockTables) -> np.ndarray:
     """Labels of the pairs (z, y): the converses of the pairs (y, z)."""
-    return _row_labels(_blocked(y, t), codes, t, 1)
+    return _row_labels(_blocked(y, t)[None], codes, t, 1)[0]
 
 
 def classify_matrix(codes: np.ndarray, t: BlockTables) -> np.ndarray:
     """Full pairwise label matrix M with M[a, b] = label of (point a, point b)."""
-    count = codes.shape[0]
-    xbs = t.digits[codes]
-    out = np.empty((count, count), dtype=np.int64)
-    for a in range(count):
-        out[a] = _row_labels(xbs[a], codes, t, 0)
-    return out
+    return _row_labels(t.digits[codes], codes, t, 0)

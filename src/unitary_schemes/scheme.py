@@ -268,12 +268,33 @@ def sample_representatives(us: UnitarySpace, h: int, count: int,
     return pairs
 
 
-def _column_counts(keys: np.ndarray, y, us: UnitarySpace, rank: int) -> np.ndarray:
-    """Joint histogram, over the points z, of the label i of (x, z), given as
-    ``keys[z]`` = rank * i, and the label j of (z, y)."""
-    cols = kernels.classify_col(y, us.block_codes, us.tables)
-    cols += keys
-    return np.bincount(cols, minlength=rank * rank).reshape(rank, rank)
+def _column_counts(keys: np.ndarray, cols: np.ndarray, rank: int) -> np.ndarray:
+    """One bincount of the stack ``cols`` offset by ``keys``: ``H[m, i, j]``
+    counts the points z with keys label i and label j in ``cols[m]``."""
+    cols += keys[:cols.shape[0]]
+    return np.bincount(cols.ravel(), minlength=cols.shape[0] * rank * rank
+                       ).reshape(-1, rank, rank)
+
+
+def _column_histograms(us: UnitarySpace, row: np.ndarray, stack: np.ndarray, rank: int):
+    """Yield (k, H) for the columns col(y) of the padded vectors y in
+    ``stack``, group by group: ``H[m, i, j]`` counts the points z with label
+    i in ``row`` = row(x) and label j in col(``stack[k + m]``).  Each group of
+    ``kernels.group_size`` columns is one kernel call and one bincount, and
+    its labels are freed before the next group's are made.  ``row`` is
+    consumed."""
+    group = kernels.group_size(us.size)
+    count = min(group, len(stack))
+    # keys[m, z] = rank² * m + rank * (label of (x, z)); a group of one column
+    # reads the scaled row itself, so that spaces gathered one vector at a
+    # time allocate no second row
+    row *= rank
+    square = rank * rank
+    keys = row[None] if count == 1 else row + np.arange(0, count * square, square)[:, None]
+    for first in range(0, len(stack), group):
+        yield first, _column_counts(
+            keys, kernels._row_labels(stack[first:first + group], us.block_codes, us.tables, 1),
+            rank)
 
 
 def _witness_tensor(us: UnitarySpace, rank: int) -> tuple[np.ndarray, np.ndarray]:
@@ -281,9 +302,9 @@ def _witness_tensor(us: UnitarySpace, rank: int) -> tuple[np.ndarray, np.ndarray
 
     The witness pairs are (x, g^e x), (g^e x, v) and (x, y), with one x, v
     and y for all relations (``witness_pair``).  Since (g^e x, z) has the
-    label ``scale_labels[e]`` of (x, z), every histogram comes from the
-    passes row(x), col(v) and, when there is a perpendicular relation,
-    col(y): scalar relation e puts the count of label i at
+    label ``scale_labels[e]`` of (x, z), every histogram comes from row(x)
+    and one stack of columns, col(v) and, when there is a perpendicular
+    relation, col(y): scalar relation e puts the count of label i at
     (i, conj(scale_e(i))), and product relation e is the joint histogram of
     row(x) and col(v) with its rows relabelled by scale_e.
     """
@@ -292,14 +313,17 @@ def _witness_tensor(us: UnitarySpace, rank: int) -> tuple[np.ndarray, np.ndarray
     e = np.arange(nrel)[:, None]
     scale = tables.scale_labels[:, :rank]
     x, v = witness_pair(nrel, us.n, us.q)  # (g^0 x, v)
-    keys = kernels.classify_row(x, us.block_codes, tables)
-    valencies = np.bincount(keys, minlength=rank)
-    keys *= rank
+    partners = [v]
+    if rank > 2 * nrel:
+        partners.append(witness_pair(2 * nrel, us.n, us.q)[1])
+    stack = np.stack([kernels._blocked(y, tables) for y in partners])
+    row = kernels.classify_row(x, us.block_codes, tables)
+    valencies = np.bincount(row, minlength=rank)
+    counts = np.concatenate([h for _, h in _column_histograms(us, row, stack, rank)])
     tensor = np.zeros((rank, rank, rank), dtype=np.int64)
     tensor[e, np.arange(rank), tables.conj_labels[scale]] = valencies
-    tensor[nrel + e, scale] = _column_counts(keys, v, us, rank)
-    if rank > 2 * nrel:
-        tensor[2 * nrel] = _column_counts(keys, witness_pair(2 * nrel, us.n, us.q)[1], us, rank)
+    tensor[nrel + e, scale] = counts[0]
+    tensor[2 * nrel:] = counts[1:]
     return tensor, valencies
 
 
@@ -310,19 +334,20 @@ def _spot_check(us: UnitarySpace, tensor: np.ndarray, seed: int) -> None:
     relation h col(b) at a partner b drawn uniformly from the points with
     (a, b) in h.  All relations have constant valencies, so each (a, b) is a
     uniformly random pair of its relation; the draws of a are shared across
-    relations.
+    relations.  The partners' columns are classified and checked in stacks
+    (``_column_histograms``), and the first relation that differs is named.
     """
     rank = tensor.shape[0]
     rng = random.Random(seed)
     for _ in range(SAMPLES_PER_RELATION):
-        keys = kernels.classify_row(us.point(rng.randrange(us.size)), us.block_codes, us.tables)
-        partners = [_draw_partner(keys, h, rng) for h in range(rank)]
-        keys *= rank
-        for h, b in enumerate(partners):
-            if not np.array_equal(_column_counts(keys, us.point(b), us, rank), tensor[h]):
-                raise AssertionError(
-                    f"intersection counts depend on the representative of relation {h}"
-                )
+        row = kernels.classify_row(us.point(rng.randrange(us.size)), us.block_codes, us.tables)
+        partners = [_draw_partner(row, h, rng) for h in range(rank)]
+        stack = us.tables.digits[us.block_codes[partners]]
+        for first, counts in _column_histograms(us, row, stack, rank):
+            wrong = (counts != tensor[first:first + len(counts)]).any(axis=(1, 2))
+            if wrong.any():
+                raise AssertionError("intersection counts depend on the representative "
+                                     f"of relation {first + int(wrong.argmax())}")
 
 
 def _bruteforce_tensor(us: UnitarySpace, rank: int, seed: int):

@@ -10,6 +10,7 @@ classification kernels; coordinates are decoded from the codes on demand.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -181,12 +182,22 @@ def standard_isotropic_vector(ft: FieldTables, n: int) -> tuple[int, ...]:
     return (ft.one, unit_norm_witness(ft)) + (0,) * (n - 2)
 
 
+@lru_cache(maxsize=None)
+def _witness_vectors(n: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The standard isotropic vector x and its hyperbolic partner, once per (n, q)."""
+    ft = build_field(q)
+    x = standard_isotropic_vector(ft, n)
+    return x, hyperbolic_partner(ft, n, x)
+
+
+@lru_cache(maxsize=None)
 def witness_pair(l: int, n: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """A canonical ordered pair of isotropic vectors lying in relation l.
 
     Scalar relations pair x with g^l * x; product relations pair g^e * x with
     a hyperbolic partner of x; the perpendicular relation uses two standard
-    vectors with disjoint support (hence needs n >= 4).
+    vectors with disjoint support (hence needs n >= 4).  Pairs are cached,
+    and x and its partner are found once per (n, q).
     """
     if n < 2:
         raise ValueError("need dimension at least 2")
@@ -195,12 +206,11 @@ def witness_pair(l: int, n: int, q: int) -> tuple[tuple[int, ...], tuple[int, ..
     last = 2 * nrel
     if not 0 <= l <= last:
         raise ValueError(f"relation index {l} out of range [0, {last}]")
-    x = standard_isotropic_vector(ft, n)
+    x, v = _witness_vectors(n, q)
     if l < nrel:
         lam = ft.exp(l)
         return x, tuple(ft.mul(lam, c) for c in x)
     if l < last:
-        v = hyperbolic_partner(ft, n, x)
         lam = ft.exp(l - nrel)
         return tuple(ft.mul(lam, c) for c in x), v
     if n < 4:

@@ -138,6 +138,11 @@ def test_verify_pass_q2(capsys):
     assert "perpendicular class empty" in out
     assert ("ok   - oracle: closed-form tensor equals brute-force tensor, "
             "216 entries compared") in out.splitlines()
+    # 27 points: every one of the 27^2 pairs classified; rank 6: 5 histograms each
+    assert ("ok   - representatives: every relation recounted at 5 random pairs "
+            "(30 histograms)") in out.splitlines()
+    assert ("ok   - axioms: partition, identity, converse, valencies, constancy; "
+            "729 pairs classified, 5 sampled pairs per relation") in out.splitlines()
     # rank 6: 2 * 6^2 matrix entries for the two-sided relations, 6^3 for the rest
     assert ("ok   - character table: 72 orthogonality, 216 homomorphism, "
             "216 reconstruction, 72 eigenmatrix inverse and 216 minimal polynomial "
@@ -186,6 +191,7 @@ def test_verify_closed_mode(capsys):
     code, out, _ = run(capsys, "verify", "--n", "8", "--q", "2", "--mode", "closed")
     assert code == 0
     assert "enumeration skipped" in out
+    assert "representatives" not in out and "ok   - axioms" not in out
 
 
 def test_verify_bruteforce_mode_passes(capsys):
@@ -194,6 +200,8 @@ def test_verify_bruteforce_mode_passes(capsys):
     assert out.strip().splitlines()[-1] == "PASS"
     assert "FAIL" not in out
     assert "note - oracle: bruteforce mode, closed form not computed, skipped" in out
+    assert ("ok   - representatives: every relation recounted at 5 random pairs "
+            "(30 histograms)") in out.splitlines()
 
 
 def test_build_largest_int64_dimension(capsys):

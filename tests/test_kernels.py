@@ -144,24 +144,63 @@ def test_row_kernel_rejects_non_points(get_space):
         kernels.classify_row((1, 0, 0), us.block_codes, us.tables)
 
 
-@pytest.mark.parametrize("n,q,spot_checks", [(4, 2, 5), (3, 3, 2)])
+def test_row_kernel_rejects_a_non_point_inside_a_stack(get_space):
+    us = get_space(3, 2)
+    t = us.tables
+    stack = np.stack([kernels._blocked(x, t) for x in (us.point(0), (1, 0, 0), us.point(1))])
+    for converse in (0, 1):
+        with pytest.raises(ValueError, match="not a nonzero isotropic vector"):
+            kernels._row_labels(stack, us.block_codes, t, converse)
+
+
+@pytest.mark.parametrize("n,q", ROW_CASES + [(8, 2)])
+def test_stacked_rows_match_single_rows(n, q, get_space):
+    """A stack longer than one group gives, row by row, the one-vector passes."""
+    us = get_space(n, q)
+    t = us.tables
+    group = kernels.group_size(us.size)
+    rng = random.Random(n * q)
+    picks = [rng.randrange(us.size) for _ in range(group + 2)]
+    stack = t.digits[us.block_codes[picks]]
+    rows = kernels._row_labels(stack, us.block_codes, t, 0)
+    cols = kernels._row_labels(stack, us.block_codes, t, 1)
+    assert rows.shape == cols.shape == (len(picks), us.size)
+    single = {}
+    for a in picks:
+        if a not in single:
+            x = us.point(a)
+            single[a] = (kernels.classify_row(x, us.block_codes, t),
+                         kernels.classify_col(x, us.block_codes, t))
+    assert np.array_equal(rows, np.stack([single[a][0] for a in picks]))
+    assert np.array_equal(cols, np.stack([single[a][1] for a in picks]))
+
+
+@pytest.mark.parametrize("n,q,spot_checks", [(4, 2, 5), (3, 3, 2), (2, 4, 5), (8, 2, 1)])
 def test_bruteforce_tensor_row_passes(n, q, spot_checks, get_space, monkeypatch):
     monkeypatch.setattr(scheme_mod, "SAMPLES_PER_RELATION", spot_checks)
     us = get_space(n, q)
     rank = scheme_rank(n, q)
-    calls = []
+    stacks = []
     row_labels = kernels._row_labels
 
     def counting(*args):
-        calls.append(1)
+        stacks.append(len(args[0]))
         return row_labels(*args)
 
     monkeypatch.setattr(kernels, "_row_labels", counting)
     scheme_mod._bruteforce_tensor(us, rank, seed=3)
     # row(x), col(v) and, with a perpendicular relation, col(y) at the
     # witnesses; then per sample one row and one column per relation
-    witness_passes = 3 if n >= 4 else 2
-    assert len(calls) == witness_passes + spot_checks * (1 + rank)
+    witness_vectors = 3 if n >= 4 else 2
+    assert sum(stacks) == witness_vectors + spot_checks * (1 + rank)
+    # the row and stacks of group_size columns, at the witnesses and then
+    # per sample
+    group = kernels.group_size(us.size)
+    witness_calls = 1 + -(-(witness_vectors - 1) // group)
+    assert len(stacks) == witness_calls + spot_checks * (1 + -(-rank // group))
+    assert max(stacks) <= group
+    if (n, q) == (2, 4):
+        assert len(stacks) == 12
 
 
 def test_scan_count_mismatch_is_detected():
@@ -182,8 +221,10 @@ def test_scaled_rows_are_relabelled_rows(n, q, get_space):
         assert np.array_equal(scaled, t.scale_labels[ft.log(lam)][rows])
 
 
-@pytest.mark.parametrize("n,q,h", [(4, 2, 1), (4, 2, 4), (4, 2, 6), (3, 3, 5), (3, 3, 12)],
-                         ids=["scalar", "product", "perp", "scalar-n3", "product-n3"])
+@pytest.mark.parametrize("n,q,h", [(4, 2, 1), (4, 2, 4), (4, 2, 6), (3, 3, 5), (3, 3, 12),
+                                   (4, 3, 6), (4, 3, 7), (4, 3, 16), (2, 4, 29)],
+                         ids=["scalar", "product", "perp", "scalar-n3", "product-n3",
+                              "group-end", "group-start", "last-group", "last-of-one-group"])
 def test_spot_check_catches_a_wrong_histogram(n, q, h, get_space):
     us = get_space(n, q)
     tensor, _ = scheme_mod._witness_tensor(us, scheme_rank(n, q))

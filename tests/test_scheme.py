@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -305,6 +306,21 @@ def test_relation_sizes(get_space, get_descriptor):
     M = relation_matrix(us)
     for l in range(sd.rank):
         assert int((M == l).sum()) == sd.valencies[l] * us.size
+
+
+def test_relation_matrix_memory_stays_near_its_output(get_space):
+    """The stacked matrix pass builds each group's tables only when the group
+    runs: its peak stays within the (N, N) int64 output plus 4 MB at (6, 2),
+    where building every row's tables before the gathers adds about 11 MB."""
+    us = get_space(6, 2)
+    tracemalloc.start()
+    try:
+        M = relation_matrix(us)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert M.shape == (us.size, us.size) and M.dtype == np.int64
+    assert peak <= M.nbytes + (4 << 20)
 
 
 def test_adjacency_matrices(get_space, get_descriptor):
