@@ -42,7 +42,6 @@ from .scheme import (
     conjugate_index,
     conjugate_relation,
     intersection_matrices,
-    intersection_number_bruteforce,
     intersection_number_closed,
     is_commutative,
     relation_matrix,
@@ -80,8 +79,7 @@ __all__ = [
     "symmetrization_partition", "AxiomReport", "OracleMismatch",
     "RelationLabel", "SchemeDescriptor", "build_adjacency_matrices",
     "build_descriptor", "classify_pair", "conjugate_index",
-    "conjugate_relation", "intersection_matrices",
-    "intersection_number_bruteforce", "intersection_number_closed",
+    "conjugate_relation", "intersection_matrices", "intersection_number_closed",
     "is_commutative", "relation_matrix", "scheme_from_relation_matrix",
     "scheme_rank", "verify_relation_matrix", "verify_scheme_axioms",
     "SchemeDocument", "chartable_from_document", "document_from_chartable",

@@ -105,8 +105,10 @@ def cmd_verify(args) -> int:
         else:
             notes.append("oracle: bruteforce mode, closed form not computed, skipped")
         samples = scheme_mod.SAMPLES_PER_RELATION
+        vectors = scheme_mod.classified_vectors(n) * (1 + samples)
         lines.append((True, f"representatives: every relation recounted at {samples} "
-                            f"random pairs ({samples * sd.rank} histograms)"))
+                            f"random pairs ({samples * sd.rank} histograms, "
+                            f"{vectors} classified vectors)"))
         try:
             check_budget("pairs", us.size**2)
         except ValueError as refusal:

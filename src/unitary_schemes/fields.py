@@ -9,7 +9,7 @@ doubles as the canonical element order used everywhere else in the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -88,6 +88,13 @@ class FieldTables:
 
     def elements(self) -> range:
         return range(self.order)
+
+    @cached_property
+    def lists(self) -> tuple[list[list[int]], list[list[int]], list[int]]:
+        """``add_table``, ``mul_table`` and ``conj_table`` as nested Python
+        lists, for loops over single elements: indexing a list with a Python
+        int returns a Python int, where a numpy table returns a numpy scalar."""
+        return self.add_table.tolist(), self.mul_table.tolist(), self.conj_table.tolist()
 
     # -- arithmetic --------------------------------------------------------
 

@@ -21,9 +21,10 @@ at a time.  Field elements in the tables are *packed*: the
 coefficients of an element over F_p are the base-B digits of an integer,
 with B = n*(p-1)+1, so a sum of at most n packed elements is an ordinary
 integer sum without carries, and one lookup turns it into a label.  Packed
-values stay below B^m <= 15625 within the scan budget, so the tables and
-their sums are uint16; a block's table is built by outer sums over its
-coordinates.
+sums stay below B^m, and ``block_tables`` refuses an (n, q) whose B^m is
+above 2^16, so the tables and their sums are uint16 (B^m is at most 15625
+within the scan budget, at (4, 8)); a block's table is built by outer sums
+over its coordinates.
 
 The q^2-1 nonzero multiples of x are found among the points by binary
 search on the points' sorted full codes.
@@ -168,6 +169,9 @@ def block_tables(ft, n: int, points: np.ndarray) -> BlockTables:
     while p**m < order:
         m += 1
     base = n * (p - 1) + 1
+    if base**m > 1 << 16:
+        raise ValueError(f"packed sums below {base}^{m} = {base**m} do not fit uint16"
+                         f" at (n, q) = ({n}, {q})")
 
     coeffs = ft.coeff_table[:, None] // p ** np.arange(m) % p
     packed = coeffs @ base ** np.arange(m)

@@ -235,91 +235,49 @@ def _joint_histogram(rows: np.ndarray, cols: np.ndarray, rank: int) -> np.ndarra
     return np.bincount(rows * rank + cols, minlength=rank * rank).reshape(rank, rank)
 
 
-def intersection_number_bruteforce(us: UnitarySpace, h: int, i: int, j: int,
-                                   pair=None) -> int:
-    """Count z with (x, z) in relation i and (z, y) in relation j, for the
-    canonical representative (x, y) of relation h (or an explicit ``pair``)."""
-    rank = scheme_rank(us.n, us.q)
-    for l in (h, i, j):
-        if not 0 <= l < rank:
-            raise ValueError(f"relation index {l} out of range [0, {rank - 1}]")
-    if pair is None:
-        pair = witness_pair(h, us.n, us.q)
-    x, y = pair
-    rows = kernels.classify_row(x, us.block_codes, us.tables)
-    cols = kernels.classify_col(y, us.block_codes, us.tables)
-    return int(np.sum((rows == i) & (cols == j)))
-
-
 def _draw_partner(rows: np.ndarray, h: int, rng: random.Random) -> int:
     """A uniformly random point b with label ``h`` in the row ``rows``."""
     candidates = np.flatnonzero(rows == h)
     return int(candidates[rng.randrange(candidates.size)])
 
 
-def sample_representatives(us: UnitarySpace, h: int, count: int,
-                           rng: random.Random) -> list[tuple[tuple, tuple]]:
-    """Random ordered pairs lying in relation h, drawn via random first points."""
-    pairs = []
-    for _ in range(count):
-        a = rng.randrange(us.size)
-        rows = kernels.classify_row(us.point(a), us.block_codes, us.tables)
-        pairs.append((us.point(a), us.point(_draw_partner(rows, h, rng))))
-    return pairs
+def _column_counts(keys: np.ndarray, col: np.ndarray, rank: int) -> np.ndarray:
+    """``H[i, j]`` counts the points z with label i in row(x) and label j in
+    ``col``, given ``keys`` = rank * row(x).  ``col`` is consumed, so that a
+    row and one column are the only arrays of N labels alive."""
+    col += keys
+    return np.bincount(col, minlength=rank * rank).reshape(rank, rank)
 
 
-def _column_counts(keys: np.ndarray, cols: np.ndarray, rank: int) -> np.ndarray:
-    """One bincount of the stack ``cols`` offset by ``keys``: ``H[m, i, j]``
-    counts the points z with keys label i and label j in ``cols[m]``."""
-    cols += keys[:cols.shape[0]]
-    return np.bincount(cols.ravel(), minlength=cols.shape[0] * rank * rank
-                       ).reshape(-1, rank, rank)
+def classified_vectors(n: int) -> int:
+    """Vectors classified per evaluation of ``_witness_tensor``: a row and
+    the columns of one product partner and, when n >= 4, one perpendicular
+    partner."""
+    return 3 if n >= 4 else 2
 
 
-def _column_histograms(us: UnitarySpace, row: np.ndarray, stack: np.ndarray, rank: int):
-    """Yield (k, H) for the columns col(y) of the padded vectors y in
-    ``stack``, group by group: ``H[m, i, j]`` counts the points z with label
-    i in ``row`` = row(x) and label j in col(``stack[k + m]``).  Each group of
-    ``kernels.group_size`` columns is one kernel call and one bincount, and
-    its labels are freed before the next group's are made.  ``row`` is
-    consumed."""
-    group = kernels.group_size(us.size)
-    count = min(group, len(stack))
-    # keys[m, z] = rank² * m + rank * (label of (x, z)); a group of one column
-    # reads the scaled row itself, so that spaces gathered one vector at a
-    # time allocate no second row
-    row *= rank
-    square = rank * rank
-    keys = row[None] if count == 1 else row + np.arange(0, count * square, square)[:, None]
-    for first in range(0, len(stack), group):
-        yield first, _column_counts(
-            keys, kernels._row_labels(stack[first:first + group], us.block_codes, us.tables, 1),
-            rank)
+def _witness_tensor(us: UnitarySpace, row: np.ndarray, partners) -> tuple[np.ndarray, np.ndarray]:
+    """The whole tensor counted at the pairs one point x and its partners
+    give, and the valencies; ``row`` is row(x), and it is consumed.
 
-
-def _witness_tensor(us: UnitarySpace, rank: int) -> tuple[np.ndarray, np.ndarray]:
-    """The tensor counted at the witness pairs, and the valencies.
-
-    The witness pairs are (x, g^e x), (g^e x, v) and (x, y), with one x, v
-    and y for all relations (``witness_pair``).  Since (g^e x, z) has the
+    ``partners`` holds v with <x, v> = 1 and, when there is a perpendicular
+    relation, a point y perpendicular to x and independent of it.  The
+    pairs are (x, g^e x), (g^e x, v) and (x, y).  Since (g^e x, z) has the
     label ``scale_labels[e]`` of (x, z), every histogram comes from row(x)
-    and one stack of columns, col(v) and, when there is a perpendicular
-    relation, col(y): scalar relation e puts the count of label i at
-    (i, conj(scale_e(i))), and product relation e is the joint histogram of
-    row(x) and col(v) with its rows relabelled by scale_e.
+    and the columns col(v) and col(y): scalar relation e puts the count of
+    label i at (i, conj(scale_e(i))), and product relation e is the joint
+    histogram of row(x) and col(v) with its rows relabelled by scale_e.
     """
     tables = us.tables
     nrel = us.ft.order - 1
+    rank = 2 * nrel + len(partners) - 1
     e = np.arange(nrel)[:, None]
     scale = tables.scale_labels[:, :rank]
-    x, v = witness_pair(nrel, us.n, us.q)  # (g^0 x, v)
-    partners = [v]
-    if rank > 2 * nrel:
-        partners.append(witness_pair(2 * nrel, us.n, us.q)[1])
-    stack = np.stack([kernels._blocked(y, tables) for y in partners])
-    row = kernels.classify_row(x, us.block_codes, tables)
     valencies = np.bincount(row, minlength=rank)
-    counts = np.concatenate([h for _, h in _column_histograms(us, row, stack, rank)])
+    row *= rank
+    counts = np.stack([
+        _column_counts(row, kernels.classify_col(y, us.block_codes, tables), rank)
+        for y in partners])
     tensor = np.zeros((rank, rank, rank), dtype=np.int64)
     tensor[e, np.arange(rank), tables.conj_labels[scale]] = valencies
     tensor[nrel + e, scale] = counts[0]
@@ -330,28 +288,37 @@ def _witness_tensor(us: UnitarySpace, rank: int) -> tuple[np.ndarray, np.ndarray
 def _spot_check(us: UnitarySpace, tensor: np.ndarray, seed: int) -> None:
     """Recount every relation at ``SAMPLES_PER_RELATION`` random pairs.
 
-    Each sample counts row(a) at a uniformly random point a, and for every
-    relation h col(b) at a partner b drawn uniformly from the points with
-    (a, b) in h.  All relations have constant valencies, so each (a, b) is a
-    uniformly random pair of its relation; the draws of a are shared across
-    relations.  The partners' columns are classified and checked in stacks
-    (``_column_histograms``), and the first relation that differs is named.
+    Each sample is ``_witness_tensor`` at three random points: a uniformly
+    random point a, b drawn uniformly from the points with <a, b> = 1 and,
+    when there is a perpendicular relation, c drawn uniformly from the points
+    perpendicular to a and independent of it.  All relations have constant
+    valencies, so (a, b) is a uniformly random pair of product relation 0
+    and (a, c) one of the perpendicular relation; (a, g^s a) is uniform in
+    scalar relation s, and (a, b) -> (g^e a, b) maps product relation 0 one
+    to one onto product relation e.  So every relation is recounted at one
+    uniformly random pair per sample.  The sampled tensor is compared whole,
+    and the first relation that differs is named.
     """
     rank = tensor.shape[0]
+    nrel = us.ft.order - 1
     rng = random.Random(seed)
     for _ in range(SAMPLES_PER_RELATION):
         row = kernels.classify_row(us.point(rng.randrange(us.size)), us.block_codes, us.tables)
-        partners = [_draw_partner(row, h, rng) for h in range(rank)]
-        stack = us.tables.digits[us.block_codes[partners]]
-        for first, counts in _column_histograms(us, row, stack, rank):
-            wrong = (counts != tensor[first:first + len(counts)]).any(axis=(1, 2))
-            if wrong.any():
-                raise AssertionError("intersection counts depend on the representative "
-                                     f"of relation {first + int(wrong.argmax())}")
+        # product relation 0 and, where there is one, the perpendicular relation
+        partners = [us.point(_draw_partner(row, h, rng)) for h in range(nrel, rank, nrel)]
+        wrong = (_witness_tensor(us, row, partners)[0] != tensor).any(axis=(1, 2))
+        if wrong.any():
+            raise AssertionError("intersection counts depend on the representative "
+                                 f"of relation {int(wrong.argmax())}")
 
 
 def _bruteforce_tensor(us: UnitarySpace, rank: int, seed: int):
-    tensor, valencies = _witness_tensor(us, rank)
+    nrel = us.ft.order - 1
+    pairs = [witness_pair(h, us.n, us.q) for h in range(nrel, rank, nrel)]
+    # row(x) is passed, not bound, so that it is freed before the spot check
+    tensor, valencies = _witness_tensor(
+        us, kernels.classify_row(pairs[0][0], us.block_codes, us.tables),
+        [y for _, y in pairs])
     _spot_check(us, tensor, seed)
     conj_map = tuple(classify_pair(us, *witness_pair(h, us.n, us.q)[::-1]).index
                      for h in range(rank))

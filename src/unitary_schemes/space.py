@@ -19,7 +19,7 @@ from .fields import FieldTables, _check_ids, build_field, norm_solutions, trace_
 
 # Every size limit of the package, name: (unit, limit); README lists what each gates.
 BUDGETS = {
-    "scan": ("candidate vectors", 1 << 24),
+    "scan": ("points", 1 << 24),
     "pairs": ("pairs", 5_000_000),
     "dense": ("points", 512),
     "idempotents": ("points", 27),
@@ -123,9 +123,10 @@ def hermitian_inner(ft: FieldTables, x, y) -> int:
 
 def _inner(ft: FieldTables, x, y) -> int:
     """``hermitian_inner`` of two vectors already checked to be element ids."""
+    add, mul, conj = ft.lists
     acc = 0
     for a, b in zip(x, y):
-        acc = int(ft.add_table[acc, ft.mul_table[a, ft.conj_table[b]]])
+        acc = add[acc][mul[a][conj[b]]]
     return acc
 
 
@@ -161,9 +162,9 @@ def enumerate_isotropic(n: int, q: int) -> UnitarySpace:
     if n < 0:
         raise ValueError("dimension must be non-negative")
     ft = build_field(q)
-    check_budget("scan", ft.order**n)
-    codes = kernels.isotropic_scan(n, ft.order, ft.norm_table, ft.add_table,
-                                   isotropic_count(n, q))
+    count = isotropic_count(n, q)
+    check_budget("scan", count)
+    codes = kernels.isotropic_scan(n, ft.order, ft.norm_table, ft.add_table, count)
     codes.setflags(write=False)
     tables = kernels.block_tables(ft, n, codes)
     return UnitarySpace(n=n, q=q, ft=ft, codes=codes,

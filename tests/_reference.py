@@ -1,17 +1,25 @@
 """Independent oracles used by the tests.
 
 Field elements are coefficient tuples with schoolbook polynomial arithmetic
-modulo the same pinned Conway polynomials the library uses; nothing here
-touches the library's lookup tables, discrete logs, or kernels.  The
-brute-force functions are slow on purpose and only run at small sizes; the
-orthogonal-decomposition count at the end enumerates only vectors of F_{q^2}^2
-and covers every supported (n, q).
+modulo the same pinned Conway polynomials the library uses; apart from the
+last section, nothing here touches the library's lookup tables, discrete
+logs, or kernels.  The brute-force functions are slow on purpose and only run
+at small sizes; the orthogonal-decomposition count enumerates only vectors of
+F_{q^2}^2 and covers every supported (n, q).  The last section counts single
+intersection numbers over a library ``UnitarySpace`` with one row and one
+column pass each, independently of the relabelled histograms and sampled
+tensors of the library's brute-force route.
 """
 
 import functools
 import itertools
+import random
 
 import numpy as np
+
+from unitary_schemes import kernels
+from unitary_schemes.scheme import scheme_rank
+from unitary_schemes.space import witness_pair
 
 CONWAY = {
     (2, 2): (1, 1, 1),
@@ -317,3 +325,32 @@ def assert_matches_decomposition(tensor, n, q):
         raise AssertionError(
             f"tensor[{h}, {i}, {j}] = {tensor[h, i, j]}, orthogonal decomposition"
             f" counts {expected[h, i, j]} at (n, q) = ({n}, {q})")
+
+
+# ---------------------------------------------------------------------------
+# Single counts over the library's enumerated points
+
+
+def intersection_number_bruteforce(us, h, i, j, pair=None):
+    """Count z with (x, z) in relation i and (z, y) in relation j, for the
+    canonical representative (x, y) of relation h (or an explicit ``pair``)."""
+    rank = scheme_rank(us.n, us.q)
+    for l in (h, i, j):
+        if not 0 <= l < rank:
+            raise ValueError(f"relation index {l} out of range [0, {rank - 1}]")
+    x, y = witness_pair(h, us.n, us.q) if pair is None else pair
+    rows = kernels.classify_row(x, us.block_codes, us.tables)
+    cols = kernels.classify_col(y, us.block_codes, us.tables)
+    return int(np.sum((rows == i) & (cols == j)))
+
+
+def sample_representatives(us, h, count, rng: random.Random):
+    """``count`` random ordered pairs in relation h: a uniformly random first
+    point a, then a partner drawn uniformly from row(a)'s points in h."""
+    pairs = []
+    for _ in range(count):
+        a = rng.randrange(us.size)
+        rows = kernels.classify_row(us.point(a), us.block_codes, us.tables)
+        partners = np.flatnonzero(rows == h)
+        pairs.append((us.point(a), us.point(int(partners[rng.randrange(partners.size)]))))
+    return pairs

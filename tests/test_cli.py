@@ -138,9 +138,10 @@ def test_verify_pass_q2(capsys):
     assert "perpendicular class empty" in out
     assert ("ok   - oracle: closed-form tensor equals brute-force tensor, "
             "216 entries compared") in out.splitlines()
-    # 27 points: every one of the 27^2 pairs classified; rank 6: 5 histograms each
+    # 27 points: every one of the 27^2 pairs classified; rank 6: 5 histograms
+    # each, from row(x) and col(v) at the witnesses and at each of 5 samples
     assert ("ok   - representatives: every relation recounted at 5 random pairs "
-            "(30 histograms)") in out.splitlines()
+            "(30 histograms, 12 classified vectors)") in out.splitlines()
     assert ("ok   - axioms: partition, identity, converse, valencies, constancy; "
             "729 pairs classified, 5 sampled pairs per relation") in out.splitlines()
     # rank 6: 2 * 6^2 matrix entries for the two-sided relations, 6^3 for the rest
@@ -180,6 +181,19 @@ def test_commands_enumerate_once(argv, capsys, monkeypatch):
     assert calls == [(int(argv[2]), int(argv[4]))]
 
 
+def test_verify_counts_q9_perpendicular_relation(capsys):
+    # 4 788 800 points, inside the scan budget: the q = 9 perpendicular
+    # formulas are compared with a count
+    code, out, _ = run(capsys, "verify", "--n", "4", "--q", "9")
+    assert code == 0
+    lines = out.splitlines()
+    assert ("ok   - oracle: closed-form tensor equals brute-force tensor, "
+            "4173281 entries compared") in lines
+    assert ("ok   - representatives: every relation recounted at 5 random pairs "
+            "(805 histograms, 18 classified vectors)") in lines
+    assert lines[-1] == "PASS"
+
+
 def test_verify_pass_q3(capsys):
     code, out, _ = run(capsys, "verify", "--n", "2", "--q", "3")
     assert code == 0
@@ -201,7 +215,7 @@ def test_verify_bruteforce_mode_passes(capsys):
     assert "FAIL" not in out
     assert "note - oracle: bruteforce mode, closed form not computed, skipped" in out
     assert ("ok   - representatives: every relation recounted at 5 random pairs "
-            "(30 histograms)") in out.splitlines()
+            "(30 histograms, 12 classified vectors)") in out.splitlines()
 
 
 def test_build_largest_int64_dimension(capsys):

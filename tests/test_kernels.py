@@ -190,17 +190,102 @@ def test_bruteforce_tensor_row_passes(n, q, spot_checks, get_space, monkeypatch)
     monkeypatch.setattr(kernels, "_row_labels", counting)
     scheme_mod._bruteforce_tensor(us, rank, seed=3)
     # row(x), col(v) and, with a perpendicular relation, col(y) at the
-    # witnesses; then per sample one row and one column per relation
+    # witnesses, and the same three vectors at every sample
     witness_vectors = 3 if n >= 4 else 2
-    assert sum(stacks) == witness_vectors + spot_checks * (1 + rank)
-    # the row and stacks of group_size columns, at the witnesses and then
-    # per sample
-    group = kernels.group_size(us.size)
-    witness_calls = 1 + -(-(witness_vectors - 1) // group)
-    assert len(stacks) == witness_calls + spot_checks * (1 + -(-rank // group))
-    assert max(stacks) <= group
-    if (n, q) == (2, 4):
-        assert len(stacks) == 12
+    assert witness_vectors == scheme_mod.classified_vectors(n)
+    assert sum(stacks) == witness_vectors + spot_checks * witness_vectors
+    assert stacks == [1] * len(stacks)  # one vector per kernel call
+
+
+def _moved_count(tensor, h):
+    """``tensor`` with one count moved within the histogram of relation h,
+    keeping its row sums."""
+    moved = tensor.copy()
+    i, j = np.argwhere(tensor[h] > 0)[0]
+    moved[h, i, j] -= 1
+    moved[h, i, (j + 1) % tensor.shape[0]] += 1
+    return moved
+
+
+@pytest.mark.parametrize("n,q,h", [(4, 2, 1), (4, 2, 4), (4, 2, 6), (3, 3, 5), (3, 3, 12),
+                                   (4, 3, 6), (4, 3, 7), (4, 3, 16), (2, 4, 29)],
+                         ids=["scalar", "product", "perp", "scalar-n3", "product-n3",
+                              "group-end", "group-start", "last-group", "last-of-one-group"])
+def test_spot_check_catches_a_wrong_histogram(n, q, h, get_space, get_descriptor):
+    # the last four ids name the column groups of an earlier, stacked check
+    us = get_space(n, q)
+    tensor = get_descriptor(n, q).tensor
+    scheme_mod._spot_check(us, tensor, seed=0)  # the true counts pass
+    with pytest.raises(AssertionError,
+                       match=f"depend on the representative of relation {h}$"):
+        scheme_mod._spot_check(us, _moved_count(tensor, h), seed=0)
+
+
+@pytest.mark.parametrize("n,q", [(4, 3), (2, 4), (5, 2)])
+def test_spot_check_names_every_relation(n, q, get_space, get_descriptor):
+    """A count moved within any one relation is caught and named."""
+    us = get_space(n, q)
+    tensor = get_descriptor(n, q).tensor
+    for h in range(tensor.shape[0]):
+        with pytest.raises(AssertionError,
+                           match=f"depend on the representative of relation {h}$"):
+            scheme_mod._spot_check(us, _moved_count(tensor, h), seed=h)
+
+
+@pytest.mark.parametrize("n,q", [(4, 3), (3, 3)])
+def test_spot_check_samples_fresh_pairs(n, q, get_space, get_descriptor, monkeypatch):
+    """Each sample classifies row(a), col(b) and, when n >= 4, col(c) at a
+    fresh point a, with (a, b) in product relation 0 and (a, c) in the
+    perpendicular relation."""
+    us = get_space(n, q)
+    classified = []
+    for name in ("classify_row", "classify_col"):
+        def recording(x, *args, _kernel=getattr(kernels, name)):
+            classified.append(tuple(x))
+            return _kernel(x, *args)
+
+        monkeypatch.setattr(kernels, name, recording)
+    scheme_mod._spot_check(us, get_descriptor(n, q).tensor, seed=1)
+    width = scheme_mod.classified_vectors(n)
+    samples = [classified[k:k + width] for k in range(0, len(classified), width)]
+    assert len(samples) == scheme_mod.SAMPLES_PER_RELATION
+    nrel = q * q - 1
+    for a, *partners in samples:
+        assert [classify_pair(us, a, y).index for y in partners] == [nrel, 2 * nrel][:width - 1]
+    assert len({a for a, *_ in samples}) == len(samples)
+
+
+@pytest.mark.parametrize("n,q", [(4, 3), (3, 3)])
+def test_scaled_product_pairs_count_like_direct_passes(n, q, get_space):
+    """At pairs (a, b) with <a, b> = 1, and for every e, the joint histogram
+    of row(a) relabelled by scale_e and col(b) is the histogram counted from
+    row(g^e a) and col(b), and (g^e a, b) lies in product relation e."""
+    us = get_space(n, q)
+    ft, t = us.ft, us.tables
+    nrel = ft.order - 1
+    rank = scheme_rank(n, q)
+    rng = random.Random(n * q)
+    for _ in range(3):
+        a = us.point(rng.randrange(us.size))
+        row = kernels.classify_row(a, us.block_codes, t)
+        b = us.point(scheme_mod._draw_partner(row, nrel, rng))
+        assert us.hermitian_inner(a, b) == ft.one
+        col = kernels.classify_col(b, us.block_codes, t)
+        for e in range(nrel):
+            ga = us.scalar_multiple(ft.exp(e), a)
+            direct = scheme_mod._joint_histogram(
+                kernels.classify_row(ga, us.block_codes, t), col, rank)
+            relabelled = scheme_mod._joint_histogram(t.scale_labels[e][row], col, rank)
+            assert np.array_equal(relabelled, direct)
+            assert classify_pair(us, ga, b).index == nrel + e
+
+
+def test_block_tables_refuse_packed_sums_beyond_uint16():
+    # (8, 9): packed sums below 17^4 = 83521; (15, 4): below 16^4 = 65536, admitted
+    empty = np.zeros(0, dtype=np.int64)
+    with pytest.raises(ValueError, match="^packed sums below 17\\^4 = 83521 do not fit uint16"):
+        kernels.block_tables(build_field(9), 8, empty)
+    assert kernels.block_tables(build_field(4), 15, empty).products.dtype == np.uint16
 
 
 def test_scan_count_mismatch_is_detected():
@@ -219,20 +304,3 @@ def test_scaled_rows_are_relabelled_rows(n, q, get_space):
     for lam in range(1, ft.order):
         scaled = kernels.classify_row(us.scalar_multiple(lam, x), us.block_codes, t)
         assert np.array_equal(scaled, t.scale_labels[ft.log(lam)][rows])
-
-
-@pytest.mark.parametrize("n,q,h", [(4, 2, 1), (4, 2, 4), (4, 2, 6), (3, 3, 5), (3, 3, 12),
-                                   (4, 3, 6), (4, 3, 7), (4, 3, 16), (2, 4, 29)],
-                         ids=["scalar", "product", "perp", "scalar-n3", "product-n3",
-                              "group-end", "group-start", "last-group", "last-of-one-group"])
-def test_spot_check_catches_a_wrong_histogram(n, q, h, get_space):
-    us = get_space(n, q)
-    tensor, _ = scheme_mod._witness_tensor(us, scheme_rank(n, q))
-    scheme_mod._spot_check(us, tensor, seed=0)  # the true counts pass
-    # move one count within the histogram of relation h, keeping its row sums
-    i, j = np.argwhere(tensor[h] > 0)[0]
-    tensor[h, i, j] -= 1
-    tensor[h, i, (j + 1) % tensor.shape[0]] += 1
-    with pytest.raises(AssertionError,
-                       match=f"depend on the representative of relation {h}$"):
-        scheme_mod._spot_check(us, tensor, seed=0)

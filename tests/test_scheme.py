@@ -15,12 +15,10 @@ from unitary_schemes.scheme import (
     conjugate_relation,
     fuse_relation_matrix,
     intersection_matrices,
-    intersection_number_bruteforce,
     intersection_number_closed,
     is_commutative,
     max_dimension,
     relation_matrix,
-    sample_representatives,
     scheme_from_relation_matrix,
     scheme_rank,
     verify_relation_matrix,
@@ -28,8 +26,8 @@ from unitary_schemes.scheme import (
 )
 from unitary_schemes.space import witness_pair
 
-from _reference import (RefField, assert_matches_decomposition, isotropic_vectors,
-                        tensor as reference_tensor)
+from _reference import (RefField, assert_matches_decomposition, intersection_number_bruteforce,
+                        isotropic_vectors, sample_representatives, tensor as reference_tensor)
 
 
 def test_rank_formula():

@@ -44,11 +44,19 @@ def test_degenerate_dimensions():
         isotropic_count(-1, 2)
 
 
-def test_budget_rejection():
-    with pytest.raises(ValueError, match="^67108864 candidate vectors exceed the scan"
+def test_budget_rejection(monkeypatch):
+    # the scan budget counts the points, from the closed count, before the scan
+    def no_scan(*args):
+        raise AssertionError("scan ran over budget")
+
+    monkeypatch.setattr(kernels, "isotropic_scan", no_scan)
+    with pytest.raises(ValueError, match="^33550335 points exceed the scan"
                                          " budget of 16777216$"):
-        enumerate_isotropic(13, 2)  # 4^13 > 2^24
-    assert 4**13 > BUDGETS["scan"][1]
+        enumerate_isotropic(13, 2)
+    # (8, 3) and (4, 9) are the largest spaces admitted; each has more than
+    # 2^24 coordinate vectors
+    assert isotropic_count(13, 2) > BUDGETS["scan"][1] >= isotropic_count(8, 3)
+    assert min(3**16, 9**8) > BUDGETS["scan"][1] >= isotropic_count(4, 9)
 
 
 @pytest.mark.parametrize("n,q", [(2, 2), (3, 2), (2, 3)])
