@@ -2,11 +2,12 @@
 
 The first eigenmatrix P has entry P[i][j] = eigenvalue of relation j on the
 i-th common eigenspace; row 0 carries the valencies and column 0 is all ones.
-Every entry lies in Z[w], and every identity here (orthogonality, the algebra
-homomorphism property, parameter reconstruction, P Q = |X| I, minimal
-polynomial annihilation and the idempotents) is checked as an equality of
-exact integer matrices over Z[w], with the denominators cleared once by
-L = lcm(k).
+Every entry lies in Z[w], so a table stores P once, as the integer parts A, B
+of A + B w in one (2, r, r) array of Python ints, exact at any size.  Every
+identity here (orthogonality, the algebra homomorphism property, parameter
+reconstruction, P Q = |X| I, minimal polynomial annihilation and the
+idempotents) is checked on that array as an equality of exact integer
+matrices over Z[w], with the denominators cleared once by L = lcm(k).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eisenstein import OMEGA, ZERO, Eisenstein
+from .eisenstein import Eisenstein
 from .scheme import SchemeDescriptor
 from .space import check_budget, isotropic_count
 
@@ -26,51 +27,67 @@ Matrix = tuple[tuple[Eisenstein, ...], ...]
 
 @dataclass(frozen=True, eq=False)
 class CharTable:
-    entries: Matrix
+    """``p`` is P = p[0] + p[1] w, a read-only (2, r, r) array of Python ints."""
+
+    p: np.ndarray
     multiplicities: tuple[int, ...]
     valencies: tuple[int, ...]
     order: int
 
+    def __post_init__(self):
+        p = np.array(self.p, dtype=object)  # a private copy
+        if (p.ndim != 3 or p.shape[0] != 2 or p.shape[1] != p.shape[2]
+                or not all(isinstance(x, int) for x in p.flat)):
+            raise ValueError("P must be a (2, r, r) array of integers A, B of A + B w")
+        p.setflags(write=False)
+        object.__setattr__(self, "p", p)
+
     @property
     def size(self) -> int:
-        return len(self.entries)
+        return self.p.shape[1]
 
     def entry(self, i: int, j: int) -> Eisenstein:
-        return self.entries[i][j]
+        return Eisenstein(self.p[0, i, j], self.p[1, i, j])
 
 
-def _rows(n: int) -> list[list]:
-    """The rows of P in conjugate triples (1, 1, 1, e, e, e),
-    (1, w, w^2, f, f w^2, f w), (1, w^2, w, f, f w, f w^2); from n = 4 on a
-    seventh row and the perpendicular column follow."""
-    w, wb = OMEGA, OMEGA.conj()
+# 1, w and w^2 = -1 - w as (A, B) columns, indexed by the power of w
+_UNITS = np.array([[1, 0, -1], [0, 1, -1]], dtype=object)
+# the power of w at each entry of a conjugate triple of rows
+_TRIPLE = [[0, 0, 0, 0, 0, 0], [0, 1, 2, 0, 2, 1], [0, 2, 1, 0, 1, 2]]
 
-    def triple(e, f):
-        return [[1, 1, 1, e, e, e], [1, w, wb, f, f * wb, f * w], [1, wb, w, f, f * w, f * wb]]
 
+def _eigenmatrix(n: int) -> np.ndarray:
+    """P as a (2, r, r) array.  Its rows come in conjugate triples
+    (1, 1, 1, e, e, e), (1, w, w^2, f, f w^2, f w), (1, w^2, w, f, f w, f w^2);
+    from n = 4 on a seventh row (1, 1, 1, g, g, g) and the perpendicular
+    column follow."""
     if n == 2:
-        return triple(2, 2) + triple(-1, -1)
-    if n == 3:
-        return triple(8, -4) + triple(-1, 2)
-    big = 2 ** (2 * n - 3)
-    e1, e3, e6 = (-((-2) ** (n - t)) for t in (1, 2, 3))
-    rows = triple(big, e1) + triple(e3, e3) + [[1, 1, 1, e6, e6, e6]]
-    last = (big + e1 - 4, 0, 0, -3 * e3 - 3, 0, 0, -3 * e6 - 3)
-    return [row + [x] for row, x in zip(rows, last)]
+        scales = (2, 2, 2, -1, -1, -1)
+    elif n == 3:
+        scales = (8, -4, -4, -1, 2, 2)
+    else:
+        big = 2 ** (2 * n - 3)
+        e1, e3, e6 = (-((-2) ** (n - t)) for t in (1, 2, 3))
+        scales = (big, e1, e1, e3, e3, e3, e6)
+    powers = (_TRIPLE * 3)[:len(scales)]
+    p = _UNITS[:, powers] * np.array([[1, 1, 1, s, s, s] for s in scales], dtype=object)
+    if n >= 4:
+        p = np.concatenate([p, np.zeros((2, 7, 1), dtype=object)], axis=2)
+        p[0, :, 6] = big + e1 - 4, 0, 0, -3 * e3 - 3, 0, 0, -3 * e6 - 3
+    return p
 
 
 def char_table_closed(n: int) -> CharTable:
     """The character table of the q = 2 scheme in dimension n (n >= 2)."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    entries = tuple(tuple(ZERO + x for x in row) for row in _rows(n))
-    valencies = tuple(x.as_rational().numerator for x in entries[0])
+    p = _eigenmatrix(n)
+    valencies = tuple(p[0, 0])
     order = isotropic_count(n, 2)
-    mult = multiplicities(entries, valencies, order)
+    mult = multiplicities(p, valencies, order)
     if sum(mult) != order:
         raise ArithmeticError("multiplicities do not sum to the number of points")
-    return CharTable(entries=entries, multiplicities=mult,
-                     valencies=valencies, order=order)
+    return CharTable(p=p, multiplicities=mult, valencies=valencies, order=order)
 
 
 def closed_multiplicity_formulas(n: int) -> tuple[int, ...]:
@@ -89,18 +106,9 @@ def closed_multiplicity_formulas(n: int) -> tuple[int, ...]:
 
 # ---------------------------------------------------------------------------
 # Z[w] integer matrices: the pair (A, B) of Python-int object arrays standing
-# for A + B w, with w^2 = -1 - w, stacked as one array of shape (2, ...).  A
-# rational factor (scaling, transpose, a product with an integer matrix) acts
+# for A + B w, with w^2 = -1 - w, stacked as one array of shape (2, ...).  An
+# integer factor (scaling, transpose, a product with an integer matrix) acts
 # on both parts alike.
-
-
-def _pair(entries):
-    """d P as a Z[w] matrix, d the least common denominator of the entries (1
-    for a scheme, whose eigenvalues are algebraic integers).  Every identity
-    is homogeneous in P, so it is checked on d P with the power of d it needs."""
-    d = math.lcm(*(f.denominator for row in entries for x in row for f in (x.a, x.b)))
-    return np.array([[[int(getattr(x, part) * d) for x in row] for row in entries]
-                     for part in "ab"], dtype=object), d
 
 
 def _mul(x, y):
@@ -143,22 +151,23 @@ def _vector(values) -> np.ndarray:
 # exact identity checks
 
 
-def multiplicities(entries: Matrix, valencies, order: int) -> tuple[int, ...]:
-    """Eigenspace dimensions m_i = order / sum_j |P[i][j]|^2 / k_j, as the
-    exact integer division order L / sum_j |P[i][j]|^2 (L / k_j).
+def multiplicities(p: np.ndarray, valencies, order: int) -> tuple[int, ...]:
+    """Eigenspace dimensions m_i = order / sum_j |P[i][j]|^2 / k_j of the
+    (2, r, r) array ``p``, as the exact integer division
+    order L / sum_j |P[i][j]|^2 (L / k_j).
 
     A non-integer or non-positive result means the table is not the character
     table of a scheme of this order, so it is a hard failure.
     """
-    p, d = _pair(entries)
     lcm = math.lcm(*valencies)
-    numerator = order * lcm * d * d
+    numerator = order * lcm
     norms = _mul(p, _conj(p))[0]  # |x|^2 = x conj(x) is rational
     out = []
     for i, total in enumerate(norms @ (lcm // _vector(valencies))):
         m, rest = divmod(numerator, total)
         if rest or m <= 0:
-            ratio = (Eisenstein(numerator) / total).as_rational()
+            g = math.gcd(numerator, total)
+            ratio = f"{numerator // g}" + ("" if total == g else f"/{total // g}")
             raise ArithmeticError(f"multiplicity of row {i} is {ratio}, not a positive integer")
         out.append(m)
     return tuple(out)
@@ -170,13 +179,13 @@ def verify_orthogonality(ct: CharTable):
 
     Returns (True, None) or (False, (kind, i1, i2)) naming the first failure.
     """
-    p, d = _pair(ct.entries)
+    p = ct.p
     lcm = math.lcm(*ct.valencies)
     m, k = _vector(ct.multiplicities)[:, None], _vector(ct.valencies)
     rows = _matmul(p * (lcm // k), _conj(p).transpose(0, 2, 1)) * m
-    rows = _differs(rows, np.identity(ct.size, dtype=object) * (d * d * lcm * ct.order))
+    rows = _differs(rows, np.identity(ct.size, dtype=object) * (lcm * ct.order))
     columns = _matmul((p * m).transpose(0, 2, 1), _conj(p))
-    columns = _differs(columns, np.diag(k) * (d * d * ct.order))
+    columns = _differs(columns, np.diag(k) * ct.order)
     return _verdict(rows, "rows") if rows.any() else _verdict(columns, "columns")
 
 
@@ -186,9 +195,9 @@ def verify_homomorphism(ct: CharTable, sd: SchemeDescriptor):
 
     Returns (True, None) or (False, (h, i, j)).
     """
-    p, d = _pair(ct.entries)
+    p = ct.p
     lhs = _mul(p[..., :, None], p[..., None, :])
-    rhs = (p @ sd.tensor.reshape(ct.size, -1)).reshape(lhs.shape) * d
+    rhs = (p @ sd.tensor.reshape(ct.size, -1)).reshape(lhs.shape)
     return _verdict(_differs(lhs, *rhs))
 
 
@@ -198,11 +207,11 @@ def verify_reconstruction(ct: CharTable, sd: SchemeDescriptor):
 
     Returns (True, None) or (False, (h, i, j)).
     """
-    p, d = _pair(ct.entries)
+    p = ct.p
     products = _mul(p[..., :, None], p[..., None, :]).reshape(2, ct.size, -1)
     weights = _conj(p).transpose(0, 2, 1) * _vector(ct.multiplicities)
     total = _matmul(weights, products).reshape(2, *sd.tensor.shape)
-    scale = _vector(ct.valencies)[:, None, None] * (d ** 3 * ct.order)
+    scale = _vector(ct.valencies)[:, None, None] * ct.order
     return _verdict(_differs(total, sd.tensor * scale))
 
 
@@ -210,7 +219,7 @@ def reconstruct_intersection(ct: CharTable, h: int, i: int, j: int):
     """Recover p_ij^h from the table as an exact rational, (1/(order*k_h))
     sum_l P_i(l) P_j(l) conj(P_h(l)) m_l: the scalar form of verify_reconstruction."""
     total = sum(
-        (ct.entries[l][i] * ct.entries[l][j] * ct.entries[l][h].conj() * ct.multiplicities[l]
+        (ct.entry(l, i) * ct.entry(l, j) * ct.entry(l, h).conj() * ct.multiplicities[l]
          for l in range(ct.size)),
         Eisenstein(0),
     )
@@ -218,28 +227,28 @@ def reconstruct_intersection(ct: CharTable, h: int, i: int, j: int):
     return value.as_rational()
 
 
-def second_eigenmatrix(ct: CharTable) -> Matrix:
-    """Q with Q[i][j] = m_j * conj(P[j][i]) / k_i; checks P Q = Q P = order * I
-    on d L Q[i][j] = m_j conj(d P[j][i]) L / k_i, which is in Z[w]."""
-    p, d = _pair(ct.entries)
+def second_eigenmatrix(ct: CharTable) -> tuple[np.ndarray, int]:
+    """Q with Q[i][j] = m_j conj(P[j][i]) / k_i, as the pair (L Q, L): L Q is
+    a (2, r, r) Z[w] array.  Checks P Q = Q P = order * I as
+    P (L Q) = (L Q) P = L order I."""
+    p = ct.p
     lcm = math.lcm(*ct.valencies)
-    cq = _conj(p).transpose(0, 2, 1) * np.outer(lcm // _vector(ct.valencies),
+    lq = _conj(p).transpose(0, 2, 1) * np.outer(lcm // _vector(ct.valencies),
                                                  ct.multiplicities)
-    target = np.identity(ct.size, dtype=object) * (d * d * lcm * ct.order)
-    if _differs(_matmul(p, cq), target).any() or _differs(_matmul(cq, p), target).any():
+    target = np.identity(ct.size, dtype=object) * (lcm * ct.order)
+    if _differs(_matmul(p, lq), target).any() or _differs(_matmul(lq, p), target).any():
         raise AssertionError("P Q = Q P = order * I fails")
-    return _to_eisenstein(cq, d * lcm)
+    return lq, lcm
 
 
 def minimal_polynomial_annihilates(ct: CharTable, intersection_mats) -> bool:
     """prod over distinct column-j values v of (B_j - v I) must vanish, for
     every j; this certifies the column entries are exactly the eigenvalues."""
-    p, d = _pair(ct.entries)
     identity = np.identity(ct.size, dtype=object)
     for j in range(ct.size):
-        b = np.asarray(intersection_mats[j], dtype=object) * d
+        b = np.asarray(intersection_mats[j], dtype=object)
         product = np.stack([identity, identity * 0])
-        for va, vb in dict.fromkeys(zip(*p[:, :, j].tolist())):
+        for va, vb in dict.fromkeys(zip(*ct.p[:, :, j].tolist())):
             product = _matmul(product, np.stack([b - va * identity, -vb * identity]))
         if _differs(product, 0).any():
             return False
@@ -248,25 +257,27 @@ def minimal_polynomial_annihilates(ct: CharTable, intersection_mats) -> bool:
 
 def idempotents(ct: CharTable, adjacency) -> list[Matrix]:
     """The primitive idempotents E_i = (1/order) sum_j Q[j][i] A_j, verified
-    idempotent with trace m_i.  Meant for small orders only; each A_j enters
-    as the 0/1 pattern of its nonzero entries.
+    idempotent with trace m_i, as nested tuples of Eisenstein values.  Meant
+    for small orders only; each A_j enters as the 0/1 pattern of its nonzero
+    entries.
 
-    With c Q in Z[w] (c the common denominator of Q), F_i = c order E_i is a
-    Z[w] matrix, checked by F_i^2 = c order F_i and tr F_i = c order m_i.
+    With (L Q, L) from second_eigenmatrix, F_i = L order E_i is a Z[w]
+    matrix, checked by F_i^2 = L order F_i and tr F_i = L order m_i.
     """
     check_budget("idempotents", ct.order)
-    cq, scale = _pair(second_eigenmatrix(ct))
-    scale *= ct.order
+    lq, lcm = second_eigenmatrix(ct)
+    scale = lcm * ct.order
     points = adjacency[0].shape[0]
     masks = (np.asarray(adjacency) != 0).astype(np.int64).reshape(len(adjacency), -1)
-    f = (cq.transpose(0, 2, 1) @ masks).reshape(2, ct.size, points, points)
+    f = (lq.transpose(0, 2, 1) @ masks).reshape(2, ct.size, points, points)
     out = []
     for i in range(ct.size):
         fi = f[:, i]
         if _differs(_matmul(fi, fi), *(fi * scale)).any():
             raise AssertionError(f"E_{i} is not idempotent")
-        trace = Eisenstein(*fi.trace(axis1=1, axis2=2)) / scale
-        if trace != Eisenstein(ct.multiplicities[i]):
-            raise AssertionError(f"E_{i} has trace {trace}, expected {ct.multiplicities[i]}")
+        trace = tuple(fi.trace(axis1=1, axis2=2))
+        if trace != (ct.multiplicities[i] * scale, 0):
+            raise AssertionError(f"E_{i} has trace {Eisenstein(*trace) / scale}, "
+                                 f"expected {ct.multiplicities[i]}")
         out.append(_to_eisenstein(fi, scale))
     return out

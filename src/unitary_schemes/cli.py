@@ -10,22 +10,22 @@ from . import chartable as ct_mod
 from . import fusion as fusion_mod
 from . import scheme as scheme_mod
 from . import serialize
-from .eisenstein import Eisenstein, _rat_str
 from .space import check_budget, enumerate_isotropic, isotropic_count
 from .fields import SUPPORTED_Q
 
 
-def _pretty(x: Eisenstein) -> str:
-    if x.b == 0:
-        return _rat_str(x.a)
-    tail = "w" if abs(x.b) == 1 else f"{_rat_str(abs(x.b))}w"
-    if x.a == 0:
-        return tail if x.b > 0 else "-" + tail
-    return f"{_rat_str(x.a)}{'-' if x.b < 0 else '+'}{tail}"
+def _pretty(a: int, b: int) -> str:
+    """A + B w as the table prints it: 3, -w, 2+4w, -4-4w."""
+    if b == 0:
+        return str(a)
+    tail = "w" if abs(b) == 1 else f"{abs(b)}w"
+    if a == 0:
+        return tail if b > 0 else "-" + tail
+    return f"{a}{'-' if b < 0 else '+'}{tail}"
 
 
 def _print_table(table: ct_mod.CharTable) -> None:
-    cells = [[_pretty(x) for x in row] for row in table.entries]
+    cells = [list(map(_pretty, ra, rb)) for ra, rb in zip(*table.p.tolist())]
     widths = [max(len(cells[i][j]) for i in range(table.size)) for j in range(table.size)]
     mwidth = max(len(str(m)) for m in table.multiplicities)
     for row, m in zip(cells, table.multiplicities):

@@ -2,13 +2,14 @@
 
 Values are a + b*w with exact rational a, b.  Complex conjugation sends w to
 w^2 = -1-w, and the squared modulus a^2 - a*b + b^2 is a rational that
-vanishes only at zero, so every identity in this package is checked as an
-equality, never to a tolerance.
+vanishes only at zero, so equalities are exact, never to a tolerance.
+
+This is the value type of ``CharTable.entry`` and of ``idempotents``; the
+character-table identities themselves run on Z[w] integer arrays.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 
 _Rat = (int, Fraction)
@@ -37,8 +38,8 @@ class Eisenstein:
             return NotImplemented
         return self.a == other.a and self.b == other.b
 
-    def __hash__(self):
-        return hash((self.a, self.b))
+    def __hash__(self):  # a rational value hashes as the rational it equals
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b))
 
     def __bool__(self):
         return self.a != 0 or self.b != 0
@@ -118,8 +119,6 @@ class Eisenstein:
 
 
 OMEGA = Eisenstein(0, 1)
-ONE = Eisenstein(1)
-ZERO = Eisenstein(0)
 
 
 def _rat_str(r: Fraction) -> str:
@@ -130,27 +129,3 @@ def render(x: Eisenstein) -> str:
     """Canonical text form "a+b*w" with exact rational components."""
     sep, b = ("-", -x.b) if x.b < 0 else ("+", x.b)
     return f"{_rat_str(x.a)}{sep}{_rat_str(b)}*w"
-
-
-# what render writes for every element of Z[w]
-_INTEGRAL = re.compile(r"(-?\d+)([+-])(\d+)\*w")
-
-
-def parse(text: str) -> Eisenstein:
-    """Exact inverse of :func:`render`."""
-    body = text.strip()
-    match = _INTEGRAL.fullmatch(body)
-    if match is not None:
-        a, sign, b = match.groups()
-        return Eisenstein(int(a), int(b) if sign == "+" else -int(b))
-    if not body.endswith("*w"):
-        raise ValueError(f"cannot parse {text!r} as an Eisenstein value")
-    body = body[:-2]
-    for pos in range(1, len(body)):
-        if body[pos] in "+-" and body[pos - 1] not in "/+-":
-            try:
-                a, b = Fraction(body[:pos]), Fraction(body[pos + 1:])
-            except ZeroDivisionError:  # a zero denominator
-                break
-            return Eisenstein(a, -b if body[pos] == "-" else b)
-    raise ValueError(f"cannot parse {text!r} as an Eisenstein value")

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chartable import CharTable, Matrix, multiplicities
-from .eisenstein import Eisenstein
+import numpy as np
+
+from .chartable import CharTable, multiplicities
 from .scheme import SchemeDescriptor, conjugate_index, scheme_rank
 
 Partition = tuple[tuple[int, ...], ...]
@@ -76,13 +77,6 @@ def _partitions_into(items: tuple[int, ...], parts: int):
     yield from rec(0, [])
 
 
-def _block_row_sums(entries: Matrix, rows, blocks: Partition):
-    return [
-        [sum((entries[i][j] for j in block), Eisenstein(0)) for block in blocks]
-        for i in rows
-    ]
-
-
 def fuse(ct: CharTable, sd_or_conj, blocks) -> FusedTable:
     """Fuse the table over a partition of the relation indices.
 
@@ -95,8 +89,11 @@ def fuse(ct: CharTable, sd_or_conj, blocks) -> FusedTable:
     conj_map = sd_or_conj.conj_map if isinstance(sd_or_conj, SchemeDescriptor) else sd_or_conj
     _check_conjugation_closed(blocks, conj_map)
 
-    sums = _block_row_sums(ct.entries, range(size), blocks)
+    # sums[i][alpha]: the (A, B) parts of the sum of row i over block alpha
     parts = len(blocks)
+    starts = np.cumsum([0] + [len(b) for b in blocks[:-1]])
+    a, b = np.add.reduceat(ct.p[:, :, sum(blocks, ())], starts, axis=2).tolist()
+    sums = [list(zip(ra, rb)) for ra, rb in zip(a, b)]
     first_violation = None
     for tail in _partitions_into(tuple(range(1, size)), parts - 1):
         candidate = ((0,),) + tuple(tail)
@@ -116,12 +113,11 @@ def fuse(ct: CharTable, sd_or_conj, blocks) -> FusedTable:
         signatures = [tuple(sums[block[0]]) for block in candidate]
         if len(set(signatures)) != parts:
             continue  # duplicate rows cannot form an eigenmatrix
-        entries = tuple(signatures)
+        p = np.array(signatures, dtype=object).transpose(2, 0, 1)
         mult = tuple(sum(ct.multiplicities[i] for i in block) for block in candidate)
-        valencies = tuple(x.as_rational().numerator for x in entries[0])
-        fused = CharTable(entries=entries, multiplicities=mult,
-                          valencies=valencies, order=ct.order)
-        if multiplicities(entries, valencies, ct.order) != mult:
+        valencies = tuple(sum(ct.valencies[l] for l in block) for block in blocks)
+        fused = CharTable(p=p, multiplicities=mult, valencies=valencies, order=ct.order)
+        if multiplicities(fused.p, valencies, ct.order) != mult:
             raise AssertionError("fused multiplicities disagree with the eigenspace formula")
         if sum(mult) != ct.order:
             raise AssertionError("fused multiplicities do not sum to the order")

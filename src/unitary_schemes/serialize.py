@@ -16,18 +16,19 @@ point, entry (x, y) being the sequential relation index of that pair.
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chartable import CharTable
-from .eisenstein import parse as parse_entry
-from .eisenstein import render as render_entry
 from .scheme import SchemeDescriptor, is_commutative
 
 FORMAT_LINE = "unitary-scheme-document 1"
 REQUIRED_FIELDS = ("n", "q", "rank", "order", "mode", "seed")
+# a character-table entry A + B w of Z[w], as document_from_chartable writes it
+_ENTRY = re.compile(r"(-?[0-9]+)([+-])([0-9]+)\*w")
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,7 +64,8 @@ def document_from_descriptor(sd: SchemeDescriptor, seed: int = 0) -> SchemeDocum
 
 def document_from_chartable(ct: CharTable, n: int, fusion: str | None = None,
                             seed: int = 0) -> SchemeDocument:
-    rendered = tuple(tuple(render_entry(x) for x in row) for row in ct.entries)
+    rendered = tuple(tuple(f"{a}{'-' if b < 0 else '+'}{abs(b)}*w" for a, b in zip(ra, rb))
+                     for ra, rb in zip(*ct.p.tolist()))
     return SchemeDocument(
         n=n, q=2, rank=ct.size, order=ct.order, mode="closed", seed=seed,
         valencies=ct.valencies, chartable=rendered,
@@ -73,7 +75,8 @@ def document_from_chartable(ct: CharTable, n: int, fusion: str | None = None,
 
 def chartable_from_document(doc: SchemeDocument) -> CharTable:
     """The character table of a document; a table that is not square, does
-    not match the rank line, or has valencies or multiplicities of another
+    not match the rank line, has an entry not spelled "A+B*w" or "A-B*w" with
+    decimal integers A, B, or has valencies or multiplicities of another
     length or not all positive raises a ValueError naming the field."""
     if doc.chartable is None or doc.multiplicities is None:
         raise ValueError("document carries no character table")
@@ -91,13 +94,15 @@ def chartable_from_document(doc: SchemeDocument) -> CharTable:
             raise ValueError(f"{name} has {len(values)} entries, expected {size}")
         if min(values) <= 0:
             raise ValueError(f"{name} must be positive, got {min(values)}")
-    entries = tuple(tuple(parse_entry(x) for x in row) for row in doc.chartable)
-    for i, row in enumerate(entries):  # eigenvalues of integer matrices
-        for j, x in enumerate(row):
-            if x.a.denominator != 1 or x.b.denominator != 1:
-                raise ValueError(f"chartable row {i}, column {j}: {doc.chartable[i][j]} "
-                                 "is not in Z[w]")
-    return CharTable(entries=entries, multiplicities=doc.multiplicities,
+    p = np.zeros((2, size, size), dtype=object)
+    for i, row in enumerate(doc.chartable):  # eigenvalues of integer matrices
+        for j, text in enumerate(row):
+            match = _ENTRY.fullmatch(text)
+            if match is None:
+                raise ValueError(f"chartable row {i}, column {j}: {text} is not in Z[w]")
+            a, sign, b = match.groups()
+            p[:, i, j] = int(a), int(sign + b)
+    return CharTable(p=p, multiplicities=doc.multiplicities,
                      valencies=doc.valencies, order=doc.order)
 
 

@@ -1,7 +1,10 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from unitary_schemes import cli
 from unitary_schemes.chartable import (
     CharTable,
     char_table_closed,
@@ -17,6 +20,12 @@ from unitary_schemes.chartable import (
 )
 from unitary_schemes.eisenstein import OMEGA, Eisenstein
 from unitary_schemes.scheme import build_adjacency_matrices, intersection_matrices
+from unitary_schemes.serialize import (
+    chartable_from_document,
+    document_from_chartable,
+    parse_document,
+    render_document,
+)
 
 from _reference import RefField, isotropic_vectors, tensor as reference_tensor
 
@@ -26,6 +35,11 @@ WB = OMEGA.conj()
 
 def E(x):
     return x if isinstance(x, Eisenstein) else Eisenstein(x)
+
+
+def rows(ct):
+    """The entries of ``ct`` as nested lists of Eisenstein values."""
+    return [[ct.entry(i, j) for j in range(ct.size)] for i in range(ct.size)]
 
 
 def test_rejects_dimension_below_2():
@@ -43,8 +57,8 @@ def test_table_n2_verbatim(get_table):
         [1, W, WB, -1, -WB, -W],
         [1, WB, W, -1, -W, -WB],
     ]
-    assert [list(r) for r in ct.entries] == [[E(x) for x in r] for r in expected]
-    assert ct.entries[3][3] == -1
+    assert rows(ct) == [[E(x) for x in r] for r in expected]
+    assert ct.entry(3, 3) == -1
     assert ct.multiplicities == (1, 1, 1, 2, 2, 2)
     assert ct.order == 9
 
@@ -59,19 +73,19 @@ def test_table_n3_verbatim(get_table):
         [1, W, WB, 2, 2 * WB, 2 * W],
         [1, WB, W, 2, 2 * W, 2 * WB],
     ]
-    assert [list(r) for r in ct.entries] == [[E(x) for x in r] for r in expected]
-    assert ct.entries[1][3] == -4
+    assert rows(ct) == [[E(x) for x in r] for r in expected]
+    assert ct.entry(1, 3) == -4
     assert ct.multiplicities == (1, 3, 3, 8, 6, 6)
     assert ct.order == 27
 
 
 def test_table_n4_entries(get_table):
     ct = get_table(4)
-    assert ct.entries[0][6] == 36
-    assert ct.entries[1][3] == 8        # -(-2)^3
-    assert ct.entries[1][4] == 8 * WB
-    assert ct.entries[3][6] == 9        # 3*(-2)^2 - 3
-    assert ct.entries[6][6] == -9
+    assert ct.entry(0, 6) == 36
+    assert ct.entry(1, 3) == 8          # -(-2)^3
+    assert ct.entry(1, 4) == 8 * WB
+    assert ct.entry(3, 6) == 9          # 3*(-2)^2 - 3
+    assert ct.entry(6, 6) == -9
     assert ct.valencies == (1, 1, 1, 32, 32, 32, 36)
     assert ct.multiplicities == (1, 15, 15, 20, 30, 30, 24)
 
@@ -84,24 +98,68 @@ def test_multiplicities_match_closed_formulas(n, get_table):
     assert ct.multiplicities[0] == 1
 
 
-def tampered(ct, rows=None, multiplicities=None):
-    """``ct`` with its rows and/or multiplicities replaced."""
-    rows = ct.entries if rows is None else tuple(tuple(r) for r in rows)
-    return CharTable(entries=rows, multiplicities=multiplicities or ct.multiplicities,
+def tampered(ct, p):
+    """``ct`` with P replaced by the (2, r, r) array ``p``."""
+    return CharTable(p=p, multiplicities=ct.multiplicities,
                      valencies=ct.valencies, order=ct.order)
 
 
 def with_entry(ct, i, j, value):
-    rows = [list(r) for r in ct.entries]
-    rows[i][j] = value
-    return tampered(ct, rows)
+    """``ct`` with P[i][j] replaced by the Z[w] value ``value``."""
+    p = ct.p.copy()
+    p[:, i, j] = int(value.a), int(value.b)
+    return tampered(ct, p)
+
+
+def swapped_rows(ct, i, j):
+    order = list(range(ct.size))
+    order[i], order[j] = j, i
+    return tampered(ct, ct.p[:, order])
 
 
 def test_multiplicity_failure_on_wrong_table(get_table):
     ct = get_table(2)
-    broken = tuple(tuple(2 * x for x in row) for row in ct.entries)
     with pytest.raises(ArithmeticError, match="^multiplicity of row 0 is 1/4, not"):
-        multiplicities(broken, ct.valencies, ct.order)
+        multiplicities(2 * ct.p, ct.valencies, ct.order)
+    with pytest.raises(ArithmeticError, match="^multiplicity of row 0 is 0, not"):
+        multiplicities(ct.p, ct.valencies, 0)
+
+
+def test_table_holds_integer_parts_read_only(get_table):
+    ct = get_table(3)
+    assert ct.p.shape == (2, 6, 6) and ct.p.dtype == object
+    assert all(type(x) is int for x in ct.p.flat)
+    with pytest.raises(ValueError):
+        ct.p[0, 0, 0] = 2
+    # the table keeps a private copy of the array it is given
+    p = ct.p.copy()
+    table = tampered(ct, p)
+    p[0, 1, 1] = 7
+    assert table.entry(1, 1) == OMEGA
+    assert verify_orthogonality(table) == (True, None)
+
+
+@pytest.mark.parametrize("bad", [
+    [[[Fraction(1, 2)]], [[0]]],
+    [[[0.5]], [[0]]],
+    [[[OMEGA]], [[0]]],
+    [[[1, 1]], [[0, 0]]],
+    [[1]],
+], ids=["fraction", "float", "eisenstein", "not-square", "one-part"])
+def test_table_refuses_anything_but_integer_parts(bad):
+    with pytest.raises(ValueError, match="^P must be a \\(2, r, r\\) array of integers"):
+        CharTable(p=bad, multiplicities=(1,), valencies=(1,), order=1)
+
+
+def test_table_beyond_int64():
+    ct = char_table_closed(40)
+    assert ct.entry(0, 3) == 2**77
+    assert type(ct.p[0, 0, 3]) is int and ct.p[0, 0, 3] == 2**77
+    assert ct.multiplicities == closed_multiplicity_formulas(40)
+    assert max(ct.multiplicities) > 2**63
+    assert verify_orthogonality(ct) == (True, None)
+    second_eigenmatrix(ct)  # raises unless P Q = Q P = order * I
+    assert cli.main(["chartable", "--n", "40"]) == 0
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -113,9 +171,9 @@ def test_orthogonality(n, get_table):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_row_structure(n, get_table):
     ct = get_table(n)
-    assert all(x == 1 for x in (row[0] for row in ct.entries))
-    assert ct.entries[0] == tuple(Eisenstein(k) for k in ct.valencies)
-    for row in ct.entries[1:]:
+    assert all(row[0] == 1 for row in rows(ct))
+    assert rows(ct)[0] == [Eisenstein(k) for k in ct.valencies]
+    for row in rows(ct)[1:]:
         assert sum(row, Eisenstein(0)) == 0
 
 
@@ -123,20 +181,7 @@ def test_orthogonality_detects_row_multiplicity_mismatch(get_table):
     # swapping two rows of unequal multiplicity against the original
     # assignment must break the relations
     ct = get_table(4)
-    rows = list(ct.entries)
-    rows[1], rows[3] = rows[3], rows[1]
-    assert verify_orthogonality(tampered(ct, rows)) == (False, ("rows", 1, 1))
-
-
-@pytest.mark.parametrize("n", [2, 4])
-def test_identities_on_non_integral_table(n, get_table, get_descriptor):
-    # entries outside Z[w] are cleared by their common denominator, with the
-    # same verdicts and witnesses as exact rational arithmetic gives
-    ct = with_entry(get_table(n), 1, 1, OMEGA / 2)
-    assert verify_orthogonality(ct) == (False, ("rows", 0, 1))
-    assert verify_homomorphism(ct, get_descriptor(n, 2, "closed")) == (False, (1, 1, 1))
-    with pytest.raises(ArithmeticError, match="^multiplicity of row 1 is "):
-        multiplicities(ct.entries, ct.valencies, ct.order)
+    assert verify_orthogonality(swapped_rows(ct, 1, 3)) == (False, ("rows", 1, 1))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -148,7 +193,7 @@ def test_homomorphism(n, get_table, get_descriptor):
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_homomorphism_witness_on_changed_entry(n, get_table, get_descriptor):
     ct = get_table(n)
-    changed = with_entry(ct, 2, 4, ct.entries[2][4] + 1)
+    changed = with_entry(ct, 2, 4, ct.entry(2, 4) + 1)
     assert verify_homomorphism(changed, get_descriptor(n, 2, "closed")) == (False, (2, 1, 4))
 
 
@@ -181,7 +226,7 @@ def test_reconstruction_array_matches_scalar(n, get_table, get_descriptor):
                for h in range(ct.size) for i in range(ct.size) for j in range(ct.size))
     # on a tampered table the array names the scalar form's first failure
     # (a wrong rational, or a w part where the scalar form raises)
-    changed = with_entry(ct, 2, 4, ct.entries[2][4] + 1)
+    changed = with_entry(ct, 2, 4, ct.entry(2, 4) + 1)
 
     def scalar_fails(h, i, j):
         try:
@@ -216,18 +261,18 @@ def test_reconstruction_against_independent_oracle(get_table):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_second_eigenmatrix(n, get_table):
     ct = get_table(n)
-    q_matrix = second_eigenmatrix(ct)  # raises if P Q != order I
-    for i in range(ct.size):
-        assert q_matrix[i][0] == 1
+    lq, lcm = second_eigenmatrix(ct)  # raises if P Q != order I
+    assert lcm == math.lcm(*ct.valencies)
+    assert lq.shape == (2, ct.size, ct.size)
+    assert (lq[0][:, 0] == lcm).all() and (lq[1][:, 0] == 0).all()  # Q[i][0] = 1
+    assert (lq[0][0] == lcm * np.array(ct.multiplicities)).all()  # Q[0][j] = m_j
 
 
 @pytest.mark.parametrize("n", [2, 4])
 def test_second_eigenmatrix_rejects_tampered_table(n, get_table):
     ct = get_table(n)
-    doubled = tampered(ct, [[2 * x for x in row] for row in ct.entries])
-    rows = list(ct.entries)
-    rows[1], rows[3] = rows[3], rows[1]
-    for table in (doubled, tampered(ct, rows), with_entry(ct, 2, 4, ct.entries[2][4] + 1)):
+    doubled = tampered(ct, 2 * ct.p)
+    for table in (doubled, swapped_rows(ct, 1, 3), with_entry(ct, 2, 4, ct.entry(2, 4) + 1)):
         with pytest.raises(AssertionError, match="^P Q = Q P = order \\* I fails$"):
             second_eigenmatrix(table)
 
@@ -243,22 +288,18 @@ def test_minimal_polynomials_detect_missing_eigenvalue(get_table, get_descriptor
     # dropping a genuine eigenvalue from a column leaves its factor out of
     # the product, which then cannot vanish
     ct = get_table(2)
-    rows = [list(r) for r in ct.entries]
-    for i in (3, 4, 5):
-        rows[i][3] = Eisenstein(2)
-    tampered = CharTable(entries=tuple(tuple(r) for r in rows),
-                         multiplicities=ct.multiplicities,
-                         valencies=ct.valencies, order=ct.order)
+    p = ct.p.copy()
+    p[:, 3:6, 3] = [[2], [0]]
     mats = intersection_matrices(get_descriptor(2, 2))
-    assert not minimal_polynomial_annihilates(tampered, mats)
+    assert not minimal_polynomial_annihilates(tampered(ct, p), mats)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_eigenvalue_bound(n, get_table):
     ct = get_table(n)
-    for row in ct.entries:
+    for row in rows(ct):
         for x, k in zip(row, ct.valencies):
-            assert x.abs_square() <= Fraction(k * k)
+            assert x.abs_square() <= k * k
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -271,11 +312,14 @@ def test_idempotents(n, get_table, get_space, get_descriptor):
 
 def test_idempotents_mutually_orthogonal(get_table, get_space, get_descriptor):
     # E_i E_j = 0 as a product of Z[w] integer matrices (denominators cleared)
-    from unitary_schemes.chartable import _differs, _matmul, _pair
+    from unitary_schemes.chartable import _differs, _matmul
 
     ct = get_table(2)
     adj = build_adjacency_matrices(get_space(2, 2), get_descriptor(2, 2))
-    ems = [_pair(e)[0] for e in idempotents(ct, adj)]
+    values = idempotents(ct, adj)
+    d = math.lcm(*(f.denominator for e in values for row in e for x in row for f in (x.a, x.b)))
+    ems = [np.array([[[int(getattr(x, part) * d) for x in row] for row in e] for part in "ab"],
+                    dtype=object) for e in values]
     for i in range(6):
         for j in range(6):
             product = _matmul(ems[i], ems[j])
@@ -285,7 +329,7 @@ def test_idempotents_mutually_orthogonal(get_table, get_space, get_descriptor):
 def test_idempotents_reject_tampered_input(get_table, get_space, get_descriptor):
     ct = get_table(2)
     adj = build_adjacency_matrices(get_space(2, 2), get_descriptor(2, 2))
-    doubled = tampered(ct, [[2 * x for x in row] for row in ct.entries])
+    doubled = tampered(ct, 2 * ct.p)
     with pytest.raises(AssertionError, match="^P Q = Q P = order \\* I fails$"):
         idempotents(doubled, adj)
     swapped = [adj[0], adj[3], adj[2], adj[1]] + adj[4:]
@@ -296,3 +340,30 @@ def test_idempotents_reject_tampered_input(get_table, get_space, get_descriptor)
 def test_idempotents_budget(get_table):
     with pytest.raises(ValueError, match="^135 points exceed the idempotents budget of 27$"):
         idempotents(get_table(4), [])
+
+
+def test_chartable_paths_construct_no_fraction(monkeypatch, tmp_path):
+    # P, its identities, the printer and the document writer and reader all
+    # run on integer parts; Fraction is left to Eisenstein values
+    text = render_document(document_from_chartable(char_table_closed(6), 6))
+    made = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    runs = [["verify", "--n", "4", "--q", "2", "--mode", mode]
+            for mode in ("both", "closed", "bruteforce")]
+    runs += [["chartable", "--n", "6", "--fusion", "coarse", "--format", fmt,
+              "--out", str(tmp_path / fmt)] for fmt in ("doc", "csv")]
+    runs += [["export", "--n", "3", "--q", "2"]]
+    for argv in runs:
+        assert cli.main(argv) == 0, argv
+        assert not made, argv
+    table = chartable_from_document(parse_document(text))
+    assert not made
+    assert verify_orthogonality(table) == (True, None)
+    Fraction(1, 2)
+    assert made == [(1, 2)]  # the count sees a construction

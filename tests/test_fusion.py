@@ -17,7 +17,12 @@ from unitary_schemes.scheme import (
 
 
 def E(rows):
-    return tuple(tuple(Eisenstein(x) for x in row) for row in rows)
+    return [[Eisenstein(x) for x in row] for row in rows]
+
+
+def rows(ct):
+    """The entries of ``ct`` as nested lists of Eisenstein values."""
+    return [[ct.entry(i, j) for j in range(ct.size)] for i in range(ct.size)]
 
 
 def expected_symmetrization(n):
@@ -74,7 +79,7 @@ def test_identity_fusion(get_table, get_descriptor):
     ct = get_table(3)
     singletons = tuple((l,) for l in range(6))
     fused = fuse(ct, get_descriptor(3, 2), singletons)
-    assert fused.table.entries == ct.entries
+    assert fused.table.p.tolist() == ct.p.tolist()
     assert fused.table.multiplicities == ct.multiplicities
     assert fused.dual_blocks == singletons
 
@@ -83,7 +88,7 @@ def test_identity_fusion(get_table, get_descriptor):
 def test_symmetrization_tables(n, get_table, get_descriptor):
     fused = fuse(get_table(n), get_descriptor(n, 2), symmetrization_partition(n, 2))
     entries, mult = expected_symmetrization(n)
-    assert fused.table.entries == entries
+    assert rows(fused.table) == entries
     assert fused.table.multiplicities == mult
     assert sum(mult) == fused.table.order
     ok, witness = verify_orthogonality(fused.table)
@@ -94,7 +99,7 @@ def test_symmetrization_tables(n, get_table, get_descriptor):
 def test_coarse_tables(n, get_table, get_descriptor):
     fused = fuse(get_table(n), get_descriptor(n, 2), coarse_partition(n))
     entries, mult = expected_coarse(n)
-    assert fused.table.entries == entries
+    assert rows(fused.table) == entries
     assert fused.table.multiplicities == mult
     ok, witness = verify_orthogonality(fused.table)
     assert ok, witness

@@ -1,0 +1,79 @@
+"""Golden pins: SHA-256 digests of the character-table and verify outputs.
+
+Round trips pass under any rendering drift that the writer and the reader
+share; these digests pin the bytes themselves.  They were recorded once from
+the outputs below and are compared, never rewritten, by the test:
+
+    PYTHONPATH=src python tests/test_golden.py  # prints the current digests
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from unitary_schemes.cli import main
+
+DIGESTS = Path(__file__).with_name("golden_digests.json")
+FUSIONS = ("none", "symmetrize", "coarse")
+CHARTABLE_N = (*range(2, 13), 40)
+VERIFY_N = range(2, 7)
+
+
+def commands():
+    for n in CHARTABLE_N:
+        for fusion in FUSIONS:
+            yield ["chartable", "--n", str(n), "--fusion", fusion]
+    for n in VERIFY_N:
+        yield ["verify", "--n", str(n), "--q", "2"]
+
+
+def outputs(argv, run, tmp_path):
+    """(key, text) for the stdout of ``argv`` and, for chartable, its --out
+    files in both formats; ``run(argv)`` returns (exit code, stdout)."""
+    key = " ".join(argv)
+    code, out = run(argv)
+    assert code == 0, key
+    yield "stdout " + key, out
+    if argv[0] == "chartable":
+        for fmt in ("doc", "csv"):
+            path = tmp_path / f"out.{fmt}"
+            code, _ = run(argv + ["--format", fmt, "--out", str(path)])
+            assert code == 0, key
+            yield f"{fmt} {key}", path.read_text()
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv", list(commands()), ids=" ".join)
+def test_output_matches_golden_digest(argv, capsys, tmp_path):
+    expected = json.loads(DIGESTS.read_text())
+
+    def run(args):
+        code = main(args)
+        return code, capsys.readouterr().out
+
+    for key, text in outputs(argv, run, tmp_path):
+        assert digest(text) == expected[key], key
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+    import tempfile
+
+    def run(args):
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            code = main(args)
+        return code, buffer.getvalue()
+
+    with tempfile.TemporaryDirectory() as tmp:
+        table = {key: digest(text) for argv in commands()
+                 for key, text in outputs(argv, run, Path(tmp))}
+    json.dump(table, sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")

@@ -1,10 +1,12 @@
 import csv
 import dataclasses
 import io
+import re
 
 import numpy as np
 import pytest
 
+from unitary_schemes.eisenstein import OMEGA
 from unitary_schemes.fields import SUPPORTED_Q
 from unitary_schemes.fusion import coarse_partition, fuse
 from unitary_schemes.scheme import (
@@ -63,7 +65,7 @@ def test_chartable_document_roundtrip(get_table, get_descriptor):
     text = render_document(doc)
     assert render_document(parse_document(text)) == text
     back = chartable_from_document(parse_document(text))
-    assert back.entries == get_table(3).entries
+    assert back.p.tolist() == get_table(3).p.tolist()
     assert back.multiplicities == (1, 3, 3, 8, 6, 6)
 
     fused = fuse(get_table(4), get_descriptor(4, 2), coarse_partition(4))
@@ -118,8 +120,36 @@ def test_chartable_document_rejects_empty_table():
 
 def test_chartable_document_rejects_zero_denominator():
     text = _chartable3_text().replace("-4+0*w 4+4*w", "-4/0+0*w 4+4*w", 1)
-    with pytest.raises(ValueError, match="cannot parse '-4/0\\+0\\*w'"):
+    with pytest.raises(ValueError, match="^chartable row 1, column 3: -4/0\\+0\\*w is not in Z\\[w\\]$"):
         chartable_from_document(parse_document(text))
+
+
+@pytest.mark.parametrize("spelling", [
+    "1e3+0*w", "1/1+0*w", "1.0+0*w", "1/2+0*w", "+1+0*w", "1+-1*w", "1+0w", "1", "",
+    "1 +0*w", "\u0661+0*w",
+])
+def test_chartable_document_reads_only_integer_spellings(spelling):
+    # an entry is read as "A+B*w" or "A-B*w" with ASCII decimal integers,
+    # the one spelling document_from_chartable writes
+    text = _chartable3_text()
+    assert "\n1+0*w 1+0*w 1+0*w -1+0*w" in text
+    doc = parse_document(text)
+    rows = [list(row) for row in doc.chartable]
+    rows[3][1] = spelling
+    bad = dataclasses.replace(doc, chartable=tuple(map(tuple, rows)))
+    message = f"^chartable row 3, column 1: {re.escape(spelling)} is not in Z\\[w\\]$"
+    with pytest.raises(ValueError, match=message):
+        chartable_from_document(bad)
+
+
+def test_chartable_document_reads_both_signs_beyond_int64():
+    doc = parse_document(_chartable3_text())
+    rows = [list(row) for row in doc.chartable]
+    rows[1][1], rows[1][2] = f"-{2**80}-{2**70}*w", f"{2**80}+0*w"
+    table = chartable_from_document(dataclasses.replace(doc, chartable=tuple(map(tuple, rows))))
+    assert table.p[:, 1, 1].tolist() == [-2**80, -2**70]
+    assert table.p[:, 1, 2].tolist() == [2**80, 0]
+    assert table.entry(1, 1) == -2**80 - 2**70 * OMEGA
 
 
 def test_csv_renderings(get_table, get_descriptor):
