@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -139,7 +140,7 @@ def _verdict(mask: np.ndarray, *kind):
 
 def _to_eisenstein(x, scale: int) -> Matrix:
     """The Z[w] matrix x / scale as nested tuples of Eisenstein values."""
-    value = functools.cache(lambda a, b: Eisenstein(a, b) / scale)
+    value = functools.cache(lambda a, b: Eisenstein(Fraction(a, scale), Fraction(b, scale)))
     return tuple(tuple(map(value, ra, rb)) for ra, rb in zip(*x.tolist()))
 
 
@@ -164,6 +165,8 @@ def multiplicities(p: np.ndarray, valencies, order: int) -> tuple[int, ...]:
     norms = _mul(p, _conj(p))[0]  # |x|^2 = x conj(x) is rational
     out = []
     for i, total in enumerate(norms @ (lcm // _vector(valencies))):
+        if total == 0:
+            raise ArithmeticError(f"multiplicity of row {i} is undefined: the row is zero")
         m, rest = divmod(numerator, total)
         if rest or m <= 0:
             g = math.gcd(numerator, total)

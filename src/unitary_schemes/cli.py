@@ -57,8 +57,7 @@ def cmd_chartable(args) -> int:
     if args.fusion != "none":
         conj = tuple(scheme_mod.conjugate_index(l, args.n, 2)
                      for l in range(scheme_mod.scheme_rank(args.n, 2)))
-        partition = dict(fusion_mod.canonical_fusions(args.n))[
-            "symmetrize" if args.fusion == "symmetrize" else "coarse"]
+        partition = dict(fusion_mod.canonical_fusions(args.n))[args.fusion]
         table = fusion_mod.fuse(table, conj, partition).table
         fusion_name = args.fusion
     label = f"character table, dimension {args.n}, {table.order} points"

@@ -3,9 +3,12 @@
 A partition of the relation indices (block 0 = {0}, blocks closed under the
 conjugation pairing) yields a fusion scheme exactly when the row indices can
 be partitioned, with the same number of blocks and {0} alone, so that every
-(row-block, column-block) cell of the eigenmatrix has constant row sums.  The
-search over dual partitions is exhaustive; candidates are enumerated in
-restricted-growth order, so the result is deterministic.
+(row-block, column-block) cell of the eigenmatrix has constant row sums
+(E. Bannai, Subschemes of some association schemes, J. Algebra 144, 1991).
+Such a dual partition is unique when it exists: rows of one dual block share
+their sums over every block, and rows of different dual blocks differ in
+them, because the fused eigenmatrix is invertible.  So it is built directly,
+as the rows grouped by those sums and ordered by each group's smallest row.
 """
 
 from __future__ import annotations
@@ -23,10 +26,6 @@ Partition = tuple[tuple[int, ...], ...]
 class FusionError(ValueError):
     """The requested partition does not induce a fusion scheme."""
 
-    def __init__(self, message: str, block=None):
-        super().__init__(message)
-        self.block = block
-
 
 @dataclass(frozen=True, eq=False)
 class FusedTable:
@@ -37,6 +36,8 @@ class FusedTable:
 
 def _normalise_partition(blocks, size: int) -> Partition:
     norm = tuple(tuple(sorted(int(x) for x in block)) for block in blocks)
+    if () in norm:
+        raise FusionError(f"block {norm.index(())} is empty")
     seen = [x for block in norm for x in block]
     if sorted(seen) != list(range(size)):
         raise FusionError(f"blocks must partition 0..{size - 1}")
@@ -53,84 +54,38 @@ def _check_conjugation_closed(blocks: Partition, conj_map) -> None:
             raise FusionError(f"block {tuple(sorted(b))} is not closed under conjugation")
 
 
-def _partitions_into(items: tuple[int, ...], parts: int):
-    """Set partitions of ``items`` into exactly ``parts`` blocks, in
-    restricted-growth (canonical, smallest-element-first) order."""
-
-    def rec(idx: int, blocks: list[list[int]]):
-        remaining = len(items) - idx
-        if remaining == 0:
-            if len(blocks) == parts:
-                yield [tuple(b) for b in blocks]
-            return
-        if len(blocks) + remaining < parts:
-            return
-        for b in blocks:
-            b.append(items[idx])
-            yield from rec(idx + 1, blocks)
-            b.pop()
-        if len(blocks) < parts:
-            blocks.append([items[idx]])
-            yield from rec(idx + 1, blocks)
-            blocks.pop()
-
-    yield from rec(0, [])
-
-
 def fuse(ct: CharTable, sd_or_conj, blocks) -> FusedTable:
     """Fuse the table over a partition of the relation indices.
 
     ``sd_or_conj`` supplies the conjugation map (a descriptor or the map
-    itself).  Fails with the first non-constant (row-block, column-block)
-    cell when no dual partition works.
+    itself).  The dual blocks are the rows grouped by their sums over the
+    blocks; a partition that leaves other than ``len(blocks)`` groups, or row
+    0 in company, does not fuse.
     """
     size = ct.size
     blocks = _normalise_partition(blocks, size)
     conj_map = sd_or_conj.conj_map if isinstance(sd_or_conj, SchemeDescriptor) else sd_or_conj
     _check_conjugation_closed(blocks, conj_map)
 
-    # sums[i][alpha]: the (A, B) parts of the sum of row i over block alpha
-    parts = len(blocks)
+    # sums[:, i, alpha]: the (A, B) parts of the sum of row i over block alpha
     starts = np.cumsum([0] + [len(b) for b in blocks[:-1]])
-    a, b = np.add.reduceat(ct.p[:, :, sum(blocks, ())], starts, axis=2).tolist()
-    sums = [list(zip(ra, rb)) for ra, rb in zip(a, b)]
-    first_violation = None
-    for tail in _partitions_into(tuple(range(1, size)), parts - 1):
-        candidate = ((0,),) + tuple(tail)
-        violation = None
-        for beta, row_block in enumerate(candidate):
-            for alpha in range(parts):
-                values = {sums[i][alpha] for i in row_block}
-                if len(values) != 1:
-                    violation = (beta, alpha)
-                    break
-            if violation:
-                break
-        if violation:
-            if first_violation is None:
-                first_violation = (candidate, violation)
-            continue
-        signatures = [tuple(sums[block[0]]) for block in candidate]
-        if len(set(signatures)) != parts:
-            continue  # duplicate rows cannot form an eigenmatrix
-        p = np.array(signatures, dtype=object).transpose(2, 0, 1)
-        mult = tuple(sum(ct.multiplicities[i] for i in block) for block in candidate)
-        valencies = tuple(sum(ct.valencies[l] for l in block) for block in blocks)
-        fused = CharTable(p=p, multiplicities=mult, valencies=valencies, order=ct.order)
-        if multiplicities(fused.p, valencies, ct.order) != mult:
-            raise AssertionError("fused multiplicities disagree with the eigenspace formula")
-        if sum(mult) != ct.order:
-            raise AssertionError("fused multiplicities do not sum to the order")
-        return FusedTable(table=fused, blocks=blocks, dual_blocks=candidate)
-
-    if first_violation is None:
-        raise FusionError("every dual candidate with constant row sums has duplicate rows")
-    candidate, violation = first_violation
-    raise FusionError(
-        f"no dual partition gives constant row sums; first candidate fails at "
-        f"row block {candidate[violation[0]]} x column block {blocks[violation[1]]}",
-        block=violation,
-    )
+    sums = np.add.reduceat(ct.p[:, :, sum(blocks, ())], starts, axis=2)
+    groups: dict[tuple, list[int]] = {}
+    for i, (a, b) in enumerate(zip(*sums.tolist())):
+        groups.setdefault((tuple(a), tuple(b)), []).append(i)
+    dual = tuple(map(tuple, groups.values()))
+    if len(dual) != len(blocks) or dual[0] != (0,):
+        raise FusionError(f"no dual partition gives constant row sums with row 0 alone: the "
+                          f"rows have {len(dual)} distinct sum vectors over {len(blocks)} blocks")
+    mult = tuple(sum(ct.multiplicities[i] for i in block) for block in dual)
+    valencies = tuple(sum(ct.valencies[l] for l in block) for block in blocks)
+    fused = CharTable(p=sums[:, [block[0] for block in dual]], multiplicities=mult,
+                      valencies=valencies, order=ct.order)
+    if multiplicities(fused.p, valencies, ct.order) != mult:
+        raise AssertionError("fused multiplicities disagree with the eigenspace formula")
+    if sum(mult) != ct.order:
+        raise AssertionError("fused multiplicities do not sum to the order")
+    return FusedTable(table=fused, blocks=blocks, dual_blocks=dual)
 
 
 def symmetrization_partition(n: int, q: int) -> Partition:

@@ -76,8 +76,11 @@ def document_from_chartable(ct: CharTable, n: int, fusion: str | None = None,
 def chartable_from_document(doc: SchemeDocument) -> CharTable:
     """The character table of a document; a table that is not square, does
     not match the rank line, has an entry not spelled "A+B*w" or "A-B*w" with
-    decimal integers A, B, or has valencies or multiplicities of another
-    length or not all positive raises a ValueError naming the field."""
+    decimal integers A, B, has valencies or multiplicities of another length
+    or not all positive, multiplicities not summing to the order, a row 0
+    other than the valencies or a column 0 other than all ones raises a
+    ValueError naming the field.  These checks cost O(rank) beyond the
+    parse; the table identities are left to ``verify_orthogonality``."""
     if doc.chartable is None or doc.multiplicities is None:
         raise ValueError("document carries no character table")
     if doc.valencies is None:
@@ -94,6 +97,9 @@ def chartable_from_document(doc: SchemeDocument) -> CharTable:
             raise ValueError(f"{name} has {len(values)} entries, expected {size}")
         if min(values) <= 0:
             raise ValueError(f"{name} must be positive, got {min(values)}")
+    if sum(doc.multiplicities) != doc.order:
+        raise ValueError(f"multiplicities sum to {sum(doc.multiplicities)}, "
+                         f"the order line says {doc.order}")
     p = np.zeros((2, size, size), dtype=object)
     for i, row in enumerate(doc.chartable):  # eigenvalues of integer matrices
         for j, text in enumerate(row):
@@ -102,6 +108,13 @@ def chartable_from_document(doc: SchemeDocument) -> CharTable:
                 raise ValueError(f"chartable row {i}, column {j}: {text} is not in Z[w]")
             a, sign, b = match.groups()
             p[:, i, j] = int(a), int(sign + b)
+    for j, k in enumerate(doc.valencies):  # row 0 of P is the valencies
+        if (p[0, 0, j], p[1, 0, j]) != (k, 0):
+            raise ValueError(f"valencies: chartable row 0, column {j} is "
+                             f"{doc.chartable[0][j]}, the valency is {k}")
+    for i in range(size):  # column 0 of P is all ones
+        if (p[0, i, 0], p[1, i, 0]) != (1, 0):
+            raise ValueError(f"chartable row {i}, column 0: {doc.chartable[i][0]} is not 1")
     return CharTable(p=p, multiplicities=doc.multiplicities,
                      valencies=doc.valencies, order=doc.order)
 

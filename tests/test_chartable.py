@@ -125,6 +125,14 @@ def test_multiplicity_failure_on_wrong_table(get_table):
         multiplicities(ct.p, ct.valencies, 0)
 
 
+def test_multiplicity_of_a_zero_row_is_its_own_failure(get_table):
+    ct = get_table(2)
+    p = ct.p.copy()
+    p[:, 5] = 0
+    with pytest.raises(ArithmeticError, match="^multiplicity of row 5 is undefined: the row is zero$"):
+        multiplicities(p, ct.valencies, ct.order)
+
+
 def test_table_holds_integer_parts_read_only(get_table):
     ct = get_table(3)
     assert ct.p.shape == (2, 6, 6) and ct.p.dtype == object

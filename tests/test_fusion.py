@@ -1,6 +1,6 @@
 import pytest
 
-from unitary_schemes.chartable import reconstruct_intersection, verify_orthogonality
+from unitary_schemes.chartable import CharTable, reconstruct_intersection, verify_orthogonality
 from unitary_schemes.eisenstein import Eisenstein
 from unitary_schemes.fusion import (
     FusionError,
@@ -10,9 +10,11 @@ from unitary_schemes.fusion import (
     symmetrization_partition,
 )
 from unitary_schemes.scheme import (
+    conjugate_index,
     fuse_relation_matrix,
     relation_matrix,
     scheme_from_relation_matrix,
+    scheme_rank,
 )
 
 
@@ -139,10 +141,92 @@ def test_malformed_partitions(get_table, get_descriptor):
         fuse(ct, sd, ((0,), (1, 3), (2,), (4, 5), (6,)))
 
 
-def test_unfusable_partition_reports_block(get_table, get_descriptor):
+@pytest.mark.parametrize("n,blocks,empty", [
+    (2, ((0,), (1, 2), (), (3, 4, 5)), 2),
+    (2, ((0,), (1, 2), (3, 4, 5), ()), 3),
+    (4, ((0,), (1, 2), (), (3, 4, 5), (6,)), 2),
+    (4, ((0,), (1, 2), (3, 4, 5), (6,), ()), 4),
+], ids=["n2-middle", "n2-end", "n4-middle", "n4-end"])
+def test_empty_blocks_are_refused(n, blocks, empty, get_table, get_descriptor):
+    with pytest.raises(FusionError, match=f"^block {empty} is empty$"):
+        fuse(get_table(n), get_descriptor(n, 2), blocks)
+
+
+def test_unfusable_partition_reports_sum_vectors(get_table, get_descriptor):
     # conjugation-closed, but the row sums cannot become block-constant
-    with pytest.raises(FusionError, match="constant row sums"):
+    with pytest.raises(FusionError, match="^no dual partition gives constant row sums with row 0 "
+                                          "alone: the rows have 5 distinct sum vectors over 4 blocks$"):
         fuse(get_table(4), get_descriptor(4, 2), ((0,), (1, 2), (3, 6), (4, 5)))
+
+
+def copy_row(p, src, dst):
+    p[:, dst] = p[:, src]
+
+
+def add_omega(p, i, j):
+    p[1, i, j] += 1
+
+
+@pytest.mark.parametrize("tamper,blocks,groups", [
+    (lambda p: copy_row(p, 0, 1), ((0,), (1, 2), (3, 4, 5)), 3),  # row 0 in company
+    (lambda p: add_omega(p, 4, 1), ((0,), (1, 2), (3, 4, 5)), 4),  # row 4 sums as row 1 but for B
+    (lambda p: copy_row(p, 1, 2), tuple((l,) for l in range(6)), 5),  # P singular
+], ids=["row-0-in-company", "omega-part-only", "singular"])
+def test_tampered_tables_do_not_fuse(tamper, blocks, groups, get_table, get_descriptor):
+    ct = get_table(2)
+    p = ct.p.copy()
+    tamper(p)
+    table = CharTable(p=p, multiplicities=ct.multiplicities, valencies=ct.valencies,
+                      order=ct.order)
+    message = (f"^no dual partition gives constant row sums with row 0 alone: the rows "
+               f"have {groups} distinct sum vectors over {len(blocks)} blocks$")
+    with pytest.raises(FusionError, match=message):
+        fuse(table, get_descriptor(2, 2), blocks)
+
+
+def closed_partitions(rank, conj):
+    """Every partition of 0..rank-1 with {0} alone that conjugation maps onto
+    itself, each once."""
+
+    def partitions(items):
+        if not items:
+            yield []
+            return
+        for rest in partitions(items[1:]):
+            for k in range(len(rest)):
+                yield rest[:k] + [(items[0],) + rest[k]] + rest[k + 1:]
+            yield [(items[0],)] + rest
+
+    for tail in partitions(tuple(range(1, rank))):
+        blocks = ((0,),) + tuple(tail)
+        sets = set(map(frozenset, blocks))
+        if all(frozenset(conj[l] for l in b) in sets for b in blocks):
+            yield blocks
+
+
+def test_closed_partitions_fuse_exactly_as_the_relations_do(get_space, get_table):
+    # the table criterion against the independent relation-level validator
+    fusions = tried = 0
+    for n in (2, 3, 4):
+        rank = scheme_rank(n, 2)
+        conj = [conjugate_index(l, n, 2) for l in range(rank)]
+        M = relation_matrix(get_space(n, 2))
+        for blocks in closed_partitions(rank, conj):
+            tried += 1
+            try:
+                fused = fuse(get_table(n), conj, blocks)
+            except FusionError:
+                fused = None
+            try:
+                _, valencies, _, _ = scheme_from_relation_matrix(fuse_relation_matrix(M, blocks))
+            except ValueError:
+                valencies = None
+            assert (fused is None) == (valencies is None), blocks
+            if fused is not None:
+                fusions += 1
+                assert fused.table.valencies == valencies
+                assert verify_orthogonality(fused.table) == (True, None)
+    assert (tried, fusions) == (55, 22)
 
 
 def test_relation_level_fusion_needs_every_label(get_space):

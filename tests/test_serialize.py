@@ -111,6 +111,25 @@ def test_chartable_document_rejects_malformed_tables(old, new, message):
         chartable_from_document(parse_document(text.replace(old, new)))
 
 
+@pytest.mark.parametrize("old,new,message", [
+    ("valencies 1 1 1 8 8 8", "valencies 1 1 1 8 8 9",
+     "^valencies: chartable row 0, column 5 is 8\\+0\\*w, the valency is 9$"),
+    ("multiplicities 1 3 3 8 6 6", "multiplicities 1 3 3 8 6 7",
+     "^multiplicities sum to 28, the order line says 27$"),
+    ("\n1+0*w 1+0*w 1+0*w -1+0*w", "\n1+1*w 1+0*w 1+0*w -1+0*w",
+     "^chartable row 3, column 0: 1\\+1\\*w is not 1$"),
+    ("\n1+0*w 1+0*w 1+0*w 8+0*w 8+0*w 8+0*w", "\n1+0*w 1+0*w 1+0*w 8+0*w 8+0*w 8+1*w",
+     "^valencies: chartable row 0, column 5 is 8\\+1\\*w, the valency is 8$"),
+], ids=["valency", "multiplicity-sum", "column-0", "row-0-omega-part"])
+def test_chartable_document_rejects_tables_that_contradict_their_lines(old, new, message):
+    # row 0 of a character table is the valencies, column 0 is all ones and
+    # the multiplicities sum to the order
+    text = _chartable3_text()
+    assert text.count(old) == 1
+    with pytest.raises(ValueError, match=message):
+        chartable_from_document(parse_document(text.replace(old, new)))
+
+
 def test_chartable_document_rejects_empty_table():
     doc = parse_document(_chartable3_text())
     empty = dataclasses.replace(doc, rank=0, chartable=(), valencies=(), multiplicities=())
