@@ -12,6 +12,7 @@ routes agree entrywise.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -42,6 +43,14 @@ MODES = ("bruteforce", "closed", "both")
 # Every tensor entry, row sum and valency is at most the number of points,
 # so keeping that below 2^63 keeps all int64 tensor arithmetic exact.
 INT64_LIMIT = 2**63
+
+# Multiply-adds per BLAS product in ``_triple_counts``.  OpenBLAS runs a
+# product of at most 4 * 65536 multiply-adds on the calling thread; a larger
+# one wakes worker threads, which keep spinning after it returns.
+BLAS_CALL = 2**17
+# float64 entries in the indicator stack of one row block of
+# ``_triple_counts`` (256 KB, so that a block stays in cache)
+ROW_BLOCK = 2**15
 
 
 def max_dimension(q: int) -> int:
@@ -232,7 +241,14 @@ def _closed_tensor(n: int, q: int) -> np.ndarray:
 
 
 def _joint_histogram(rows: np.ndarray, cols: np.ndarray, rank: int) -> np.ndarray:
-    return np.bincount(rows * rank + cols, minlength=rank * rank).reshape(rank, rank)
+    """``H[..., i, j]`` counts the z with ``rows[..., z]`` = i and
+    ``cols[..., z]`` = j, for label arrays of one shape."""
+    lead = rows.shape[:-1]
+    stack = math.prod(lead)
+    codes = rows.astype(np.intp) * rank
+    codes += cols.astype(np.intp, copy=False)
+    codes += (np.arange(stack) * (rank * rank)).reshape(*lead, 1)
+    return np.bincount(codes.ravel(), minlength=stack * rank * rank).reshape(*lead, rank, rank)
 
 
 def _draw_partner(rows: np.ndarray, h: int, rng: random.Random) -> int:
@@ -461,6 +477,18 @@ class _Structure:
     split: int | None
 
 
+def _label_range(M: np.ndarray) -> tuple[int, int]:
+    """The smallest and largest label of a square, non-empty integer matrix;
+    any other matrix raises a ``ValueError``."""
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError("relation matrix must be square")
+    if M.size == 0:
+        raise ValueError("relation matrix is empty")
+    if M.dtype.kind not in "iu":
+        raise ValueError("relation labels must be integers")
+    return int(M.min()), int(M.max())
+
+
 def _structure(M: np.ndarray, rank: int | None) -> _Structure:
     """Shape and label checks, relation sizes, converse map and row counts.
 
@@ -469,14 +497,8 @@ def _structure(M: np.ndarray, rank: int | None) -> _Structure:
     than points (in a scheme every relation meets every row) raises a
     ``ValueError``; the last bound also keeps the rank x rank histogram small.
     """
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("relation matrix must be square")
-    if M.size == 0:
-        raise ValueError("relation matrix is empty")
-    if M.dtype.kind not in "iu":
-        raise ValueError("relation labels must be integers")
     count = M.shape[0]
-    low, high = int(M.min()), int(M.max())
+    low, high = _label_range(M)
     if rank is None:
         rank = high + 1
     if low < 0 or high >= rank:
@@ -501,31 +523,90 @@ def _structure(M: np.ndarray, rank: int | None) -> _Structure:
 def _triple_counts(M: np.ndarray, st: _Structure) -> tuple[np.ndarray, np.ndarray]:
     """Exact triple counts of a relation matrix, every pair checked.
 
-    Row x gives (A_i A_j)[x, y] for every y, i and j at once, as the joint
-    histogram of (M[x, z], M[z, y]) over z.  ``tensor[h, i, j]`` is read at
-    one representative pair of each non-empty relation h, and
-    ``varies[h, i, j]`` marks where the count is not constant over the pairs
-    of relation h.  Time is O(N^3 + N^2 rank^2), memory O(N^2 + N rank^2).
+    ``tensor[h, i, j]`` counts the z with (x, z) in relation i and (z, y) in
+    relation j at one representative pair (x, y) of each non-empty relation
+    h, and ``varies[h, i, j]`` marks where that count is not constant over
+    the pairs of relation h.
+
+    The counts over the relations j of one digit group g0 <= j < g0 + w are
+    packed as the base-B digits of one number (Kronecker substitution), with
+    B = st.rows.max() + 1 and B^w <= 2^53.  No count exceeds a row count, so
+    every digit is below B, every packed sum and partial sum is an integer
+    below 2^53, and float64 products compute them exactly in any order.  Row
+    x's packed counts for every (i, y) are then one product onehot_x @ P of
+    its (rank, N) indicator matrix and P[z, y] = B^(M[z, y] - g0), taken for
+    a block of rows at once as a stack of per-row products of at most
+    ``BLAS_CALL`` multiply-adds, each compared whole with the packed counts
+    of the representative of M[x, y]; digits are unpacked only where the two
+    differ.  Time O(G rank N^3) multiply-adds over G = ceil(rank / w) digit
+    groups; memory O(N^2 + rank^3 + ROW_BLOCK + N rank).
     """
     count, rank = M.shape[0], st.rank
-    square = rank * rank
+    labels = M.astype(np.intp)
+    relations = np.arange(rank)
     xs = (st.rows > 0).argmax(axis=0)
-    ys = (M[xs] == np.arange(rank)[:, None]).argmax(axis=1)
-    labels = M.astype(np.int64)
-    # cols[z, y] + M[x, z] * rank is the cell (y, M[x, z], M[z, y]) of row x's counts
-    cols = labels + np.arange(count, dtype=np.int64) * square
-    tensor = np.zeros((rank, rank, rank), dtype=np.int64)
+    ys = (labels[xs] == relations[:, None]).argmax(axis=1)
+    tensor = _joint_histogram(labels[xs], labels[:, ys].T, rank)
     varies = np.zeros((rank, rank, rank), dtype=bool)
-    for x in range(count):
-        counts = np.bincount((cols + labels[x, :, None] * rank).ravel(),
-                             minlength=count * square).reshape(count, rank, rank)
-        first = np.flatnonzero(xs == x)  # relations first met in row x
-        tensor[first] = counts[ys[first]]
-        wrong = counts != tensor[labels[x]]
-        if wrong.any():
-            y, i, j = np.nonzero(wrong)
-            varies[labels[x, y], i, j] = True
+    base = int(st.rows.max()) + 1
+    width = 1
+    while width < rank and base ** (width + 1) <= 2**53:
+        width += 1
+    assert base**width <= 2**53, "packed counts must stay exact in float64"
+    rows_per_block = max(1, ROW_BLOCK // (count * rank))
+    columns_per_product = max(1, BLAS_CALL // (count * rank))
+    indicator = np.eye(rank)
+    powers = np.empty((count, count))
+    packed = powers.T  # packed[y, z] = B^(M[z, y] - g0), one digit group at a time
+    for g0 in range(0, rank, width):
+        digits = np.arange(min(width, rank - g0))
+        scale = base**digits
+        power = np.zeros(rank)
+        power[g0:g0 + digits.size] = scale
+        # labels lie in [0, rank), so "clip" changes none; unlike "raise", it
+        # writes into ``powers`` without an N x N buffer
+        np.take(power, labels, out=powers, mode="clip")
+        reference = tensor[:, :, g0:g0 + digits.size] @ power[g0:g0 + digits.size]
+        for x0 in range(0, count, rows_per_block):
+            block = labels[x0:x0 + rows_per_block]
+            onehot = np.take(indicator, block, axis=0)  # onehot[x, z, i] = [M[x, z] = i]
+            for y0 in range(0, count, columns_per_product):
+                cols = block[:, y0:y0 + columns_per_product]
+                # got[x, y, i], one product per row x
+                got = packed[y0:y0 + columns_per_product] @ onehot
+                want = np.take(reference, cols, axis=0)
+                differ = got != want
+                if differ.any():
+                    x, y, i = np.nonzero(differ)
+                    wrong = (got[x, y, i].astype(np.int64)[:, None] // scale % base
+                             != want[x, y, i].astype(np.int64)[:, None] // scale % base)
+                    at, k = np.nonzero(wrong)
+                    varies[cols[x[at], y[at]], i[at], g0 + k] = True
     return tensor, varies
+
+
+def _sampled_pairs(M: np.ndarray, st: _Structure, seed: int
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs of the sampled constancy check: for each relation h in turn,
+    min(``SAMPLES_PER_RELATION``, size) picks p drawn uniformly with
+    ``random.Random(seed)``, each the p-th pair of h in row-major order.
+    Returns the relation and the two points of every pick, in draw order."""
+    rng = random.Random(seed)
+    relation = np.repeat(np.arange(st.rank), np.minimum(SAMPLES_PER_RELATION, st.sizes))
+    picks = np.array([rng.randrange(st.sizes[h]) for h in relation.tolist()], dtype=np.int64)
+    # the p-th pair of h lies in the first row whose running count of h
+    # exceeds p; offsetting column h by the sizes before it makes the running
+    # counts of all relations one non-decreasing array to search
+    running = np.cumsum(st.rows, axis=0)
+    starts = running[-1].cumsum() - running[-1]
+    count = M.shape[0]
+    xs = np.searchsorted((running + starts).T.ravel(), picks + starts[relation],
+                         side="right") - relation * count
+    # it is the r-th point y of row x with M[x, y] = h, counted from 0
+    r = picks - running[xs, relation] + st.rows[xs, relation]
+    seen = np.cumsum(M[xs] == relation[:, None], axis=1)
+    ys = np.count_nonzero(seen <= r[:, None], axis=1)
+    return relation, xs, ys
 
 
 def verify_relation_matrix(M: np.ndarray, rank: int | None = None,
@@ -563,32 +644,21 @@ def verify_relation_matrix(M: np.ndarray, rank: int | None = None,
         valency_ok = bool((st.rows == np.asarray(sd.valencies)).all())
         checks.append(("valencies", valency_ok, "every row realises the valencies"))
 
-    # the p-th pair of relation h in row-major order lies in the first row
-    # whose running count of h exceeds p
-    running = np.cumsum(st.rows, axis=0)
-    samples = SAMPLES_PER_RELATION
-    rng = random.Random(seed)
-    constancy_ok = True
-    detail = f"triple counts constant over {samples} sampled pairs per relation"
-    for h in range(st.rank):
-        picks = [rng.randrange(st.sizes[h]) for _ in range(min(samples, st.sizes[h]))]
-        reference = None
-        for p in picks:
-            x = int(np.searchsorted(running[:, h], p, side="right"))
-            y = np.flatnonzero(M[x] == h)[p - running[x, h] + st.rows[x, h]]
-            hist = _joint_histogram(M[x, :], M[:, y], st.rank)
-            if reference is None:
-                reference = hist
-            elif not np.array_equal(hist, reference):
-                constancy_ok = False
-                detail = f"triple counts differ between representatives of relation {h}"
-                break
-        if constancy_ok and sd is not None and reference is not None:
-            if not np.array_equal(reference, sd.tensor[h]):
-                constancy_ok = False
-                detail = f"triple counts at relation {h} differ from the descriptor"
-        if not constancy_ok:
-            break
+    relation, xs, ys = _sampled_pairs(M, st, seed)
+    hist = _joint_histogram(M[xs], M[:, ys].T, st.rank)
+    # each sample against the first sample of its relation, and the descriptor
+    split = np.zeros(st.rank, dtype=bool)
+    split[relation[(hist != hist[np.searchsorted(relation, relation)]).any(axis=(1, 2))]] = True
+    off = np.zeros(st.rank, dtype=bool)
+    if sd is not None:
+        off[relation[(hist != sd.tensor[relation]).any(axis=(1, 2))]] = True
+    failing = np.flatnonzero(split | off)
+    constancy_ok = not failing.size
+    detail = f"triple counts constant over {SAMPLES_PER_RELATION} sampled pairs per relation"
+    if not constancy_ok:
+        h = int(failing[0])
+        detail = (f"triple counts differ between representatives of relation {h}" if split[h]
+                  else f"triple counts at relation {h} differ from the descriptor")
     checks.append(("constancy", constancy_ok, detail))
 
     return AxiomReport(passed=all(ok for _, ok, _ in checks), checks=checks)
@@ -648,12 +718,25 @@ def scheme_from_relation_matrix(M: np.ndarray):
 
 
 def fuse_relation_matrix(M: np.ndarray, blocks) -> np.ndarray:
-    """Relabel a relation matrix by uniting the relations inside each block."""
+    """Relabel a relation matrix by uniting the relations inside each block.
+
+    A matrix that is not square, is empty, is not of integers or holds a
+    negative label, and blocks that leave a label out, list it twice or
+    list a relation beyond the largest label, raise a ``ValueError``.
+    """
+    M = np.asarray(M)
+    low, high = _label_range(M)
+    if low < 0:
+        raise ValueError(f"relation labels must be non-negative, not {low}")
     block_of = {}
     for b, block in enumerate(blocks):
         for l in block:
+            if not 0 <= l <= high:
+                raise ValueError(f"relation {l} is not a label of the matrix, 0..{high}")
+            if l in block_of:
+                raise ValueError(f"relation {l} lies in blocks {block_of[l]} and {b}")
             block_of[l] = b
-    labels = range(int(M.max()) + 1)
+    labels = range(high + 1)
     missing = [l for l in labels if l not in block_of]
     if missing:
         raise ValueError(f"relation {missing[0]} lies in no block")

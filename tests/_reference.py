@@ -5,10 +5,13 @@ modulo the same pinned Conway polynomials the library uses; apart from the
 last section, nothing here touches the library's lookup tables, discrete
 logs, or kernels.  The brute-force functions are slow on purpose and only run
 at small sizes; the orthogonal-decomposition count enumerates only vectors of
-F_{q^2}^2 and covers every supported (n, q).  The last section counts single
-intersection numbers over a library ``UnitarySpace`` with one row and one
-column pass each, independently of the relabelled histograms and sampled
-tensors of the library's brute-force route.
+F_{q^2}^2 and covers every supported (n, q).  The second-to-last section
+counts single intersection numbers over a library ``UnitarySpace`` with one
+row and one column pass each, independently of the relabelled histograms and
+sampled tensors of the library's brute-force route.  The last one counts the
+triple counts of a relation matrix one row of joint histograms at a time and
+its sampled constancy check one pick at a time, against the packed products
+and batched histograms of the library's relation-matrix validators.
 """
 
 import functools
@@ -354,3 +357,53 @@ def sample_representatives(us, h, count, rng: random.Random):
         partners = np.flatnonzero(rows == h)
         pairs.append((us.point(a), us.point(int(partners[rng.randrange(partners.size)]))))
     return pairs
+
+
+# ---------------------------------------------------------------------------
+# Triple counts of a relation matrix, one row of joint histograms at a time
+
+
+def triple_counts(M, st):
+    """``(tensor, varies)`` as ``scheme._triple_counts`` defines them, counted
+    by one ``bincount`` of every (y, M[x, z], M[z, y]) per row x, with no
+    packing and no floating point.  Time O(N^3 + N^2 rank^2), memory
+    O(N^2 + N rank^2)."""
+    count, rank = M.shape[0], st.rank
+    square = rank * rank
+    xs = (st.rows > 0).argmax(axis=0)
+    ys = (M[xs] == np.arange(rank)[:, None]).argmax(axis=1)
+    labels = M.astype(np.int64)
+    # cols[z, y] + M[x, z] * rank is the cell (y, M[x, z], M[z, y]) of row x's counts
+    cols = labels + np.arange(count, dtype=np.int64) * square
+    tensor = np.zeros((rank, rank, rank), dtype=np.int64)
+    varies = np.zeros((rank, rank, rank), dtype=bool)
+    for x in range(count):
+        counts = np.bincount((cols + labels[x, :, None] * rank).ravel(),
+                             minlength=count * square).reshape(count, rank, rank)
+        first = np.flatnonzero(xs == x)  # relations first met in row x
+        tensor[first] = counts[ys[first]]
+        wrong = counts != tensor[labels[x]]
+        if wrong.any():
+            y, i, j = np.nonzero(wrong)
+            varies[labels[x, y], i, j] = True
+    return tensor, varies
+
+
+def sampled_constancy(M, st, tensor, seed, samples=5):
+    """``(ok, detail)`` of the sampled constancy check, one pick at a time:
+    per relation h, ``samples`` draws p of ``random.Random(seed)``, each the
+    p-th pair of h in ``np.nonzero`` order, with the joint histogram of
+    (M[x, z], M[z, y]) over z compared with the first pick's and then, when
+    ``tensor`` is given, with ``tensor[h]``."""
+    rank = st.rank
+    rng = random.Random(seed)
+    for h in range(rank):
+        hx, hy = np.nonzero(M == h)
+        picks = [rng.randrange(hx.size) for _ in range(min(samples, hx.size))]
+        hists = [np.bincount(M[hx[p]].astype(np.int64) * rank + M[:, hy[p]],
+                             minlength=rank * rank).reshape(rank, rank) for p in picks]
+        if any(not np.array_equal(hist, hists[0]) for hist in hists):
+            return False, f"triple counts differ between representatives of relation {h}"
+        if tensor is not None and hists and not np.array_equal(hists[0], tensor[h]):
+            return False, f"triple counts at relation {h} differ from the descriptor"
+    return True, f"triple counts constant over {samples} sampled pairs per relation"

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from unitary_schemes.chartable import CharTable, reconstruct_intersection, verify_orthogonality
@@ -233,3 +234,15 @@ def test_relation_level_fusion_needs_every_label(get_space):
     M = relation_matrix(get_space(2, 2))
     with pytest.raises(ValueError, match="^relation 3 lies in no block$"):
         fuse_relation_matrix(M, [(0,), (1, 2)])
+
+
+@pytest.mark.parametrize("M,blocks,message", [
+    ([[0, -1], [1, 0]], ((0,), (1,)), "^relation labels must be non-negative, not -1$"),
+    ([[0, 1], [1, 0]], ((0, 1), (1,)), "^relation 1 lies in blocks 0 and 1$"),
+    (np.zeros((0, 0), dtype=np.int64), ((0,),), "^relation matrix is empty$"),
+    ([[0.0, 1.0], [1.0, 0.0]], ((0,), (1,)), "^relation labels must be integers$"),
+    ([[0, 1], [1, 0]], ((0,), (5,), (1,)), r"^relation 5 is not a label of the matrix, 0\.\.1$"),
+], ids=["negative", "two-blocks", "empty", "float", "beyond-labels"])
+def test_relation_level_fusion_rejects_bad_input(M, blocks, message):
+    with pytest.raises(ValueError, match=message):
+        fuse_relation_matrix(np.array(M), blocks)

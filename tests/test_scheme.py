@@ -27,7 +27,8 @@ from unitary_schemes.scheme import (
 from unitary_schemes.space import witness_pair
 
 from _reference import (RefField, assert_matches_decomposition, intersection_number_bruteforce,
-                        isotropic_vectors, sample_representatives, tensor as reference_tensor)
+                        isotropic_vectors, sample_representatives, sampled_constancy,
+                        tensor as reference_tensor, triple_counts)
 
 
 def test_rank_formula():
@@ -422,6 +423,14 @@ def test_relation_matrix_integer_dtypes(dtype, get_space):
     assert verify_relation_matrix(M.astype(dtype)).checks == verify_relation_matrix(M).checks
 
 
+def test_sampled_check_widens_narrow_labels(get_space, get_descriptor):
+    # at rank 30 a uint8 pair code M[x, z] * 30 + M[z, y] would wrap past 255
+    M = relation_matrix(get_space(2, 4))
+    sd = get_descriptor(2, 4)
+    report = verify_relation_matrix(M.astype(np.uint8), sd=sd)
+    assert report.passed and report.checks == verify_relation_matrix(M, sd=sd).checks
+
+
 def _tamper_diagonal(M):
     T = M.copy()
     T[1, 1] = 3
@@ -478,22 +487,104 @@ def test_adjacency_rejects_tampered_descriptor(get_space, get_descriptor):
             build_adjacency_matrices(us, dataclasses.replace(sd, **{field: value}))
 
 
-def test_sampled_pairs_follow_row_major_order(monkeypatch, get_space):
+def test_sampled_pairs_follow_row_major_order(get_space):
     # the sampled check draws the p-th pair of relation h in np.nonzero order
     M = relation_matrix(get_space(4, 2))
-    seen = []
-
-    def record(rows, cols, rank):
-        seen.append((rows, cols))
-        return np.zeros((rank, rank), dtype=np.int64)
-
-    monkeypatch.setattr(scheme_mod, "_joint_histogram", record)
-    verify_relation_matrix(M, seed=3)
+    relation, xs, ys = scheme_mod._sampled_pairs(M, scheme_mod._structure(M, None), 3)
     rng = random.Random(3)
     expected = []
     for h in range(7):
-        xs, ys = np.nonzero(M == h)
-        expected += [(xs[p], ys[p]) for p in [rng.randrange(xs.size) for _ in range(5)]]
-    assert len(seen) == len(expected) == 35
-    for (rows, cols), (x, y) in zip(seen, expected):
-        assert np.array_equal(rows, M[x]) and np.array_equal(cols, M[:, y])
+        hx, hy = np.nonzero(M == h)
+        expected += [(h, hx[p], hy[p]) for p in [rng.randrange(hx.size) for _ in range(5)]]
+    assert len(expected) == 35
+    assert list(zip(relation.tolist(), xs.tolist(), ys.tolist())) == expected
+
+
+def _single_edits(M, count, seed):
+    """``count`` copies of M, each with one entry set to a random label."""
+    rng = random.Random(seed)
+    size, labels = M.shape[0], int(M.max()) + 1
+    for _ in range(count):
+        T = M.copy()
+        T[rng.randrange(size), rng.randrange(size)] = rng.randrange(labels)
+        yield T
+
+
+def _constancy(report):
+    return next((ok, detail) for name, ok, detail in report.checks if name == "constancy")
+
+
+@pytest.mark.parametrize("n,q", [(4, 2), (2, 3)])
+def test_sampled_constancy_matches_one_pick_at_a_time(n, q, get_space, get_descriptor):
+    M = relation_matrix(get_space(n, q))
+    sd = get_descriptor(n, q)
+    off = sd.tensor.copy()
+    off[3, 1, 2] += 1
+    mats = [M, *_single_edits(M, 3, n * q)] + ([_tamper_constancy(M)] if n == 4 else [])
+    details = set()
+    for T in mats:
+        st = scheme_mod._structure(T, sd.rank)
+        for seed in range(5):
+            for tensor in (None, sd.tensor, off):
+                report = verify_relation_matrix(
+                    T, seed=seed, sd=None if tensor is None else dataclasses.replace(sd, tensor=tensor))
+                assert _constancy(report) == sampled_constancy(T, st, tensor, seed)
+                details.add(_constancy(report)[1].split(" relation ")[0])
+    assert details >= {"triple counts differ between representatives of",
+                       "triple counts at"}
+
+
+def _assert_triple_counts_match_reference(M):
+    st = scheme_mod._structure(M, None)
+    tensor, varies = scheme_mod._triple_counts(M, st)
+    want_tensor, want_varies = triple_counts(M, st)
+    assert np.array_equal(tensor, want_tensor)
+    assert np.array_equal(varies, want_varies)
+
+
+@pytest.mark.parametrize("n,q", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4)])
+def test_triple_counts_match_row_histograms(n, q, get_space):
+    M = relation_matrix(get_space(n, q))
+    _assert_triple_counts_match_reference(M)
+    for T in _single_edits(M, 3, n * q):
+        _assert_triple_counts_match_reference(T)
+
+
+def test_triple_counts_span_digit_groups(get_space):
+    # (2, 4): base 5, rank 30; (3, 3): base 28, rank 16; B^rank > 2^53 in both,
+    # so the counts of one row are packed in two groups of relations j
+    for n, q in ((2, 4), (3, 3)):
+        st = scheme_mod._structure(relation_matrix(get_space(n, q)), None)
+        assert (int(st.rows.max()) + 1) ** st.rank > 2**53
+
+
+@pytest.mark.parametrize("tamper", [_tamper_diagonal, _tamper_converse, _tamper_partition,
+                                    _tamper_constancy])
+def test_triple_counts_match_row_histograms_on_tampered_matrices(tamper, get_space):
+    T = tamper(relation_matrix(get_space(4, 2)))
+    _assert_triple_counts_match_reference(T)
+    assert scheme_mod._triple_counts(T, scheme_mod._structure(T, None))[1].any()
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.uint64])
+def test_triple_counts_integer_dtypes(dtype, get_space):
+    M = relation_matrix(get_space(4, 2))
+    for T in (M, _tamper_constancy(M), *_single_edits(M, 2, 5)):
+        _assert_triple_counts_match_reference(T.astype(dtype))
+
+
+@pytest.mark.parametrize("n,q", [(4, 2), (3, 3)])
+def test_triple_counts_memory(n, q, get_space):
+    """Peak at most c rank N^2 8 bytes with c = 2: two N x N arrays (the
+    labels and one digit group's powers), a row block's indicator stack of
+    ``ROW_BLOCK`` entries and its products.  The row-histogram kernel of
+    ``_reference.triple_counts`` holds N rank^2 counts per row instead."""
+    M = relation_matrix(get_space(n, q))
+    st = scheme_mod._structure(M, None)
+    tracemalloc.start()
+    try:
+        scheme_mod._triple_counts(M, st)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * st.rank * M.shape[0] ** 2 * 8
