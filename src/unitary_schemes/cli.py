@@ -34,11 +34,16 @@ def _print_table(table: ct_mod.CharTable) -> None:
 
 
 def _write(text: str, path: str | None) -> None:
+    """Write ``text`` to ``path``, or to stdout when it is None; a path that
+    cannot be written raises a ``ValueError`` naming it."""
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def cmd_build(args) -> int:

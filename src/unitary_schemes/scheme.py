@@ -489,6 +489,18 @@ def _label_range(M: np.ndarray) -> tuple[int, int]:
     return int(M.min()), int(M.max())
 
 
+def check_labels(M: np.ndarray, rank: int | None = None) -> int:
+    """The rank of a square, non-empty integer matrix whose labels lie in
+    [0, rank); ``rank`` defaults to the largest label plus one.  Any other
+    matrix raises a ``ValueError``."""
+    low, high = _label_range(M)
+    if rank is None:
+        rank = high + 1
+    if low < 0 or high >= rank:
+        raise ValueError(f"relation labels must lie in 0..{rank - 1}")
+    return rank
+
+
 def _structure(M: np.ndarray, rank: int | None) -> _Structure:
     """Shape and label checks, relation sizes, converse map and row counts.
 
@@ -498,11 +510,7 @@ def _structure(M: np.ndarray, rank: int | None) -> _Structure:
     ``ValueError``; the last bound also keeps the rank x rank histogram small.
     """
     count = M.shape[0]
-    low, high = _label_range(M)
-    if rank is None:
-        rank = high + 1
-    if low < 0 or high >= rank:
-        raise ValueError(f"relation labels must lie in 0..{rank - 1}")
+    rank = check_labels(M, rank)
     if rank > count:
         raise ValueError(f"{rank} relations cannot all meet each row of {count} points")
     labels = M.astype(np.int64)

@@ -63,11 +63,6 @@ class UnitarySpace:
     def size(self) -> int:
         return self.codes.size
 
-    @property
-    def vectors(self) -> np.ndarray:
-        """All points as a (size, n) int64 array, decoded on each access."""
-        return kernels.digits(self.codes, self.ft.order, self.n)
-
     def point(self, index: int) -> tuple[int, ...]:
         """The coordinates of point ``index``."""
         code, order = int(self.codes[index]), self.ft.order

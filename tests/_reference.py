@@ -2,16 +2,19 @@
 
 Field elements are coefficient tuples with schoolbook polynomial arithmetic
 modulo the same pinned Conway polynomials the library uses; apart from the
-last section, nothing here touches the library's lookup tables, discrete
-logs, or kernels.  The brute-force functions are slow on purpose and only run
-at small sizes; the orthogonal-decomposition count enumerates only vectors of
-F_{q^2}^2 and covers every supported (n, q).  The second-to-last section
-counts single intersection numbers over a library ``UnitarySpace`` with one
-row and one column pass each, independently of the relabelled histograms and
-sampled tensors of the library's brute-force route.  The last one counts the
-triple counts of a relation matrix one row of joint histograms at a time and
-its sampled constancy check one pick at a time, against the packed products
-and batched histograms of the library's relation-matrix validators.
+last three sections, nothing here touches the library's lookup tables,
+discrete logs, or kernels.  The brute-force functions are slow on purpose and
+only run at small sizes; the orthogonal-decomposition count enumerates only
+vectors of F_{q^2}^2 and covers every supported (n, q).  The first of the
+last three sections decodes the points of a library ``UnitarySpace`` and
+counts single intersection numbers over it with one row and one column pass
+each, independently of the relabelled histograms and sampled tensors of the
+library's brute-force route.  The second counts the triple counts of a
+relation matrix one row of joint histograms at a time and its sampled
+constancy check one pick at a time, against the packed products and batched
+histograms of the library's relation-matrix validators.  The third writes
+integer blocks by one ``%`` pass, against the library's table of decimal
+words.
 """
 
 import functools
@@ -331,7 +334,12 @@ def assert_matches_decomposition(tensor, n, q):
 
 
 # ---------------------------------------------------------------------------
-# Single counts over the library's enumerated points
+# Points of a library space, and single counts over them
+
+
+def vectors(us):
+    """All points of ``us`` as a (size, n) int64 array, decoded from its codes."""
+    return kernels.digits(us.codes, us.ft.order, us.n)
 
 
 def intersection_number_bruteforce(us, h, i, j, pair=None):
@@ -407,3 +415,17 @@ def sampled_constancy(M, st, tensor, seed, samples=5):
         if tensor is not None and hists and not np.array_equal(hists[0], tensor[h]):
             return False, f"triple counts at relation {h} differ from the descriptor"
     return True, f"triple counts constant over {samples} sampled pairs per relation"
+
+
+# ---------------------------------------------------------------------------
+# Integer blocks, one ``%`` pass
+
+
+def append_rows(lines, rows, sep):
+    """``serialize._append_rows`` as one ``%`` template over ``rows.tolist()``:
+    a ``%d`` per entry, ``sep`` between the entries of a row and a newline
+    between rows."""
+    count, width = rows.shape
+    if count:
+        template = "\n".join([sep.join(["%d"] * width)] * count)
+        lines.append(template % tuple(rows.ravel().tolist()))

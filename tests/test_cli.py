@@ -94,6 +94,19 @@ def test_export_roundtrip(capsys, tmp_path):
     assert verify_relation_matrix(matrix, rank=rank).passed
 
 
+@pytest.mark.parametrize("argv", [
+    ["build", "--n", "2", "--q", "2"],
+    ["chartable", "--n", "2"],
+    ["export", "--n", "2", "--q", "2"],
+], ids=lambda argv: argv[0])
+def test_unwritable_out_path_is_an_error(argv, capsys, tmp_path):
+    # used to end in a FileNotFoundError traceback, exit 1
+    path = tmp_path / "missing" / "out.txt"
+    code, _, err = run(capsys, *argv, "--out", str(path))
+    assert code == 2
+    assert err == f"error: cannot write {path}: No such file or directory\n"
+
+
 def test_export_budget(capsys):
     code, _, err = run(capsys, "export", "--n", "7", "--q", "2")
     assert code == 2

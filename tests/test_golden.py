@@ -1,4 +1,5 @@
-"""Golden pins: SHA-256 digests of the character-table and verify outputs.
+"""Golden pins: SHA-256 digests of the chartable, verify, build and export
+outputs.
 
 Round trips pass under any rendering drift that the writer and the reader
 share; these digests pin the bytes themselves.  They were recorded once from
@@ -20,6 +21,8 @@ DIGESTS = Path(__file__).with_name("golden_digests.json")
 FUSIONS = ("none", "symmetrize", "coarse")
 CHARTABLE_N = (*range(2, 13), 40)
 VERIFY_N = range(2, 7)
+BUILD_NQ = ((2, 2), (2, 4), (4, 3), (3, 9), (8, 5))  # closed mode, doc and csv
+EXPORT_NQ = ((2, 3), (4, 2))
 
 
 def commands():
@@ -28,6 +31,11 @@ def commands():
             yield ["chartable", "--n", str(n), "--fusion", fusion]
     for n in VERIFY_N:
         yield ["verify", "--n", str(n), "--q", "2"]
+    for n, q in BUILD_NQ:
+        for fmt in ("doc", "csv"):
+            yield ["build", "--n", str(n), "--q", str(q), "--mode", "closed", "--format", fmt]
+    for n, q in EXPORT_NQ:
+        yield ["export", "--n", str(n), "--q", str(q)]
 
 
 def outputs(argv, run, tmp_path):

@@ -11,7 +11,7 @@ from unitary_schemes.fields import SUPPORTED_Q, build_field
 from unitary_schemes.scheme import classify_pair, conjugate_index, scheme_rank
 from unitary_schemes.space import enumerate_isotropic, isotropic_count
 
-from _reference import RefField, isotropic_vectors
+from _reference import RefField, isotropic_vectors, vectors
 
 ROW_CASES = [(n, q) for q in SUPPORTED_Q for n in (2, 3)] + [(4, 2), (4, 3)]
 MATRIX_CASES = [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4)]
@@ -58,7 +58,7 @@ def test_matrix_same_on_both_backends(n, q, get_space):
     """The block-table matrix equals the scalar path on every ordered pair."""
     us = get_space(n, q)
     M = kernels.classify_matrix(us.block_codes, us.tables)
-    points = [tuple(int(c) for c in v) for v in us.vectors]
+    points = [tuple(int(c) for c in v) for v in vectors(us)]
     expected = [[classify_pair(us, x, y).index for y in points] for x in points]
     assert M.tolist() == expected
 
@@ -68,10 +68,10 @@ def test_matrix_same_on_both_backends(n, q, get_space):
 @given(pick=st.integers(min_value=0, max_value=2**31))
 def test_classify_row_matches_classify_pair(n, q, pick, get_space):
     us = get_space(n, q)
-    x = tuple(int(c) for c in us.vectors[pick % us.size])
+    x = tuple(int(c) for c in vectors(us)[pick % us.size])
     rows = kernels.classify_row(x, us.block_codes, us.tables)
     assert rows.dtype == np.int64
-    expected = [classify_pair(us, x, tuple(int(c) for c in z)).index for z in us.vectors]
+    expected = [classify_pair(us, x, tuple(int(c) for c in z)).index for z in vectors(us)]
     assert rows.tolist() == expected
 
 
@@ -116,7 +116,7 @@ def test_block_layout(n, q, width, blocks, get_space):
     # the block digits are the vectors, zero-padded in front
     padded = t.digits[codes].reshape(us.size, blocks * width)
     assert not padded[:, :blocks * width - n].any()
-    assert np.array_equal(padded[:, blocks * width - n:], us.vectors)
+    assert np.array_equal(padded[:, blocks * width - n:], vectors(us))
 
 
 @pytest.mark.parametrize("n,q", [(5, 2), (8, 2)])

@@ -5,6 +5,9 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from unitary_schemes.eisenstein import OMEGA
 from unitary_schemes.fields import SUPPORTED_Q
@@ -17,6 +20,8 @@ from unitary_schemes.scheme import (
     verify_relation_matrix,
 )
 from unitary_schemes.serialize import (
+    WORD_BOUND,
+    _append_rows,
     chartable_csv,
     chartable_from_document,
     document_from_chartable,
@@ -27,6 +32,8 @@ from unitary_schemes.serialize import (
     render_relation_matrix,
     tensor_csv,
 )
+
+from _reference import append_rows
 
 
 @pytest.mark.parametrize("n,q", [(2, 2), (4, 2), (2, 3)])
@@ -234,6 +241,20 @@ def test_parse_relation_matrix_rejections():
         parse_relation_matrix("2 2\n0 5\n1 0\n")
 
 
+@pytest.mark.parametrize("matrix,rank,message", [
+    ([[0.5, 1.7], [1.2, 0.0]], 2, "^relation labels must be integers$"),  # was "0 1" / "1 0"
+    ([[True, False], [False, True]], 2, "^relation labels must be integers$"),
+    ([[0, 1, 1], [1, 0, 1]], 2, "^relation matrix must be square$"),
+    ([0, 1], 2, "^relation matrix must be square$"),  # was "not enough values to unpack"
+    (np.zeros((0, 0), dtype=np.int64), 1, "^relation matrix is empty$"),
+    ([[0, -1], [1, 0]], 2, r"^relation labels must lie in 0\.\.1$"),
+    ([[0, 2], [2, 0]], 2, r"^relation labels must lie in 0\.\.1$"),
+])
+def test_render_relation_matrix_refuses_what_the_parser_refuses(matrix, rank, message):
+    with pytest.raises(ValueError, match=message):
+        render_relation_matrix(matrix, rank)
+
+
 def test_parse_document_truncated_blocks(get_descriptor):
     text = render_document(document_from_descriptor(get_descriptor(2, 2)))
     lines = text.splitlines()
@@ -369,3 +390,44 @@ def test_relation_matrix_and_csv_roundtrip_byte_for_byte(n, q, get_space, get_de
     assert header == ["h", "i", "j", "value"]
     back = dataclasses.replace(doc, tensor_entries=np.array(records, dtype=np.int64))
     assert tensor_csv(back) == csv_text
+
+
+# int64, uint8 and uint64 extremes, and both sides of the word-table bound
+EDGES = (0, 1, WORD_BOUND - 1, WORD_BOUND, WORD_BOUND + 1, -1,
+         -(1 << 63), (1 << 63) - 1, (1 << 64) - 1, 255)
+
+
+@st.composite
+def integer_blocks(draw):
+    dtype = np.dtype(draw(st.sampled_from([np.int64, np.uint8, np.uint64])))
+    info = np.iinfo(dtype)
+    edges = [v for v in EDGES if info.min <= v <= info.max]
+    shape = (draw(st.integers(0, 6)), draw(st.integers(1, 5)))
+    elements = st.one_of(st.sampled_from(edges), st.integers(info.min, info.max),
+                         st.integers(max(info.min, -9), min(info.max, 2 * WORD_BOUND)))
+    return draw(hnp.arrays(dtype, shape, elements=elements))
+
+
+def assert_writes_like_the_percent_pass(rows, sep):
+    got, expected = ["head"], ["head"]
+    _append_rows(got, rows, sep)
+    append_rows(expected, rows, sep)
+    assert got == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=integer_blocks(), sep=st.sampled_from([" ", ","]))
+def test_word_table_writes_like_the_percent_pass(rows, sep):
+    assert_writes_like_the_percent_pass(rows, sep)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.uint64])
+@pytest.mark.parametrize("width", [1, 3])
+def test_word_table_writes_every_edge_like_the_percent_pass(dtype, width):
+    # every edge in every column
+    info = np.iinfo(dtype)
+    edges = np.array([v for v in EDGES if info.min <= v <= info.max], dtype=dtype)
+    rows = edges[np.add.outer(np.arange(edges.size), np.arange(width)) % edges.size]
+    for block in (rows, rows[:1], rows[:0]):
+        for sep in (" ", ","):
+            assert_writes_like_the_percent_pass(block, sep)

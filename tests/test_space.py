@@ -16,7 +16,7 @@ from unitary_schemes.space import (
     witness_pair,
 )
 
-from _reference import RefField, hyperbolic_partner_scan, inner, isotropic_vectors
+from _reference import RefField, hyperbolic_partner_scan, inner, isotropic_vectors, vectors
 
 COUNTS = {
     (2, 2): 9, (3, 2): 27, (4, 2): 135, (5, 2): 495, (6, 2): 2079,
@@ -63,14 +63,14 @@ def test_budget_rejection(monkeypatch):
 def test_enumeration_matches_reference_order(n, q, get_space):
     ref = RefField(q)
     expected = [tuple(ref.id_of(c) for c in vec) for vec in isotropic_vectors(ref, n)]
-    got = [tuple(int(c) for c in row) for row in get_space(n, q).vectors]
+    got = [tuple(int(c) for c in row) for row in vectors(get_space(n, q))]
     assert got == expected
 
 
 @pytest.mark.parametrize("n,q", [(4, 2), (3, 3)])
 def test_enumeration_sorted_and_isotropic(n, q, get_space):
     us = get_space(n, q)
-    rows = [tuple(int(c) for c in row) for row in us.vectors]
+    rows = [tuple(int(c) for c in row) for row in vectors(us)]
     assert rows == sorted(rows)
     assert len(set(rows)) == len(rows)
     for vec in rows[:: max(1, len(rows) // 50)]:
@@ -127,8 +127,8 @@ def test_element_ids_checked_by_every_entry_point(call, message, get_space):
 def test_hermitian_conjugate_symmetry(q, get_space):
     us = get_space(2, q)
     ft = us.ft
-    for x in us.vectors:
-        for y in us.vectors:
+    for x in vectors(us):
+        for y in vectors(us):
             assert hermitian_inner(ft, y, x) == ft.conj(hermitian_inner(ft, x, y))
 
 
@@ -168,7 +168,7 @@ def test_hermitian_against_reference():
 def test_hyperbolic_partner_exhaustive_4_2(get_space):
     us = get_space(4, 2)
     ft = us.ft
-    for u in us.vectors:
+    for u in vectors(us):
         u = tuple(int(c) for c in u)
         v = us.hyperbolic_partner(u)
         assert hermitian_inner(ft, u, v) == 1
@@ -180,7 +180,7 @@ def test_hyperbolic_partner_exhaustive_4_2(get_space):
 def test_hyperbolic_partner_matches_canonical_scan(n, q, get_space):
     us = get_space(n, q)
     ref = RefField(q)
-    for u in us.vectors:
+    for u in vectors(us):
         u = tuple(int(c) for c in u)
         scanned = hyperbolic_partner_scan(ref, tuple(ref.elements[c] for c in u))
         assert us.hyperbolic_partner(u) == tuple(ref.id_of(c) for c in scanned)
@@ -189,7 +189,7 @@ def test_hyperbolic_partner_matches_canonical_scan(n, q, get_space):
 def test_hyperbolic_partner_spot_3_3(get_space):
     us = get_space(3, 3)
     ft = us.ft
-    for u in us.vectors[::17]:
+    for u in vectors(us)[::17]:
         u = tuple(int(c) for c in u)
         v = us.hyperbolic_partner(u)
         assert hermitian_inner(ft, u, v) == 1
@@ -199,7 +199,7 @@ def test_hyperbolic_partner_spot_3_3(get_space):
 def test_hyperbolic_partner_never_proportional(get_space):
     us = get_space(3, 2)
     ft = us.ft
-    for u in us.vectors:
+    for u in vectors(us):
         u = tuple(int(c) for c in u)
         v = us.hyperbolic_partner(u)
         assert all(v != us.scalar_multiple(lam, u) for lam in range(1, ft.order))
@@ -261,7 +261,7 @@ def test_unit_scaling_preserves_isotropy(get_space):
     ft = us.ft
     units = [lam for lam in range(1, ft.order) if ft.norm(lam) == ft.one]
     assert len(units) == ft.q + 1
-    for x in us.vectors:
+    for x in vectors(us):
         x = tuple(int(c) for c in x)
         for lam in units:
             assert us.is_isotropic(us.scalar_multiple(lam, x))
@@ -270,10 +270,10 @@ def test_unit_scaling_preserves_isotropy(get_space):
 def test_scan_order_is_code_order(get_space):
     # lexicographic on ids, first coordinate most significant
     us = get_space(2, 3)
-    codes = [us._encode(vec) for vec in us.vectors]
+    codes = [us._encode(vec) for vec in vectors(us)]
     assert codes == sorted(codes)
     full = list(itertools.product(range(us.ft.order), repeat=2))
-    positions = [full.index(tuple(int(c) for c in vec)) for vec in us.vectors]
+    positions = [full.index(tuple(int(c) for c in vec)) for vec in vectors(us)]
     assert positions == sorted(positions)
 
 
@@ -281,10 +281,10 @@ def test_scan_order_is_code_order(get_space):
 def test_points_decode_from_sorted_codes(n, q, get_space):
     us = get_space(n, q)
     assert not us.codes.flags.writeable and (us.codes[1:] > us.codes[:-1]).all()
-    vectors = us.vectors
-    assert vectors.shape == (us.size, n)
+    decoded = vectors(us)
+    assert decoded.shape == (us.size, n)
     for i in range(us.size):
-        assert us.point(i) == tuple(int(c) for c in vectors[i])
+        assert us.point(i) == tuple(int(c) for c in decoded[i])
         assert us._encode(us.point(i)) == us.codes[i]
     # the search ends before the first code and, unless it is a point, after
     # the last one
