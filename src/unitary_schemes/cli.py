@@ -108,11 +108,19 @@ def cmd_verify(args) -> int:
                                 f"{sd.tensor.size} entries compared"))
         else:
             notes.append("oracle: bruteforce mode, closed form not computed, skipped")
-        samples = scheme_mod.SAMPLES_PER_RELATION
-        vectors = scheme_mod.classified_vectors(n) * (1 + samples)
-        lines.append((True, f"representatives: every relation recounted at {samples} "
-                            f"random pairs ({samples * sd.rank} histograms, "
-                            f"{vectors} classified vectors)"))
+
+    samples = scheme_mod.SAMPLES_PER_RELATION
+    representatives = (True, f"representatives: every relation recounted at {samples} "
+                             f"random pairs ({samples * sd.rank} histograms, counted over "
+                             "coordinates without enumeration)")
+    if us is None:  # the other modes recount inside the build
+        try:
+            scheme_mod._spot_check(n, q, sd.tensor, args.seed)
+        except AssertionError as exc:
+            representatives = (False, f"representatives: {exc}")
+    lines.append(representatives)
+
+    if us is not None:
         try:
             check_budget("pairs", us.size**2)
         except ValueError as refusal:

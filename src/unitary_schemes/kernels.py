@@ -28,11 +28,16 @@ over its coordinates.
 
 The q^2-1 nonzero multiples of x are found among the points by binary
 search on the points' sorted full codes.
+
+``count_isotropic`` counts without the points: for a stack of pairs it
+walks through the n coordinates and returns, for every value of <x, z> and
+<z, y>, how many isotropic z of F^n take it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -150,6 +155,21 @@ class BlockTables:
         return out
 
 
+@lru_cache(maxsize=None)
+def label_maps(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """``conj_labels`` and ``scale_labels`` of ``BlockTables``, which depend
+    on q alone; read-only, made once per q."""
+    nrel = q * q - 1
+    e = np.arange(nrel)
+    conj_labels = np.concatenate((-e % nrel, nrel + q * e % nrel, [2 * nrel]))
+    s = e[:, None]
+    scale_labels = np.concatenate(((e - s) % nrel, nrel + (e + s) % nrel,
+                                   np.full((nrel, 1), 2 * nrel)), axis=1)
+    for table in (conj_labels, scale_labels):
+        table.setflags(write=False)
+    return conj_labels, scale_labels
+
+
 def block_width(order: int, count: int) -> int:
     """Largest b >= 1 with order**b <= min(BLOCK_LIMIT, count)."""
     width = 1
@@ -183,10 +203,7 @@ def block_tables(ft, n: int, points: np.ndarray) -> BlockTables:
     sum_labels = np.where(ids == 0, 2 * nrel, nrel + ids - 1)
 
     e = np.arange(nrel)
-    conj_labels = np.concatenate((-e % nrel, nrel + q * e % nrel, [2 * nrel]))
-    s = e[:, None]
-    scale_labels = np.concatenate(((e - s) % nrel, nrel + (e + s) % nrel,
-                                   np.full((nrel, 1), 2 * nrel)), axis=1)
+    conj_labels, scale_labels = label_maps(q)
     return BlockTables(
         width=width, blocks=blocks,
         pad=np.zeros(blocks * width - n, dtype=np.int64),
@@ -265,3 +282,108 @@ def classify_col(y, codes: np.ndarray, t: BlockTables) -> np.ndarray:
 def classify_matrix(codes: np.ndarray, t: BlockTables) -> np.ndarray:
     """Full pairwise label matrix M with M[a, b] = label of (point a, point b)."""
     return _row_labels(t.digits[codes], codes, t, 0)
+
+
+# ---------------------------------------------------------------------------
+# isotropic counts over coordinates, a transfer-matrix count.  For a pair
+# (x, y), the state after k coordinates counts the prefixes z in F^k by
+# their (<z, z>, <x, z>, <z, y>) over those coordinates, one cell for each
+# value in F_q x F x F; coordinate k moves every count by (N(c), x_k conj(c),
+# c conj(y_k)) for each of the q^2 values c of z_k.
+
+
+def count_isotropic(ft, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """``counts[b, alpha, beta]``: the number of z in F^n, zero included,
+    with <z, z> = 0, <x_b, z> = alpha and <z, y_b> = beta, for a stack of
+    pairs given as two (pairs, n) arrays of element ids.
+
+    The first two coordinates are written directly, by one ``bincount`` of
+    every prefix.  After that each pair's state is kept in coordinates of its
+    own: stored cell (a, b) holds the count of the cell M(a, b) = (x_k a,
+    conj(y_k) b) of <x, z> and <z, y>, with a - conj(b) in place of x_k a
+    when x_k = 0 and b - conj(a) in place of conj(y_k) b when y_k = 0.  M is
+    an F_q-linear bijection of F^2 that takes (conj(c), c) to the move of
+    coordinate k, so in stored coordinates every pair moves by (N(c),
+    conj(c), c): one gather index serves the whole stack, and it gathers
+    rows of one count per pair.  A pair with x_k = y_k = 0 moves only its
+    norm, by one (q, q) matrix product, and keeps its M.  The last coordinate
+    fills only the cells of norm 0.  Time O(n q^7) per pair; memory a few
+    states of q^5 counts per pair.
+
+    Exact in int64: before the last coordinate a cell counts vectors of F^k
+    with k <= n - 1, at most q^(2n-2) of them, and after it a cell counts
+    isotropic vectors or zero, fewer than 2^63 wherever ``check_parameters``
+    admits (n, q).
+    """
+    pairs, n = xs.shape
+    order, q = ft.order, ft.q
+    assert order ** (n - 1) < 1 << 63, "counts before the last coordinate must fit int64"
+    add, mul, conj = ft.add_table, ft.mul_table, ft.conj_table
+    sub = add[:, ft.neg_table]  # sub[a, b] = a - b
+    ids = np.arange(order)
+    base = np.asarray(ft.base_field)
+    slot = np.zeros(order, dtype=np.int64)  # norms are kept by their place in F_q
+    slot[base] = np.arange(q)
+    square = order * order
+    ybar = conj[ys]
+
+    # every prefix of the first coordinates, by its cell
+    nu = np.zeros(1, dtype=np.int64)
+    alpha = beta = np.zeros((pairs, 1), dtype=np.int64)
+    for k in range(min(n, 2)):
+        nu = add[nu[:, None], ft.norm_table].ravel()
+        alpha = add[alpha[:, :, None], mul[xs[:, k, None, None], conj]].reshape(pairs, -1)
+        beta = add[beta[:, :, None], mul[ids, ybar[:, k, None, None]]].reshape(pairs, -1)
+    cells = (slot[nu] * square + alpha * order + beta) * pairs + np.arange(pairs)[:, None]
+    state = np.bincount(cells.ravel(), minlength=q * square * pairs).reshape(-1, pairs)
+
+    # norm_shift[t, c]: the norm that c moves to norm t; spread[t, s]: the
+    # values c that move norm s to t
+    norm_shift = slot[sub[base[:, None], ft.norm_table]]
+    spread = (norm_shift[:, :, None] == np.arange(q)).sum(axis=1)
+    # M of every pair at every later coordinate, as the cell of each stored cell
+    a, b = ids[:, None], ids[None, :]
+    x, y = xs[:, 2:, None, None], ybar[:, 2:, None, None]
+    maps = (np.where(x != 0, mul[x, a], sub[a, conj[b]]) * order
+            + np.where(y != 0, mul[y, b], sub[b, conj[a]])).reshape(pairs, -1, square)
+    rows = np.arange(pairs)[:, None]
+    cell_of = np.tile(np.arange(square), (pairs, 1))
+    stored = cell_of.copy()  # M^-1
+    offsets = np.arange(q)[:, None, None] * (square * pairs) + np.arange(pairs)
+    for k in range(2, n):
+        moving = (xs[:, k] != 0) | (ys[:, k] != 0)
+        cell_of[moving] = maps[moving, k - 2]
+        source = stored[rows, cell_of]
+        stored[rows, cell_of] = np.arange(square)
+        state = state.ravel().take(source.T * pairs + offsets).reshape(-1, pairs)
+        targets = 1 if k == n - 1 else q
+        new = np.empty((targets * square, pairs), dtype=np.int64)
+        if moving.any():
+            # a contiguous copy, so that ``take`` copies whole rows
+            new[:, moving] = _moved(np.ascontiguousarray(state[:, moving]),
+                                    norm_shift[:targets], sub, conj)
+        if not moving.all():
+            new[:, ~moving] = (spread[:targets] @ state[:, ~moving].reshape(q, -1)
+                               ).reshape(targets * square, -1)
+        state = new
+    state = state.reshape(-1, pairs)[:square]  # norm 0
+    return state.T[rows, stored].reshape(pairs, order, order)
+
+
+def _moved(state: np.ndarray, norm_shift: np.ndarray, sub, conj) -> np.ndarray:
+    """The state after one coordinate, in stored coordinates: cell (t, a, b)
+    sums the cells (t - N(c), a - conj(c), b - c) over every c, for the
+    target norms of ``norm_shift``.  The values of c are gathered in groups
+    of at most ``CHUNK`` counts, and one at a time past that."""
+    order = conj.size
+    targets, count = norm_shift.shape[0], state.shape[1]
+    out = np.zeros((targets * order * order, count), dtype=np.int64)
+    group = max(1, CHUNK // state.size)
+    for first in range(0, order, group):
+        c = np.arange(first, min(first + group, order))
+        rows = ((norm_shift[:, c].T[:, :, None, None] * order
+                 + sub[:, conj[c]].T[:, None, :, None]) * order
+                + sub[:, c].T[:, None, None, :])
+        gathered = state.take(rows.reshape(c.size, -1), axis=0)
+        out += gathered[0] if c.size == 1 else gathered.sum(axis=0)
+    return out

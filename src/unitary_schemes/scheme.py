@@ -7,7 +7,9 @@ scalar exponents first, then product exponents, then the perpendicular class.
 
 Intersection numbers are computed two ways: by exhaustive counting over the
 enumerated vectors, and by closed formulas; mode "both" insists the two
-routes agree entrywise.
+routes agree entrywise.  The brute-force builds, and ``verify`` in closed
+mode, also recount every relation at random pairs by a count over the
+coordinates, without the points (``_spot_check``).
 """
 
 from __future__ import annotations
@@ -157,17 +159,26 @@ def classify_pair(us: UnitarySpace, x, y) -> RelationLabel:
         _check_ids(v, ft.order, us.n)
         if not _isotropic(ft, v):
             raise ValueError("classification requires nonzero isotropic vectors")
+    l = _relation(ft, x, y)
+    nrel = ft.order - 1
+    if l < nrel:
+        return RelationLabel(SCALAR, l, l)
+    if l < 2 * nrel:
+        return RelationLabel(PRODUCT, l - nrel, l)
+    return RelationLabel(PERP, None, l)
+
+
+def _relation(ft, x, y) -> int:
+    """The relation index of (x, y), for points already checked."""
     ip = _inner(ft, x, y)
     nrel = ft.order - 1
     if ip != 0:
-        e = ft.log(ip)
-        return RelationLabel(PRODUCT, e, nrel + e)
+        return nrel + ft.log(ip)
     piv = next(i for i, c in enumerate(x) if c)
     lam = ft.div(y[piv], x[piv])
     if lam != 0 and all(yc == ft.mul(lam, xc) for xc, yc in zip(x, y)):
-        e = ft.log(lam)
-        return RelationLabel(SCALAR, e, e)
-    return RelationLabel(PERP, None, 2 * nrel)
+        return ft.log(lam)
+    return 2 * nrel
 
 
 # ---------------------------------------------------------------------------
@@ -251,12 +262,6 @@ def _joint_histogram(rows: np.ndarray, cols: np.ndarray, rank: int) -> np.ndarra
     return np.bincount(codes.ravel(), minlength=stack * rank * rank).reshape(*lead, rank, rank)
 
 
-def _draw_partner(rows: np.ndarray, h: int, rng: random.Random) -> int:
-    """A uniformly random point b with label ``h`` in the row ``rows``."""
-    candidates = np.flatnonzero(rows == h)
-    return int(candidates[rng.randrange(candidates.size)])
-
-
 def _column_counts(keys: np.ndarray, col: np.ndarray, rank: int) -> np.ndarray:
     """``H[i, j]`` counts the points z with label i in row(x) and label j in
     ``col``, given ``keys`` = rank * row(x).  ``col`` is consumed, so that a
@@ -272,57 +277,154 @@ def classified_vectors(n: int) -> int:
     return 3 if n >= 4 else 2
 
 
-def _witness_tensor(us: UnitarySpace, row: np.ndarray, partners) -> tuple[np.ndarray, np.ndarray]:
-    """The whole tensor counted at the pairs one point x and its partners
-    give, and the valencies; ``row`` is row(x), and it is consumed.
+def _tensor_from_histograms(q: int, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The whole tensor, and the valencies, from the histograms of one point
+    x: ``counts[0]`` at (x, v) with <x, v> = 1 and, when there is a
+    perpendicular relation, ``counts[1]`` at (x, y) with y perpendicular to
+    x and independent of it.
 
-    ``partners`` holds v with <x, v> = 1 and, when there is a perpendicular
-    relation, a point y perpendicular to x and independent of it.  The
-    pairs are (x, g^e x), (g^e x, v) and (x, y).  Since (g^e x, z) has the
-    label ``scale_labels[e]`` of (x, z), every histogram comes from row(x)
-    and the columns col(v) and col(y): scalar relation e puts the count of
-    label i at (i, conj(scale_e(i))), and product relation e is the joint
-    histogram of row(x) and col(v) with its rows relabelled by scale_e.
+    The pairs (x, g^e x), (g^e x, v) and (x, y) meet every relation.  Since
+    (g^e x, z) has the label ``scale_labels[e]`` of (x, z), scalar relation e
+    puts the count of label i at (i, conj(scale_e(i))), and product relation
+    e is the histogram at (x, v) with its rows relabelled by scale_e.
     """
-    tables = us.tables
-    nrel = us.ft.order - 1
-    rank = 2 * nrel + len(partners) - 1
+    conj_labels, scale_labels = kernels.label_maps(q)
+    nrel = q * q - 1
+    rank = counts.shape[-1]
     e = np.arange(nrel)[:, None]
-    scale = tables.scale_labels[:, :rank]
-    valencies = np.bincount(row, minlength=rank)
-    row *= rank
-    counts = np.stack([
-        _column_counts(row, kernels.classify_col(y, us.block_codes, tables), rank)
-        for y in partners])
+    scale = scale_labels[:, :rank]
+    valencies = counts[0].sum(axis=1)
     tensor = np.zeros((rank, rank, rank), dtype=np.int64)
-    tensor[e, np.arange(rank), tables.conj_labels[scale]] = valencies
+    tensor[e, np.arange(rank), conj_labels[scale]] = valencies
     tensor[nrel + e, scale] = counts[0]
     tensor[2 * nrel:] = counts[1:]
     return tensor, valencies
 
 
-def _spot_check(us: UnitarySpace, tensor: np.ndarray, seed: int) -> None:
-    """Recount every relation at ``SAMPLES_PER_RELATION`` random pairs.
+def _witness_tensor(us: UnitarySpace, row: np.ndarray, partners) -> tuple[np.ndarray, np.ndarray]:
+    """The whole tensor counted at the pairs one point x and its partners
+    give, and the valencies; ``row`` is row(x), and it is consumed.
 
-    Each sample is ``_witness_tensor`` at three random points: a uniformly
-    random point a, b drawn uniformly from the points with <a, b> = 1 and,
-    when there is a perpendicular relation, c drawn uniformly from the points
-    perpendicular to a and independent of it.  All relations have constant
-    valencies, so (a, b) is a uniformly random pair of product relation 0
-    and (a, c) one of the perpendicular relation; (a, g^s a) is uniform in
-    scalar relation s, and (a, b) -> (g^e a, b) maps product relation 0 one
-    to one onto product relation e.  So every relation is recounted at one
-    uniformly random pair per sample.  The sampled tensor is compared whole,
-    and the first relation that differs is named.
+    ``partners`` holds v with <x, v> = 1 and, when there is a perpendicular
+    relation, a point y perpendicular to x and independent of it; their
+    histograms are the joint histograms of row(x) and col(v), col(y).
     """
+    rank = 2 * (us.ft.order - 1) + len(partners) - 1
+    row *= rank
+    counts = np.stack([
+        _column_counts(row, kernels.classify_col(y, us.block_codes, us.tables), rank)
+        for y in partners])
+    return _tensor_from_histograms(us.q, counts)
+
+
+def _hyperplane_point(ft, a, free, value: int) -> list[int]:
+    """The vector v with <a, v> = ``value`` whose coordinates other than
+    a's first nonzero one, k, are ``free`` in order: conj(v_k) is solved from
+    the rest.  A bijection from F^(n-1) onto that hyperplane."""
+    k = next(i for i, c in enumerate(a) if c)
+    v = [*free[:k], 0, *free[k:]]
+    rest = _inner(ft, a, v)
+    v[k] = ft.conj(ft.div(ft.sub(value, rest), a[k]))
+    if _inner(ft, a, v) != value:  # fail here rather than reject every candidate
+        raise AssertionError(f"pivot solve missed the hyperplane <a, v> = {value}")
+    return v
+
+
+def _accepts(ft, v, a=None, relation: int | None = None) -> bool:
+    """Whether a draw keeps the candidate v: v is a point and, when ``a`` is
+    given, (a, v) lies in ``relation``."""
+    return _isotropic(ft, v) and (a is None or _relation(ft, a, v) == relation)
+
+
+def _draw(ft, n: int, rng: random.Random, a=None, relation: int | None = None
+          ) -> tuple[int, ...]:
+    """A uniformly random point, or, given a point ``a`` and ``relation``
+    (product relation 0 or the perpendicular one), a uniformly random point
+    v with (a, v) in that relation, by rejection from ``rng``.
+
+    A point's candidates are uniform over F^n.  A partner's are uniform over
+    the hyperplane <a, v> = 1 or 0 that holds the relation, through
+    ``_hyperplane_point``, and only the non-isotropic ones (and, at 0, the
+    multiples of a) are rejected.  Keeping the candidates that lie in the
+    target set makes each draw exactly uniform on it.
+    """
+    free = n if a is None else n - 1
+    value = ft.one if relation == ft.order - 1 else ft.zero
+    while True:
+        # one uniform code gives ``free`` uniform coordinates
+        code = rng.randrange(ft.order**free)
+        v = [code // ft.order**k % ft.order for k in range(free - 1, -1, -1)]
+        if a is not None:
+            v = _hyperplane_point(ft, a, v, value)
+        if _accepts(ft, v, a, relation):
+            return tuple(v)
+
+
+def _counted_histograms(ft, pairs, rank: int) -> np.ndarray:
+    """``H[b, i, j]`` counts the points z with (x, z) in relation i and
+    (z, y) in relation j, for each pair (x, y) of independent points, by
+    ``kernels.count_isotropic`` and without the points.
+
+    The count sorts every isotropic z, zero included, by <x, z> and <z, y>,
+    which give the product label or, at 0, the perpendicular one.  Then
+    z = 0 is taken out, and the 2(q^2-1) multiples of x and of y are moved
+    to their scalar labels: (x, g^e x) has label e, and (g^e y, y) label -e.
+    Below dimension 4 no count may be left perpendicular.
+    """
+    nrel = ft.order - 1
+    perp = 2 * nrel
+    xs = np.array([x for x, _ in pairs], dtype=np.int64)
+    ys = np.array([y for _, y in pairs], dtype=np.int64)
+    counts = kernels.count_isotropic(ft, xs, ys)
+    # the label of a product alpha: perpendicular at 0, else nrel + log(alpha)
+    label = np.concatenate(([perp], nrel + np.arange(nrel)))
+    hist = np.zeros((len(pairs), perp + 1, perp + 1), dtype=np.int64)
+    hist[:, label[:, None], label] = counts
+    # g^e x has <x, g^e x> = 0 and <g^e x, y> = g^e <x, y>; g^e y has
+    # <x, g^e y> = conj(g^e) <x, y> and <g^e y, y> = 0
+    e = np.arange(nrel)
+    g = ft.exp_table[e]
+    b = np.arange(len(pairs))[:, None]
+    ip = np.array([_inner(ft, x, y) for x, y in pairs])[:, None]
+    at_x = label[ft.mul_table[g, ip]]
+    at_y = label[ft.mul_table[ft.conj_table[g], ip]]
+    np.add.at(hist, (b, perp, at_x), -1)
+    np.add.at(hist, (b, e, at_x), 1)
+    np.add.at(hist, (b, at_y, perp), -1)
+    np.add.at(hist, (b, at_y, -e % nrel), 1)
+    hist[:, perp, perp] -= 1
+    if rank <= perp and (hist[:, perp].any() or hist[:, :, perp].any()):
+        raise AssertionError(f"points counted perpendicular in dimension {len(xs[0])}")
+    return hist[:, :rank, :rank]
+
+
+def _spot_check(n: int, q: int, tensor: np.ndarray, seed: int) -> None:
+    """Recount every relation at ``SAMPLES_PER_RELATION`` random pairs,
+    without enumeration.
+
+    Each sample is ``_tensor_from_histograms`` at three random points drawn
+    by ``_draw``: a uniformly random point a, a point b uniform among those
+    with <a, b> = 1 and, when there is a perpendicular relation, a point c
+    uniform among those perpendicular to a and independent of it; the
+    histograms at (a, b) and (a, c) are counted by ``_counted_histograms``.
+    All relations have constant valencies, so (a, b) is a uniformly random
+    pair of product relation 0 and (a, c) one of the perpendicular relation;
+    (a, g^s a) is uniform in scalar relation s, and (a, b) -> (g^e a, b) maps
+    product relation 0 one to one onto product relation e.  So every relation
+    is recounted at one uniformly random pair per sample.  The sampled tensor
+    is compared whole, and the first relation that differs is named.
+    """
+    ft = build_field(q)
     rank = tensor.shape[0]
-    nrel = us.ft.order - 1
+    relations = range(ft.order - 1, rank, ft.order - 1)  # product 0 and perpendicular
     rng = random.Random(seed)
+    pairs = []
     for _ in range(SAMPLES_PER_RELATION):
-        row = kernels.classify_row(us.point(rng.randrange(us.size)), us.block_codes, us.tables)
-        # product relation 0 and, where there is one, the perpendicular relation
-        partners = [us.point(_draw_partner(row, h, rng)) for h in range(nrel, rank, nrel)]
-        wrong = (_witness_tensor(us, row, partners)[0] != tensor).any(axis=(1, 2))
+        a = _draw(ft, n, rng)
+        pairs += [(a, _draw(ft, n, rng, a, h)) for h in relations]
+    hist = _counted_histograms(ft, pairs, rank).reshape(SAMPLES_PER_RELATION, -1, rank, rank)
+    for counts in hist:
+        wrong = (_tensor_from_histograms(q, counts)[0] != tensor).any(axis=(1, 2))
         if wrong.any():
             raise AssertionError("intersection counts depend on the representative "
                                  f"of relation {int(wrong.argmax())}")
@@ -331,11 +433,10 @@ def _spot_check(us: UnitarySpace, tensor: np.ndarray, seed: int) -> None:
 def _bruteforce_tensor(us: UnitarySpace, rank: int, seed: int):
     nrel = us.ft.order - 1
     pairs = [witness_pair(h, us.n, us.q) for h in range(nrel, rank, nrel)]
-    # row(x) is passed, not bound, so that it is freed before the spot check
     tensor, valencies = _witness_tensor(
         us, kernels.classify_row(pairs[0][0], us.block_codes, us.tables),
         [y for _, y in pairs])
-    _spot_check(us, tensor, seed)
+    _spot_check(us.n, us.q, tensor, seed)
     conj_map = tuple(classify_pair(us, *witness_pair(h, us.n, us.q)[::-1]).index
                      for h in range(rank))
     return tensor, tuple(valencies.tolist()), conj_map

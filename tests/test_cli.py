@@ -152,9 +152,9 @@ def test_verify_pass_q2(capsys):
     assert ("ok   - oracle: closed-form tensor equals brute-force tensor, "
             "216 entries compared") in out.splitlines()
     # 27 points: every one of the 27^2 pairs classified; rank 6: 5 histograms
-    # each, from row(x) and col(v) at the witnesses and at each of 5 samples
+    # each, counted coordinate by coordinate at each of 5 samples
     assert ("ok   - representatives: every relation recounted at 5 random pairs "
-            "(30 histograms, 12 classified vectors)") in out.splitlines()
+            "(30 histograms, counted over coordinates without enumeration)") in out.splitlines()
     assert ("ok   - axioms: partition, identity, converse, valencies, constancy; "
             "729 pairs classified, 5 sampled pairs per relation") in out.splitlines()
     # rank 6: 2 * 6^2 matrix entries for the two-sided relations, 6^3 for the rest
@@ -203,7 +203,7 @@ def test_verify_counts_q9_perpendicular_relation(capsys):
     assert ("ok   - oracle: closed-form tensor equals brute-force tensor, "
             "4173281 entries compared") in lines
     assert ("ok   - representatives: every relation recounted at 5 random pairs "
-            "(805 histograms, 18 classified vectors)") in lines
+            "(805 histograms, counted over coordinates without enumeration)") in lines
     assert lines[-1] == "PASS"
 
 
@@ -218,7 +218,42 @@ def test_verify_closed_mode(capsys):
     code, out, _ = run(capsys, "verify", "--n", "8", "--q", "2", "--mode", "closed")
     assert code == 0
     assert "enumeration skipped" in out
-    assert "representatives" not in out and "ok   - axioms" not in out
+    assert "ok   - axioms" not in out
+    # the closed tensor is recounted at random pairs, without enumeration
+    assert ("ok   - representatives: every relation recounted at 5 random pairs "
+            "(35 histograms, counted over coordinates without enumeration)") in out.splitlines()
+
+
+@pytest.mark.parametrize("n,q,rank", [(31, 2, 7), (20, 3, 17)])
+def test_verify_closed_mode_recounts_the_largest_dimension(n, q, rank, capsys):
+    """At the largest admitted n for q = 2 and 3 the closed tensor still has a
+    counting oracle."""
+    code, out, _ = run(capsys, "verify", "--n", str(n), "--q", str(q), "--mode", "closed")
+    assert code == 0
+    lines = out.splitlines()
+    assert ("ok   - representatives: every relation recounted at 5 random pairs "
+            f"({5 * rank} histograms, counted over coordinates without enumeration)") in lines
+    assert lines[-1] == "PASS"
+
+
+def test_verify_closed_mode_reports_a_wrong_tensor(capsys, monkeypatch):
+    from unitary_schemes import scheme
+
+    closed = scheme._closed_tensor
+
+    def moved(n, q):
+        tensor = closed(n, q).copy()
+        tensor[4, 3, 3] -= 1  # within relation 4, so the row sums still hold
+        tensor[4, 3, 4] += 1
+        return tensor
+
+    monkeypatch.setattr(scheme, "_closed_tensor", moved)
+    code, out, _ = run(capsys, "verify", "--n", "6", "--q", "2", "--mode", "closed")
+    assert code == 1
+    lines = out.splitlines()
+    assert ("FAIL - representatives: intersection counts depend on the representative "
+            "of relation 4") in lines
+    assert lines[-1] == "FAIL"
 
 
 def test_verify_bruteforce_mode_passes(capsys):
@@ -228,7 +263,7 @@ def test_verify_bruteforce_mode_passes(capsys):
     assert "FAIL" not in out
     assert "note - oracle: bruteforce mode, closed form not computed, skipped" in out
     assert ("ok   - representatives: every relation recounted at 5 random pairs "
-            "(30 histograms, 12 classified vectors)") in out.splitlines()
+            "(30 histograms, counted over coordinates without enumeration)") in out.splitlines()
 
 
 def test_build_largest_int64_dimension(capsys):

@@ -8,13 +8,16 @@ from hypothesis import strategies as st
 from unitary_schemes import kernels
 from unitary_schemes import scheme as scheme_mod
 from unitary_schemes.fields import SUPPORTED_Q, build_field
-from unitary_schemes.scheme import classify_pair, conjugate_index, scheme_rank
+from unitary_schemes.scheme import classify_pair, conjugate_index, max_dimension, scheme_rank
 from unitary_schemes.space import enumerate_isotropic, isotropic_count
 
 from _reference import RefField, isotropic_vectors, vectors
 
 ROW_CASES = [(n, q) for q in SUPPORTED_Q for n in (2, 3)] + [(4, 2), (4, 3)]
 MATRIX_CASES = [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4)]
+# the acceptance suite's oracle grid
+ORACLE_GRID = [(n, q) for q in (2, 3) for n in (2, 3, 4, 5) if (n, q) != (5, 3)]
+DRAW_CASES = [(2, 2), (3, 2), (4, 2), (2, 3)]
 SCAN_CASES = [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)]
 
 
@@ -190,10 +193,10 @@ def test_bruteforce_tensor_row_passes(n, q, spot_checks, get_space, monkeypatch)
     monkeypatch.setattr(kernels, "_row_labels", counting)
     scheme_mod._bruteforce_tensor(us, rank, seed=3)
     # row(x), col(v) and, with a perpendicular relation, col(y) at the
-    # witnesses, and the same three vectors at every sample
+    # witnesses; the samples are counted without the kernel
     witness_vectors = 3 if n >= 4 else 2
     assert witness_vectors == scheme_mod.classified_vectors(n)
-    assert sum(stacks) == witness_vectors + spot_checks * witness_vectors
+    assert sum(stacks) == witness_vectors
     assert stacks == [1] * len(stacks)  # one vector per kernel call
 
 
@@ -211,48 +214,58 @@ def _moved_count(tensor, h):
                                    (4, 3, 6), (4, 3, 7), (4, 3, 16), (2, 4, 29)],
                          ids=["scalar", "product", "perp", "scalar-n3", "product-n3",
                               "group-end", "group-start", "last-group", "last-of-one-group"])
-def test_spot_check_catches_a_wrong_histogram(n, q, h, get_space, get_descriptor):
+def test_spot_check_catches_a_wrong_histogram(n, q, h, get_descriptor):
     # the last four ids name the column groups of an earlier, stacked check
-    us = get_space(n, q)
     tensor = get_descriptor(n, q).tensor
-    scheme_mod._spot_check(us, tensor, seed=0)  # the true counts pass
+    scheme_mod._spot_check(n, q, tensor, seed=0)  # the true counts pass
     with pytest.raises(AssertionError,
                        match=f"depend on the representative of relation {h}$"):
-        scheme_mod._spot_check(us, _moved_count(tensor, h), seed=0)
+        scheme_mod._spot_check(n, q, _moved_count(tensor, h), seed=0)
 
 
 @pytest.mark.parametrize("n,q", [(4, 3), (2, 4), (5, 2)])
-def test_spot_check_names_every_relation(n, q, get_space, get_descriptor):
+def test_spot_check_names_every_relation(n, q, get_descriptor):
     """A count moved within any one relation is caught and named."""
-    us = get_space(n, q)
     tensor = get_descriptor(n, q).tensor
     for h in range(tensor.shape[0]):
         with pytest.raises(AssertionError,
                            match=f"depend on the representative of relation {h}$"):
-            scheme_mod._spot_check(us, _moved_count(tensor, h), seed=h)
+            scheme_mod._spot_check(n, q, _moved_count(tensor, h), seed=h)
 
 
 @pytest.mark.parametrize("n,q", [(4, 3), (3, 3)])
 def test_spot_check_samples_fresh_pairs(n, q, get_space, get_descriptor, monkeypatch):
-    """Each sample classifies row(a), col(b) and, when n >= 4, col(c) at a
-    fresh point a, with (a, b) in product relation 0 and (a, c) in the
-    perpendicular relation."""
+    """Each sample counts at (a, b) and, when n >= 4, at (a, c) for a newly
+    drawn point a, with (a, b) in product relation 0 and (a, c) in the
+    perpendicular relation; all of them in one count."""
     us = get_space(n, q)
-    classified = []
-    for name in ("classify_row", "classify_col"):
-        def recording(x, *args, _kernel=getattr(kernels, name)):
-            classified.append(tuple(x))
-            return _kernel(x, *args)
+    tensor = get_descriptor(n, q).tensor  # built before the count is recorded
+    stacks = []
+    count = kernels.count_isotropic
 
-        monkeypatch.setattr(kernels, name, recording)
-    scheme_mod._spot_check(us, get_descriptor(n, q).tensor, seed=1)
-    width = scheme_mod.classified_vectors(n)
-    samples = [classified[k:k + width] for k in range(0, len(classified), width)]
-    assert len(samples) == scheme_mod.SAMPLES_PER_RELATION
+    def recording(ft, xs, ys):
+        stacks.append((xs.tolist(), ys.tolist()))
+        return count(ft, xs, ys)
+
+    monkeypatch.setattr(kernels, "count_isotropic", recording)
+    scheme_mod._spot_check(n, q, tensor, seed=1)
+    assert len(stacks) == 1
+    width = scheme_mod.classified_vectors(n) - 1  # partners per sample
+    xs, ys = stacks[0]
+    assert len(xs) == width * scheme_mod.SAMPLES_PER_RELATION
     nrel = q * q - 1
-    for a, *partners in samples:
-        assert [classify_pair(us, a, y).index for y in partners] == [nrel, 2 * nrel][:width - 1]
-    assert len({a for a, *_ in samples}) == len(samples)
+    rng = random.Random(1)
+    samples = []
+    for k in range(0, len(xs), width):
+        a = xs[k]
+        assert xs[k:k + width] == [a] * width
+        assert [classify_pair(us, a, y).index for y in ys[k:k + width]] == [nrel, 2 * nrel][:width]
+        # each sample draws a new a, then its partners, from the seed's stream
+        assert tuple(a) == scheme_mod._draw(us.ft, n, rng)
+        for y, h in zip(ys[k:k + width], (nrel, 2 * nrel)):
+            assert tuple(y) == scheme_mod._draw(us.ft, n, rng, tuple(a), h)
+        samples.append(tuple(a))
+    assert len(set(samples)) > 1
 
 
 @pytest.mark.parametrize("n,q", [(4, 3), (3, 3)])
@@ -268,7 +281,7 @@ def test_scaled_product_pairs_count_like_direct_passes(n, q, get_space):
     for _ in range(3):
         a = us.point(rng.randrange(us.size))
         row = kernels.classify_row(a, us.block_codes, t)
-        b = us.point(scheme_mod._draw_partner(row, nrel, rng))
+        b = scheme_mod._draw(ft, n, rng, a, nrel)
         assert us.hermitian_inner(a, b) == ft.one
         col = kernels.classify_col(b, us.block_codes, t)
         for e in range(nrel):
@@ -304,3 +317,119 @@ def test_scaled_rows_are_relabelled_rows(n, q, get_space):
     for lam in range(1, ft.order):
         scaled = kernels.classify_row(us.scalar_multiple(lam, x), us.block_codes, t)
         assert np.array_equal(scaled, t.scale_labels[ft.log(lam)][rows])
+
+
+def _every_vector(ft, n):
+    """All of F^n, zero included, as an (order^n, n) array in lexicographic order."""
+    return kernels.digits(np.arange(ft.order**n), ft.order, n)
+
+
+def _products(ft, x, vs):
+    """<x, v> for every row v of ``vs``, one coordinate at a time."""
+    acc = np.zeros(len(vs), dtype=np.int64)
+    for k, c in enumerate(x):
+        acc = ft.add_table[acc, ft.mul_table[c, ft.conj_table[vs[:, k]]]]
+    return acc
+
+
+@pytest.mark.parametrize("n,q", [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (2, 4), (3, 4)])
+def test_count_isotropic_matches_enumeration(n, q):
+    """Any x and y, zero coordinates and zero vectors included: the count
+    is the histogram of (<x, z>, <z, y>) over the isotropic z of F^n."""
+    ft = build_field(q)
+    zs = _every_vector(ft, n)
+    norms = np.zeros(len(zs), dtype=np.int64)
+    for k in range(n):
+        norms = ft.add_table[norms, ft.norm_table[zs[:, k]]]
+    isotropic = zs[norms == 0]
+    rng = random.Random(n * q)
+    xs = [[rng.randrange(ft.order) if rng.random() < 0.6 else 0 for _ in range(n)]
+          for _ in range(7)] + [[0] * n]
+    ys = [[rng.randrange(ft.order) if rng.random() < 0.6 else 0 for _ in range(n)]
+          for _ in range(7)] + [[1] + [0] * (n - 1)]
+    got = kernels.count_isotropic(ft, np.array(xs), np.array(ys))
+    assert got.shape == (8, ft.order, ft.order) and got.dtype == np.int64
+    for x, y, counts in zip(xs, ys, got):
+        alpha = _products(ft, x, isotropic)
+        beta = ft.conj_table[_products(ft, y, isotropic)]  # <z, y> = conj(<y, z>)
+        want = np.bincount(alpha * ft.order + beta, minlength=ft.order**2)
+        assert np.array_equal(counts.ravel(), want), (x, y)
+
+
+@pytest.mark.parametrize("n,q", ORACLE_GRID)
+def test_counted_histograms_equal_enumeration(n, q, get_space):
+    """The spot check's oracle: at the same random a, b and c, the histograms
+    counted over coordinates equal ``_column_counts`` of row(a) and the
+    columns of the partners, and give the same tensor as
+    ``_witness_tensor``."""
+    us = get_space(n, q)
+    ft, t = us.ft, us.tables
+    nrel = ft.order - 1
+    rank = scheme_rank(n, q)
+    rng = random.Random(n * q)
+    for _ in range(3):
+        a = scheme_mod._draw(ft, n, rng)
+        partners = [scheme_mod._draw(ft, n, rng, a, h) for h in range(nrel, rank, nrel)]
+        counted = scheme_mod._counted_histograms(ft, [(a, y) for y in partners], rank)
+        row = kernels.classify_row(a, us.block_codes, t)
+        enumerated = np.stack([
+            scheme_mod._column_counts(rank * row, kernels.classify_col(y, us.block_codes, t), rank)
+            for y in partners])
+        assert np.array_equal(counted, enumerated)
+        assert np.array_equal(scheme_mod._tensor_from_histograms(q, counted)[0],
+                              scheme_mod._witness_tensor(us, row, partners)[0])
+
+
+@pytest.mark.parametrize("n,q", DRAW_CASES)
+def test_draws_accept_exactly_their_target_sets(n, q, get_space):
+    """Every vector of F^n as a candidate: the point draw keeps exactly the
+    points, and the partner draws at any point a keep exactly the points
+    in product relation 0 or the perpendicular relation with a.  With
+    uniform candidates, each draw is uniform on its target set."""
+    us = get_space(n, q)
+    ft = us.ft
+    nrel = ft.order - 1
+    every = [tuple(v) for v in _every_vector(ft, n).tolist()]
+    points = [tuple(v) for v in vectors(us).tolist()]
+    assert [v for v in every if scheme_mod._accepts(ft, v)] == points
+    for a, row in zip(points, kernels.classify_matrix(us.block_codes, us.tables)):
+        for h in range(nrel, scheme_rank(n, q), nrel):
+            target = [p for p, l in zip(points, row.tolist()) if l == h]
+            assert [v for v in every if scheme_mod._accepts(ft, v, a, h)] == target
+
+
+@pytest.mark.parametrize("n,q", DRAW_CASES)
+def test_hyperplane_points_cover_each_hyperplane_once(n, q, get_space):
+    """Solving a's pivot coordinate maps F^(n-1) one to one onto each
+    hyperplane <a, v> = value, so uniform free coordinates give uniform
+    candidates on it."""
+    us = get_space(n, q)
+    ft = us.ft
+    every = _every_vector(ft, n)
+    free = _every_vector(ft, n - 1).tolist()
+    for index in range(0, us.size, max(1, us.size // 7)):
+        a = us.point(index)
+        products = _products(ft, a, every)
+        for value in (ft.zero, ft.one):
+            images = sorted(tuple(scheme_mod._hyperplane_point(ft, a, f, value)) for f in free)
+            assert images == [tuple(v) for v in every[products == value].tolist()]
+
+
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+def test_count_isotropic_stays_inside_int64(q):
+    """At the largest admitted n, a count before the last coordinate is at
+    most q^(2n-2) <= 0.17 * 2^63, and one after it at most the isotropic
+    vectors and zero, below 2^63."""
+    n = max_dimension(q)
+    assert 100 * q ** (2 * n - 2) <= 17 * 2**63
+    assert isotropic_count(n, q) + 1 < 2**63
+
+
+def test_one_count_sorts_every_isotropic_vector():
+    """One pair's counts at (8, 9) add up to every isotropic vector and zero."""
+    ft = build_field(9)
+    rng = random.Random(0)
+    a = scheme_mod._draw(ft, 8, rng)
+    b = scheme_mod._draw(ft, 8, rng, a, ft.order - 1)
+    counts = kernels.count_isotropic(ft, np.array([a]), np.array([b]))
+    assert int(counts.sum()) == isotropic_count(8, 9) + 1 == 205891170358401
