@@ -1,30 +1,31 @@
 """Hot inner loops: the isotropic scan and the block-table pair classifier.
 
-A point z is stored as block codes.  Its n coordinates are split into blocks
-of ``width`` consecutive coordinates, the first block being the short one
-when ``width`` does not divide n, and each block is kept as its lexicographic
-code, a number below order**width.  These are the base order**width digits
-of the point's full lexicographic code, so the scan's codes give them
-directly.
+A point z is stored as two block codes.  Its n coordinates, with n mod 2
+zeros in front, are split into two blocks of ``width`` = ceil(n/2)
+coordinates, and each block is kept as its lexicographic code, a number
+below order**width.  These are the two halves of the scan, so the scan
+writes them as it finds the points, and a point's full lexicographic code
+is head * order**width + tail.
 
 For a fixed x, one table per block holds the partial Hermitian products
 sum_i x_i * conj(z_i) for every possible block of z.  A row pass gathers
-each table at the block codes and adds the blocks, which gives <x, z> for
-every point at once.  The kernel takes a stack of r vectors x and returns
-an (r, N) label array for the N points: it gathers ``group_size(N)`` =
-max(1, CHUNK // N) vectors at a time and builds a group's tables only when
-the group runs.  A table has order**width <= N entries, so a group's tables
-are never larger than its gather, and the gather's temporaries stay
-O(blocks * CHUNK) whatever r is; only the output and the (q^2-1) * r
-scalar multiples grow with r.  Past ``CHUNK`` points one vector is gathered
-at a time.  Field elements in the tables are *packed*: the
+each table at the block codes and adds the two blocks, which gives <x, z>
+for every point at once.  The kernel takes a stack of r vectors x and
+returns an (r, N) uint8 label array for the N points: it gathers
+``group_size(N)`` = max(1, CHUNK // N) vectors at a time and builds a
+group's tables only when the group runs.  A table has order**width <= N
+entries, so a group's tables are never larger than its gather, and the
+gather's temporaries stay O(CHUNK) whatever r is; only the output and the
+(q^2-1) * r scalar multiples grow with r.  Past ``CHUNK`` points one vector
+is gathered at a time.  Field elements in the tables are *packed*: the
 coefficients of an element over F_p are the base-B digits of an integer,
 with B = n*(p-1)+1, so a sum of at most n packed elements is an ordinary
 integer sum without carries, and one lookup turns it into a label.  Packed
-sums stay below B^m, and ``block_tables`` refuses an (n, q) whose B^m is
-above 2^16, so the tables and their sums are uint16 (B^m is at most 15625
-within the scan budget, at (4, 8)); a block's table is built by outer sums
-over its coordinates.
+sums stay below B^m, and ``block_tables`` refuses an (n, q) whose B^m or
+order**width is above 2^16, so the codes, the tables and their sums are
+uint16 (within the scan budget B^m is at most 15625, at (4, 8), and
+order**width at most 15625, at (5, 5)); a block's table is built by outer
+sums over its coordinates.
 
 The q^2-1 nonzero multiples of x are found among the points by binary
 search on the points' sorted full codes.
@@ -43,11 +44,9 @@ import numpy as np
 
 from .fields import _check_ids
 
-# Largest number of entries of one block table.  The codes fit in uint16.
-BLOCK_LIMIT = 8192
-
-# Elements (vectors x points) per gather in a row pass, so that numpy's
-# conversion of the uint16 codes to index arrays stays in cache.
+# Elements (vectors x points) per gather in a row pass, and points per chunk
+# of a witness histogram, so that numpy's conversion of the uint16 codes or
+# keys to index arrays stays in cache.
 CHUNK = 1 << 14
 
 # ---------------------------------------------------------------------------
@@ -69,32 +68,52 @@ def _half_norms(width: int, size: int, norm_table, add_table) -> np.ndarray:
     return acc
 
 
-def isotropic_scan(n: int, size: int, norm_table, add_table, expected: int) -> np.ndarray:
-    """Codes of the isotropic vectors among all size**n coordinate vectors.
+def table_width(order: int, n: int) -> int:
+    """The block width ceil(n/2), once blocks of that many coordinates are
+    checked to have codes that fit uint16."""
+    width = -(-n // 2)
+    if order**width > 1 << 16:
+        raise ValueError(f"block codes below {order}^{width} = {order**width} do not fit"
+                         f" uint16 at n = {n}")
+    return width
+
+
+def isotropic_scan(n: int, size: int, norm_table, add_table,
+                   expected: int) -> tuple[np.ndarray, np.ndarray]:
+    """The isotropic vectors among all size**n coordinate vectors, as their
+    sorted codes and as their read-only (N, 2) uint16 block codes.
 
     The first halves are taken in increasing code order, each followed by its
-    second halves in increasing order, so the codes come out sorted; the
-    only array of the output's size is the output.
+    second halves in increasing order, so the codes come out sorted.  The
+    halves are the blocks: column 0 holds the first half's code, repeated
+    over its second halves, and column 1 the second halves, copied group by
+    group; the codes are head * size**ceil(n/2) + tail.
     """
     high = n // 2  # coordinates in the first half, the shorter one
-    scale = size ** (n - high)
+    scale = size ** table_width(size, n)
     first = _half_norms(high, size, norm_table, add_table)
     second = _half_norms(n - high, size, norm_table, add_table)
     # second halves grouped by norm, ascending within each group
-    by_norm = np.argsort(second, kind="stable")
     sizes = np.bincount(second, minlength=size)
-    ends = np.cumsum(sizes).tolist()
+    groups = np.split(np.argsort(second, kind="stable").astype(np.uint16),
+                      np.cumsum(sizes)[:-1])
     opposite = np.argmax(add_table == 0, axis=1)[first]
-    count = int(sizes[opposite].sum())
-    if count - 1 != expected:  # the zero vector is counted too
-        raise AssertionError(f"scan found {count - 1} isotropic vectors, expected {expected}")
-    out = np.empty(count, dtype=np.int64)
-    pos = 0
-    for head, norm in enumerate(opposite.tolist()):
-        tail = by_norm[ends[norm] - int(sizes[norm]):ends[norm]]
-        np.add(tail, head * scale, out=out[pos:pos + tail.size])
-        pos += tail.size
-    return out[1:]  # the zero vector is the first code
+    counts = sizes[opposite]
+    counts[0] -= 1  # the zero vector, head 0 and the first tail of its group
+    if int(counts.sum()) != expected:
+        raise AssertionError(f"scan found {int(counts.sum())} isotropic vectors,"
+                             f" expected {expected}")
+    tails = [groups[norm] for norm in opposite.tolist()]
+    tails[0] = tails[0][1:]
+    # column-major, so that the codes of one block are contiguous
+    blocks = np.empty((expected, 2), dtype=np.uint16, order="F")
+    blocks[:, 0] = np.repeat(np.arange(first.size, dtype=np.uint16), counts)
+    np.concatenate(tails, out=blocks[:, 1])
+    codes = blocks[:, 0].astype(np.int64)
+    codes *= scale
+    codes += blocks[:, 1]
+    blocks.setflags(write=False)
+    return codes, blocks
 
 
 def digits(codes: np.ndarray, size: int, width: int) -> np.ndarray:
@@ -117,8 +136,8 @@ class BlockTables:
 
     ``digits[c]`` are the element ids of block code c, and
     ``products[a, d]`` is the packed a * conj(d).  ``sum_labels[0, s]`` is
-    the label of a pair whose packed inner product is s, a zero product
-    reading as perpendicular; scalar pairs are set afterwards, to
+    the uint8 label of a pair whose packed inner product is s, a zero
+    product reading as perpendicular; scalar pairs are set afterwards, to
     ``scalar_labels[0]``.  Row 1 of both holds the labels of the reversed
     pairs, which a column pass writes.  ``place`` turns a padded vector
     into its full code, and ``points`` holds the points' full codes in
@@ -130,7 +149,6 @@ class BlockTables:
     """
 
     width: int
-    blocks: int
     pad: np.ndarray
     digits: np.ndarray
     products: np.ndarray
@@ -141,18 +159,6 @@ class BlockTables:
     points: np.ndarray
     conj_labels: np.ndarray
     scale_labels: np.ndarray
-
-    def encode(self, codes: np.ndarray) -> np.ndarray:
-        """Block codes, one row per point, from full lexicographic codes."""
-        size = self.digits.shape[0]
-        # column-major, so that the codes of one block are contiguous
-        out = np.empty((codes.size, self.blocks), dtype=np.uint16, order="F")
-        for k in range(self.blocks):
-            block = codes // size ** (self.blocks - 1 - k)
-            block %= size
-            out[:, k] = block
-        out.setflags(write=False)
-        return out
 
 
 @lru_cache(maxsize=None)
@@ -170,21 +176,13 @@ def label_maps(q: int) -> tuple[np.ndarray, np.ndarray]:
     return conj_labels, scale_labels
 
 
-def block_width(order: int, count: int) -> int:
-    """Largest b >= 1 with order**b <= min(BLOCK_LIMIT, count)."""
-    width = 1
-    while order ** (width + 1) <= min(BLOCK_LIMIT, count):
-        width += 1
-    return width
-
-
 def block_tables(ft, n: int, points: np.ndarray) -> BlockTables:
     """The x-independent tables of the row kernel for the points of F^n with
-    the given sorted full codes."""
+    the given sorted full codes.  An (n, q) whose packed sums or block codes
+    would not fit uint16 raises a ``ValueError`` before any table is made."""
     order, p, q = ft.order, ft.p, ft.q
     nrel = order - 1
-    width = block_width(order, points.size)
-    blocks = -(-n // width)
+    assert 2 * nrel < 1 << 8, "labels must fit uint8"
     m = 1
     while p**m < order:
         m += 1
@@ -192,6 +190,7 @@ def block_tables(ft, n: int, points: np.ndarray) -> BlockTables:
     if base**m > 1 << 16:
         raise ValueError(f"packed sums below {base}^{m} = {base**m} do not fit uint16"
                          f" at (n, q) = ({n}, {q})")
+    width = table_width(order, n)
 
     coeffs = ft.coeff_table[:, None] // p ** np.arange(m) % p
     packed = coeffs @ base ** np.arange(m)
@@ -205,13 +204,12 @@ def block_tables(ft, n: int, points: np.ndarray) -> BlockTables:
     e = np.arange(nrel)
     conj_labels, scale_labels = label_maps(q)
     return BlockTables(
-        width=width, blocks=blocks,
-        pad=np.zeros(blocks * width - n, dtype=np.int64),
+        width=width, pad=np.zeros(2 * width - n, dtype=np.int64),
         digits=digits(np.arange(order**width), order, width), products=products,
-        sum_labels=np.stack((sum_labels, conj_labels[sum_labels])),
-        scalar_labels=np.stack((e, conj_labels[e])),
+        sum_labels=np.stack((sum_labels, conj_labels[sum_labels])).astype(np.uint8),
+        scalar_labels=np.stack((e, conj_labels[e])).astype(np.uint8),
         nonzero_mul=np.ascontiguousarray(ft.mul_table[1:]),
-        place=order ** np.arange(blocks * width - 1, -1, -1, dtype=np.int64),
+        place=order ** np.arange(2 * width - 1, -1, -1, dtype=np.int64),
         points=points, conj_labels=conj_labels, scale_labels=scale_labels,
     )
 
@@ -225,8 +223,8 @@ def group_size(count: int) -> int:
 def _row_labels(xbs: np.ndarray, codes: np.ndarray, t: BlockTables,
                 converse: int) -> np.ndarray:
     """Labels of (x, z) for every x of a stack and every point z, or of (z, x)
-    when ``converse`` is 1, as an (r, N) array; ``xbs[v]`` is the v-th x
-    padded, one row per block.
+    when ``converse`` is 1, as an (r, N) uint8 array; ``xbs[v]`` is the v-th
+    x padded, one row per block.
 
     The stack is gathered ``group_size(N)`` vectors at a time, and a group's
     tables are built when it runs; past ``CHUNK`` points one vector is
@@ -240,7 +238,7 @@ def _row_labels(xbs: np.ndarray, codes: np.ndarray, t: BlockTables,
     if t.points.take(found[0], mode="clip").tolist() != multiples[0].tolist():
         raise ValueError("x is not a nonzero isotropic vector")
     labels = t.sum_labels[converse]
-    out = np.empty((rows, count), dtype=np.int64)
+    out = np.empty((rows, count), dtype=np.uint8)
     group = group_size(count)
     for first in range(0, rows, group):
         # parts[v, k, j, d]: coordinate j of block k of vector v times conj(d);
@@ -250,14 +248,13 @@ def _row_labels(xbs: np.ndarray, codes: np.ndarray, t: BlockTables,
         sums = parts[:, :, -1]
         for j in range(t.width - 2, -1, -1):
             sums = (parts[:, :, j, :, None] + sums[:, :, None, :]).reshape(
-                sums.shape[0], t.blocks, -1)
-        head, *rest = sums.transpose(1, 0, 2)  # one (vectors, table) view per block
+                sums.shape[0], 2, -1)
+        head, tail = sums.transpose(1, 0, 2)  # one (vectors, table) view per block
         dest = out[first:first + group]
         for start in range(0, count, CHUNK):
             part = codes[start:start + CHUNK]
             packed = head.take(part[:, 0], axis=1)
-            for k, table in enumerate(rest, 1):
-                packed += table.take(part[:, k], axis=1)
+            packed += tail.take(part[:, 1], axis=1)
             labels.take(packed, out=dest[:, start:start + CHUNK])
     out[np.arange(rows), found] = t.scalar_labels[converse][:, None]
     return out
@@ -265,12 +262,12 @@ def _row_labels(xbs: np.ndarray, codes: np.ndarray, t: BlockTables,
 
 def _blocked(x, t: BlockTables) -> np.ndarray:
     """``x`` padded, one row per block, once it is checked to be n element ids."""
-    _check_ids(x, t.products.shape[0], t.blocks * t.width - t.pad.size)
-    return np.concatenate((t.pad, x)).reshape(t.blocks, t.width)
+    _check_ids(x, t.products.shape[0], 2 * t.width - t.pad.size)
+    return np.concatenate((t.pad, x)).reshape(2, t.width)
 
 
 def classify_row(x, codes: np.ndarray, t: BlockTables) -> np.ndarray:
-    """Labels of the pairs (x, z) for every point z, given by its block codes."""
+    """uint8 labels of the pairs (x, z) for every point z, given by its block codes."""
     return _row_labels(_blocked(x, t)[None], codes, t, 0)[0]
 
 
@@ -280,7 +277,7 @@ def classify_col(y, codes: np.ndarray, t: BlockTables) -> np.ndarray:
 
 
 def classify_matrix(codes: np.ndarray, t: BlockTables) -> np.ndarray:
-    """Full pairwise label matrix M with M[a, b] = label of (point a, point b)."""
+    """Full pairwise uint8 label matrix M with M[a, b] = label of (point a, point b)."""
     return _row_labels(t.digits[codes], codes, t, 0)
 
 

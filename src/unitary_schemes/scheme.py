@@ -262,12 +262,17 @@ def _joint_histogram(rows: np.ndarray, cols: np.ndarray, rank: int) -> np.ndarra
     return np.bincount(codes.ravel(), minlength=stack * rank * rank).reshape(*lead, rank, rank)
 
 
-def _column_counts(keys: np.ndarray, col: np.ndarray, rank: int) -> np.ndarray:
-    """``H[i, j]`` counts the points z with label i in row(x) and label j in
-    ``col``, given ``keys`` = rank * row(x).  ``col`` is consumed, so that a
-    row and one column are the only arrays of N labels alive."""
-    col += keys
-    return np.bincount(col, minlength=rank * rank).reshape(rank, rank)
+def _column_counts(row: np.ndarray, col: np.ndarray, rank: int) -> np.ndarray:
+    """``H[i, j]`` counts the points z with uint8 label i in ``row`` and
+    label j in ``col``.  The labels are joined into uint16 keys rank * i + j
+    (below 2^16, as rank <= 2^8) ``CHUNK`` points at a time, so that neither
+    the keys nor the intp copy ``bincount`` makes of them spans all N."""
+    counts = np.zeros(rank * rank, dtype=np.int64)
+    for start in range(0, row.size, kernels.CHUNK):
+        keys = row[start:start + kernels.CHUNK] * np.uint16(rank)
+        keys += col[start:start + kernels.CHUNK]
+        counts += np.bincount(keys, minlength=rank * rank)
+    return counts.reshape(rank, rank)
 
 
 def classified_vectors(n: int) -> int:
@@ -303,14 +308,13 @@ def _tensor_from_histograms(q: int, counts: np.ndarray) -> tuple[np.ndarray, np.
 
 def _witness_tensor(us: UnitarySpace, row: np.ndarray, partners) -> tuple[np.ndarray, np.ndarray]:
     """The whole tensor counted at the pairs one point x and its partners
-    give, and the valencies; ``row`` is row(x), and it is consumed.
+    give, and the valencies; ``row`` is row(x).
 
     ``partners`` holds v with <x, v> = 1 and, when there is a perpendicular
     relation, a point y perpendicular to x and independent of it; their
     histograms are the joint histograms of row(x) and col(v), col(y).
     """
     rank = 2 * (us.ft.order - 1) + len(partners) - 1
-    row *= rank
     counts = np.stack([
         _column_counts(row, kernels.classify_col(y, us.block_codes, us.tables), rank)
         for y in partners])
@@ -411,23 +415,33 @@ def _spot_check(n: int, q: int, tensor: np.ndarray, seed: int) -> None:
     pair of product relation 0 and (a, c) one of the perpendicular relation;
     (a, g^s a) is uniform in scalar relation s, and (a, b) -> (g^e a, b) maps
     product relation 0 one to one onto product relation e.  So every relation
-    is recounted at one uniformly random pair per sample.  The sampled tensor
-    is compared whole, and the first relation that differs is named.
+    is recounted at one uniformly random pair per sample.
+
+    ``_tensor_from_histograms`` writes a sample's two histograms unchanged
+    as the slices of product relation 0 and the perpendicular relation, so
+    the sampled tensor equals the tensor exactly when both histograms equal
+    those two rank^2 slices of it and the slices assemble into it.  Each
+    sample is therefore compared with the slices, and the tensor is
+    assembled from them once; the first relation that differs is named.
     """
     ft = build_field(q)
     rank = tensor.shape[0]
-    relations = range(ft.order - 1, rank, ft.order - 1)  # product 0 and perpendicular
+    relations = np.arange(ft.order - 1, rank, ft.order - 1)  # product 0 and perpendicular
     rng = random.Random(seed)
     pairs = []
     for _ in range(SAMPLES_PER_RELATION):
         a = _draw(ft, n, rng)
-        pairs += [(a, _draw(ft, n, rng, a, h)) for h in relations]
+        pairs += [(a, _draw(ft, n, rng, a, h)) for h in relations.tolist()]
     hist = _counted_histograms(ft, pairs, rank).reshape(SAMPLES_PER_RELATION, -1, rank, rank)
-    for counts in hist:
-        wrong = (_tensor_from_histograms(q, counts)[0] != tensor).any(axis=(1, 2))
-        if wrong.any():
-            raise AssertionError("intersection counts depend on the representative "
-                                 f"of relation {int(wrong.argmax())}")
+    slices = tensor[relations]
+    wrong = (hist != slices).any(axis=(2, 3))  # by sample, then relation
+    if wrong.any():
+        h = int(relations[wrong.argmax() % relations.size])
+    else:
+        wrong = (_tensor_from_histograms(q, slices)[0] != tensor).any(axis=(1, 2))
+        h = int(wrong.argmax())
+    if wrong.any():
+        raise AssertionError(f"intersection counts depend on the representative of relation {h}")
 
 
 def _bruteforce_tensor(us: UnitarySpace, rank: int, seed: int):

@@ -54,9 +54,13 @@ class SchemeDocument:
 
 
 def document_from_descriptor(sd: SchemeDescriptor, seed: int = 0) -> SchemeDocument:
-    # np.nonzero walks in C order, which is the lexicographic (h, i, j) order
-    where = np.nonzero(sd.tensor)
-    entries = np.stack(where + (sd.tensor[where],), axis=1)
+    # C order is the lexicographic (h, i, j) order
+    flat = sd.tensor.ravel()
+    where = np.flatnonzero(flat)
+    entries = np.empty((where.size, 4), dtype=np.int64)
+    hi, entries[:, 2] = np.divmod(where, sd.rank)
+    entries[:, 0], entries[:, 1] = np.divmod(hi, sd.rank)
+    entries[:, 3] = flat[where]
     entries.setflags(write=False)
     commutative, witness = is_commutative(sd)
     return SchemeDocument(

@@ -159,11 +159,11 @@ def enumerate_isotropic(n: int, q: int) -> UnitarySpace:
     ft = build_field(q)
     count = isotropic_count(n, q)
     check_budget("scan", count)
-    codes = kernels.isotropic_scan(n, ft.order, ft.norm_table, ft.add_table, count)
+    codes, block_codes = kernels.isotropic_scan(n, ft.order, ft.norm_table, ft.add_table,
+                                                count)
     codes.setflags(write=False)
-    tables = kernels.block_tables(ft, n, codes)
-    return UnitarySpace(n=n, q=q, ft=ft, codes=codes,
-                        block_codes=tables.encode(codes), tables=tables)
+    return UnitarySpace(n=n, q=q, ft=ft, codes=codes, block_codes=block_codes,
+                        tables=kernels.block_tables(ft, n, codes))
 
 
 def unit_norm_witness(ft: FieldTables) -> int:

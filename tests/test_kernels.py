@@ -9,7 +9,7 @@ from unitary_schemes import kernels
 from unitary_schemes import scheme as scheme_mod
 from unitary_schemes.fields import SUPPORTED_Q, build_field
 from unitary_schemes.scheme import classify_pair, conjugate_index, max_dimension, scheme_rank
-from unitary_schemes.space import enumerate_isotropic, isotropic_count
+from unitary_schemes.space import BUDGETS, enumerate_isotropic, isotropic_count
 
 from _reference import RefField, isotropic_vectors, vectors
 
@@ -30,8 +30,8 @@ def _numpy_ids(cases):
 def test_scan_same_on_both_backends(n, q):
     """The meet-in-the-middle scan equals the scalar oracle."""
     ft = build_field(q)
-    whole = kernels.isotropic_scan(n, ft.order, ft.norm_table, ft.add_table,
-                                   isotropic_count(n, q))
+    whole, _ = kernels.isotropic_scan(n, ft.order, ft.norm_table, ft.add_table,
+                                      isotropic_count(n, q))
     ref = RefField(q)
     oracle = []
     for vec in isotropic_vectors(ref, n):
@@ -45,8 +45,8 @@ def test_scan_same_on_both_backends(n, q):
 @pytest.mark.parametrize("n,q", [(8, 2), (4, 3), (3, 9)])
 def test_scan_codes_increase_and_are_isotropic(n, q):
     ft = build_field(q)
-    codes = kernels.isotropic_scan(n, ft.order, ft.norm_table, ft.add_table,
-                                   isotropic_count(n, q))
+    codes, _ = kernels.isotropic_scan(n, ft.order, ft.norm_table, ft.add_table,
+                                      isotropic_count(n, q))
     assert codes.size == isotropic_count(n, q)
     assert (np.diff(codes) > 0).all() and codes[0] > 0
     # the self-product of every decoded vector, summed coordinate by coordinate
@@ -54,6 +54,20 @@ def test_scan_codes_increase_and_are_isotropic(n, q):
     for column in kernels.digits(codes, ft.order, n).T:
         acc = ft.add_table[acc, ft.norm_table[column]]
     assert not acc.any()
+
+
+@pytest.mark.parametrize("n,q", SCAN_CASES + [(8, 2), (3, 9)])
+def test_scan_block_codes_are_the_code_halves(n, q):
+    """Column 0 is each code's first ceil(n/2)-coordinate digit block and
+    column 1 its second, as read-only column-major uint16."""
+    ft = build_field(q)
+    codes, blocks = kernels.isotropic_scan(n, ft.order, ft.norm_table, ft.add_table,
+                                           isotropic_count(n, q))
+    assert blocks.dtype == np.uint16 and blocks.shape == (codes.size, 2)
+    assert blocks.flags.f_contiguous and not blocks.flags.writeable
+    scale = ft.order ** -(-n // 2)
+    assert np.array_equal(blocks[:, 0], codes // scale)
+    assert np.array_equal(blocks[:, 1], codes % scale)
 
 
 @pytest.mark.parametrize("n,q", SCAN_CASES)
@@ -73,7 +87,7 @@ def test_classify_row_matches_classify_pair(n, q, pick, get_space):
     us = get_space(n, q)
     x = tuple(int(c) for c in vectors(us)[pick % us.size])
     rows = kernels.classify_row(x, us.block_codes, us.tables)
-    assert rows.dtype == np.int64
+    assert rows.dtype == np.uint8
     expected = [classify_pair(us, x, tuple(int(c) for c in z)).index for z in vectors(us)]
     assert rows.tolist() == expected
 
@@ -93,26 +107,19 @@ def test_vector_kernels_agree_with_scalar_classification(n, q, get_space):
             assert classify_pair(us, x, y).index == M[a, b]
 
 
-@pytest.mark.parametrize("order,count,width", [
-    (4, 9, 1), (16, 75, 1), (81, 800, 1), (4, 16, 2), (4, 135, 3),
-    (4, 32895, 6), (9, 2240, 3), (81, 58400, 2), (4, 10**6, 6), (9, 10**6, 4),
-])
-def test_block_width(order, count, width):
-    assert kernels.block_width(order, count) == width
-
-
 @pytest.mark.parametrize("n,q,width,blocks", [
-    (2, 2, 1, 2),   # N = 9 < 16: one coordinate per block
+    (2, 2, 1, 2),   # two blocks of ceil(n/2) coordinates, whatever N is
     (2, 9, 1, 2),
-    (3, 3, 2, 2),   # 3 = 1 + 2: a short first block
-    (4, 2, 3, 2),
-    (5, 2, 4, 2),
-    (8, 2, 6, 2),
+    (3, 3, 2, 2),   # 3 = 1 + 2: the first block padded by one zero
+    (3, 9, 2, 2),
+    (4, 2, 2, 2),
+    (5, 2, 3, 2),
+    (8, 2, 4, 2),
 ])
 def test_block_layout(n, q, width, blocks, get_space):
     us = get_space(n, q)
     t = us.tables
-    assert (t.width, t.blocks) == (width, blocks)
+    assert t.width == width
     codes = us.block_codes
     assert codes.dtype == np.uint16 and codes.shape == (us.size, blocks)
     assert not codes.flags.writeable
@@ -294,11 +301,33 @@ def test_scaled_product_pairs_count_like_direct_passes(n, q, get_space):
 
 
 def test_block_tables_refuse_packed_sums_beyond_uint16():
-    # (8, 9): packed sums below 17^4 = 83521; (15, 4): below 16^4 = 65536, admitted
+    # (8, 9): packed sums below 17^4 = 83521; (4, 8): below 5^6 = 15625, the
+    # largest the scan budget admits
     empty = np.zeros(0, dtype=np.int64)
     with pytest.raises(ValueError, match="^packed sums below 17\\^4 = 83521 do not fit uint16"):
         kernels.block_tables(build_field(9), 8, empty)
-    assert kernels.block_tables(build_field(4), 15, empty).products.dtype == np.uint16
+    assert kernels.block_tables(build_field(8), 4, empty).products.dtype == np.uint16
+
+
+def test_block_tables_refuse_codes_beyond_uint16():
+    """(15, 4) would need tables of 16^8 entries; it is refused before any
+    is made."""
+    empty = np.zeros(0, dtype=np.int64)
+    with pytest.raises(ValueError, match="^block codes below 16\\^8 = 4294967296 do not fit uint16"):
+        kernels.block_tables(build_field(4), 15, empty)
+
+
+def test_scan_budget_admits_only_uint16_block_codes():
+    """Every (n, q) the scan budget admits has block codes below 2^16; the
+    largest, 25^3 = 15625, is at (5, 5)."""
+    limit = BUDGETS["scan"][1]
+    largest = {}
+    for q in SUPPORTED_Q:
+        n = 2
+        while isotropic_count(n, q) <= limit:
+            largest[n, q] = (q * q) ** -(-n // 2)
+            n += 1
+    assert max(largest.values()) == largest[5, 5] == 15625 <= 1 << 16
 
 
 def test_scan_count_mismatch_is_detected():
@@ -373,11 +402,27 @@ def test_counted_histograms_equal_enumeration(n, q, get_space):
         counted = scheme_mod._counted_histograms(ft, [(a, y) for y in partners], rank)
         row = kernels.classify_row(a, us.block_codes, t)
         enumerated = np.stack([
-            scheme_mod._column_counts(rank * row, kernels.classify_col(y, us.block_codes, t), rank)
+            scheme_mod._column_counts(row, kernels.classify_col(y, us.block_codes, t), rank)
             for y in partners])
         assert np.array_equal(counted, enumerated)
         assert np.array_equal(scheme_mod._tensor_from_histograms(q, counted)[0],
                               scheme_mod._witness_tensor(us, row, partners)[0])
+
+
+@pytest.mark.parametrize("n,q", [(4, 3), (8, 2), (3, 9)])
+def test_column_counts_match_joint_histogram(n, q, get_space):
+    """The chunked witness histogram equals one ``bincount`` over all points,
+    in one chunk at (4, 3) and across chunk boundaries at (8, 2) and (3, 9),
+    rank 160."""
+    us = get_space(n, q)
+    t = us.tables
+    rank = scheme_rank(n, q)
+    rng = random.Random(n * q)
+    row = kernels.classify_row(us.point(rng.randrange(us.size)), us.block_codes, t)
+    col = kernels.classify_col(us.point(rng.randrange(us.size)), us.block_codes, t)
+    assert row.dtype == col.dtype == np.uint8
+    assert np.array_equal(scheme_mod._column_counts(row, col, rank),
+                          scheme_mod._joint_histogram(row, col, rank))
 
 
 @pytest.mark.parametrize("n,q", DRAW_CASES)

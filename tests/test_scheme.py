@@ -309,8 +309,8 @@ def test_relation_sizes(get_space, get_descriptor):
 
 def test_relation_matrix_memory_stays_near_its_output(get_space):
     """The stacked matrix pass builds each group's tables only when the group
-    runs: its peak stays within the (N, N) int64 output plus 4 MB at (6, 2),
-    where building every row's tables before the gathers adds about 11 MB."""
+    runs: its peak stays within the (N, N) uint8 output plus 4 MB at (6, 2)
+    (about 0.35 MB above it)."""
     us = get_space(6, 2)
     tracemalloc.start()
     try:
@@ -318,7 +318,7 @@ def test_relation_matrix_memory_stays_near_its_output(get_space):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert M.shape == (us.size, us.size) and M.dtype == np.int64
+    assert M.shape == (us.size, us.size) and M.dtype == np.uint8
     assert peak <= M.nbytes + (4 << 20)
 
 
