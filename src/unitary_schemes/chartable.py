@@ -7,7 +7,11 @@ of A + B w in one (2, r, r) array of Python ints, exact at any size.  Every
 identity here (orthogonality, the algebra homomorphism property, parameter
 reconstruction, P Q = |X| I, minimal polynomial annihilation and the
 idempotents) is checked on that array as an equality of exact integer
-matrices over Z[w], with the denominators cleared once by L = lcm(k).
+matrices over Z[w], with the denominators cleared once by L = lcm(k).  A
+Z[w] matrix product takes three integer products, and each identity is
+checked for all its indices in one batch: the minimal polynomials as
+integer combinations of the powers of the stacked intersection matrices,
+the idempotents as one stack.
 """
 
 from __future__ import annotations
@@ -118,9 +122,10 @@ def _mul(x, y):
 
 
 def _matmul(x, y):
+    """By three integer products: AD + BC = (A + B)(C + D) - AC - BD."""
     (a, b), (c, d) = x, y
-    bd = b @ d
-    return np.stack([a @ c - bd, a @ d + b @ c - bd])
+    ac, bd = a @ c, b @ d
+    return np.stack([ac - bd, (a + b) @ (c + d) - ac - 2 * bd])
 
 
 def _conj(x):
@@ -138,14 +143,22 @@ def _verdict(mask: np.ndarray, *kind):
     return (False, (*kind, *(int(v) for v in bad[0]))) if bad.size else (True, None)
 
 
-def _to_eisenstein(x, scale: int) -> Matrix:
-    """The Z[w] matrix x / scale as nested tuples of Eisenstein values."""
+def _to_eisenstein(x, scale: int) -> list[Matrix]:
+    """The Z[w] matrices x[:, i] / scale of a (2, k, N, N) stack as nested
+    tuples of Eisenstein values, one value made per distinct entry."""
     value = functools.cache(lambda a, b: Eisenstein(Fraction(a, scale), Fraction(b, scale)))
-    return tuple(tuple(map(value, ra, rb)) for ra, rb in zip(*x.tolist()))
+    return [tuple(tuple(map(value, ra, rb)) for ra, rb in zip(*xi))
+            for xi in x.transpose(1, 0, 2, 3).tolist()]
 
 
 def _vector(values) -> np.ndarray:
     return np.array(values, dtype=object)
+
+
+def _check_shape(what: str, shape, expected: tuple[int, ...], size: int) -> None:
+    if shape != expected:
+        raise ValueError(f"{what} of shape {shape} do not fit a character table"
+                         f" of size {size}: expected {expected}")
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +211,7 @@ def verify_homomorphism(ct: CharTable, sd: SchemeDescriptor):
 
     Returns (True, None) or (False, (h, i, j)).
     """
+    _check_shape("intersection numbers", sd.tensor.shape, (ct.size,) * 3, ct.size)
     p = ct.p
     lhs = _mul(p[..., :, None], p[..., None, :])
     rhs = (p @ sd.tensor.reshape(ct.size, -1)).reshape(lhs.shape)
@@ -210,6 +224,7 @@ def verify_reconstruction(ct: CharTable, sd: SchemeDescriptor):
 
     Returns (True, None) or (False, (h, i, j)).
     """
+    _check_shape("intersection numbers", sd.tensor.shape, (ct.size,) * 3, ct.size)
     p = ct.p
     products = _mul(p[..., :, None], p[..., None, :]).reshape(2, ct.size, -1)
     weights = _conj(p).transpose(0, 2, 1) * _vector(ct.multiplicities)
@@ -244,18 +259,46 @@ def second_eigenmatrix(ct: CharTable) -> tuple[np.ndarray, int]:
     return lq, lcm
 
 
+def _annihilator(values) -> list[tuple[int, int]]:
+    """The coefficients (a_m, b_m) of prod_v (t - v), lowest degree first,
+    over the Z[w] values v = (A, B) in ``values``."""
+    coeffs = [(1, 0)]
+    for va, vb in values:
+        # (t - v) c(t): each c_m moves up one degree, and v c_m is taken off at m
+        coeffs = [(sa - va * ca + vb * cb, sb - va * cb - vb * ca + vb * cb)
+                  for (sa, sb), (ca, cb) in zip([(0, 0), *coeffs], [*coeffs, (0, 0)])]
+    return coeffs
+
+
 def minimal_polynomial_annihilates(ct: CharTable, intersection_mats) -> bool:
     """prod over distinct column-j values v of (B_j - v I) must vanish, for
-    every j; this certifies the column entries are exactly the eigenvalues."""
-    identity = np.identity(ct.size, dtype=object)
-    for j in range(ct.size):
-        b = np.asarray(intersection_mats[j], dtype=object)
-        product = np.stack([identity, identity * 0])
-        for va, vb in dict.fromkeys(zip(*ct.p[:, :, j].tolist())):
-            product = _matmul(product, np.stack([b - va * identity, -vb * identity]))
-        if _differs(product, 0).any():
-            return False
-    return True
+    every j; this certifies the column entries are exactly the eigenvalues.
+
+    Each product is sum_m c_m B_j^m, with c_m = a_m + b_m w the coefficients
+    of prod_v (t - v).  B_j is an integer matrix, so the sum vanishes exactly
+    when sum_m a_m B_j^m and sum_m b_m B_j^m both do; every column is
+    evaluated at once on the powers of the whole stack of B_j.
+    """
+    size = ct.size
+    b = np.asarray(intersection_mats, dtype=object)
+    _check_shape("intersection matrices", b.shape, (size,) * 3, size)
+    polys = [_annihilator(dict.fromkeys(zip(*column)))
+             for column in ct.p.transpose(2, 0, 1).tolist()]
+    # longest polynomial first, so that the columns needing B^m are a prefix
+    order = sorted(range(size), key=lambda j: -len(polys[j]))
+    polys, b = [polys[j] for j in order], b[order]
+    terms = len(polys[0])
+    coeffs = np.zeros((size, 2, terms), dtype=object)
+    for row, poly in zip(coeffs, polys):
+        row[:, :len(poly)] = list(zip(*poly))
+    powers = np.zeros((size, terms, size, size), dtype=object)
+    powers[:, 0] = np.identity(size, dtype=object)
+    power = powers[:, 1] = b
+    for m in range(2, terms):
+        k = sum(len(poly) > m for poly in polys)
+        power = powers[:k, m] = power[:k] @ b[:k]
+    total = coeffs @ powers.reshape(size, terms, -1)
+    return not (total != 0).any()
 
 
 def idempotents(ct: CharTable, adjacency) -> list[Matrix]:
@@ -265,22 +308,22 @@ def idempotents(ct: CharTable, adjacency) -> list[Matrix]:
     entries.
 
     With (L Q, L) from second_eigenmatrix, F_i = L order E_i is a Z[w]
-    matrix, checked by F_i^2 = L order F_i and tr F_i = L order m_i.
+    matrix, checked by F_i^2 = L order F_i and tr F_i = L order m_i, for all
+    i in one stack; the first failure in i is raised.
     """
     check_budget("idempotents", ct.order)
+    masks = np.asarray(adjacency) != 0
+    _check_shape("adjacency matrices", masks.shape, (ct.size, ct.order, ct.order), ct.size)
     lq, lcm = second_eigenmatrix(ct)
     scale = lcm * ct.order
-    points = adjacency[0].shape[0]
-    masks = (np.asarray(adjacency) != 0).astype(np.int64).reshape(len(adjacency), -1)
-    f = (lq.transpose(0, 2, 1) @ masks).reshape(2, ct.size, points, points)
-    out = []
-    for i in range(ct.size):
-        fi = f[:, i]
-        if _differs(_matmul(fi, fi), *(fi * scale)).any():
+    f = lq.transpose(0, 2, 1) @ masks.reshape(ct.size, -1).astype(np.int64)
+    f = f.reshape(2, *masks.shape)
+    squares = _differs(_matmul(f, f), *(f * scale)).any(axis=(1, 2))
+    traces = f.trace(axis1=2, axis2=3).T.tolist()
+    for i, (wrong, trace) in enumerate(zip(squares, traces)):
+        if wrong:
             raise AssertionError(f"E_{i} is not idempotent")
-        trace = tuple(fi.trace(axis1=1, axis2=2))
-        if trace != (ct.multiplicities[i] * scale, 0):
+        if trace != [ct.multiplicities[i] * scale, 0]:
             raise AssertionError(f"E_{i} has trace {Eisenstein(*trace) / scale}, "
                                  f"expected {ct.multiplicities[i]}")
-        out.append(_to_eisenstein(fi, scale))
-    return out
+    return _to_eisenstein(f, scale)

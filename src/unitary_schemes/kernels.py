@@ -288,6 +288,11 @@ def classify_matrix(codes: np.ndarray, t: BlockTables) -> np.ndarray:
 # value in F_q x F x F; coordinate k moves every count by (N(c), x_k conj(c),
 # c conj(y_k)) for each of the q^2 values c of z_k.
 
+# int64 cells in the state of one stack of pairs in ``count_isotropic`` (4 MB):
+# a stack holds up to 16 pairs at q = 8 and 8 at q = 9, and the two states
+# alive at once stay under about 10 MB however many pairs are counted.
+STACK_CELLS = 1 << 19
+
 
 def count_isotropic(ft, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """``counts[b, alpha, beta]``: the number of z in F^n, zero included,
@@ -305,13 +310,23 @@ def count_isotropic(ft, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     rows of one count per pair.  A pair with x_k = y_k = 0 moves only its
     norm, by one (q, q) matrix product, and keeps its M.  The last coordinate
     fills only the cells of norm 0.  Time O(n q^7) per pair; memory a few
-    states of q^5 counts per pair.
+    states of q^5 counts per pair, for the pairs of one stack of at most
+    ``STACK_CELLS`` cells at a time.
 
     Exact in int64: before the last coordinate a cell counts vectors of F^k
     with k <= n - 1, at most q^(2n-2) of them, and after it a cell counts
     isotropic vectors or zero, fewer than 2^63 wherever ``check_parameters``
     admits (n, q).
     """
+    stacks = -(-len(xs) // max(1, STACK_CELLS // (ft.q * ft.order**2)))
+    if stacks <= 1:
+        return _count_stack(ft, xs, ys)
+    return np.concatenate([_count_stack(ft, x, y) for x, y in
+                           zip(np.array_split(xs, stacks), np.array_split(ys, stacks))])
+
+
+def _count_stack(ft, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """``count_isotropic`` for one stack of pairs."""
     pairs, n = xs.shape
     order, q = ft.order, ft.q
     assert order ** (n - 1) < 1 << 63, "counts before the last coordinate must fit int64"
@@ -343,25 +358,29 @@ def count_isotropic(ft, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     x, y = xs[:, 2:, None, None], ybar[:, 2:, None, None]
     maps = (np.where(x != 0, mul[x, a], sub[a, conj[b]]) * order
             + np.where(y != 0, mul[y, b], sub[b, conj[a]])).reshape(pairs, -1, square)
-    rows = np.arange(pairs)[:, None]
+    columns = np.arange(pairs)
+    rows = columns[:, None]
     cell_of = np.tile(np.arange(square), (pairs, 1))
     stored = cell_of.copy()  # M^-1
-    offsets = np.arange(q)[:, None, None] * (square * pairs) + np.arange(pairs)
     for k in range(2, n):
         moving = (xs[:, k] != 0) | (ys[:, k] != 0)
         cell_of[moving] = maps[moving, k - 2]
         source = stored[rows, cell_of]
         stored[rows, cell_of] = np.arange(square)
-        state = state.ravel().take(source.T * pairs + offsets).reshape(-1, pairs)
+        # the same gather for every norm, by an index of one norm's cells
+        state = state.reshape(q, -1).take((source.T * pairs + columns).ravel(), axis=1
+                                          ).reshape(-1, pairs)
         targets = 1 if k == n - 1 else q
+        if moving.all():
+            state = _moved(state, norm_shift[:targets], sub, conj)
+            continue
         new = np.empty((targets * square, pairs), dtype=np.int64)
         if moving.any():
             # a contiguous copy, so that ``take`` copies whole rows
             new[:, moving] = _moved(np.ascontiguousarray(state[:, moving]),
                                     norm_shift[:targets], sub, conj)
-        if not moving.all():
-            new[:, ~moving] = (spread[:targets] @ state[:, ~moving].reshape(q, -1)
-                               ).reshape(targets * square, -1)
+        new[:, ~moving] = (spread[:targets] @ state[:, ~moving].reshape(q, -1)
+                           ).reshape(targets * square, -1)
         state = new
     state = state.reshape(-1, pairs)[:square]  # norm 0
     return state.T[rows, stored].reshape(pairs, order, order)
@@ -371,7 +390,8 @@ def _moved(state: np.ndarray, norm_shift: np.ndarray, sub, conj) -> np.ndarray:
     """The state after one coordinate, in stored coordinates: cell (t, a, b)
     sums the cells (t - N(c), a - conj(c), b - c) over every c, for the
     target norms of ``norm_shift``.  The values of c are gathered in groups
-    of at most ``CHUNK`` counts, and one at a time past that."""
+    of at most ``CHUNK`` counts, and one at a time past that, when each
+    value's counts are gathered and added 4 ``CHUNK`` at a time."""
     order = conj.size
     targets, count = norm_shift.shape[0], state.shape[1]
     out = np.zeros((targets * order * order, count), dtype=np.int64)
@@ -381,6 +401,12 @@ def _moved(state: np.ndarray, norm_shift: np.ndarray, sub, conj) -> np.ndarray:
         rows = ((norm_shift[:, c].T[:, :, None, None] * order
                  + sub[:, conj[c]].T[:, None, :, None]) * order
                 + sub[:, c].T[:, None, None, :])
-        gathered = state.take(rows.reshape(c.size, -1), axis=0)
-        out += gathered[0] if c.size == 1 else gathered.sum(axis=0)
+        rows = rows.reshape(c.size, -1)
+        if c.size > 1:
+            out += state.take(rows, axis=0).sum(axis=0)
+            continue
+        # one value of c: its gathered counts are added a block at a time
+        step = max(1, 4 * CHUNK // count)
+        for start in range(0, rows.shape[1], step):
+            out[start:start + step] += state.take(rows[0, start:start + step], axis=0)
     return out

@@ -402,6 +402,35 @@ def _counted_histograms(ft, pairs, rank: int) -> np.ndarray:
     return hist[:, :rank, :rank]
 
 
+def _assembly_differs(q: int, tensor: np.ndarray) -> np.ndarray:
+    """Whether each relation's slice of ``tensor`` differs from the one
+    ``_tensor_from_histograms`` assembles from its product-0 and
+    perpendicular slices, checked a block of about ``kernels.CHUNK`` entries
+    at a time rather than against a second whole tensor.
+
+    Scalar relation e must hold valencies[i] at (i, conj(scale_e(i))) and
+    zero elsewhere; product relation e must be the product-0 slice with its
+    rows relabelled by scale_e.  The perpendicular slice is copied
+    unchanged, so it cannot differ.
+    """
+    conj_labels, scale_labels = kernels.label_maps(q)
+    nrel = q * q - 1
+    rank = tensor.shape[0]
+    scale = scale_labels[:, :rank]
+    product = tensor[nrel]
+    valencies = product.sum(axis=1)
+    wrong = np.zeros(rank, dtype=bool)
+    step = max(1, kernels.CHUNK // (rank * rank))
+    for start in range(0, nrel, step):
+        e = np.arange(start, min(start + step, nrel))
+        scalar = np.zeros((e.size, rank, rank), dtype=tensor.dtype)
+        scalar[np.arange(e.size)[:, None], np.arange(rank), conj_labels[scale[e]]] = valencies
+        wrong[e] = (tensor[e] != scalar).reshape(e.size, -1).any(axis=1)
+        relabelled = tensor[nrel + e[:, None], scale[e]]
+        wrong[nrel + e] = (relabelled != product).reshape(e.size, -1).any(axis=1)
+    return wrong
+
+
 def _spot_check(n: int, q: int, tensor: np.ndarray, seed: int) -> None:
     """Recount every relation at ``SAMPLES_PER_RELATION`` random pairs,
     without enumeration.
@@ -421,8 +450,9 @@ def _spot_check(n: int, q: int, tensor: np.ndarray, seed: int) -> None:
     as the slices of product relation 0 and the perpendicular relation, so
     the sampled tensor equals the tensor exactly when both histograms equal
     those two rank^2 slices of it and the slices assemble into it.  Each
-    sample is therefore compared with the slices, and the tensor is
-    assembled from them once; the first relation that differs is named.
+    sample is therefore compared with the slices, and the assembly is
+    checked once, by ``_assembly_differs``; the first relation that differs
+    is named.
     """
     ft = build_field(q)
     rank = tensor.shape[0]
@@ -438,7 +468,7 @@ def _spot_check(n: int, q: int, tensor: np.ndarray, seed: int) -> None:
     if wrong.any():
         h = int(relations[wrong.argmax() % relations.size])
     else:
-        wrong = (_tensor_from_histograms(q, slices)[0] != tensor).any(axis=(1, 2))
+        wrong = _assembly_differs(q, tensor)
         h = int(wrong.argmax())
     if wrong.any():
         raise AssertionError(f"intersection counts depend on the representative of relation {h}")

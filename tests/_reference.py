@@ -14,17 +14,23 @@ relation matrix one row of joint histograms at a time and its sampled
 constancy check one pick at a time, against the packed products and batched
 histograms of the library's relation-matrix validators.  The third writes
 integer blocks by one ``%`` pass, against the library's table of decimal
-words.
+words.  The last two sections hold the character-table identities as one
+four-product Z[w] matrix product at a time, against the library's batched
+three-product form, and the spot check's assembled tensor, against its
+slice-by-slice check.
 """
 
 import functools
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 
 from unitary_schemes import kernels
-from unitary_schemes.scheme import scheme_rank
+from unitary_schemes.chartable import second_eigenmatrix
+from unitary_schemes.eisenstein import Eisenstein
+from unitary_schemes.scheme import _tensor_from_histograms, scheme_rank
 from unitary_schemes.space import witness_pair
 
 CONWAY = {
@@ -429,3 +435,67 @@ def append_rows(lines, rows, sep):
     if count:
         template = "\n".join([sep.join(["%d"] * width)] * count)
         lines.append(template % tuple(rows.ravel().tolist()))
+
+
+# ---------------------------------------------------------------------------
+# Z[w] identities of a character table, one product at a time
+
+
+def zw_matmul(x, y):
+    """(A + B w)(C + D w) for (2, ...) stacks of object arrays, by four
+    integer products: (AC - BD, AD + BC - BD)."""
+    (a, b), (c, d) = x, y
+    bd = b @ d
+    return np.stack([a @ c - bd, a @ d + b @ c - bd])
+
+
+def minimal_polynomial_annihilates(ct, intersection_mats):
+    """``chartable.minimal_polynomial_annihilates`` column by column, as the
+    product of the factors B_j - v I, one Z[w] matrix product per distinct
+    value v of column j."""
+    identity = np.identity(ct.size, dtype=object)
+    for j in range(ct.size):
+        b = np.asarray(intersection_mats[j], dtype=object)
+        product = np.stack([identity, identity * 0])
+        for va, vb in dict.fromkeys(zip(*ct.p[:, :, j].tolist())):
+            product = zw_matmul(product, np.stack([b - va * identity, -vb * identity]))
+        if ((product[0] != 0) | (product[1] != 0)).any():
+            return False
+    return True
+
+
+def idempotents(ct, adjacency):
+    """``chartable.idempotents`` one E_i at a time: F_i^2 = L order F_i by
+    ``zw_matmul``, then the trace, then the conversion to Eisenstein values
+    with a value cache of its own."""
+    lq, lcm = second_eigenmatrix(ct)
+    scale = lcm * ct.order
+    points = adjacency[0].shape[0]
+    masks = (np.asarray(adjacency) != 0).astype(np.int64).reshape(len(adjacency), -1)
+    f = (lq.transpose(0, 2, 1) @ masks).reshape(2, ct.size, points, points)
+    out = []
+    for i in range(ct.size):
+        fi = f[:, i]
+        square = zw_matmul(fi, fi)
+        if ((square[0] != fi[0] * scale) | (square[1] != fi[1] * scale)).any():
+            raise AssertionError(f"E_{i} is not idempotent")
+        trace = tuple(fi.trace(axis1=1, axis2=2))
+        if trace != (ct.multiplicities[i] * scale, 0):
+            raise AssertionError(f"E_{i} has trace {Eisenstein(*trace) / scale}, "
+                                 f"expected {ct.multiplicities[i]}")
+        value = functools.cache(lambda a, b: Eisenstein(Fraction(a, scale), Fraction(b, scale)))
+        out.append(tuple(tuple(map(value, ra, rb)) for ra, rb in zip(*fi.tolist())))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# The spot check's assembly, on a whole second tensor
+
+
+def assembly_differs(q, tensor):
+    """By relation, whether ``tensor`` differs from the whole tensor that
+    ``_tensor_from_histograms`` assembles from its product-0 and
+    perpendicular slices."""
+    nrel = q * q - 1
+    slices = tensor[np.arange(nrel, tensor.shape[0], nrel)]
+    return (_tensor_from_histograms(q, slices)[0] != tensor).any(axis=(1, 2))

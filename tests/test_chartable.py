@@ -1,12 +1,14 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from unitary_schemes import cli
+from unitary_schemes import build_descriptor, cli
 from unitary_schemes.chartable import (
     CharTable,
+    _matmul,
     char_table_closed,
     closed_multiplicity_formulas,
     idempotents,
@@ -27,6 +29,7 @@ from unitary_schemes.serialize import (
     render_document,
 )
 
+import _reference as ref
 from _reference import RefField, isotropic_vectors, tensor as reference_tensor
 
 W = OMEGA
@@ -375,3 +378,124 @@ def test_chartable_paths_construct_no_fraction(monkeypatch, tmp_path):
     assert verify_orthogonality(table) == (True, None)
     Fraction(1, 2)
     assert made == [(1, 2)]  # the count sees a construction
+
+
+# ---------------------------------------------------------------------------
+# the batched Z[w] products against the one-product-at-a-time forms of
+# ``_reference``
+
+
+def outcome(f, *args):
+    """``("ok", value)`` or the type and message of the error ``f`` raises."""
+    try:
+        return "ok", f(*args)
+    except (AssertionError, ValueError) as error:
+        return type(error).__name__, str(error)
+
+
+def test_matmul_three_products_equal_four():
+    rng = random.Random(18)
+    for k, r, bits in [(1, 1, 3), (3, 4, 8), (2, 7, 70), (4, 5, 130)]:
+        x, y = (np.array([rng.randrange(-2**bits, 2**bits) for _ in range(2 * k * r * r)],
+                         dtype=object).reshape(2, k, r, r) for _ in range(2))
+        product = _matmul(x, y)
+        assert product.shape == (2, k, r, r)
+        assert (product == ref.zw_matmul(x, y)).all()
+        assert all(type(v) is int for v in product.flat)
+    assert max(abs(v) for v in product.flat) > 2**64
+
+
+@pytest.mark.parametrize("n", [*range(2, 13), 31])
+def test_minimal_polynomials_match_sequential_products(n, get_table, get_descriptor):
+    ct = get_table(n)
+    mats = intersection_matrices(get_descriptor(n, 2, "closed"))
+    assert minimal_polynomial_annihilates(ct, mats) is True
+    assert ref.minimal_polynomial_annihilates(ct, mats) is True
+
+
+@pytest.mark.parametrize("n", [2, 4, 12])
+def test_minimal_polynomials_match_on_changed_matrices(n, get_table, get_descriptor):
+    # one entry of one B_j raised by 1, at every entry of every B_j
+    ct = get_table(n)
+    mats = intersection_matrices(get_descriptor(n, 2, "closed"))
+    for j in range(ct.size):
+        for h in range(ct.size):
+            for i in range(ct.size):
+                changed = [[list(row) for row in b] for b in mats]
+                changed[j][h][i] += 1
+                result = minimal_polynomial_annihilates(ct, changed)
+                assert result == ref.minimal_polynomial_annihilates(ct, changed)
+                assert not result, (j, h, i)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_minimal_polynomials_match_on_tampered_tables(n, get_table, get_descriptor):
+    ct = get_table(n)
+    mats = intersection_matrices(get_descriptor(n, 2))
+    p = ct.p.copy()
+    p[:, 3:6, 3] = [[2], [0]]  # a genuine eigenvalue of column 3 dropped
+    for table in (tampered(ct, p), with_entry(ct, 2, 4, ct.entry(2, 4) + 1),
+                  swapped_rows(ct, 1, 3), tampered(ct, 2 * ct.p)):
+        result = minimal_polynomial_annihilates(table, mats)
+        assert result == ref.minimal_polynomial_annihilates(table, mats)
+    assert not minimal_polynomial_annihilates(tampered(ct, p), mats)
+    assert minimal_polynomial_annihilates(swapped_rows(ct, 1, 3), mats)  # same values
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_idempotents_match_one_at_a_time(n, get_table, get_space, get_descriptor):
+    ct = get_table(n)
+    adj = build_adjacency_matrices(get_space(n, 2), get_descriptor(n, 2))
+    values = idempotents(ct, adj)
+    assert values == ref.idempotents(ct, adj)
+    assert all(isinstance(x, Eisenstein) for e in values for row in e for x in row)
+
+
+def test_idempotents_name_the_same_first_failure(get_table, get_space, get_descriptor):
+    ct = get_table(2)
+    adj = build_adjacency_matrices(get_space(2, 2), get_descriptor(2, 2))
+    cases = [(ct, [adj[0] * 0, *adj[1:]]), (tampered(ct, 2 * ct.p), adj)]
+    for i in range(6):
+        for j in range(i + 1, 6):
+            swapped = list(adj)
+            swapped[i], swapped[j] = adj[j], adj[i]
+            cases.append((ct, swapped))
+    for table, matrices in cases:
+        got = outcome(idempotents, table, matrices)
+        assert got[0] != "ok" and got == outcome(ref.idempotents, table, matrices)
+    swapped = [adj[0], adj[3], adj[2], adj[1]] + adj[4:]
+    assert outcome(idempotents, ct, swapped) == ("AssertionError", "E_1 is not idempotent")
+
+
+# ---------------------------------------------------------------------------
+# inputs of the wrong size
+
+
+def test_minimal_polynomials_refuse_too_few_matrices(get_table, get_descriptor):
+    mats = intersection_matrices(get_descriptor(4, 2, "closed"))
+    with pytest.raises(ValueError, match=r"^intersection matrices of shape \(6, 7, 7\) do not"
+                                         r" fit a character table of size 7: expected"
+                                         r" \(7, 7, 7\)$"):
+        minimal_polynomial_annihilates(get_table(4), mats[:-1])
+
+
+def test_idempotents_refuse_too_few_matrices(get_table, get_space, get_descriptor):
+    adj = build_adjacency_matrices(get_space(2, 2), get_descriptor(2, 2))
+    with pytest.raises(ValueError, match=r"^adjacency matrices of shape \(5, 9, 9\) do not"
+                                         r" fit a character table of size 6: expected"
+                                         r" \(6, 9, 9\)$"):
+        idempotents(get_table(2), adj[:-1])
+
+
+def test_homomorphism_refuses_another_rank(get_table):
+    with pytest.raises(ValueError, match=r"^intersection numbers of shape \(7, 7, 7\) do not"
+                                         r" fit a character table of size 6: expected"
+                                         r" \(6, 6, 6\)$"):
+        verify_homomorphism(get_table(2), build_descriptor(4, 2))
+
+
+def test_reconstruction_refuses_another_rank(get_table):
+    with pytest.raises(ValueError, match=r"^intersection numbers of shape \(16, 16, 16\) do"
+                                         r" not fit a character table of size 6: expected"
+                                         r" \(6, 6, 6\)$"):
+        verify_reconstruction(get_table(2), build_descriptor(3, 3, "closed"))

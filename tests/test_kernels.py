@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from unitary_schemes.fields import SUPPORTED_Q, build_field
 from unitary_schemes.scheme import classify_pair, conjugate_index, max_dimension, scheme_rank
 from unitary_schemes.space import BUDGETS, enumerate_isotropic, isotropic_count
 
-from _reference import RefField, isotropic_vectors, vectors
+from _reference import RefField, assembly_differs, isotropic_vectors, vectors
 
 ROW_CASES = [(n, q) for q in SUPPORTED_Q for n in (2, 3)] + [(4, 2), (4, 3)]
 MATRIX_CASES = [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4)]
@@ -478,3 +479,83 @@ def test_one_count_sorts_every_isotropic_vector():
     b = scheme_mod._draw(ft, 8, rng, a, ft.order - 1)
     counts = kernels.count_isotropic(ft, np.array([a]), np.array([b]))
     assert int(counts.sum()) == isotropic_count(8, 9) + 1 == 205891170358401
+
+
+@pytest.mark.parametrize("n,q", [(4, 2), (3, 2), (3, 3), (4, 3), (2, 4), (4, 4)])
+def test_assembly_check_matches_the_assembled_tensor(n, q, get_descriptor):
+    """Slice by slice, the spot check's assembly check flags exactly the
+    relations at which the whole assembled tensor differs, for an entry
+    raised, lowered below zero or moved, in every relation, one relation
+    or two at a time."""
+    tensor = get_descriptor(n, q, "closed").tensor
+    rank = tensor.shape[0]
+    assert not scheme_mod._assembly_differs(q, tensor).any()
+    rng = random.Random(n * q)
+    for h in range(rank):
+        for change in (1, -1 - int(tensor.max()), 0):
+            changed = _moved_count(tensor, h) if change == 0 else tensor.copy()
+            i, j = rng.randrange(rank), rng.randrange(rank)
+            changed[h, i, j] += change
+            if h % 3 == 0:
+                changed[rng.randrange(rank), rng.randrange(rank), rng.randrange(rank)] += 1
+            wrong = scheme_mod._assembly_differs(q, changed)
+            assert np.array_equal(wrong, assembly_differs(q, changed)), (h, i, j, change)
+
+
+@pytest.mark.parametrize("n,q", [(4, 3), (3, 3), (2, 4)])
+def test_spot_check_names_the_first_assembled_difference(n, q, get_descriptor):
+    # every relation but product 0 and the perpendicular one passes the
+    # samples and is caught by the assembly check
+    tensor = get_descriptor(n, q).tensor
+    nrel = q * q - 1
+    for h in range(tensor.shape[0]):
+        if h % nrel == 0 and h >= nrel:
+            continue
+        changed = tensor.copy()
+        changed[h, 0, 0] += 1
+        changed[2 * nrel - 1, 1, 1] += h % 2  # the last product relation too, at odd h
+        first = int(assembly_differs(q, changed).argmax())
+        assert first == h
+        with pytest.raises(AssertionError,
+                           match=f"depend on the representative of relation {first}$"):
+            scheme_mod._spot_check(n, q, changed, seed=0)
+
+
+def test_spot_check_holds_no_second_tensor():
+    """At rank 160 the spot check allocates under a quarter of the 31 MB
+    tensor it checks: the samples are counted in bounded stacks and the
+    assembly is checked slice by slice."""
+    tensor = scheme_mod._closed_tensor(3, 9)
+    tracemalloc.start()
+    try:
+        scheme_mod._spot_check(3, 9, tensor, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < tensor.nbytes // 4
+
+
+@pytest.mark.parametrize("chunk,cells", [(8, 1), (64, 600), (1 << 14, 1 << 30)])
+def test_count_isotropic_in_stacks_and_blocks(chunk, cells, monkeypatch):
+    """The counts do not depend on how the pairs are split into stacks or
+    how each value's gathered counts are split into blocks."""
+    n, q = 4, 3
+    ft = build_field(q)
+    rng = random.Random(5)
+    xs = np.array([[rng.randrange(ft.order) if rng.random() < 0.7 else 0 for _ in range(n)]
+                   for _ in range(9)] + [[0] * n])
+    ys = np.array([[rng.randrange(ft.order) if rng.random() < 0.7 else 0 for _ in range(n)]
+                   for _ in range(10)])
+    zs = _every_vector(ft, n)
+    norms = np.zeros(len(zs), dtype=np.int64)
+    for k in range(n):
+        norms = ft.add_table[norms, ft.norm_table[zs[:, k]]]
+    isotropic = zs[norms == 0]
+    monkeypatch.setattr(kernels, "CHUNK", chunk)
+    monkeypatch.setattr(kernels, "STACK_CELLS", cells)
+    got = kernels.count_isotropic(ft, xs, ys)
+    for x, y, counts in zip(xs, ys, got):
+        alpha = _products(ft, x, isotropic)
+        beta = ft.conj_table[_products(ft, y, isotropic)]
+        want = np.bincount(alpha * ft.order + beta, minlength=ft.order**2)
+        assert np.array_equal(counts.ravel(), want), (x, y)
