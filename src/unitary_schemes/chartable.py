@@ -44,6 +44,10 @@ class CharTable:
         if (p.ndim != 3 or p.shape[0] != 2 or p.shape[1] != p.shape[2]
                 or not all(isinstance(x, int) for x in p.flat)):
             raise ValueError("P must be a (2, r, r) array of integers A, B of A + B w")
+        for name in ("multiplicities", "valencies"):
+            if len(getattr(self, name)) != p.shape[1]:
+                raise ValueError(f"{name} has {len(getattr(self, name))} entries, P has"
+                                 f" {p.shape[1]} columns")
         p.setflags(write=False)
         object.__setattr__(self, "p", p)
 

@@ -4,8 +4,8 @@ A point z is stored as two block codes.  Its n coordinates, with n mod 2
 zeros in front, are split into two blocks of ``width`` = ceil(n/2)
 coordinates, and each block is kept as its lexicographic code, a number
 below order**width.  These are the two halves of the scan, so the scan
-writes them as it finds the points, and a point's full lexicographic code
-is head * order**width + tail.
+writes them as it finds the points, in lexicographic order, and a point's
+index is start[head] + rank[tail], from two tables the scan also returns.
 
 For a fixed x, one table per block holds the partial Hermitian products
 sum_i x_i * conj(z_i) for every possible block of z.  A row pass gathers
@@ -27,8 +27,8 @@ uint16 (within the scan budget B^m is at most 15625, at (4, 8), and
 order**width at most 15625, at (5, 5)); a block's table is built by outer
 sums over its coordinates.
 
-The q^2-1 nonzero multiples of x are found among the points by binary
-search on the points' sorted full codes.
+The q^2-1 nonzero multiples of x are found among the points by that
+index, and x is checked to be a point by reading its blocks back there.
 
 ``count_isotropic`` counts without the points: for a stack of pairs it
 walks through the n coordinates and returns, for every value of <x, z> and
@@ -50,12 +50,12 @@ from .fields import _check_ids
 CHUNK = 1 << 14
 
 # ---------------------------------------------------------------------------
-# isotropic scan: the lexicographic codes (first coordinate most significant,
-# element ids ascending) of all nonzero vectors with zero Hermitian
-# self-product, in increasing order.  Meet in the middle (Horowitz and Sahni,
-# 1974): the self-product of a vector is the sum of its two halves' norms, so
-# the isotropic vectors with a given first half are that half followed by
-# every second half of the opposite norm.
+# isotropic scan: all nonzero vectors with zero Hermitian self-product, in
+# lexicographic order (first coordinate most significant, element ids
+# ascending).  Meet in the middle (Horowitz and Sahni, 1974): the
+# self-product of a vector is the sum of its two halves' norms, so the
+# isotropic vectors with a given first half are that half followed by every
+# second half of the opposite norm.
 
 
 def _half_norms(width: int, size: int, norm_table, add_table) -> np.ndarray:
@@ -79,41 +79,46 @@ def table_width(order: int, n: int) -> int:
 
 
 def isotropic_scan(n: int, size: int, norm_table, add_table,
-                   expected: int) -> tuple[np.ndarray, np.ndarray]:
+                   expected: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The isotropic vectors among all size**n coordinate vectors, as their
-    sorted codes and as their read-only (N, 2) uint16 block codes.
+    read-only (N, 2) uint16 block codes, and read-only tables ``start`` and
+    ``rank`` by which point (head, tail) is point start[head] + rank[tail].
 
-    The first halves are taken in increasing code order, each followed by its
-    second halves in increasing order, so the codes come out sorted.  The
-    halves are the blocks: column 0 holds the first half's code, repeated
-    over its second halves, and column 1 the second halves, copied group by
-    group; the codes are head * size**ceil(n/2) + tail.
+    The first halves (heads) are taken in increasing code order, each
+    followed by its second halves (tails) in increasing order: column 0
+    repeats each head over its tails and column 1 copies the tails group by
+    group.  ``rank[c]`` is the place of tail c among the tails of its norm,
+    and ``start[h]`` counts the points before head h, less one at head 0 for
+    the zero vector.
     """
     high = n // 2  # coordinates in the first half, the shorter one
-    scale = size ** table_width(size, n)
+    table_width(size, n)
     first = _half_norms(high, size, norm_table, add_table)
     second = _half_norms(n - high, size, norm_table, add_table)
     # second halves grouped by norm, ascending within each group
     sizes = np.bincount(second, minlength=size)
-    groups = np.split(np.argsort(second, kind="stable").astype(np.uint16),
-                      np.cumsum(sizes)[:-1])
+    ends = np.cumsum(sizes)
+    by_norm = np.argsort(second, kind="stable")
+    rank = np.empty_like(by_norm)  # the place of each tail among those of its norm
+    rank[by_norm] = np.arange(by_norm.size) - np.repeat(ends - sizes, sizes)
+    groups = np.split(by_norm.astype(np.uint16), ends[:-1])
     opposite = np.argmax(add_table == 0, axis=1)[first]
     counts = sizes[opposite]
     counts[0] -= 1  # the zero vector, head 0 and the first tail of its group
     if int(counts.sum()) != expected:
         raise AssertionError(f"scan found {int(counts.sum())} isotropic vectors,"
                              f" expected {expected}")
+    start = np.cumsum(counts) - counts
+    start[0] = -1
     tails = [groups[norm] for norm in opposite.tolist()]
     tails[0] = tails[0][1:]
     # column-major, so that the codes of one block are contiguous
     blocks = np.empty((expected, 2), dtype=np.uint16, order="F")
     blocks[:, 0] = np.repeat(np.arange(first.size, dtype=np.uint16), counts)
     np.concatenate(tails, out=blocks[:, 1])
-    codes = blocks[:, 0].astype(np.int64)
-    codes *= scale
-    codes += blocks[:, 1]
-    blocks.setflags(write=False)
-    return codes, blocks
+    for table in (blocks, start, rank):
+        table.setflags(write=False)
+    return blocks, start, rank
 
 
 def digits(codes: np.ndarray, size: int, width: int) -> np.ndarray:
@@ -139,13 +144,12 @@ class BlockTables:
     the uint8 label of a pair whose packed inner product is s, a zero
     product reading as perpendicular; scalar pairs are set afterwards, to
     ``scalar_labels[0]``.  Row 1 of both holds the labels of the reversed
-    pairs, which a column pass writes.  ``place`` turns a padded vector
-    into its full code, and ``points`` holds the points' full codes in
-    increasing order.  ``conj_labels[l]`` is the label of the reversed pairs
-    of relation l, and ``scale_labels[s, l]`` the label of (g^s x, z) when
-    (x, z) has label l: scalar exponents drop by s, product exponents rise
-    by s (the product is linear in its first argument), and perpendicular
-    pairs stay so.
+    pairs, which a column pass writes.  ``place`` turns a block into its
+    code, and ``start`` and ``rank`` are those of ``isotropic_scan``.
+    ``conj_labels[l]`` is the label of the reversed pairs of relation l, and
+    ``scale_labels[s, l]`` the label of (g^s x, z) when (x, z) has label l:
+    scalar exponents drop by s, product exponents rise by s (the product is
+    linear in its first argument), and perpendicular pairs stay so.
     """
 
     width: int
@@ -156,7 +160,8 @@ class BlockTables:
     scalar_labels: np.ndarray
     nonzero_mul: np.ndarray
     place: np.ndarray
-    points: np.ndarray
+    start: np.ndarray
+    rank: np.ndarray
     conj_labels: np.ndarray
     scale_labels: np.ndarray
 
@@ -176,10 +181,10 @@ def label_maps(q: int) -> tuple[np.ndarray, np.ndarray]:
     return conj_labels, scale_labels
 
 
-def block_tables(ft, n: int, points: np.ndarray) -> BlockTables:
+def block_tables(ft, n: int, start: np.ndarray, rank: np.ndarray) -> BlockTables:
     """The x-independent tables of the row kernel for the points of F^n with
-    the given sorted full codes.  An (n, q) whose packed sums or block codes
-    would not fit uint16 raises a ``ValueError`` before any table is made."""
+    the scan's ``start`` and ``rank``.  An (n, q) whose packed sums or block
+    codes would not fit uint16 raises a ``ValueError`` before any table is made."""
     order, p, q = ft.order, ft.p, ft.q
     nrel = order - 1
     assert 2 * nrel < 1 << 8, "labels must fit uint8"
@@ -209,8 +214,8 @@ def block_tables(ft, n: int, points: np.ndarray) -> BlockTables:
         sum_labels=np.stack((sum_labels, conj_labels[sum_labels])).astype(np.uint8),
         scalar_labels=np.stack((e, conj_labels[e])).astype(np.uint8),
         nonzero_mul=np.ascontiguousarray(ft.mul_table[1:]),
-        place=order ** np.arange(2 * width - 1, -1, -1, dtype=np.int64),
-        points=points, conj_labels=conj_labels, scale_labels=scale_labels,
+        place=order ** np.arange(width - 1, -1, -1, dtype=np.int64),
+        start=start, rank=rank, conj_labels=conj_labels, scale_labels=scale_labels,
     )
 
 
@@ -232,10 +237,12 @@ def _row_labels(xbs: np.ndarray, codes: np.ndarray, t: BlockTables,
     in the stack raises a ``ValueError`` before any gather.
     """
     count, rows = codes.shape[0], xbs.shape[0]
-    # the q^2-1 multiples lam * x of every x, found by their codes; <x, lam x> = 0
-    multiples = t.nonzero_mul[:, xbs.reshape(rows, -1)] @ t.place
-    found = np.searchsorted(t.points, multiples)
-    if t.points.take(found[0], mode="clip").tolist() != multiples[0].tolist():
+    # the q^2-1 multiples lam * x of every x by their blocks; <x, lam x> = 0.
+    # x itself (lam = 1) is a point only if its index holds its blocks: codes.T
+    # is C-contiguous, so the read-back gathers 2 * rows codes and copies nothing
+    blocks = t.nonzero_mul.take(xbs, axis=1) @ t.place
+    found = t.start.take(blocks[..., 0]) + t.rank.take(blocks[..., 1])
+    if codes.T.take(found[0], axis=1, mode="clip").tolist() != blocks[0].T.tolist():
         raise ValueError("x is not a nonzero isotropic vector")
     labels = t.sum_labels[converse]
     out = np.empty((rows, count), dtype=np.uint8)
@@ -263,7 +270,7 @@ def _row_labels(xbs: np.ndarray, codes: np.ndarray, t: BlockTables,
 def _blocked(x, t: BlockTables) -> np.ndarray:
     """``x`` padded, one row per block, once it is checked to be n element ids."""
     _check_ids(x, t.products.shape[0], 2 * t.width - t.pad.size)
-    return np.concatenate((t.pad, x)).reshape(2, t.width)
+    return np.concatenate((t.pad, np.asarray(x, dtype=np.int64))).reshape(2, t.width)
 
 
 def classify_row(x, codes: np.ndarray, t: BlockTables) -> np.ndarray:

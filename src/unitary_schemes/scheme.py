@@ -53,6 +53,9 @@ BLAS_CALL = 2**17
 # float64 entries in the indicator stack of one row block of
 # ``_triple_counts`` (256 KB, so that a block stays in cache)
 ROW_BLOCK = 2**15
+# labels counted at a time by ``_structure``, so that its intp copies of a
+# row block stay at 512 KB whatever the size of the matrix
+LABEL_BLOCK = 2**16
 
 
 def max_dimension(q: int) -> int:
@@ -653,18 +656,26 @@ def _structure(M: np.ndarray, rank: int | None) -> _Structure:
     square, is empty, holds labels outside [0, rank) or has more relations
     than points (in a scheme every relation meets every row) raises a
     ``ValueError``; the last bound also keeps the rank x rank histogram small.
+    The counts run over blocks of rows of about ``LABEL_BLOCK`` labels.
     """
     count = M.shape[0]
     rank = check_labels(M, rank)
     if rank > count:
         raise ValueError(f"{rank} relations cannot all meet each row of {count} points")
-    labels = M.astype(np.int64)
     # pairs[a, b]: ordered pairs (x, y) with M[x, y] = a and M[y, x] = b
-    codes = labels * rank
-    codes += labels.T
-    pairs = np.bincount(codes.ravel(), minlength=rank * rank).reshape(rank, rank)
-    labels += (np.arange(count, dtype=np.int64) * rank)[:, None]
-    rows = np.bincount(labels.ravel(), minlength=count * rank).reshape(count, rank)
+    pairs = np.zeros(rank * rank, dtype=np.int64)
+    rows = np.empty((count, rank), dtype=np.int64)
+    step = max(1, LABEL_BLOCK // count)
+    for x0 in range(0, count, step):
+        labels = M[x0:x0 + step].astype(np.intp)
+        codes = labels * rank
+        # labels lie in [0, rank), so the cast of M's own dtype is exact
+        np.add(codes, M[:, x0:x0 + step].T, out=codes, dtype=np.intp, casting="unsafe")
+        pairs += np.bincount(codes.ravel(), minlength=rank * rank)
+        labels += np.arange(0, len(labels) * rank, rank)[:, None]
+        rows[x0:x0 + step] = np.bincount(labels.ravel(), minlength=len(labels) * rank
+                                         ).reshape(-1, rank)
+    pairs = pairs.reshape(rank, rank)
     sizes = pairs.sum(axis=1).tolist()
     identity = bool((np.diagonal(M) == 0).all()) and sizes[0] == count
     spread = np.count_nonzero(pairs, axis=1)

@@ -2,9 +2,9 @@
 
 Vectors are tuples (or int64 arrays) of field-element ids; the Hermitian
 product is <x, y> = sum_i x_i * conj(y_i).  ``UnitarySpace`` holds the
-nonzero isotropic vectors in canonical (lexicographic) order as their
-lexicographic codes, and the same points as block codes for the
-classification kernels; coordinates are decoded from the codes on demand.
+nonzero isotropic vectors in canonical (lexicographic) order as the block
+codes the classification kernels take; a point's coordinates are decoded
+from its blocks, and a vector's index is computed from them, on demand.
 """
 
 from __future__ import annotations
@@ -44,10 +44,11 @@ def isotropic_count(n: int, q: int) -> int:
 
 @dataclass(eq=False)
 class UnitarySpace:
-    """Enumerated isotropic vectors of F_{q^2}^n, kept as sorted codes.
+    """Enumerated isotropic vectors of F_{q^2}^n, kept as block codes.
 
-    ``codes[i]`` is the lexicographic code of point i (first coordinate most
-    significant), so a vector's index is a binary search for its code.
+    ``block_codes[i]`` are the codes of point i's two blocks (see
+    ``kernels``), and a vector with blocks (head, tail) is point
+    ``tables.start[head] + tables.rank[tail]`` if it is a point at all.
     ``block_codes`` and ``tables`` are the arguments the kernels in
     ``kernels`` take after the fixed vector.
     """
@@ -55,30 +56,23 @@ class UnitarySpace:
     n: int
     q: int
     ft: FieldTables
-    codes: np.ndarray = field(repr=False)
     block_codes: np.ndarray = field(repr=False)
     tables: kernels.BlockTables = field(repr=False)
 
     @property
     def size(self) -> int:
-        return self.codes.size
+        return self.block_codes.shape[0]
 
     def point(self, index: int) -> tuple[int, ...]:
         """The coordinates of point ``index``."""
-        code, order = int(self.codes[index]), self.ft.order
-        return tuple(code // order**k % order for k in range(self.n - 1, -1, -1))
-
-    def _encode(self, vec) -> int:
-        code = 0
-        for c in vec:
-            code = code * self.ft.order + int(c)
-        return code
+        t = self.tables
+        return tuple(t.digits[self.block_codes[index]].ravel()[t.pad.size:].tolist())
 
     def index_of(self, vec) -> int:
-        _check_ids(vec, self.ft.order, self.n)
-        code = self._encode(vec)
-        idx = int(np.searchsorted(self.codes, code))
-        if idx == self.size or self.codes[idx] != code:
+        t = self.tables
+        head, tail = blocks = (kernels._blocked(vec, t) @ t.place).tolist()
+        idx = int(t.start[head] + t.rank[tail])
+        if not 0 <= idx < self.size or self.block_codes[idx].tolist() != blocks:
             raise ValueError(f"{tuple(int(c) for c in vec)} is not a nonzero isotropic vector")
         return idx
 
@@ -159,11 +153,10 @@ def enumerate_isotropic(n: int, q: int) -> UnitarySpace:
     ft = build_field(q)
     count = isotropic_count(n, q)
     check_budget("scan", count)
-    codes, block_codes = kernels.isotropic_scan(n, ft.order, ft.norm_table, ft.add_table,
-                                                count)
-    codes.setflags(write=False)
-    return UnitarySpace(n=n, q=q, ft=ft, codes=codes, block_codes=block_codes,
-                        tables=kernels.block_tables(ft, n, codes))
+    block_codes, start, rank = kernels.isotropic_scan(n, ft.order, ft.norm_table,
+                                                      ft.add_table, count)
+    return UnitarySpace(n=n, q=q, ft=ft, block_codes=block_codes,
+                        tables=kernels.block_tables(ft, n, start, rank))
 
 
 def unit_norm_witness(ft: FieldTables) -> int:

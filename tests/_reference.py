@@ -9,10 +9,11 @@ vectors of F_{q^2}^2 and covers every supported (n, q).  The first of the
 last three sections decodes the points of a library ``UnitarySpace`` and
 counts single intersection numbers over it with one row and one column pass
 each, independently of the relabelled histograms and sampled tensors of the
-library's brute-force route.  The second counts the triple counts of a
-relation matrix one row of joint histograms at a time and its sampled
-constancy check one pick at a time, against the packed products and batched
-histograms of the library's relation-matrix validators.  The third writes
+library's brute-force route.  The second counts the structure of a relation
+matrix over the whole matrix at once, its triple counts one row of joint
+histograms at a time and its sampled constancy check one pick at a time,
+against the row blocks, packed products and batched histograms of the
+library's relation-matrix validators.  The third writes
 integer blocks by one ``%`` pass, against the library's table of decimal
 words.  The last two sections hold the character-table identities as one
 four-product Z[w] matrix product at a time, against the library's batched
@@ -30,7 +31,7 @@ import numpy as np
 from unitary_schemes import kernels
 from unitary_schemes.chartable import second_eigenmatrix
 from unitary_schemes.eisenstein import Eisenstein
-from unitary_schemes.scheme import _tensor_from_histograms, scheme_rank
+from unitary_schemes.scheme import _Structure, _tensor_from_histograms, check_labels, scheme_rank
 from unitary_schemes.space import witness_pair
 
 CONWAY = {
@@ -343,9 +344,15 @@ def assert_matches_decomposition(tensor, n, q):
 # Points of a library space, and single counts over them
 
 
+def full_codes(blocks, order, n):
+    """The lexicographic codes head * order**ceil(n/2) + tail of points given
+    by their (N, 2) block codes, as int64."""
+    return blocks[:, 0].astype(np.int64) * order ** -(-n // 2) + blocks[:, 1]
+
+
 def vectors(us):
-    """All points of ``us`` as a (size, n) int64 array, decoded from its codes."""
-    return kernels.digits(us.codes, us.ft.order, us.n)
+    """All points of ``us`` as a (size, n) int64 array, decoded from its block codes."""
+    return kernels.digits(full_codes(us.block_codes, us.ft.order, us.n), us.ft.order, us.n)
 
 
 def intersection_number_bruteforce(us, h, i, j, pair=None):
@@ -374,7 +381,41 @@ def sample_representatives(us, h, count, rng: random.Random):
 
 
 # ---------------------------------------------------------------------------
-# Triple counts of a relation matrix, one row of joint histograms at a time
+# The structure and triple counts of a relation matrix, the structure over
+# the whole matrix at once and the triple counts one row of joint histograms
+# at a time
+
+
+def structure(M, rank):
+    """``scheme._structure`` counted over whole-matrix int64 copies of the
+    labels, with the same checks and messages."""
+    count = M.shape[0]
+    rank = check_labels(M, rank)
+    if rank > count:
+        raise ValueError(f"{rank} relations cannot all meet each row of {count} points")
+    labels = M.astype(np.int64)
+    codes = labels * rank
+    codes += labels.T
+    pairs = np.bincount(codes.ravel(), minlength=rank * rank).reshape(rank, rank)
+    labels += (np.arange(count, dtype=np.int64) * rank)[:, None]
+    rows = np.bincount(labels.ravel(), minlength=count * rank).reshape(count, rank)
+    sizes = pairs.sum(axis=1).tolist()
+    identity = bool((np.diagonal(M) == 0).all()) and sizes[0] == count
+    spread = np.count_nonzero(pairs, axis=1)
+    split = np.flatnonzero(spread != 1)
+    return _Structure(rank, sizes, int(np.count_nonzero(sizes)), rows, identity, spread,
+                      tuple(pairs.argmax(axis=1).tolist()), int(split[0]) if split.size else None)
+
+
+def assert_same_structure(got, want):
+    """Raise an AssertionError naming the first field where two
+    ``_Structure`` values differ, arrays compared with their dtypes."""
+    for name in got.__dataclass_fields__:
+        a, b = getattr(got, name), getattr(want, name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        else:
+            assert type(a) is type(b) and a == b, name
 
 
 def triple_counts(M, st):

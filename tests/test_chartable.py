@@ -162,6 +162,18 @@ def test_table_refuses_anything_but_integer_parts(bad):
         CharTable(p=bad, multiplicities=(1,), valencies=(1,), order=1)
 
 
+@pytest.mark.parametrize("field", ["multiplicities", "valencies"])
+def test_table_refuses_a_field_of_the_wrong_length(field, get_table):
+    """Five or seven entries beside a 6 x 6 P are refused when the table is
+    built, before any identity broadcasts them."""
+    ct = get_table(2)
+    for size in (5, 7):
+        fields = {"multiplicities": ct.multiplicities, "valencies": ct.valencies}
+        fields[field] = (fields[field] * 2)[:size]
+        with pytest.raises(ValueError, match=f"^{field} has {size} entries, P has 6 columns$"):
+            CharTable(p=ct.p, order=ct.order, **fields)
+
+
 def test_table_beyond_int64():
     ct = char_table_closed(40)
     assert ct.entry(0, 3) == 2**77

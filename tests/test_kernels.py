@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 
@@ -12,7 +13,7 @@ from unitary_schemes.fields import SUPPORTED_Q, build_field
 from unitary_schemes.scheme import classify_pair, conjugate_index, max_dimension, scheme_rank
 from unitary_schemes.space import BUDGETS, enumerate_isotropic, isotropic_count
 
-from _reference import RefField, assembly_differs, isotropic_vectors, vectors
+from _reference import RefField, assembly_differs, full_codes, isotropic_vectors, vectors
 
 ROW_CASES = [(n, q) for q in SUPPORTED_Q for n in (2, 3)] + [(4, 2), (4, 3)]
 MATRIX_CASES = [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4)]
@@ -31,8 +32,9 @@ def _numpy_ids(cases):
 def test_scan_same_on_both_backends(n, q):
     """The meet-in-the-middle scan equals the scalar oracle."""
     ft = build_field(q)
-    whole, _ = kernels.isotropic_scan(n, ft.order, ft.norm_table, ft.add_table,
-                                      isotropic_count(n, q))
+    blocks, _, _ = kernels.isotropic_scan(n, ft.order, ft.norm_table, ft.add_table,
+                                          isotropic_count(n, q))
+    whole = full_codes(blocks, ft.order, n)
     ref = RefField(q)
     oracle = []
     for vec in isotropic_vectors(ref, n):
@@ -46,8 +48,9 @@ def test_scan_same_on_both_backends(n, q):
 @pytest.mark.parametrize("n,q", [(8, 2), (4, 3), (3, 9)])
 def test_scan_codes_increase_and_are_isotropic(n, q):
     ft = build_field(q)
-    codes, _ = kernels.isotropic_scan(n, ft.order, ft.norm_table, ft.add_table,
-                                      isotropic_count(n, q))
+    blocks, _, _ = kernels.isotropic_scan(n, ft.order, ft.norm_table, ft.add_table,
+                                          isotropic_count(n, q))
+    codes = full_codes(blocks, ft.order, n)
     assert codes.size == isotropic_count(n, q)
     assert (np.diff(codes) > 0).all() and codes[0] > 0
     # the self-product of every decoded vector, summed coordinate by coordinate
@@ -59,16 +62,19 @@ def test_scan_codes_increase_and_are_isotropic(n, q):
 
 @pytest.mark.parametrize("n,q", SCAN_CASES + [(8, 2), (3, 9)])
 def test_scan_block_codes_are_the_code_halves(n, q):
-    """Column 0 is each code's first ceil(n/2)-coordinate digit block and
-    column 1 its second, as read-only column-major uint16."""
+    """Column 0 is the code of the first n // 2 coordinates (the padded
+    block's leading digit is 0) and column 1 of the last ceil(n/2), as
+    read-only column-major uint16; point i is start[head] + rank[tail]."""
     ft = build_field(q)
-    codes, blocks = kernels.isotropic_scan(n, ft.order, ft.norm_table, ft.add_table,
-                                           isotropic_count(n, q))
-    assert blocks.dtype == np.uint16 and blocks.shape == (codes.size, 2)
+    blocks, start, rank = kernels.isotropic_scan(n, ft.order, ft.norm_table, ft.add_table,
+                                                 isotropic_count(n, q))
+    assert blocks.dtype == np.uint16 and blocks.shape == (isotropic_count(n, q), 2)
     assert blocks.flags.f_contiguous and not blocks.flags.writeable
-    scale = ft.order ** -(-n // 2)
-    assert np.array_equal(blocks[:, 0], codes // scale)
-    assert np.array_equal(blocks[:, 1], codes % scale)
+    assert (blocks[:, 0] < ft.order ** (n // 2)).all()
+    assert (blocks[:, 1] < ft.order ** -(-n // 2)).all()
+    assert start.shape == (ft.order ** (n // 2),) and rank.shape == (ft.order ** -(-n // 2),)
+    assert not start.flags.writeable and not rank.flags.writeable
+    assert np.array_equal(start[blocks[:, 0]] + rank[blocks[:, 1]], np.arange(len(blocks)))
 
 
 @pytest.mark.parametrize("n,q", SCAN_CASES)
@@ -301,13 +307,59 @@ def test_scaled_product_pairs_count_like_direct_passes(n, q, get_space):
             assert classify_pair(us, ga, b).index == nrel + e
 
 
+@pytest.mark.parametrize("n,q", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)])
+def test_classify_row_refuses_non_points(n, q, get_space):
+    """The zero vector (index -1), a non-isotropic vector, and a
+    non-isotropic vector whose computed index start[head] + rank[tail] lands
+    on another point with the same first half are refused by a row pass, a
+    column pass and a stack pass that holds one of them among points."""
+    us = get_space(n, q)
+    t = us.tables
+
+    def index(vec):
+        head, tail = kernels._blocked(vec, t) @ t.place
+        return int(t.start[head] + t.rank[tail])
+
+    zero = (0,) * n
+    others = [v for v in itertools.product(range(us.ft.order), repeat=n)
+              if any(v) and not us.is_isotropic(v)]
+    lands = next(v for v in others
+                 if 0 <= index(v) < us.size and us.point(index(v))[:n // 2] == v[:n // 2])
+    assert index(zero) == -1 and us.point(index(lands)) != lands
+    point = us.point(us.size // 2)
+    for bad in (zero, others[0], lands):
+        for kernel in (kernels.classify_row, kernels.classify_col):
+            with pytest.raises(ValueError, match="^x is not a nonzero isotropic vector$"):
+                kernel(bad, us.block_codes, t)
+        stack = np.stack([kernels._blocked(x, t) for x in (point, bad, point)])
+        with pytest.raises(ValueError, match="^x is not a nonzero isotropic vector$"):
+            kernels._row_labels(stack, us.block_codes, t, 0)
+
+
+def test_classify_row_copies_no_block_codes(get_space):
+    """A row pass over the 4 197 375 points of (6, 4) allocates its uint8
+    output and under 2 MB more, far below the 16 MB a copy of the block
+    codes would take."""
+    us = get_space(6, 4)
+    x = us.point(us.size // 3)
+    kernels.classify_row(x, us.block_codes, us.tables)
+    tracemalloc.start()
+    try:
+        row = kernels.classify_row(x, us.block_codes, us.tables)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row.shape == (us.size,) and row[us.size // 3] == 0
+    assert peak <= row.nbytes + (2 << 20) < us.block_codes.nbytes
+
+
 def test_block_tables_refuse_packed_sums_beyond_uint16():
     # (8, 9): packed sums below 17^4 = 83521; (4, 8): below 5^6 = 15625, the
     # largest the scan budget admits
     empty = np.zeros(0, dtype=np.int64)
     with pytest.raises(ValueError, match="^packed sums below 17\\^4 = 83521 do not fit uint16"):
-        kernels.block_tables(build_field(9), 8, empty)
-    assert kernels.block_tables(build_field(8), 4, empty).products.dtype == np.uint16
+        kernels.block_tables(build_field(9), 8, empty, empty)
+    assert kernels.block_tables(build_field(8), 4, empty, empty).products.dtype == np.uint16
 
 
 def test_block_tables_refuse_codes_beyond_uint16():
@@ -315,7 +367,7 @@ def test_block_tables_refuse_codes_beyond_uint16():
     is made."""
     empty = np.zeros(0, dtype=np.int64)
     with pytest.raises(ValueError, match="^block codes below 16\\^8 = 4294967296 do not fit uint16"):
-        kernels.block_tables(build_field(4), 15, empty)
+        kernels.block_tables(build_field(4), 15, empty, empty)
 
 
 def test_scan_budget_admits_only_uint16_block_codes():

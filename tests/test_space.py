@@ -1,6 +1,9 @@
 import itertools
 import random
+import re
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from unitary_schemes import kernels
@@ -16,7 +19,14 @@ from unitary_schemes.space import (
     witness_pair,
 )
 
-from _reference import RefField, hyperbolic_partner_scan, inner, isotropic_vectors, vectors
+from _reference import (
+    RefField,
+    full_codes,
+    hyperbolic_partner_scan,
+    inner,
+    isotropic_vectors,
+    vectors,
+)
 
 COUNTS = {
     (2, 2): 9, (3, 2): 27, (4, 2): 135, (5, 2): 495, (6, 2): 2079,
@@ -40,6 +50,10 @@ def test_degenerate_dimensions():
     assert isotropic_count(0, 2) == 0
     assert isotropic_count(1, 5) == 0
     assert enumerate_isotropic(1, 2).size == 0
+    # the empty spaces hold no point, the empty vector and (0,) included
+    for n in (0, 1):
+        us = enumerate_isotropic(n, 3)
+        assert us.size == 0 and (0,) * n not in us and (1,) * n not in us
     with pytest.raises(ValueError):
         isotropic_count(-1, 2)
 
@@ -270,8 +284,9 @@ def test_unit_scaling_preserves_isotropy(get_space):
 def test_scan_order_is_code_order(get_space):
     # lexicographic on ids, first coordinate most significant
     us = get_space(2, 3)
-    codes = [us._encode(vec) for vec in vectors(us)]
+    codes = full_codes(us.block_codes, us.ft.order, us.n).tolist()
     assert codes == sorted(codes)
+    assert all(us.index_of(us.point(i)) == i for i in range(us.size))
     full = list(itertools.product(range(us.ft.order), repeat=2))
     positions = [full.index(tuple(int(c) for c in vec)) for vec in vectors(us)]
     assert positions == sorted(positions)
@@ -280,14 +295,49 @@ def test_scan_order_is_code_order(get_space):
 @pytest.mark.parametrize("n,q", [(3, 2), (2, 3), (4, 2)])
 def test_points_decode_from_sorted_codes(n, q, get_space):
     us = get_space(n, q)
-    assert not us.codes.flags.writeable and (us.codes[1:] > us.codes[:-1]).all()
+    codes = full_codes(us.block_codes, us.ft.order, n)
+    assert not us.block_codes.flags.writeable and (codes[1:] > codes[:-1]).all()
     decoded = vectors(us)
     assert decoded.shape == (us.size, n)
     for i in range(us.size):
         assert us.point(i) == tuple(int(c) for c in decoded[i])
-        assert us._encode(us.point(i)) == us.codes[i]
-    # the search ends before the first code and, unless it is a point, after
-    # the last one
+        assert us.index_of(us.point(i)) == i
+    # the computed index of the zero vector is -1, and that of the last
+    # vector, unless it is a point, may lie past the last point
     assert (0,) * n not in us
     top = (us.ft.order - 1,) * n
-    assert (top in us) == (us.codes[-1] == us._encode(top))
+    assert (top in us) == (us.point(-1) == top)
+
+
+@pytest.mark.parametrize("n,q", [(2, 2), (3, 2), (2, 3), (4, 2), (3, 3), (2, 9)])
+def test_index_of_every_vector_matches_the_oracle(n, q, get_space):
+    """Over all of F^n, zero included, ``in`` and ``index_of`` agree with the
+    scalar oracle's enumeration: a point's index is its place there, and
+    every other vector is refused with the same message."""
+    us = get_space(n, q)
+    ref = RefField(q)
+    place = {tuple(ref.id_of(c) for c in vec): i
+             for i, vec in enumerate(isotropic_vectors(ref, n))}
+    for vec in itertools.product(range(us.ft.order), repeat=n):
+        if vec in place:
+            assert vec in us and us.index_of(vec) == place[vec]
+            continue
+        assert vec not in us
+        with pytest.raises(ValueError, match=f"^{re.escape(str(vec))} is not a nonzero"
+                                             " isotropic vector$"):
+            us.index_of(np.array(vec))
+
+
+def test_enumeration_memory_per_point():
+    """The scan keeps each point as two uint16 block codes and builds no
+    array of N int64 codes: enumerating the 4 197 375 points of (6, 4) peaks
+    at no more than 7 bytes per point (24 MB)."""
+    build_field(4)
+    tracemalloc.start()
+    try:
+        us = enumerate_isotropic(6, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert us.size == isotropic_count(6, 4) == 4_197_375
+    assert peak <= 7 * us.size
