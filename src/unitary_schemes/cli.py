@@ -175,7 +175,7 @@ def cmd_verify(args) -> int:
     return 0 if passed else 1
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="unitary-schemes",
         description="Association schemes of unitary group actions on isotropic vectors",
@@ -191,31 +191,45 @@ def main(argv=None) -> int:
                        help="seed for representative spot checks")
         p.add_argument("--out", type=str, default=None, help="output path")
 
+    mode_help = ("closed: closed formulas, no enumeration; bruteforce: enumerate the "
+                 "points and count; both: count and compare with the closed formulas")
+
     p_build = sub.add_parser("build", help="build a scheme descriptor document")
     common(p_build)
-    p_build.add_argument("--mode", choices=scheme_mod.MODES, default="both")
-    p_build.add_argument("--format", choices=("doc", "csv", "hanaki"), default="doc")
-    p_build.set_defaults(func=cmd_build)
+    p_build.add_argument("--mode", choices=scheme_mod.MODES, default="both", help=mode_help)
+    p_build.add_argument("--format", choices=("doc", "csv", "hanaki"), default="doc",
+                         help="doc: descriptor document; csv: nonzero tensor entries; "
+                              "hanaki: relation matrix, as export writes it")
 
     p_table = sub.add_parser("chartable", help="print the q=2 character table")
     common(p_table, with_q=False)
     p_table.add_argument("--fusion", choices=("none", "symmetrize", "coarse"),
                          default="none")
-    p_table.add_argument("--format", choices=("doc", "csv"), default="doc")
-    p_table.set_defaults(func=cmd_chartable)
+    p_table.add_argument("--format", choices=("doc", "csv"), default="doc",
+                         help="format of the --out document only; the printed table "
+                              "is always the same")
 
     p_export = sub.add_parser("export", help="write the relation matrix")
     common(p_export)
-    p_export.set_defaults(func=cmd_export)
 
     p_verify = sub.add_parser("verify", help="run the verification suite")
     common(p_verify)
-    p_verify.add_argument("--mode", choices=scheme_mod.MODES, default="both")
-    p_verify.set_defaults(func=cmd_verify)
+    p_verify.add_argument("--mode", choices=scheme_mod.MODES, default="both", help=mode_help)
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+# Built once at import: ``main`` may run many times in one process.
+_PARSER = _parser()
+
+
+def main(argv=None) -> int:
+    args = _PARSER.parse_args(argv)
+    # looked up at each call, so that a replaced ``cmd_*`` is the one that runs
+    commands = {"build": cmd_build, "chartable": cmd_chartable, "export": cmd_export,
+                "verify": cmd_verify}
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except (ValueError, ArithmeticError, scheme_mod.OracleMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

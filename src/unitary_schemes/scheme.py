@@ -649,6 +649,15 @@ def check_labels(M: np.ndarray, rank: int | None = None) -> int:
     return rank
 
 
+def _pair_histogram(labels: np.ndarray, converse: np.ndarray, rank: int) -> np.ndarray:
+    """The (rank, rank) histogram of the codes (labels, converse), both
+    arrays of labels in [0, rank), ``labels`` of dtype intp."""
+    codes = labels * rank
+    # labels lie in [0, rank), so the cast of M's own dtype is exact
+    np.add(codes, converse, out=codes, dtype=np.intp, casting="unsafe")
+    return np.bincount(codes.ravel(), minlength=rank * rank).reshape(rank, rank)
+
+
 def _structure(M: np.ndarray, rank: int | None) -> _Structure:
     """Shape and label checks, relation sizes, converse map and row counts.
 
@@ -656,26 +665,31 @@ def _structure(M: np.ndarray, rank: int | None) -> _Structure:
     square, is empty, holds labels outside [0, rank) or has more relations
     than points (in a scheme every relation meets every row) raises a
     ``ValueError``; the last bound also keeps the rank x rank histogram small.
-    The counts run over blocks of rows of about ``LABEL_BLOCK`` labels.
+    The counts run over blocks of rows of about ``LABEL_BLOCK`` labels.  The
+    pair code is (a, b) at (x, y) exactly when it is (b, a) at (y, x), so a
+    block counts its diagonal square whole and the columns right of it once,
+    adding that histogram transposed for the pairs below the square; a
+    matrix of one block is counted in one pass.
     """
     count = M.shape[0]
     rank = check_labels(M, rank)
     if rank > count:
         raise ValueError(f"{rank} relations cannot all meet each row of {count} points")
     # pairs[a, b]: ordered pairs (x, y) with M[x, y] = a and M[y, x] = b
-    pairs = np.zeros(rank * rank, dtype=np.int64)
+    pairs = np.zeros((rank, rank), dtype=np.int64)
     rows = np.empty((count, rank), dtype=np.int64)
     step = max(1, LABEL_BLOCK // count)
     for x0 in range(0, count, step):
-        labels = M[x0:x0 + step].astype(np.intp)
-        codes = labels * rank
-        # labels lie in [0, rank), so the cast of M's own dtype is exact
-        np.add(codes, M[:, x0:x0 + step].T, out=codes, dtype=np.intp, casting="unsafe")
-        pairs += np.bincount(codes.ravel(), minlength=rank * rank)
+        x1 = x0 + step
+        labels = M[x0:x1].astype(np.intp)
+        pairs += _pair_histogram(labels[:, x0:x1], M[x0:x1, x0:x1].T, rank)
+        if x1 < count:
+            right = _pair_histogram(labels[:, x1:], M[x1:, x0:x1].T, rank)
+            pairs += right
+            pairs += right.T
         labels += np.arange(0, len(labels) * rank, rank)[:, None]
-        rows[x0:x0 + step] = np.bincount(labels.ravel(), minlength=len(labels) * rank
-                                         ).reshape(-1, rank)
-    pairs = pairs.reshape(rank, rank)
+        rows[x0:x1] = np.bincount(labels.ravel(), minlength=len(labels) * rank
+                                  ).reshape(-1, rank)
     sizes = pairs.sum(axis=1).tolist()
     identity = bool((np.diagonal(M) == 0).all()) and sizes[0] == count
     spread = np.count_nonzero(pairs, axis=1)

@@ -1,3 +1,5 @@
+import argparse
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_exit(capsys, *argv):
+    """``run`` for a call that argparse ends with ``SystemExit``: usage
+    errors and ``--help``."""
+    with pytest.raises(SystemExit) as ended:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return ended.value.code, captured.out, captured.err
 
 
 def test_build_document(capsys):
@@ -278,3 +289,84 @@ def test_build_rejects_dimension_beyond_int64(capsys):
     assert code == 2
     assert out == ""
     assert "largest n for q = 2 is 31" in err
+
+
+# The parser is built once, when ``cli`` is imported; every ``main`` call in a
+# process parses with it.
+
+@pytest.mark.parametrize("argv", [
+    ("build", "--n", "3", "--q", "2", "--out"),
+    ("chartable", "--n", "4", "--fusion", "coarse", "--out"),
+    ("export", "--n", "2", "--q", "3", "--out"),
+    ("verify", "--n", "2", "--q", "3"),
+], ids=lambda argv: argv[0])
+def test_commands_repeat_in_one_process(argv, capsys, tmp_path):
+    results = []
+    for name in ("first.txt", "second.txt"):
+        path = tmp_path / name
+        full = (*argv, str(path)) if argv[-1] == "--out" else argv
+        results.append((*run(capsys, *full), path.read_bytes() if path.exists() else None))
+    assert results[0][0] == 0
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("argv,last_line", [
+    (("build", "--n", "3"),
+     "unitary-schemes build: error: the following arguments are required: --q"),
+    (("verify", "--n", "3", "--q", "x"),
+     "unitary-schemes verify: error: argument --q: invalid int value: 'x'"),
+    (("nosuch", "--n", "3"),
+     "unitary-schemes: error: argument command: invalid choice: 'nosuch'"),
+], ids=["missing-q", "bad-q", "unknown-command"])
+def test_usage_error_between_good_calls(argv, last_line, capsys):
+    good = run(capsys, "chartable", "--n", "2")
+    first = run_exit(capsys, *argv)
+    assert run(capsys, "chartable", "--n", "2") == good
+    assert run_exit(capsys, *argv) == first
+    assert run(capsys, "chartable", "--n", "2") == good
+    code, out, err = first
+    assert code == 2 and out == ""
+    assert err.startswith("usage: " + last_line.split(": error")[0] + " ")
+    assert err.splitlines()[-1].startswith(last_line)
+
+
+@pytest.mark.parametrize("command,text", [
+    ("build", "hanaki: relation matrix, as export writes it"),
+    ("chartable", "format of the --out document only; the printed table is always the same"),
+])
+def test_help_is_formatted_at_the_width_it_is_printed_at(command, text, capsys, monkeypatch):
+    helps = []
+    for columns in ("200", "40"):
+        monkeypatch.setenv("COLUMNS", columns)
+        code, out, err = run_exit(capsys, command, "--help")
+        assert code == 0 and err == ""
+        assert out.startswith(f"usage: unitary-schemes {command}")
+        helps.append(out)
+    wide, narrow = helps
+    assert text in wide and text not in narrow
+    assert " ".join(wide.split()) == " ".join(narrow.split())
+
+
+def test_main_builds_no_parser(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for argv in (("chartable", "--n", "2"), ("export", "--n", "2", "--q", "2"),
+                 ("verify", "--n", "2", "--q", "2")):
+        assert run(capsys, *argv)[0] == 0
+    assert built == []
+
+
+def test_main_runs_the_command_function_bound_at_call_time(capsys, monkeypatch):
+    from unitary_schemes import cli
+
+    seen = []
+    monkeypatch.setattr(cli, "cmd_build", lambda args: seen.append(
+        (args.n, args.q, args.mode, args.format)) or 7)
+    assert run(capsys, "build", "--n", "5", "--q", "3", "--mode", "closed") == (7, "", "")
+    assert seen == [(5, 3, "closed", "doc")]
