@@ -90,9 +90,10 @@ def char_table_closed(n: int) -> CharTable:
     """The character table of the q = 2 scheme in dimension n (n >= 2)."""
     if n < 2:
         raise ValueError("n must be >= 2")
+    order = isotropic_count(n, 2)
+    check_budget("chartable", order)
     p = _eigenmatrix(n)
     valencies = tuple(p[0, 0])
-    order = isotropic_count(n, 2)
     mult = multiplicities(p, valencies, order)
     if sum(mult) != order:
         raise ArithmeticError("multiplicities do not sum to the number of points")

@@ -182,14 +182,15 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_q=True):
+    def common(p, with_q=True, with_out=True):
         p.add_argument("--n", type=int, required=True, help="dimension (>= 2)")
         if with_q:
             p.add_argument("--q", type=int, required=True,
                            help=f"field parameter, one of {SUPPORTED_Q}")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for representative spot checks")
-        p.add_argument("--out", type=str, default=None, help="output path")
+        if with_out:
+            p.add_argument("--out", type=str, default=None, help="output path")
 
     mode_help = ("closed: closed formulas, no enumeration; bruteforce: enumerate the "
                  "points and count; both: count and compare with the closed formulas")
@@ -213,7 +214,7 @@ def _parser() -> argparse.ArgumentParser:
     common(p_export)
 
     p_verify = sub.add_parser("verify", help="run the verification suite")
-    common(p_verify)
+    common(p_verify, with_out=False)  # the report goes to stdout only
     p_verify.add_argument("--mode", choices=scheme_mod.MODES, default="both", help=mode_help)
 
     return parser

@@ -215,30 +215,31 @@ def intersection_number_closed(n: int, q: int, h: int, i: int, j: int) -> int:
 
 
 def _closed_tensor(n: int, q: int) -> np.ndarray:
-    """The whole closed-form tensor in one pass over the nine (i, j) kinds.
+    """The whole closed-form tensor, block by block over the nine (i, j) kinds.
 
-    This is the one transcription of the paper's formulas.  Congruences are
-    taken on the scalar and product exponents modulo q^2-1, except in the
-    all-product block, which works modulo q+1 with the parity offset.  The
-    tests recount every entry, for every supported (n, q), by orthogonal
-    decomposition of the space around a witness pair.
+    This is the one transcription of the paper's formulas.  Each congruence
+    on the exponents modulo q^2-1 fixes j from h and i (q^2 = 1, so q is its
+    own inverse), and its block is written only at those solutions.  The
+    all-product block works modulo q+1 with the parity offset, at the q-1
+    lifts of j's class.  The tests recount every entry, for every supported
+    (n, q), by orthogonal decomposition of the space around a witness pair.
     """
     rank = scheme_rank(n, q)
     nrel = q * q - 1
     sub = isotropic_count(n - 2, q)
-    e = np.arange(nrel, dtype=np.int64)
-    eh, ei, ej = e[:, None, None], e[None, :, None], e[None, None, :]
+    e = np.arange(nrel)
+    h, i = e[:, None], e[None, :]
     S, P, X = slice(0, nrel), slice(nrel, 2 * nrel), slice(2 * nrel, rank)
     t = np.zeros((rank, rank, rank), dtype=np.int64)
 
-    t[S, S, S] = (ei + ej - eh) % nrel == 0
-    t[P, S, P] = (eh + ei - ej) % nrel == 0
-    t[P, P, S] = (ei + q * ej - eh) % nrel == 0
-    t[S, P, P] = np.where((q * (eh + ei) - ej) % nrel == 0, q ** (2 * n - 3), 0)
+    t[S, S, S][h, i, (h - i) % nrel] = 1
+    t[P, S, P][h, i, (h + i) % nrel] = 1
+    t[P, P, S][h, i, q * (h - i) % nrel] = 1
+    t[S, P, P][h, i, q * (h + i) % nrel] = q ** (2 * n - 3)
     # q^(2n-5) + (-q)^(n-3); at n = 2 the two terms are 1/q - 1/q = 0
-    offdiag = q ** (2 * n - 5) + (-q) ** (n - 3) if n >= 3 else 0
-    t[P, P, P] = np.where((ei + ej - eh - parity_offset(q)) % (q + 1) == 0,
-                          sub + 1, offdiag)
+    t[P, P, P] = q ** (2 * n - 5) + (-q) ** (n - 3) if n >= 3 else 0
+    j = ((h - i + parity_offset(q)) % (q + 1))[..., None] + (q + 1) * np.arange(q - 1)
+    t[P, P, P][h[..., None], i[..., None], j] = sub + 1
     if n >= 4:
         far = q ** (2 * n - 5)
         t[X, S, X] = t[X, X, S] = 1

@@ -56,7 +56,7 @@ class SchemeDocument:
 def document_from_descriptor(sd: SchemeDescriptor, seed: int = 0) -> SchemeDocument:
     # C order is the lexicographic (h, i, j) order
     flat = sd.tensor.ravel()
-    where = np.flatnonzero(flat)
+    where = np.flatnonzero(flat != 0)
     entries = np.empty((where.size, 4), dtype=np.int64)
     hi, entries[:, 2] = np.divmod(where, sd.rank)
     entries[:, 0], entries[:, 1] = np.divmod(hi, sd.rank)

@@ -9,6 +9,7 @@ from its blocks, and a vector's index is computed from them, on demand.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -23,6 +24,7 @@ BUDGETS = {
     "pairs": ("pairs", 5_000_000),
     "dense": ("points", 512),
     "idempotents": ("points", 27),
+    "chartable": ("points", 10**4000),
 }
 
 
@@ -30,7 +32,19 @@ def check_budget(name: str, amount: int) -> None:
     """Refuse, before the work it bounds, an ``amount`` over budget ``name``."""
     unit, limit = BUDGETS[name]
     if amount > limit:
-        raise ValueError(f"{amount} {unit} exceed the {name} budget of {limit}")
+        raise ValueError(f"{_decimal(amount)} {unit} exceed the {name} budget of "
+                         f"{_decimal(limit)}")
+
+
+def _decimal(x: int) -> str:
+    """``x`` in decimal below 10^100, else ``10^k`` or ``over 10^k``: Python
+    refuses to print an int of more than 4300 digits."""
+    if x < 10**100:
+        return str(x)
+    k = int((x.bit_length() - 1) * math.log10(2)) - 1  # 10^k < x
+    while 10 ** (k + 1) <= x:
+        k += 1
+    return f"10^{k}" if x == 10**k else f"over 10^{k}"
 
 
 def isotropic_count(n: int, q: int) -> int:

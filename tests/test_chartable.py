@@ -365,6 +365,13 @@ def test_idempotents_budget(get_table):
         idempotents(get_table(4), [])
 
 
+def test_chartable_budget():
+    # n = 6644, the largest admitted, is printed by the CLI test
+    with pytest.raises(ValueError,
+                       match="^over 10\\^4000 points exceed the chartable budget of 10\\^4000$"):
+        char_table_closed(6645)
+
+
 def test_chartable_paths_construct_no_fraction(monkeypatch, tmp_path):
     # P, its identities, the printer and the document writer and reader all
     # run on integer parts; Fraction is left to Eisenstein values

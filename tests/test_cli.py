@@ -3,6 +3,7 @@ import argparse
 import numpy as np
 import pytest
 
+from unitary_schemes import chartable as ct_mod
 from unitary_schemes.cli import main
 from unitary_schemes.space import enumerate_isotropic
 from unitary_schemes.scheme import verify_relation_matrix
@@ -96,6 +97,23 @@ def test_chartable_rejects_n1(capsys):
     assert code == 2 and "n must be >= 2" in err
 
 
+def test_chartable_size_budget(capsys):
+    code, out, _ = run(capsys, "chartable", "--n", "6644")
+    assert code == 0 and out.startswith("character table, dimension 6644, ")
+    code, out, err = run(capsys, "chartable", "--n", "6645")
+    assert (code, out) == (2, "")
+    assert err == "error: over 10^4000 points exceed the chartable budget of 10^4000\n"
+
+
+def test_chartable_refuses_a_huge_dimension_before_any_work(capsys, monkeypatch):
+    # its point count has more digits than Python prints; it used to fail
+    # with the int-to-str digit limit after seconds of work
+    monkeypatch.setattr(ct_mod, "_eigenmatrix", None)
+    code, _, err = run(capsys, "chartable", "--n", "200000")
+    assert code == 2
+    assert err == "error: over 10^120411 points exceed the chartable budget of 10^4000\n"
+
+
 def test_export_roundtrip(capsys, tmp_path):
     path = tmp_path / "as9.txt"
     code, _, _ = run(capsys, "export", "--n", "2", "--q", "2", "--out", str(path))
@@ -116,6 +134,15 @@ def test_unwritable_out_path_is_an_error(argv, capsys, tmp_path):
     code, _, err = run(capsys, *argv, "--out", str(path))
     assert code == 2
     assert err == f"error: cannot write {path}: No such file or directory\n"
+
+
+def test_verify_refuses_out(capsys, tmp_path):
+    # verify prints its report; an --out it would ignore is a usage error
+    path = tmp_path / "report.txt"
+    code, out, err = run_exit(capsys, "verify", "--n", "2", "--q", "2", "--out", str(path))
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --out" in err
+    assert not path.exists()
 
 
 def test_export_budget(capsys):

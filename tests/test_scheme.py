@@ -154,6 +154,19 @@ def test_closed_tensor_matches_orthogonal_decomposition(n, q):
     assert type(sd.p(rank - 1, rank - 1, rank - 1)) is int
 
 
+def test_closed_tensor_makes_no_second_tensor():
+    """Each congruence block is written at its solutions, so the closed
+    tensor allocates little beside itself: no rank^3 array of exponents or
+    congruence flags (31 MB at rank 160)."""
+    tracemalloc.start()
+    try:
+        tensor = scheme_mod._closed_tensor(3, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * tensor.nbytes
+
+
 @pytest.mark.parametrize("q,largest", [(2, 31), (3, 20), (4, 16), (5, 14),
                                        (7, 11), (8, 11), (9, 10)])
 @pytest.mark.parametrize("mode", ["closed", "bruteforce", "both", "scalar"])
