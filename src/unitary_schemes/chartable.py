@@ -12,6 +12,28 @@ Z[w] matrix product takes three integer products, and each identity is
 checked for all its indices in one batch: the minimal polynomials as
 integer combinations of the powers of the stacked intersection matrices,
 the idempotents as one stack.
+
+The integer matrices are int64 where that is provably exact and Python ints
+elsewhere: each identity computes, in Python ints from its inputs, a
+magnitude bound covering every intermediate and every scalar that meets its
+arrays, and runs in int64 when the bound is below 2^63 (``_exact``).  With
+r the size, P = max|p|, M = max|m|, K = max|k|, T = max p_ij^h and X = |X|,
+each at least 1 (``_magnitude``), a Z[w] matmul of inner dimension r is
+bounded by 7 r max|x| max|y| and an entrywise product by 3 max|x| max|y|.
+The bounds, and the closed tables on which they give int64:
+
+    multiplicities       6 r P^2 L                           n <= 8
+    orthogonality        max(14 r L M P^2, L X K)            n <= 7
+    homomorphism         max(3 P^2, r P T)                   n <= 16
+    reconstruction       max(42 r M P^3, K X T)              n <= 8
+    P Q = |X| I          max(14 r W P^2, L X),               n <= 7
+                         W = max (L / k_i) m_j
+    minimal polynomials  t C s^(t - 1), t terms, C = max|c_m|,
+                         s >= 1 the smaller of the largest   n <= 4
+                         absolute row and column sums of the B_j
+    idempotents          max(7 X F^2, L X F), F = r max|L Q| n <= 3
+
+Results keep their types: CharTable.p and L Q stay Python ints.
 """
 
 from __future__ import annotations
@@ -115,10 +137,10 @@ def closed_multiplicity_formulas(n: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Z[w] integer matrices: the pair (A, B) of Python-int object arrays standing
-# for A + B w, with w^2 = -1 - w, stacked as one array of shape (2, ...).  An
-# integer factor (scaling, transpose, a product with an integer matrix) acts
-# on both parts alike.
+# Z[w] integer matrices: the pair (A, B) of integer arrays (int64 or Python
+# ints, as ``_exact`` chooses) standing for A + B w, with w^2 = -1 - w,
+# stacked as one array of shape (2, ...).  An integer factor (scaling,
+# transpose, a product with an integer matrix) acts on both parts alike.
 
 
 def _mul(x, y):
@@ -135,6 +157,26 @@ def _matmul(x, y):
 
 def _conj(x):
     return np.stack([x[0] - x[1], -x[1]])
+
+
+# an identity runs in int64 when its magnitude bound, a Python int covering
+# every intermediate and every scalar that meets its arrays, is below this
+_INT64_LIMIT = 2**63
+
+
+def _magnitude(x) -> int:
+    """The largest |entry| of an integer or integer array, and at least 1, so
+    that a product of magnitudes bounds each of its factors.  A Python int,
+    taken from the max and min: np.abs wraps at the int64 minimum."""
+    x = np.asarray(x)
+    return max(int(x.max()), -int(x.min()), 1) if x.size else 1
+
+
+def _exact(bound: int, *arrays) -> list[np.ndarray]:
+    """``arrays`` as int64 when ``bound`` < 2^63, else as object arrays of
+    Python ints: the one dtype an identity computes in."""
+    dtype = np.int64 if bound < _INT64_LIMIT else object
+    return [np.asarray(x).astype(dtype, copy=False) for x in arrays]
 
 
 def _differs(x, a, b=0) -> np.ndarray:
@@ -180,9 +222,11 @@ def multiplicities(p: np.ndarray, valencies, order: int) -> tuple[int, ...]:
     """
     lcm = math.lcm(*valencies)
     numerator = order * lcm
+    weights = lcm // _vector(valencies)
+    p, weights = _exact(6 * len(weights) * _magnitude(p) ** 2 * lcm, p, weights)
     norms = _mul(p, _conj(p))[0]  # |x|^2 = x conj(x) is rational
     out = []
-    for i, total in enumerate(norms @ (lcm // _vector(valencies))):
+    for i, total in enumerate((norms @ weights).tolist()):
         if total == 0:
             raise ArithmeticError(f"multiplicity of row {i} is undefined: the row is zero")
         m, rest = divmod(numerator, total)
@@ -200,11 +244,13 @@ def verify_orthogonality(ct: CharTable):
 
     Returns (True, None) or (False, (kind, i1, i2)) naming the first failure.
     """
-    p = ct.p
     lcm = math.lcm(*ct.valencies)
-    m, k = _vector(ct.multiplicities)[:, None], _vector(ct.valencies)
-    rows = _matmul(p * (lcm // k), _conj(p).transpose(0, 2, 1)) * m
-    rows = _differs(rows, np.identity(ct.size, dtype=object) * (lcm * ct.order))
+    m, k = _vector(ct.multiplicities), _vector(ct.valencies)
+    bound = max(14 * ct.size * lcm * _magnitude(m) * _magnitude(ct.p) ** 2,
+                lcm * _magnitude(ct.order) * _magnitude(k))
+    p, m, k, weights = _exact(bound, ct.p, m[:, None], k, lcm // k)
+    rows = _matmul(p * weights, _conj(p).transpose(0, 2, 1)) * m
+    rows = _differs(rows, np.identity(ct.size, dtype=p.dtype) * (lcm * ct.order))
     columns = _matmul((p * m).transpose(0, 2, 1), _conj(p))
     columns = _differs(columns, np.diag(k) * ct.order)
     return _verdict(rows, "rows") if rows.any() else _verdict(columns, "columns")
@@ -217,9 +263,10 @@ def verify_homomorphism(ct: CharTable, sd: SchemeDescriptor):
     Returns (True, None) or (False, (h, i, j)).
     """
     _check_shape("intersection numbers", sd.tensor.shape, (ct.size,) * 3, ct.size)
-    p = ct.p
+    big = _magnitude(ct.p)
+    p, tensor = _exact(max(3 * big**2, ct.size * big * _magnitude(sd.tensor)), ct.p, sd.tensor)
     lhs = _mul(p[..., :, None], p[..., None, :])
-    rhs = (p @ sd.tensor.reshape(ct.size, -1)).reshape(lhs.shape)
+    rhs = (p @ tensor.reshape(ct.size, -1)).reshape(lhs.shape)
     return _verdict(_differs(lhs, *rhs))
 
 
@@ -230,12 +277,14 @@ def verify_reconstruction(ct: CharTable, sd: SchemeDescriptor):
     Returns (True, None) or (False, (h, i, j)).
     """
     _check_shape("intersection numbers", sd.tensor.shape, (ct.size,) * 3, ct.size)
-    p = ct.p
+    m, k = _vector(ct.multiplicities), _vector(ct.valencies)
+    bound = max(42 * ct.size * _magnitude(m) * _magnitude(ct.p) ** 3,
+                _magnitude(k) * _magnitude(ct.order) * _magnitude(sd.tensor))
+    p, m, k, tensor = _exact(bound, ct.p, m, k, sd.tensor)
     products = _mul(p[..., :, None], p[..., None, :]).reshape(2, ct.size, -1)
-    weights = _conj(p).transpose(0, 2, 1) * _vector(ct.multiplicities)
-    total = _matmul(weights, products).reshape(2, *sd.tensor.shape)
-    scale = _vector(ct.valencies)[:, None, None] * ct.order
-    return _verdict(_differs(total, sd.tensor * scale))
+    weights = _conj(p).transpose(0, 2, 1) * m
+    total = _matmul(weights, products).reshape(2, *tensor.shape)
+    return _verdict(_differs(total, tensor * (k[:, None, None] * ct.order)))
 
 
 def reconstruct_intersection(ct: CharTable, h: int, i: int, j: int):
@@ -254,14 +303,16 @@ def second_eigenmatrix(ct: CharTable) -> tuple[np.ndarray, int]:
     """Q with Q[i][j] = m_j conj(P[j][i]) / k_i, as the pair (L Q, L): L Q is
     a (2, r, r) Z[w] array.  Checks P Q = Q P = order * I as
     P (L Q) = (L Q) P = L order I."""
-    p = ct.p
     lcm = math.lcm(*ct.valencies)
-    lq = _conj(p).transpose(0, 2, 1) * np.outer(lcm // _vector(ct.valencies),
-                                                 ct.multiplicities)
-    target = np.identity(ct.size, dtype=object) * (lcm * ct.order)
+    weights = np.outer(lcm // _vector(ct.valencies), ct.multiplicities)
+    bound = max(14 * ct.size * _magnitude(weights) * _magnitude(ct.p) ** 2,
+                lcm * _magnitude(ct.order))
+    p, weights = _exact(bound, ct.p, weights)
+    lq = _conj(p).transpose(0, 2, 1) * weights
+    target = np.identity(ct.size, dtype=p.dtype) * (lcm * ct.order)
     if _differs(_matmul(p, lq), target).any() or _differs(_matmul(lq, p), target).any():
         raise AssertionError("P Q = Q P = order * I fails")
-    return lq, lcm
+    return lq.astype(object), lcm
 
 
 def _annihilator(values) -> list[tuple[int, int]]:
@@ -296,8 +347,13 @@ def minimal_polynomial_annihilates(ct: CharTable, intersection_mats) -> bool:
     coeffs = np.zeros((size, 2, terms), dtype=object)
     for row, poly in zip(coeffs, polys):
         row[:, :len(poly)] = list(zip(*poly))
-    powers = np.zeros((size, terms, size, size), dtype=object)
-    powers[:, 0] = np.identity(size, dtype=object)
+    # every entry of B_j^m is at most s^m, s the smaller of the largest
+    # absolute row sum and the largest absolute column sum of the B_j
+    sums = np.abs(b)  # of Python ints, so exact
+    s = _magnitude(min(sums.sum(axis=2).max(), sums.sum(axis=1).max()))
+    coeffs, b = _exact(terms * _magnitude(coeffs) * s ** (terms - 1), coeffs, b)
+    powers = np.zeros((size, terms, size, size), dtype=b.dtype)
+    powers[:, 0] = np.identity(size, dtype=b.dtype)
     power = powers[:, 1] = b
     for m in range(2, terms):
         k = sum(len(poly) > m for poly in polys)
@@ -321,6 +377,8 @@ def idempotents(ct: CharTable, adjacency) -> list[Matrix]:
     _check_shape("adjacency matrices", masks.shape, (ct.size, ct.order, ct.order), ct.size)
     lq, lcm = second_eigenmatrix(ct)
     scale = lcm * ct.order
+    big = ct.size * _magnitude(lq)  # bounds every entry of every F_i
+    lq, = _exact(max(7 * ct.order * big**2, scale * big), lq)
     f = lq.transpose(0, 2, 1) @ masks.reshape(ct.size, -1).astype(np.int64)
     f = f.reshape(2, *masks.shape)
     squares = _differs(_matmul(f, f), *(f * scale)).any(axis=(1, 2))

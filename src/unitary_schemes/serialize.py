@@ -163,12 +163,13 @@ def render_document(doc: SchemeDocument) -> str:
 
 
 def parse_document(text: str) -> SchemeDocument:
-    """Parse a rendered document; malformed input raises a ValueError that
-    names the offending (1-based) line."""
+    """Parse a rendered document; malformed input, a repeated line among
+    them, raises a ValueError that names the offending (1-based) line."""
     lines = text.splitlines()
     if not lines or lines[0] != FORMAT_LINE:
         raise ValueError("not a scheme document")
     fields: dict = {}
+    first_line: dict[str, int] = {}  # each key may appear once
     pos = 1
     block_end = 0  # lines before this index belong to the block being read
     try:
@@ -178,6 +179,9 @@ def parse_document(text: str) -> SchemeDocument:
             if line == "end":
                 break
             key, _, rest = line.partition(" ")
+            if key in first_line:
+                raise ValueError(f"second {key} line, the first is line {first_line[key]}")
+            first_line[key] = pos
             if key in ("n", "q", "rank", "order", "seed"):
                 fields[key] = int(rest)
             elif key == "mode":

@@ -1,11 +1,13 @@
+import dataclasses
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from unitary_schemes import build_descriptor, cli
+from unitary_schemes import build_descriptor, chartable, cli
 from unitary_schemes.chartable import (
     CharTable,
     _matmul,
@@ -126,6 +128,15 @@ def test_multiplicity_failure_on_wrong_table(get_table):
         multiplicities(2 * ct.p, ct.valencies, ct.order)
     with pytest.raises(ArithmeticError, match="^multiplicity of row 0 is 0, not"):
         multiplicities(ct.p, ct.valencies, 0)
+
+
+def test_multiplicities_do_not_wrap_int64_input(get_table):
+    # the norms reach 2^66: an int64 P used to wrap and give 6442450944
+    ct = get_table(2)
+    valencies, order = tuple(k * 2**31 for k in ct.valencies), ct.order * 2**62
+    expected = (2**31,) * 3 + (2**32,) * 3
+    assert multiplicities(ct.p * 2**31, valencies, order) == expected
+    assert multiplicities(ct.p.astype(np.int64) * 2**31, valencies, order) == expected
 
 
 def test_multiplicity_of_a_zero_row_is_its_own_failure(get_table):
@@ -408,7 +419,7 @@ def outcome(f, *args):
     """``("ok", value)`` or the type and message of the error ``f`` raises."""
     try:
         return "ok", f(*args)
-    except (AssertionError, ValueError) as error:
+    except (AssertionError, ValueError, ArithmeticError) as error:
         return type(error).__name__, str(error)
 
 
@@ -518,3 +529,133 @@ def test_reconstruction_refuses_another_rank(get_table):
                                          r" not fit a character table of size 6: expected"
                                          r" \(6, 6, 6\)$"):
         verify_reconstruction(get_table(2), build_descriptor(3, 3, "closed"))
+
+
+# ---------------------------------------------------------------------------
+# int64 where the magnitude bound proves an identity exact, Python ints
+# elsewhere
+
+
+def in_both_dtypes(monkeypatch, f, *args):
+    """``f(*args)`` with int64 allowed, and again with every identity sent
+    to Python ints."""
+    allowed = f(*args)
+    with monkeypatch.context() as patch:
+        patch.setattr(chartable, "_INT64_LIMIT", 0)
+        refused = f(*args)
+    return allowed, refused
+
+
+def eigenmatrix_inverse(ct):
+    lq, lcm = second_eigenmatrix(ct)
+    assert lq.dtype == object and all(type(x) is int for x in lq.flat)
+    return lq.tolist(), lcm
+
+
+def identities(ct, sd, mats):
+    """The outcome of every identity on one input, first failing index included."""
+    return [outcome(multiplicities, ct.p, ct.valencies, ct.order),
+            outcome(verify_orthogonality, ct),
+            outcome(verify_homomorphism, ct, sd),
+            outcome(verify_reconstruction, ct, sd),
+            outcome(eigenmatrix_inverse, ct),
+            outcome(minimal_polynomial_annihilates, ct, mats)]
+
+
+@pytest.mark.parametrize("n", [*range(2, 14), 31])
+def test_both_dtypes_give_the_same_verdicts(n, monkeypatch, get_table, get_descriptor):
+    ct = get_table(n)
+    sd = get_descriptor(n, 2, "closed")
+    mats = intersection_matrices(sd)
+    dropped = ct.p.copy()
+    dropped[:, 3:6, 3] = [[2], [0]]  # column 3 loses the values of rows 3 to 5
+    tables = [ct, tampered(ct, dropped), with_entry(ct, 2, 4, ct.entry(2, 4) + 1),
+              swapped_rows(ct, 1, 3), tampered(ct, 2 * ct.p)]
+    results = []
+    for table in tables:
+        allowed, refused = in_both_dtypes(monkeypatch, identities, table, sd, mats)
+        assert allowed == refused
+        assert allowed[-1] == ("ok", ref.minimal_polynomial_annihilates(table, mats))
+        results.append(allowed)
+    true_table = results[0]
+    assert true_table[1:4] == [("ok", (True, None))] * 3
+    assert true_table[0] == ("ok", ct.multiplicities) and true_table[4][0] == "ok"
+    assert true_table[5] == ("ok", True)
+    assert results[2][2][1][0] is False  # the changed entry fails the homomorphism
+    for j in range(ct.size):
+        for h, i in [(0, j), (j, j), (ct.size - 1, 0)]:
+            changed = [[list(row) for row in b] for b in mats]
+            changed[j][h][i] += 1
+            allowed, refused = in_both_dtypes(monkeypatch, minimal_polynomial_annihilates,
+                                              ct, changed)
+            assert allowed is refused is ref.minimal_polynomial_annihilates(ct, changed) is False
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_idempotents_agree_in_both_dtypes(n, monkeypatch, get_table, get_space, get_descriptor):
+    ct = get_table(n)
+    adj = build_adjacency_matrices(get_space(n, 2), get_descriptor(n, 2))
+    cases = [(ct, adj), (ct, [adj[0] * 0, *adj[1:]]), (tampered(ct, 2 * ct.p), adj)]
+    for j in range(2, 6):  # A_1 and A_j swapped
+        swapped = list(adj)
+        swapped[1], swapped[j] = adj[j], adj[1]
+        cases.append((ct, swapped))
+    for table, matrices in cases:
+        allowed, refused = in_both_dtypes(monkeypatch, outcome, idempotents, table, matrices)
+        assert allowed == refused == outcome(ref.idempotents, table, matrices)
+    assert allowed[0] != "ok"
+
+
+# the largest n at which each identity runs in int64; one that drops below
+# its entry here has lost speed to a looser bound
+INT64_UP_TO = {"multiplicities": 8, "verify_orthogonality": 7, "verify_homomorphism": 16,
+               "verify_reconstruction": 8, "second_eigenmatrix": 7,
+               "minimal_polynomial_annihilates": 4, "idempotents": 3}
+
+
+def test_identities_take_int64_where_the_bound_allows(monkeypatch, get_space, get_descriptor):
+    taken = {}
+    exact = chartable._exact
+
+    def spy(bound, *arrays):
+        out = exact(bound, *arrays)
+        dtypes = {x.dtype for x in out}
+        assert len(dtypes) == 1
+        taken.setdefault(sys._getframe(1).f_code.co_name, set()).update(dtypes)
+        return out
+
+    monkeypatch.setattr(chartable, "_exact", spy)
+    for n in [*range(2, 9), 16, 17]:
+        taken.clear()
+        ct = char_table_closed(n)
+        sd = get_descriptor(n, 2, "closed")
+        verify_orthogonality(ct)
+        verify_homomorphism(ct, sd)
+        verify_reconstruction(ct, sd)
+        second_eigenmatrix(ct)
+        if n <= 8:
+            minimal_polynomial_annihilates(ct, intersection_matrices(sd))
+        if n <= 3:
+            idempotents(ct, build_adjacency_matrices(get_space(n, 2), get_descriptor(n, 2)))
+        assert len(taken) == (7 if n <= 3 else 6 if n <= 8 else 5)
+        assert taken == {name: {np.dtype(np.int64 if n <= INT64_UP_TO[name] else object)}
+                         for name in taken}, n
+
+
+def test_above_the_bound_python_ints_keep_the_exact_verdict(monkeypatch, get_table,
+                                                            get_descriptor):
+    # P and p scaled by 2^32: the identity holds scaled by 2^64, and every
+    # product is a multiple of 2^64, which int64 wraps to 0
+    ct, sd = get_table(2), get_descriptor(2, 2)
+    changed = sd.tensor.copy()
+    changed[3, 4, 5] += 1
+    expected = verify_homomorphism(ct, dataclasses.replace(sd, tensor=changed))
+    assert expected == (False, (0, 4, 5))
+    table = tampered(ct, ct.p * 2**32)
+    right = dataclasses.replace(sd, tensor=sd.tensor * 2**32)
+    wrong = dataclasses.replace(sd, tensor=changed * 2**32)
+    assert verify_homomorphism(table, right) == (True, None)
+    assert verify_homomorphism(table, wrong) == expected
+    # the same input forced into int64 loses the change
+    monkeypatch.setattr(chartable, "_INT64_LIMIT", 2**200)
+    assert verify_homomorphism(table, wrong) == (True, None)

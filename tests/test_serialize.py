@@ -276,6 +276,32 @@ def test_parse_document_bad_block_line_is_named(get_descriptor):
         parse_document("\n".join(lines) + "\n")
 
 
+def test_parse_document_refuses_a_second_n_line(get_descriptor):
+    text = render_document(document_from_descriptor(get_descriptor(2, 2, "closed")))
+    assert "\nn 2\nq 2\n" in text
+    with pytest.raises(ValueError, match="^line 3: second n line, the first is line 2$"):
+        parse_document(text.replace("\nn 2\n", "\nn 2\nn 3\n", 1))
+
+
+@pytest.mark.parametrize("key", ["n", "q", "rank", "order", "mode", "seed", "valencies",
+                                 "conjugation", "tensor", "commutative", "witness", "fusion",
+                                 "chartable", "multiplicities"])
+def test_parse_document_refuses_a_repeated_line(key, get_table, get_descriptor):
+    # each line (a block with its rows) given twice in a row
+    if key in ("fusion", "chartable", "multiplicities"):
+        fused = fuse(get_table(4), get_descriptor(4, 2), coarse_partition(4))
+        doc = document_from_chartable(fused.table, 4, fusion="coarse")
+    else:  # non-commutative, so the document has a witness line
+        doc = document_from_descriptor(get_descriptor(2, 3, "closed"))
+    lines = render_document(doc).splitlines()
+    start = next(k for k, line in enumerate(lines) if line.split(" ")[0] == key)
+    end = start + 1 + (int(lines[start].split()[1]) if key in ("tensor", "chartable") else 0)
+    lines[end:end] = lines[start:end]
+    with pytest.raises(ValueError,
+                       match=f"^line {end + 1}: second {key} line, the first is line {start + 1}$"):
+        parse_document("\n".join(lines) + "\n")
+
+
 def test_parse_document_missing_header_fields():
     with pytest.raises(ValueError, match="^line 4: .*rank, order, mode, seed"):
         parse_document("unitary-scheme-document 1\nn 2\nq 2\nend\n")
