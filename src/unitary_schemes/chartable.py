@@ -46,7 +46,7 @@ from fractions import Fraction
 import numpy as np
 
 from .eisenstein import Eisenstein
-from .scheme import SchemeDescriptor
+from .scheme import INT64_LIMIT, SchemeDescriptor
 from .space import check_budget, isotropic_count
 
 Matrix = tuple[tuple[Eisenstein, ...], ...]
@@ -67,9 +67,12 @@ class CharTable:
                 or not all(isinstance(x, int) for x in p.flat)):
             raise ValueError("P must be a (2, r, r) array of integers A, B of A + B w")
         for name in ("multiplicities", "valencies"):
-            if len(getattr(self, name)) != p.shape[1]:
-                raise ValueError(f"{name} has {len(getattr(self, name))} entries, P has"
+            values = getattr(self, name)
+            if len(values) != p.shape[1]:
+                raise ValueError(f"{name} has {len(values)} entries, P has"
                                  f" {p.shape[1]} columns")
+            if min(values, default=1) <= 0:
+                raise ValueError(f"{name} must be positive, got {min(values)}")
         p.setflags(write=False)
         object.__setattr__(self, "p", p)
 
@@ -159,11 +162,6 @@ def _conj(x):
     return np.stack([x[0] - x[1], -x[1]])
 
 
-# an identity runs in int64 when its magnitude bound, a Python int covering
-# every intermediate and every scalar that meets its arrays, is below this
-_INT64_LIMIT = 2**63
-
-
 def _magnitude(x) -> int:
     """The largest |entry| of an integer or integer array, and at least 1, so
     that a product of magnitudes bounds each of its factors.  A Python int,
@@ -175,7 +173,7 @@ def _magnitude(x) -> int:
 def _exact(bound: int, *arrays) -> list[np.ndarray]:
     """``arrays`` as int64 when ``bound`` < 2^63, else as object arrays of
     Python ints: the one dtype an identity computes in."""
-    dtype = np.int64 if bound < _INT64_LIMIT else object
+    dtype = np.int64 if bound < INT64_LIMIT else object
     return [np.asarray(x).astype(dtype, copy=False) for x in arrays]
 
 

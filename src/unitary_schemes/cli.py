@@ -8,6 +8,7 @@ import sys
 
 from . import chartable as ct_mod
 from . import fusion as fusion_mod
+from . import kernels
 from . import scheme as scheme_mod
 from . import serialize
 from .space import check_budget, enumerate_isotropic, isotropic_count
@@ -60,8 +61,7 @@ def cmd_chartable(args) -> int:
     table = ct_mod.char_table_closed(args.n)
     fusion_name = None
     if args.fusion != "none":
-        conj = tuple(scheme_mod.conjugate_index(l, args.n, 2)
-                     for l in range(scheme_mod.scheme_rank(args.n, 2)))
+        conj = kernels.label_maps(2)[0][:scheme_mod.scheme_rank(args.n, 2)].tolist()
         partition = dict(fusion_mod.canonical_fusions(args.n))[args.fusion]
         table = fusion_mod.fuse(table, conj, partition).table
         fusion_name = args.fusion

@@ -4,6 +4,12 @@ Elements are integer ids: id 0 is the zero element and id k (1 <= k <= q^2-1)
 is g^(k-1) for the fixed primitive generator g.  All arithmetic is table
 lookup, so the integer order of ids (zero first, then ascending powers of g)
 doubles as the canonical element order used everywhere else in the package.
+
+Each element also has one coefficient encoding: its m coefficients over F_p
+in the basis 1, g, ..., g^(m-1), with q^2 = p^m.  The powers of g are found
+in it by shifting and reducing by the Conway polynomial, and addition and
+negation are digit-wise modulo p, so those two tables are array arithmetic
+over the digits.
 """
 
 from __future__ import annotations
@@ -51,8 +57,9 @@ class FieldTables:
     """Lookup-table model of F_{q^2} with the involution x -> x^q.
 
     ``exp_table[e]`` is the id of g^e and ``log_table`` is its inverse (-1 at
-    zero).  ``coeff_table[a]`` packs the coefficients of a over F_p, lowest
-    degree first, as a base-p number, so addition is digit-wise modulo p.
+    zero).  ``coeff_digits[a]`` are the coefficients of a over F_p, lowest
+    degree first, ``coeff_table[a]`` packs them as a base-p number, and
+    ``id_of_coeff`` is its inverse.
     ``modulus_poly`` holds the ids of the constant, linear and leading
     coefficients of the minimal polynomial of g over the embedded F_q.
     """
@@ -70,6 +77,8 @@ class FieldTables:
     inv_table: np.ndarray
     norm_table: np.ndarray
     coeff_table: np.ndarray
+    coeff_digits: np.ndarray
+    id_of_coeff: np.ndarray
     base_field: tuple[int, ...]
 
     # -- element constants ------------------------------------------------
@@ -164,21 +173,6 @@ def _check_ids(vec, order: int, n: int | None = None) -> None:
                          f" field-element ids in [0, {order})")
 
 
-def _encode(digits: list[int], p: int) -> int:
-    code = 0
-    for d in reversed(digits):
-        code = code * p + d
-    return code
-
-
-def _decode(code: int, p: int, m: int) -> list[int]:
-    digits = []
-    for _ in range(m):
-        digits.append(code % p)
-        code //= p
-    return digits
-
-
 @lru_cache(maxsize=None)
 def build_field(q: int) -> FieldTables:
     """Build the arithmetic tables for F_{q^2}, q in the supported range."""
@@ -192,25 +186,21 @@ def build_field(q: int) -> FieldTables:
     conway = _CONWAY[(p, m)]
     order = q * q
 
-    # Powers of the generator in the coefficient encoding.
-    codes = []
-    x = 1  # code of g^0
-    for _ in range(order - 1):
-        codes.append(x)
-        digits = _decode(x, p, m)
-        top = digits[m - 1]
-        shifted = [0] + digits[: m - 1]
-        if top:
-            for i in range(m):
-                shifted[i] = (shifted[i] - top * conway[i]) % p
-        x = _encode(shifted, p)
-    if sorted(codes) != list(range(1, order)):
+    # row e holds g^e: multiplying by g shifts the digits up, and the one
+    # shifted out is reduced by the Conway polynomial
+    low = np.array(conway[:m])
+    coeff_digits = np.zeros((order, m), dtype=np.int64)
+    coeff_digits[1, 0] = 1
+    for e in range(2, order):
+        prev = coeff_digits[e - 1]
+        coeff_digits[e, 1:] = prev[:-1]
+        coeff_digits[e] = (coeff_digits[e] - prev[-1] * low) % p
+    place = p ** np.arange(m)
+    coeff_table = coeff_digits @ place
+    if sorted(coeff_table[1:].tolist()) != list(range(1, order)):
         raise AssertionError(f"modulus for q={q} is not primitive")
-
-    id_of_code = {0: 0}
-    for e, c in enumerate(codes):
-        id_of_code[c] = e + 1
-    code_of_id = [0] + codes
+    id_of_coeff = np.empty(order, dtype=np.int64)
+    id_of_coeff[coeff_table] = np.arange(order)
 
     n1 = order - 1
     exp_table = np.arange(1, order, dtype=np.int64)
@@ -221,18 +211,8 @@ def build_field(q: int) -> FieldTables:
     nz = ids[1:]
     mul_table[1:, 1:] = 1 + (nz[:, None] - 1 + nz[None, :] - 1) % n1
 
-    add_table = np.zeros((order, order), dtype=np.int64)
-    for a in range(order):
-        da = _decode(code_of_id[a], p, m)
-        for b in range(order):
-            db = _decode(code_of_id[b], p, m)
-            s = [(u + v) % p for u, v in zip(da, db)]
-            add_table[a, b] = id_of_code[_encode(s, p)]
-
-    neg_table = np.zeros(order, dtype=np.int64)
-    for a in range(order):
-        da = _decode(code_of_id[a], p, m)
-        neg_table[a] = id_of_code[_encode([(-u) % p for u in da], p)]
+    add_table = id_of_coeff[((coeff_digits[:, None] + coeff_digits) % p) @ place]
+    neg_table = id_of_coeff[(-coeff_digits % p) @ place]
 
     conj_table = np.zeros(order, dtype=np.int64)
     conj_table[1:] = 1 + ((nz - 1) * q) % n1
@@ -241,7 +221,6 @@ def build_field(q: int) -> FieldTables:
     inv_table[1:] = 1 + (n1 - (nz - 1)) % n1
 
     norm_table = mul_table[ids, conj_table]
-    coeff_table = np.array(code_of_id, dtype=np.int64)
 
     base_field = tuple(int(a) for a in ids if conj_table[a] == a)
 
@@ -252,7 +231,7 @@ def build_field(q: int) -> FieldTables:
     modulus_poly = (nrm, int(neg_table[tr]), 1)
 
     for arr in (exp_table, log_table, conj_table, add_table, mul_table,
-                neg_table, inv_table, norm_table, coeff_table):
+                neg_table, inv_table, norm_table, coeff_table, coeff_digits, id_of_coeff):
         arr.setflags(write=False)
 
     return FieldTables(
@@ -260,7 +239,7 @@ def build_field(q: int) -> FieldTables:
         exp_table=exp_table, log_table=log_table, conj_table=conj_table,
         add_table=add_table, mul_table=mul_table, neg_table=neg_table,
         inv_table=inv_table, norm_table=norm_table, coeff_table=coeff_table,
-        base_field=base_field,
+        coeff_digits=coeff_digits, id_of_coeff=id_of_coeff, base_field=base_field,
     )
 
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chartable import CharTable, multiplicities
-from .scheme import SchemeDescriptor, conjugate_index, scheme_rank
+from .kernels import label_maps
+from .scheme import SchemeDescriptor, scheme_rank
 
 Partition = tuple[tuple[int, ...], ...]
 
@@ -90,16 +91,8 @@ def fuse(ct: CharTable, sd_or_conj, blocks) -> FusedTable:
 
 def symmetrization_partition(n: int, q: int) -> Partition:
     """Each relation united with its converse."""
-    rank = scheme_rank(n, q)
-    seen = set()
-    blocks = []
-    for l in range(rank):
-        if l in seen:
-            continue
-        pair = tuple(sorted({l, conjugate_index(l, n, q)}))
-        seen.update(pair)
-        blocks.append(pair)
-    return tuple(blocks)
+    conj = label_maps(q)[0][:scheme_rank(n, q)].tolist()
+    return tuple((l,) if l == c else (l, c) for l, c in enumerate(conj) if l <= c)
 
 
 def coarse_partition(n: int, q: int = 2) -> Partition:

@@ -18,9 +18,10 @@ entries, so a group's tables are never larger than its gather, and the
 gather's temporaries stay O(CHUNK) whatever r is; only the output and the
 (q^2-1) * r scalar multiples grow with r.  Past ``CHUNK`` points one vector
 is gathered at a time.  Field elements in the tables are *packed*: the
-coefficients of an element over F_p are the base-B digits of an integer,
-with B = n*(p-1)+1, so a sum of at most n packed elements is an ordinary
-integer sum without carries, and one lookup turns it into a label.  Packed
+coefficient digits of an element over F_p (``FieldTables.coeff_digits``)
+are the base-B digits of an integer, with B = n*(p-1)+1, so a sum of at
+most n packed elements is an ordinary integer sum without carries, and one
+lookup turns it into a label.  Packed
 sums stay below B^m, and ``block_tables`` refuses an (n, q) whose B^m or
 order**width is above 2^16, so the codes, the tables and their sums are
 uint16 (within the scan budget B^m is at most 15625, at (4, 8), and
@@ -29,6 +30,9 @@ sums over its coordinates.
 
 The q^2-1 nonzero multiples of x are found among the points by that
 index, and x is checked to be a point by reading its blocks back there.
+
+There is no column pass: (z, y) lies in the converse of the relation of
+(y, z), so a column is the row of y read through ``label_maps``' conj.
 
 ``count_isotropic`` counts without the points: for a stack of pairs it
 walks through the n coordinates and returns, for every value of <x, z> and
@@ -135,21 +139,41 @@ def digits(codes: np.ndarray, size: int, width: int) -> np.ndarray:
 #   perpendicular independent pairs   -> 2*(q^2-1)
 
 
+@lru_cache(maxsize=None)
+def label_maps(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The relation layout over F_{q^2}, read-only and made once per q.
+
+    ``conj[l]`` is the label of the reversed pairs of relation l: scalar
+    exponents negate, product exponents multiply by q and perpendicular
+    pairs stay so.  ``scale[s, l]`` is the label of (g^s x, z) when (x, z)
+    has label l: scalar exponents drop by s, product exponents rise by s
+    (the product is linear in its first argument), and perpendicular pairs
+    stay so.  ``product[a]`` is the label of a pair of independent points
+    whose inner product is the element id a: perpendicular at 0, else
+    product exponent log(a).
+    """
+    nrel = q * q - 1
+    e = np.arange(nrel)
+    conj = np.concatenate((-e % nrel, nrel + q * e % nrel, [2 * nrel]))
+    s = e[:, None]
+    scale = np.concatenate(((e - s) % nrel, nrel + (e + s) % nrel,
+                            np.full((nrel, 1), 2 * nrel)), axis=1)
+    product = np.concatenate(([2 * nrel], nrel + e))
+    for table in (conj, scale, product):
+        table.setflags(write=False)
+    return conj, scale, product
+
+
 @dataclass(frozen=True, eq=False)
 class BlockTables:
     """Everything a row pass over one space needs that does not depend on x.
 
     ``digits[c]`` are the element ids of block code c, and
-    ``products[a, d]`` is the packed a * conj(d).  ``sum_labels[0, s]`` is
-    the uint8 label of a pair whose packed inner product is s, a zero
-    product reading as perpendicular; scalar pairs are set afterwards, to
-    ``scalar_labels[0]``.  Row 1 of both holds the labels of the reversed
-    pairs, which a column pass writes.  ``place`` turns a block into its
-    code, and ``start`` and ``rank`` are those of ``isotropic_scan``.
-    ``conj_labels[l]`` is the label of the reversed pairs of relation l, and
-    ``scale_labels[s, l]`` the label of (g^s x, z) when (x, z) has label l:
-    scalar exponents drop by s, product exponents rise by s (the product is
-    linear in its first argument), and perpendicular pairs stay so.
+    ``products[a, d]`` is the packed a * conj(d).  ``sum_labels[s]`` is the
+    uint8 label of a pair whose packed inner product is s, a zero product
+    reading as perpendicular; scalar pairs are set afterwards.  ``place``
+    turns a block into its code, and ``start`` and ``rank`` are those of
+    ``isotropic_scan``.
     """
 
     width: int
@@ -157,28 +181,10 @@ class BlockTables:
     digits: np.ndarray
     products: np.ndarray
     sum_labels: np.ndarray
-    scalar_labels: np.ndarray
     nonzero_mul: np.ndarray
     place: np.ndarray
     start: np.ndarray
     rank: np.ndarray
-    conj_labels: np.ndarray
-    scale_labels: np.ndarray
-
-
-@lru_cache(maxsize=None)
-def label_maps(q: int) -> tuple[np.ndarray, np.ndarray]:
-    """``conj_labels`` and ``scale_labels`` of ``BlockTables``, which depend
-    on q alone; read-only, made once per q."""
-    nrel = q * q - 1
-    e = np.arange(nrel)
-    conj_labels = np.concatenate((-e % nrel, nrel + q * e % nrel, [2 * nrel]))
-    s = e[:, None]
-    scale_labels = np.concatenate(((e - s) % nrel, nrel + (e + s) % nrel,
-                                   np.full((nrel, 1), 2 * nrel)), axis=1)
-    for table in (conj_labels, scale_labels):
-        table.setflags(write=False)
-    return conj_labels, scale_labels
 
 
 def block_tables(ft, n: int, start: np.ndarray, rank: np.ndarray) -> BlockTables:
@@ -186,36 +192,27 @@ def block_tables(ft, n: int, start: np.ndarray, rank: np.ndarray) -> BlockTables
     the scan's ``start`` and ``rank``.  An (n, q) whose packed sums or block
     codes would not fit uint16 raises a ``ValueError`` before any table is made."""
     order, p, q = ft.order, ft.p, ft.q
-    nrel = order - 1
-    assert 2 * nrel < 1 << 8, "labels must fit uint8"
-    m = 1
-    while p**m < order:
-        m += 1
+    assert 2 * (order - 1) < 1 << 8, "labels must fit uint8"
+    m = ft.coeff_digits.shape[1]
     base = n * (p - 1) + 1
     if base**m > 1 << 16:
         raise ValueError(f"packed sums below {base}^{m} = {base**m} do not fit uint16"
                          f" at (n, q) = ({n}, {q})")
     width = table_width(order, n)
 
-    coeffs = ft.coeff_table[:, None] // p ** np.arange(m) % p
-    packed = coeffs @ base ** np.arange(m)
+    packed = ft.coeff_digits @ base ** np.arange(m)
     products = packed[ft.mul_table[:, ft.conj_table]].astype(np.uint16)
-
+    # the base-B digits of a packed sum, reduced modulo p, are its element's
     sums = np.arange(base**m)
-    ids = np.argsort(ft.coeff_table)[(sums[:, None] // base ** np.arange(m) % base % p)
-                                     @ p ** np.arange(m)]
-    sum_labels = np.where(ids == 0, 2 * nrel, nrel + ids - 1)
-
-    e = np.arange(nrel)
-    conj_labels, scale_labels = label_maps(q)
+    ids = ft.id_of_coeff[(sums[:, None] // base ** np.arange(m) % base % p)
+                         @ p ** np.arange(m)]
     return BlockTables(
         width=width, pad=np.zeros(2 * width - n, dtype=np.int64),
         digits=digits(np.arange(order**width), order, width), products=products,
-        sum_labels=np.stack((sum_labels, conj_labels[sum_labels])).astype(np.uint8),
-        scalar_labels=np.stack((e, conj_labels[e])).astype(np.uint8),
+        sum_labels=label_maps(q)[2][ids].astype(np.uint8),
         nonzero_mul=np.ascontiguousarray(ft.mul_table[1:]),
         place=order ** np.arange(width - 1, -1, -1, dtype=np.int64),
-        start=start, rank=rank, conj_labels=conj_labels, scale_labels=scale_labels,
+        start=start, rank=rank,
     )
 
 
@@ -225,11 +222,9 @@ def group_size(count: int) -> int:
     return max(1, CHUNK // count)
 
 
-def _row_labels(xbs: np.ndarray, codes: np.ndarray, t: BlockTables,
-                converse: int) -> np.ndarray:
-    """Labels of (x, z) for every x of a stack and every point z, or of (z, x)
-    when ``converse`` is 1, as an (r, N) uint8 array; ``xbs[v]`` is the v-th
-    x padded, one row per block.
+def _row_labels(xbs: np.ndarray, codes: np.ndarray, t: BlockTables) -> np.ndarray:
+    """Labels of (x, z) for every x of a stack and every point z, as an
+    (r, N) uint8 array; ``xbs[v]`` is the v-th x padded, one row per block.
 
     The stack is gathered ``group_size(N)`` vectors at a time, and a group's
     tables are built when it runs; past ``CHUNK`` points one vector is
@@ -244,7 +239,6 @@ def _row_labels(xbs: np.ndarray, codes: np.ndarray, t: BlockTables,
     found = t.start.take(blocks[..., 0]) + t.rank.take(blocks[..., 1])
     if codes.T.take(found[0], axis=1, mode="clip").tolist() != blocks[0].T.tolist():
         raise ValueError("x is not a nonzero isotropic vector")
-    labels = t.sum_labels[converse]
     out = np.empty((rows, count), dtype=np.uint8)
     group = group_size(count)
     for first in range(0, rows, group):
@@ -262,8 +256,9 @@ def _row_labels(xbs: np.ndarray, codes: np.ndarray, t: BlockTables,
             part = codes[start:start + CHUNK]
             packed = head.take(part[:, 0], axis=1)
             packed += tail.take(part[:, 1], axis=1)
-            labels.take(packed, out=dest[:, start:start + CHUNK])
-    out[np.arange(rows), found] = t.scalar_labels[converse][:, None]
+            t.sum_labels.take(packed, out=dest[:, start:start + CHUNK])
+    # (x, g^e x) has label e
+    out[np.arange(rows), found] = np.arange(found.shape[0], dtype=np.uint8)[:, None]
     return out
 
 
@@ -275,17 +270,12 @@ def _blocked(x, t: BlockTables) -> np.ndarray:
 
 def classify_row(x, codes: np.ndarray, t: BlockTables) -> np.ndarray:
     """uint8 labels of the pairs (x, z) for every point z, given by its block codes."""
-    return _row_labels(_blocked(x, t)[None], codes, t, 0)[0]
-
-
-def classify_col(y, codes: np.ndarray, t: BlockTables) -> np.ndarray:
-    """Labels of the pairs (z, y): the converses of the pairs (y, z)."""
-    return _row_labels(_blocked(y, t)[None], codes, t, 1)[0]
+    return _row_labels(_blocked(x, t)[None], codes, t)[0]
 
 
 def classify_matrix(codes: np.ndarray, t: BlockTables) -> np.ndarray:
     """Full pairwise uint8 label matrix M with M[a, b] = label of (point a, point b)."""
-    return _row_labels(t.digits[codes], codes, t, 0)
+    return _row_labels(t.digits[codes], codes, t)
 
 
 # ---------------------------------------------------------------------------

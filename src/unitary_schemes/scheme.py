@@ -137,16 +137,12 @@ def parity_offset(q: int) -> int:
 
 
 def conjugate_index(l: int, n: int, q: int) -> int:
-    """Index of the reversed relation: scalar e -> -e, product e -> q*e, perp fixed."""
+    """Index of the reversed relation: scalar e -> -e, product e -> q*e, perp
+    fixed (``kernels.label_maps``)."""
     rank = scheme_rank(n, q)
     if not 0 <= l < rank:
         raise ValueError(f"relation index {l} out of range [0, {rank - 1}]")
-    nrel = q * q - 1
-    if l < nrel:
-        return (-l) % nrel
-    if l < 2 * nrel:
-        return nrel + (q * (l - nrel)) % nrel
-    return l
+    return int(kernels.label_maps(q)[0][l])
 
 
 def conjugate_relation(sd: SchemeDescriptor, l: int) -> int:
@@ -279,35 +275,40 @@ def _column_counts(row: np.ndarray, col: np.ndarray, rank: int) -> np.ndarray:
     return counts.reshape(rank, rank)
 
 
-def classified_vectors(n: int) -> int:
-    """Vectors classified per evaluation of ``_witness_tensor``: a row and
-    the columns of one product partner and, when n >= 4, one perpendicular
-    partner."""
-    return 3 if n >= 4 else 2
+def _assemble(q: int, product: np.ndarray, e: np.ndarray, scalar: np.ndarray,
+              relabelled: np.ndarray) -> None:
+    """The assembly rule: write the slices of scalar relations e into
+    ``scalar`` and those of product relations e into ``relabelled``, from
+    the slice ``product`` of product relation 0.
+
+    The pairs (x, g^e x) and (g^e x, v), with (x, v) in product relation 0,
+    meet those relations.  Since (g^e x, z) has the label ``scale[e]`` of
+    (x, z) (``kernels.label_maps``), scalar relation e holds the valency of
+    label i at (i, conj(scale_e(i))) and zero elsewhere, and product
+    relation e is ``product`` with its rows relabelled by scale_e.
+    """
+    conj, scale, _ = kernels.label_maps(q)
+    rank = product.shape[0]
+    scale = scale[e, :rank]
+    stack = np.arange(e.size)[:, None]
+    scalar.fill(0)
+    scalar[stack, np.arange(rank), conj[scale]] = product.sum(axis=1)
+    relabelled[stack, scale] = product
 
 
 def _tensor_from_histograms(q: int, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The whole tensor, and the valencies, from the histograms of one point
     x: ``counts[0]`` at (x, v) with <x, v> = 1 and, when there is a
     perpendicular relation, ``counts[1]`` at (x, y) with y perpendicular to
-    x and independent of it.
-
-    The pairs (x, g^e x), (g^e x, v) and (x, y) meet every relation.  Since
-    (g^e x, z) has the label ``scale_labels[e]`` of (x, z), scalar relation e
-    puts the count of label i at (i, conj(scale_e(i))), and product relation
-    e is the histogram at (x, v) with its rows relabelled by scale_e.
+    x and independent of it.  The pairs (x, g^e x), (g^e x, v) and (x, y)
+    meet every relation; ``_assemble`` writes the first two kinds.
     """
-    conj_labels, scale_labels = kernels.label_maps(q)
     nrel = q * q - 1
     rank = counts.shape[-1]
-    e = np.arange(nrel)[:, None]
-    scale = scale_labels[:, :rank]
-    valencies = counts[0].sum(axis=1)
-    tensor = np.zeros((rank, rank, rank), dtype=np.int64)
-    tensor[e, np.arange(rank), conj_labels[scale]] = valencies
-    tensor[nrel + e, scale] = counts[0]
+    tensor = np.empty((rank, rank, rank), dtype=np.int64)
+    _assemble(q, counts[0], np.arange(nrel), tensor[:nrel], tensor[nrel:2 * nrel])
     tensor[2 * nrel:] = counts[1:]
-    return tensor, valencies
+    return tensor, counts[0].sum(axis=1)
 
 
 def _witness_tensor(us: UnitarySpace, row: np.ndarray, partners) -> tuple[np.ndarray, np.ndarray]:
@@ -315,12 +316,14 @@ def _witness_tensor(us: UnitarySpace, row: np.ndarray, partners) -> tuple[np.nda
     give, and the valencies; ``row`` is row(x).
 
     ``partners`` holds v with <x, v> = 1 and, when there is a perpendicular
-    relation, a point y perpendicular to x and independent of it; their
-    histograms are the joint histograms of row(x) and col(v), col(y).
+    relation, a point y perpendicular to x and independent of it.  (z, y)
+    lies in the converse of the relation of (y, z), so the histogram at
+    (x, y) is that of row(x) and row(y) with its columns permuted by conj.
     """
     rank = 2 * (us.ft.order - 1) + len(partners) - 1
+    conj = kernels.label_maps(us.q)[0][:rank]
     counts = np.stack([
-        _column_counts(row, kernels.classify_col(y, us.block_codes, us.tables), rank)
+        _column_counts(row, kernels.classify_row(y, us.block_codes, us.tables), rank)[:, conj]
         for y in partners])
     return _tensor_from_histograms(us.q, counts)
 
@@ -384,8 +387,7 @@ def _counted_histograms(ft, pairs, rank: int) -> np.ndarray:
     xs = np.array([x for x, _ in pairs], dtype=np.int64)
     ys = np.array([y for _, y in pairs], dtype=np.int64)
     counts = kernels.count_isotropic(ft, xs, ys)
-    # the label of a product alpha: perpendicular at 0, else nrel + log(alpha)
-    label = np.concatenate(([perp], nrel + np.arange(nrel)))
+    label = kernels.label_maps(ft.q)[2]
     hist = np.zeros((len(pairs), perp + 1, perp + 1), dtype=np.int64)
     hist[:, label[:, None], label] = counts
     # g^e x has <x, g^e x> = 0 and <g^e x, y> = g^e <x, y>; g^e y has
@@ -408,30 +410,22 @@ def _counted_histograms(ft, pairs, rank: int) -> np.ndarray:
 
 def _assembly_differs(q: int, tensor: np.ndarray) -> np.ndarray:
     """Whether each relation's slice of ``tensor`` differs from the one
-    ``_tensor_from_histograms`` assembles from its product-0 and
-    perpendicular slices, checked a block of about ``kernels.CHUNK`` entries
-    at a time rather than against a second whole tensor.
-
-    Scalar relation e must hold valencies[i] at (i, conj(scale_e(i))) and
-    zero elsewhere; product relation e must be the product-0 slice with its
-    rows relabelled by scale_e.  The perpendicular slice is copied
-    unchanged, so it cannot differ.
+    ``_assemble`` makes from its product-0 slice, checked a block of about
+    ``kernels.CHUNK`` entries at a time rather than against a second whole
+    tensor.  The perpendicular slice is copied unchanged by
+    ``_tensor_from_histograms``, so it cannot differ.
     """
-    conj_labels, scale_labels = kernels.label_maps(q)
     nrel = q * q - 1
     rank = tensor.shape[0]
-    scale = scale_labels[:, :rank]
-    product = tensor[nrel]
-    valencies = product.sum(axis=1)
     wrong = np.zeros(rank, dtype=bool)
     step = max(1, kernels.CHUNK // (rank * rank))
     for start in range(0, nrel, step):
         e = np.arange(start, min(start + step, nrel))
-        scalar = np.zeros((e.size, rank, rank), dtype=tensor.dtype)
-        scalar[np.arange(e.size)[:, None], np.arange(rank), conj_labels[scale[e]]] = valencies
+        scalar = np.empty((e.size, rank, rank), dtype=tensor.dtype)
+        product = np.empty_like(scalar)
+        _assemble(q, tensor[nrel], e, scalar, product)
         wrong[e] = (tensor[e] != scalar).reshape(e.size, -1).any(axis=1)
-        relabelled = tensor[nrel + e[:, None], scale[e]]
-        wrong[nrel + e] = (relabelled != product).reshape(e.size, -1).any(axis=1)
+        wrong[nrel + e] = (tensor[nrel + e] != product).reshape(e.size, -1).any(axis=1)
     return wrong
 
 
@@ -547,7 +541,7 @@ def build_descriptor_with_space(n: int, q: int, mode: str = "both", seed: int = 
         closed = (
             _closed_tensor(n, q),
             closed_valencies(n, q),
-            tuple(conjugate_index(l, n, q) for l in range(rank)),
+            tuple(kernels.label_maps(q)[0][:rank].tolist()),
         )
 
     if mode == "both":
@@ -900,8 +894,9 @@ def fuse_relation_matrix(M: np.ndarray, blocks) -> np.ndarray:
     """Relabel a relation matrix by uniting the relations inside each block.
 
     A matrix that is not square, is empty, is not of integers or holds a
-    negative label, and blocks that leave a label out, list it twice or
-    list a relation beyond the largest label, raise a ``ValueError``.
+    negative label, and blocks that hold other than integers, leave a label
+    out, list it twice or list a relation beyond the largest label, raise a
+    ``ValueError``.
     """
     M = np.asarray(M)
     low, high = _label_range(M)
@@ -910,6 +905,8 @@ def fuse_relation_matrix(M: np.ndarray, blocks) -> np.ndarray:
     block_of = {}
     for b, block in enumerate(blocks):
         for l in block:
+            if not isinstance(l, (int, np.integer)):
+                raise ValueError(f"block {b} holds {l!r}, not a relation index")
             if not 0 <= l <= high:
                 raise ValueError(f"relation {l} is not a label of the matrix, 0..{high}")
             if l in block_of:

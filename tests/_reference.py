@@ -7,13 +7,14 @@ discrete logs, or kernels.  The brute-force functions are slow on purpose and
 only run at small sizes; the orthogonal-decomposition count enumerates only
 vectors of F_{q^2}^2 and covers every supported (n, q).  The first of the
 last three sections decodes the points of a library ``UnitarySpace`` and
-counts single intersection numbers over it with one row and one column pass
-each, independently of the relabelled histograms and sampled tensors of the
-library's brute-force route.  The second counts the structure of a relation
-matrix over the whole matrix at once, its triple counts one row of joint
-histograms at a time and its sampled constancy check one pick at a time,
-against the row blocks, packed products and batched histograms of the
-library's relation-matrix validators.  The third writes
+counts single intersection numbers over it with one row pass and a
+schoolbook ``classify`` of every (z, y), independently of the relabelled
+histograms and sampled tensors of the library's brute-force route.  The
+second counts the structure of a relation matrix over the whole matrix at
+once, its triple counts one row of joint histograms at a time and its
+sampled constancy check one pick at a time, against the row blocks, packed
+products and batched histograms of the library's relation-matrix
+validators.  The third writes
 integer blocks by one ``%`` pass, against the library's table of decimal
 words.  The last two sections hold the character-table identities as one
 four-product Z[w] matrix product at a time, against the library's batched
@@ -364,7 +365,10 @@ def intersection_number_bruteforce(us, h, i, j, pair=None):
             raise ValueError(f"relation index {l} out of range [0, {rank - 1}]")
     x, y = witness_pair(h, us.n, us.q) if pair is None else pair
     rows = kernels.classify_row(x, us.block_codes, us.tables)
-    cols = kernels.classify_col(y, us.block_codes, us.tables)
+    F = RefField(us.q)
+    yref = [F.elements[c] for c in y]
+    cols = np.array([classify(F, [F.elements[c] for c in z], yref)
+                     for z in vectors(us).tolist()])
     return int(np.sum((rows == i) & (cols == j)))
 
 

@@ -185,6 +185,18 @@ def test_table_refuses_a_field_of_the_wrong_length(field, get_table):
             CharTable(p=ct.p, order=ct.order, **fields)
 
 
+@pytest.mark.parametrize("field", ["multiplicities", "valencies"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_table_refuses_a_non_positive_entry(field, value, get_table):
+    """A zero or negative valency or multiplicity is refused when the table
+    is built, before an identity divides by it."""
+    ct = get_table(2)
+    fields = {"multiplicities": ct.multiplicities, "valencies": ct.valencies}
+    fields[field] = (value,) + fields[field][1:]
+    with pytest.raises(ValueError, match=f"^{field} must be positive, got {value}$"):
+        CharTable(p=ct.p, order=ct.order, **fields)
+
+
 def test_table_beyond_int64():
     ct = char_table_closed(40)
     assert ct.entry(0, 3) == 2**77
@@ -541,7 +553,7 @@ def in_both_dtypes(monkeypatch, f, *args):
     to Python ints."""
     allowed = f(*args)
     with monkeypatch.context() as patch:
-        patch.setattr(chartable, "_INT64_LIMIT", 0)
+        patch.setattr(chartable, "INT64_LIMIT", 0)
         refused = f(*args)
     return allowed, refused
 
@@ -657,5 +669,5 @@ def test_above_the_bound_python_ints_keep_the_exact_verdict(monkeypatch, get_tab
     assert verify_homomorphism(table, right) == (True, None)
     assert verify_homomorphism(table, wrong) == expected
     # the same input forced into int64 loses the change
-    monkeypatch.setattr(chartable, "_INT64_LIMIT", 2**200)
+    monkeypatch.setattr(chartable, "INT64_LIMIT", 2**200)
     assert verify_homomorphism(table, wrong) == (True, None)

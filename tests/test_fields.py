@@ -56,6 +56,9 @@ def test_tables_match_polynomial_arithmetic(q):
     ft = build_field(q)
     ref = RefField(q)
     for a in ft.elements():
+        assert tuple(ft.coeff_digits[a].tolist()) == ref.elements[a]
+        assert ft.id_of_coeff[ft.coeff_table[a]] == a
+        assert ft.neg(a) == ref.id_of(ref.neg(ref.elements[a]))
         for b in ft.elements():
             assert ft.add(a, b) == ref.id_of(ref.add(ref.elements[a], ref.elements[b]))
             assert ft.mul(a, b) == ref.id_of(ref.mul(ref.elements[a], ref.elements[b]))

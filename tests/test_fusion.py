@@ -242,7 +242,10 @@ def test_relation_level_fusion_needs_every_label(get_space):
     (np.zeros((0, 0), dtype=np.int64), ((0,),), "^relation matrix is empty$"),
     ([[0.0, 1.0], [1.0, 0.0]], ((0,), (1,)), "^relation labels must be integers$"),
     ([[0, 1], [1, 0]], ((0,), (5,), (1,)), r"^relation 5 is not a label of the matrix, 0\.\.1$"),
-], ids=["negative", "two-blocks", "empty", "float", "beyond-labels"])
+    ([[0, 1], [1, 0]], [["a"], [1]], "^block 0 holds 'a', not a relation index$"),
+    ([[0, 1], [1, 0]], ((0,), (1.0,)), "^block 1 holds 1.0, not a relation index$"),
+], ids=["negative", "two-blocks", "empty", "float", "beyond-labels", "string-entry",
+        "float-entry"])
 def test_relation_level_fusion_rejects_bad_input(M, blocks, message):
     with pytest.raises(ValueError, match=message):
         fuse_relation_matrix(np.array(M), blocks)

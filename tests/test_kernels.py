@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from unitary_schemes import kernels
 from unitary_schemes import scheme as scheme_mod
 from unitary_schemes.fields import SUPPORTED_Q, build_field
-from unitary_schemes.scheme import classify_pair, conjugate_index, max_dimension, scheme_rank
-from unitary_schemes.space import BUDGETS, enumerate_isotropic, isotropic_count
+from unitary_schemes.scheme import classify_pair, max_dimension, scheme_rank
+from unitary_schemes.space import BUDGETS, isotropic_count, witness_pair
 
-from _reference import RefField, assembly_differs, full_codes, isotropic_vectors, vectors
+from _reference import RefField, assembly_differs, classify, full_codes, isotropic_vectors, vectors
 
 ROW_CASES = [(n, q) for q in SUPPORTED_Q for n in (2, 3)] + [(4, 2), (4, 3)]
 MATRIX_CASES = [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4)]
@@ -103,15 +103,17 @@ def test_classify_row_matches_classify_pair(n, q, pick, get_space):
 def test_vector_kernels_agree_with_scalar_classification(n, q, get_space):
     us = get_space(n, q)
     M = kernels.classify_matrix(us.block_codes, us.tables)
+    conj = kernels.label_maps(q)[0]
     for a in range(us.size):
         x = us.point(a)
         rows = kernels.classify_row(x, us.block_codes, us.tables)
-        cols = kernels.classify_col(x, us.block_codes, us.tables)
+        cols = conj[rows]  # (y, x) lies in the converse of the relation of (x, y)
         assert np.array_equal(rows, M[a, :])
         assert np.array_equal(cols, M[:, a])
         for b in range(0, us.size, 5):
             y = us.point(b)
             assert classify_pair(us, x, y).index == M[a, b]
+            assert classify_pair(us, y, x).index == cols[b]
 
 
 @pytest.mark.parametrize("n,q,width,blocks", [
@@ -150,9 +152,15 @@ def test_rows_across_short_blocks(n, q, get_space):
 
 @pytest.mark.parametrize("q", SUPPORTED_Q)
 def test_conj_labels_follow_conjugate_index(q):
-    us = enumerate_isotropic(2, q)
-    rank = scheme_rank(4, q)
-    assert us.tables.conj_labels.tolist() == [conjugate_index(l, 4, q) for l in range(rank)]
+    """``label_maps``' conj, which ``conjugate_index`` reads, is the relation
+    of each reversed witness pair of dimension 4, classified by the
+    schoolbook oracle."""
+    F = RefField(q)
+    conj = kernels.label_maps(q)[0]
+    assert conj.size == scheme_rank(4, q)
+    for l in range(conj.size):
+        x, y = witness_pair(l, 4, q)
+        assert classify(F, [F.elements[c] for c in y], [F.elements[c] for c in x]) == conj[l]
 
 
 def test_row_kernel_rejects_non_points(get_space):
@@ -165,9 +173,8 @@ def test_row_kernel_rejects_a_non_point_inside_a_stack(get_space):
     us = get_space(3, 2)
     t = us.tables
     stack = np.stack([kernels._blocked(x, t) for x in (us.point(0), (1, 0, 0), us.point(1))])
-    for converse in (0, 1):
-        with pytest.raises(ValueError, match="not a nonzero isotropic vector"):
-            kernels._row_labels(stack, us.block_codes, t, converse)
+    with pytest.raises(ValueError, match="not a nonzero isotropic vector"):
+        kernels._row_labels(stack, us.block_codes, t)
 
 
 @pytest.mark.parametrize("n,q", ROW_CASES + [(8, 2)])
@@ -179,17 +186,13 @@ def test_stacked_rows_match_single_rows(n, q, get_space):
     rng = random.Random(n * q)
     picks = [rng.randrange(us.size) for _ in range(group + 2)]
     stack = t.digits[us.block_codes[picks]]
-    rows = kernels._row_labels(stack, us.block_codes, t, 0)
-    cols = kernels._row_labels(stack, us.block_codes, t, 1)
-    assert rows.shape == cols.shape == (len(picks), us.size)
+    rows = kernels._row_labels(stack, us.block_codes, t)
+    assert rows.shape == (len(picks), us.size)
     single = {}
     for a in picks:
         if a not in single:
-            x = us.point(a)
-            single[a] = (kernels.classify_row(x, us.block_codes, t),
-                         kernels.classify_col(x, us.block_codes, t))
-    assert np.array_equal(rows, np.stack([single[a][0] for a in picks]))
-    assert np.array_equal(cols, np.stack([single[a][1] for a in picks]))
+            single[a] = kernels.classify_row(us.point(a), us.block_codes, t)
+    assert np.array_equal(rows, np.stack([single[a] for a in picks]))
 
 
 @pytest.mark.parametrize("n,q,spot_checks", [(4, 2, 5), (3, 3, 2), (2, 4, 5), (8, 2, 1)])
@@ -206,11 +209,9 @@ def test_bruteforce_tensor_row_passes(n, q, spot_checks, get_space, monkeypatch)
 
     monkeypatch.setattr(kernels, "_row_labels", counting)
     scheme_mod._bruteforce_tensor(us, rank, seed=3)
-    # row(x), col(v) and, with a perpendicular relation, col(y) at the
+    # row(x), row(v) and, with a perpendicular relation, row(y) at the
     # witnesses; the samples are counted without the kernel
-    witness_vectors = 3 if n >= 4 else 2
-    assert witness_vectors == scheme_mod.classified_vectors(n)
-    assert sum(stacks) == witness_vectors
+    assert sum(stacks) == (3 if n >= 4 else 2)
     assert stacks == [1] * len(stacks)  # one vector per kernel call
 
 
@@ -264,7 +265,7 @@ def test_spot_check_samples_fresh_pairs(n, q, get_space, get_descriptor, monkeyp
     monkeypatch.setattr(kernels, "count_isotropic", recording)
     scheme_mod._spot_check(n, q, tensor, seed=1)
     assert len(stacks) == 1
-    width = scheme_mod.classified_vectors(n) - 1  # partners per sample
+    width = 2 if n >= 4 else 1  # partners per sample
     xs, ys = stacks[0]
     assert len(xs) == width * scheme_mod.SAMPLES_PER_RELATION
     nrel = q * q - 1
@@ -289,6 +290,7 @@ def test_scaled_product_pairs_count_like_direct_passes(n, q, get_space):
     row(g^e a) and col(b), and (g^e a, b) lies in product relation e."""
     us = get_space(n, q)
     ft, t = us.ft, us.tables
+    conj, scale, _ = kernels.label_maps(q)
     nrel = ft.order - 1
     rank = scheme_rank(n, q)
     rng = random.Random(n * q)
@@ -297,12 +299,12 @@ def test_scaled_product_pairs_count_like_direct_passes(n, q, get_space):
         row = kernels.classify_row(a, us.block_codes, t)
         b = scheme_mod._draw(ft, n, rng, a, nrel)
         assert us.hermitian_inner(a, b) == ft.one
-        col = kernels.classify_col(b, us.block_codes, t)
+        col = conj[kernels.classify_row(b, us.block_codes, t)]
         for e in range(nrel):
             ga = us.scalar_multiple(ft.exp(e), a)
             direct = scheme_mod._joint_histogram(
                 kernels.classify_row(ga, us.block_codes, t), col, rank)
-            relabelled = scheme_mod._joint_histogram(t.scale_labels[e][row], col, rank)
+            relabelled = scheme_mod._joint_histogram(scale[e][row], col, rank)
             assert np.array_equal(relabelled, direct)
             assert classify_pair(us, ga, b).index == nrel + e
 
@@ -311,8 +313,8 @@ def test_scaled_product_pairs_count_like_direct_passes(n, q, get_space):
 def test_classify_row_refuses_non_points(n, q, get_space):
     """The zero vector (index -1), a non-isotropic vector, and a
     non-isotropic vector whose computed index start[head] + rank[tail] lands
-    on another point with the same first half are refused by a row pass, a
-    column pass and a stack pass that holds one of them among points."""
+    on another point with the same first half are refused by a row pass and
+    a stack pass that holds one of them among points."""
     us = get_space(n, q)
     t = us.tables
 
@@ -328,12 +330,11 @@ def test_classify_row_refuses_non_points(n, q, get_space):
     assert index(zero) == -1 and us.point(index(lands)) != lands
     point = us.point(us.size // 2)
     for bad in (zero, others[0], lands):
-        for kernel in (kernels.classify_row, kernels.classify_col):
-            with pytest.raises(ValueError, match="^x is not a nonzero isotropic vector$"):
-                kernel(bad, us.block_codes, t)
+        with pytest.raises(ValueError, match="^x is not a nonzero isotropic vector$"):
+            kernels.classify_row(bad, us.block_codes, t)
         stack = np.stack([kernels._blocked(x, t) for x in (point, bad, point)])
         with pytest.raises(ValueError, match="^x is not a nonzero isotropic vector$"):
-            kernels._row_labels(stack, us.block_codes, t, 0)
+            kernels._row_labels(stack, us.block_codes, t)
 
 
 def test_classify_row_copies_no_block_codes(get_space):
@@ -398,7 +399,7 @@ def test_scaled_rows_are_relabelled_rows(n, q, get_space):
     rows = kernels.classify_row(x, us.block_codes, t)
     for lam in range(1, ft.order):
         scaled = kernels.classify_row(us.scalar_multiple(lam, x), us.block_codes, t)
-        assert np.array_equal(scaled, t.scale_labels[ft.log(lam)][rows])
+        assert np.array_equal(scaled, kernels.label_maps(q)[1][ft.log(lam)][rows])
 
 
 def _every_vector(ft, n):
@@ -442,8 +443,8 @@ def test_count_isotropic_matches_enumeration(n, q):
 def test_counted_histograms_equal_enumeration(n, q, get_space):
     """The spot check's oracle: at the same random a, b and c, the histograms
     counted over coordinates equal ``_column_counts`` of row(a) and the
-    columns of the partners, and give the same tensor as
-    ``_witness_tensor``."""
+    columns of the partners, the partners' rows read through conj, and give
+    the same tensor as ``_witness_tensor``."""
     us = get_space(n, q)
     ft, t = us.ft, us.tables
     nrel = ft.order - 1
@@ -454,8 +455,9 @@ def test_counted_histograms_equal_enumeration(n, q, get_space):
         partners = [scheme_mod._draw(ft, n, rng, a, h) for h in range(nrel, rank, nrel)]
         counted = scheme_mod._counted_histograms(ft, [(a, y) for y in partners], rank)
         row = kernels.classify_row(a, us.block_codes, t)
+        conj = kernels.label_maps(q)[0].astype(np.uint8)
         enumerated = np.stack([
-            scheme_mod._column_counts(row, kernels.classify_col(y, us.block_codes, t), rank)
+            scheme_mod._column_counts(row, conj[kernels.classify_row(y, us.block_codes, t)], rank)
             for y in partners])
         assert np.array_equal(counted, enumerated)
         assert np.array_equal(scheme_mod._tensor_from_histograms(q, counted)[0],
@@ -472,7 +474,7 @@ def test_column_counts_match_joint_histogram(n, q, get_space):
     rank = scheme_rank(n, q)
     rng = random.Random(n * q)
     row = kernels.classify_row(us.point(rng.randrange(us.size)), us.block_codes, t)
-    col = kernels.classify_col(us.point(rng.randrange(us.size)), us.block_codes, t)
+    col = kernels.classify_row(us.point(rng.randrange(us.size)), us.block_codes, t)
     assert row.dtype == col.dtype == np.uint8
     assert np.array_equal(scheme_mod._column_counts(row, col, rank),
                           scheme_mod._joint_histogram(row, col, rank))

@@ -120,7 +120,7 @@ def test_coordinates_must_be_element_ids(vec, get_space):
      r"coordinates of \(-1, 3\) must be field-element ids in \[0, 4\)"),
     (lambda us: kernels.classify_row((1, 99), us.block_codes, us.tables),
      r"coordinates of \(1, 99\) must be field-element ids in \[0, 4\)"),
-    (lambda us: kernels.classify_col((1, 99), us.block_codes, us.tables),
+    (lambda us: classify_pair(us, (1, 1), (1, 99)),
      r"coordinates of \(1, 99\) must be field-element ids in \[0, 4\)"),
     (lambda us: hermitian_inner(us.ft, (-1, 3), (1, 1)),
      r"coordinates of \(-1, 3\) must be field-element ids in \[0, 4\)"),
@@ -128,7 +128,7 @@ def test_coordinates_must_be_element_ids(vec, get_space):
      r"coordinates of \(-1, 3\) must be field-element ids in \[0, 4\)"),
     (lambda us: us.scalar_multiple(7, (1, 1)),
      r"scalar 7 must be a field-element id in \[0, 4\)"),
-], ids=["classify_row-negative", "classify_row-large", "classify_col-large",
+], ids=["classify_row-negative", "classify_row-large", "classify_pair-large",
         "hermitian_inner", "hyperbolic_partner", "scalar_multiple"])
 def test_element_ids_checked_by_every_entry_point(call, message, get_space):
     # (2, 2): (-1, 3) used to read as (3, 3), (1, 99) and the scalar 7 failed
