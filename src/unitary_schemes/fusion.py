@@ -20,6 +20,7 @@ import numpy as np
 from .chartable import CharTable, multiplicities
 from .kernels import label_maps
 from .scheme import SchemeDescriptor, scheme_rank
+from .space import check_int
 
 Partition = tuple[tuple[int, ...], ...]
 
@@ -36,6 +37,10 @@ class FusedTable:
 
 
 def _normalise_partition(blocks, size: int) -> Partition:
+    blocks = [tuple(block) for block in blocks]
+    for b, block in enumerate(blocks):
+        for x in block:
+            check_int(f"block {b} entry", x, FusionError)
     norm = tuple(tuple(sorted(int(x) for x in block)) for block in blocks)
     if () in norm:
         raise FusionError(f"block {norm.index(())} is empty")
@@ -66,6 +71,8 @@ def fuse(ct: CharTable, sd_or_conj, blocks) -> FusedTable:
     size = ct.size
     blocks = _normalise_partition(blocks, size)
     conj_map = sd_or_conj.conj_map if isinstance(sd_or_conj, SchemeDescriptor) else sd_or_conj
+    if len(conj_map) != size:
+        raise FusionError(f"the conjugation map has {len(conj_map)} entries for {size} relations")
     _check_conjugation_closed(blocks, conj_map)
 
     # sums[:, i, alpha]: the (A, B) parts of the sum of row i over block alpha

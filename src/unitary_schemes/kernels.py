@@ -34,24 +34,28 @@ index, and x is checked to be a point by reading its blocks back there.
 There is no column pass: (z, y) lies in the converse of the relation of
 (y, z), so a column is the row of y read through ``label_maps``' conj.
 
-``count_isotropic`` counts without the points: for a stack of pairs it
-walks through the n coordinates and returns, for every value of <x, z> and
-<z, y>, how many isotropic z of F^n take it.
+``count_isotropic`` counts by additive characters, without the points, how
+many isotropic z of F^n take each value of <x, z> and <z, y>, for pairs (x, y).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .fields import _check_ids
+from .fields import _check_ids, build_field
 
 # Elements (vectors x points) per gather in a row pass, and points per chunk
 # of a witness histogram, so that numpy's conversion of the uint16 codes or
 # keys to index arrays stays in cache.
 CHUNK = 1 << 14
+# Multiply-adds per BLAS call in ``count_isotropic`` and ``scheme._triple_counts``:
+# OpenBLAS runs a product of at most 4 * 65536 on the calling thread, and a
+# larger one wakes worker threads, which keep spinning after it returns.
+BLAS_CALL = 2**17
 
 # ---------------------------------------------------------------------------
 # isotropic scan: all nonzero vectors with zero Hermitian self-product, in
@@ -279,131 +283,87 @@ def classify_matrix(codes: np.ndarray, t: BlockTables) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# isotropic counts over coordinates, a transfer-matrix count.  For a pair
-# (x, y), the state after k coordinates counts the prefixes z in F^k by
-# their (<z, z>, <x, z>, <z, y>) over those coordinates, one cell for each
-# value in F_q x F x F; coordinate k moves every count by (N(c), x_k conj(c),
-# c conj(y_k)) for each of the q^2 values c of z_k.
+# isotropic counts by additive characters (Lidl and Niederreiter, *Finite Fields*,
+# ch. 5), modulo primes P = 1 (mod 210): each has p-th roots of unity for p <= 7.
+PRIMES = (4193701, 4192861, 4192231)
 
-# int64 cells in the state of one stack of pairs in ``count_isotropic`` (4 MB):
-# a stack holds up to 16 pairs at q = 8 and 8 at q = 9, and the two states
-# alive at once stay under about 10 MB however many pairs are counted.
-STACK_CELLS = 1 << 19
+
+def _reduce(x: np.ndarray, modulus: np.ndarray) -> np.ndarray:
+    """``x``, float64 integers below 2^51, reduced in place modulo ``modulus``."""
+    multiple = x / modulus  # within 2^-23 < 1/P of x / P, so its floor is exact
+    x -= np.multiply(np.floor(multiple, out=multiple), modulus, out=multiple)
+    return x
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, a's rows split so that no BLAS call makes over ``BLAS_CALL`` multiply-adds."""
+    rows = max(1, BLAS_CALL // (a.shape[-1] * b.shape[-1]))
+    return np.concatenate([a[..., i:i + rows, :] @ b for i in range(0, a.shape[-2], rows)], -2)
+
+
+@lru_cache(maxsize=None)
+def _character_tables(q: int, primes: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Read-only tables of ``count_isotropic`` modulo ``primes``, prime i fourth from
+    the end: ``modulus``; ``g[t, i, u' * order + v']`` = G(t, u', v'); ``relabel[j - 1,
+    u * order + v]``, the flat cell (u / conj(g^j), v / g^j); W; and q^-5 W."""
+    ft = build_field(q)
+    order, p, mul, conj, lam = ft.order, ft.p, ft.mul_table, ft.conj_table, ft.coeff_digits[:, 0]
+    modulus = np.array(primes, dtype=np.float64)[:, None, None, None]
+    roots = [next(z for a in range(2, P) if (z := pow(a, (P - 1) // p, P)) != 1) for P in primes]
+    powers = np.array([[pow(z, r, P) for r in range(p)] for z, P in zip(roots, primes)],
+                      dtype=np.float64)  # zeta^r modulo each prime
+    shift = powers[:, lam[mul[:2, ft.norm_table]]].transpose(1, 0, 2)  # zeta^lam(t N(c))
+    left = _reduce(powers[:, None, lam[mul[:, conj]]] * shift[:, :, None, None], modulus)
+    g = _reduce(_matmul(left, powers[:, None, lam[mul]]), modulus)
+    d = ft.exp_table[1:q - 1]
+    relabel = (mul[:, ft.inv_table[conj[d]]].T[:, :, None] * order
+               + mul[:, ft.inv_table[d]].T[:, None, :]).reshape(d.size, order * order)
+    w = powers[:, None, -lam[mul] % p]
+    scale = np.array([pow(q**5, -1, P) for P in primes])[:, None, None, None]
+    tables = (modulus, g.reshape(2, len(primes), -1), relabel, w, _reduce(w * scale, modulus))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def count_isotropic(ft, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """``counts[b, alpha, beta]``: the number of z in F^n, zero included,
     with <z, z> = 0, <x_b, z> = alpha and <z, y_b> = beta, for a stack of
-    pairs given as two (pairs, n) arrays of element ids.
+    pairs given as two (pairs, n) arrays of element ids, as int64.
 
-    The first two coordinates are written directly, by one ``bincount`` of
-    every prefix.  After that each pair's state is kept in coordinates of its
-    own: stored cell (a, b) holds the count of the cell M(a, b) = (x_k a,
-    conj(y_k) b) of <x, z> and <z, y>, with a - conj(b) in place of x_k a
-    when x_k = 0 and b - conj(a) in place of conj(y_k) b when y_k = 0.  M is
-    an F_q-linear bijection of F^2 that takes (conj(c), c) to the move of
-    coordinate k, so in stored coordinates every pair moves by (N(c),
-    conj(c), c): one gather index serves the whole stack, and it gathers
-    rows of one count per pair.  A pair with x_k = y_k = 0 moves only its
-    norm, by one (q, q) matrix product, and keeps its M.  The last coordinate
-    fills only the cells of norm 0.  Time O(n q^7) per pair; memory a few
-    states of q^5 counts per pair, for the pairs of one stack of at most
-    ``STACK_CELLS`` cells at a time.
-
-    Exact in int64: before the last coordinate a cell counts vectors of F^k
-    with k <= n - 1, at most q^(2n-2) of them, and after it a cell counts
-    isotropic vectors or zero, fewer than 2^63 wherever ``check_parameters``
-    admits (n, q).
+    lam(a), a's lowest coefficient digit, is F_p-linear and lam(1) = 1, so
+    zeta^lam(u a) (u in F) and zeta^lam(s t) (s in F_q) are all the additive
+    characters, and the count is q^-5 (W S W)[alpha, beta] with W[a, u] =
+    zeta^-lam(u a), S = sum_s prod_k G(s, u x_k, v conj(y_k)) and G(s, u', v')
+    = sum_c zeta^lam(s N(c) + u' conj(c) + v' c).  G(N(d), u', v') = G(1,
+    u'/conj(d), v'/d), as N(d) N(c) = N(dc), so S is H_0 plus H_1 relabelled
+    by one d of each nonzero norm, H_t being the product at s = t.  Float64
+    residues below 2^22 keep each product, and each matrix product of at most
+    q^2 = 81 terms, below 2^51 and exact.  The first primes whose product
+    passes a bound on the counts are used (all three give 2^65.9, above every
+    count where ``check_parameters`` admits (n, q)), and Garner's method
+    recovers the counts in int64 (Knuth, *TAOCP* vol. 2, 4.3.2).  Time
+    O(n q^4) per pair and prime, besides O(q^6) products.
     """
-    stacks = -(-len(xs) // max(1, STACK_CELLS // (ft.q * ft.order**2)))
-    if stacks <= 1:
-        return _count_stack(ft, xs, ys)
-    return np.concatenate([_count_stack(ft, x, y) for x, y in
-                           zip(np.array_split(xs, stacks), np.array_split(ys, stacks))])
-
-
-def _count_stack(ft, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """``count_isotropic`` for one stack of pairs."""
     pairs, n = xs.shape
-    order, q = ft.order, ft.q
-    assert order ** (n - 1) < 1 << 63, "counts before the last coordinate must fit int64"
-    add, mul, conj = ft.add_table, ft.mul_table, ft.conj_table
-    sub = add[:, ft.neg_table]  # sub[a, b] = a - b
-    ids = np.arange(order)
-    base = np.asarray(ft.base_field)
-    slot = np.zeros(order, dtype=np.int64)  # norms are kept by their place in F_q
-    slot[base] = np.arange(q)
-    square = order * order
-    ybar = conj[ys]
-
-    # every prefix of the first coordinates, by its cell
-    nu = np.zeros(1, dtype=np.int64)
-    alpha = beta = np.zeros((pairs, 1), dtype=np.int64)
-    for k in range(min(n, 2)):
-        nu = add[nu[:, None], ft.norm_table].ravel()
-        alpha = add[alpha[:, :, None], mul[xs[:, k, None, None], conj]].reshape(pairs, -1)
-        beta = add[beta[:, :, None], mul[ids, ybar[:, k, None, None]]].reshape(pairs, -1)
-    cells = (slot[nu] * square + alpha * order + beta) * pairs + np.arange(pairs)[:, None]
-    state = np.bincount(cells.ravel(), minlength=q * square * pairs).reshape(-1, pairs)
-
-    # norm_shift[t, c]: the norm that c moves to norm t; spread[t, s]: the
-    # values c that move norm s to t
-    norm_shift = slot[sub[base[:, None], ft.norm_table]]
-    spread = (norm_shift[:, :, None] == np.arange(q)).sum(axis=1)
-    # M of every pair at every later coordinate, as the cell of each stored cell
-    a, b = ids[:, None], ids[None, :]
-    x, y = xs[:, 2:, None, None], ybar[:, 2:, None, None]
-    maps = (np.where(x != 0, mul[x, a], sub[a, conj[b]]) * order
-            + np.where(y != 0, mul[y, b], sub[b, conj[a]])).reshape(pairs, -1, square)
-    columns = np.arange(pairs)
-    rows = columns[:, None]
-    cell_of = np.tile(np.arange(square), (pairs, 1))
-    stored = cell_of.copy()  # M^-1
-    for k in range(2, n):
-        moving = (xs[:, k] != 0) | (ys[:, k] != 0)
-        cell_of[moving] = maps[moving, k - 2]
-        source = stored[rows, cell_of]
-        stored[rows, cell_of] = np.arange(square)
-        # the same gather for every norm, by an index of one norm's cells
-        state = state.reshape(q, -1).take((source.T * pairs + columns).ravel(), axis=1
-                                          ).reshape(-1, pairs)
-        targets = 1 if k == n - 1 else q
-        if moving.all():
-            state = _moved(state, norm_shift[:targets], sub, conj)
-            continue
-        new = np.empty((targets * square, pairs), dtype=np.int64)
-        if moving.any():
-            # a contiguous copy, so that ``take`` copies whole rows
-            new[:, moving] = _moved(np.ascontiguousarray(state[:, moving]),
-                                    norm_shift[:targets], sub, conj)
-        new[:, ~moving] = (spread[:targets] @ state[:, ~moving].reshape(q, -1)
-                           ).reshape(targets * square, -1)
-        state = new
-    state = state.reshape(-1, pairs)[:square]  # norm 0
-    return state.T[rows, stored].reshape(pairs, order, order)
-
-
-def _moved(state: np.ndarray, norm_shift: np.ndarray, sub, conj) -> np.ndarray:
-    """The state after one coordinate, in stored coordinates: cell (t, a, b)
-    sums the cells (t - N(c), a - conj(c), b - c) over every c, for the
-    target norms of ``norm_shift``.  The values of c are gathered in groups
-    of at most ``CHUNK`` counts, and one at a time past that, when each
-    value's counts are gathered and added 4 ``CHUNK`` at a time."""
-    order = conj.size
-    targets, count = norm_shift.shape[0], state.shape[1]
-    out = np.zeros((targets * order * order, count), dtype=np.int64)
-    group = max(1, CHUNK // state.size)
-    for first in range(0, order, group):
-        c = np.arange(first, min(first + group, order))
-        rows = ((norm_shift[:, c].T[:, :, None, None] * order
-                 + sub[:, conj[c]].T[:, None, :, None]) * order
-                + sub[:, c].T[:, None, None, :])
-        rows = rows.reshape(c.size, -1)
-        if c.size > 1:
-            out += state.take(rows, axis=0).sum(axis=0)
-            continue
-        # one value of c: its gathered counts are added a block at a time
-        step = max(1, 4 * CHUNK // count)
-        for start in range(0, rows.shape[1], step):
-            out[start:start + step] += state.take(rows[0, start:start + step], axis=0)
-    return out
+    bound = (ft.q**n + 1) * (ft.q ** (n - 1) + 1)  # above the isotropic vectors and zero
+    primes = next((PRIMES[:k] for k in (1, 2, 3) if bound < math.prod(PRIMES[:k])), ())
+    assert primes, "counts must stay below the primes' product"
+    modulus, g, relabel, w, wq = _character_tables(ft.q, primes)
+    rows = ft.mul_table[xs] * ft.order  # rows[b, k, u] = (u x_k) * order
+    cols = ft.mul_table[ft.conj_table[ys]]  # cols[b, k, v] = v conj(y_k)
+    h = g.take(rows[:, 0, :, None] + cols[:, 0, None, :], axis=2)
+    for k in range(1, n):
+        h *= g.take(rows[:, k, :, None] + cols[:, k, None, :], axis=2)
+        _reduce(h, modulus)
+    s = h[0] + h[1]  # h[t, i, b, u, v] is H_t(u, v) modulo prime i
+    for cells in relabel:
+        s += h[1].reshape(len(primes), pairs, -1).take(cells, axis=2).reshape(s.shape)
+    del h  # H_t is summed into S: free it before the products
+    s = _reduce(_matmul(_reduce(s, modulus), w), modulus)
+    r = _reduce(_matmul(wq, s), modulus).astype(np.int64)
+    counts, step = r[0], 1
+    for last, P, residues in zip(primes, primes[1:], r[1:]):
+        step *= last
+        counts = counts + step * ((residues - counts) % P * pow(step, -1, P) % P)
+    return counts

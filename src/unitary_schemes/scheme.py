@@ -27,6 +27,7 @@ from .space import (
     _inner,
     _isotropic,
     check_budget,
+    check_int,
     enumerate_isotropic,
     isotropic_count,
     witness_pair,
@@ -46,10 +47,6 @@ MODES = ("bruteforce", "closed", "both")
 # so keeping that below 2^63 keeps all int64 tensor arithmetic exact.
 INT64_LIMIT = 2**63
 
-# Multiply-adds per BLAS product in ``_triple_counts``.  OpenBLAS runs a
-# product of at most 4 * 65536 multiply-adds on the calling thread; a larger
-# one wakes worker threads, which keep spinning after it returns.
-BLAS_CALL = 2**17
 # float64 entries in the indicator stack of one row block of
 # ``_triple_counts`` (256 KB, so that a block stays in cache)
 ROW_BLOCK = 2**15
@@ -127,6 +124,7 @@ class SchemeDescriptor:
 
 def scheme_rank(n: int, q: int) -> int:
     """Number of relations: 2q^2-2 in dimensions 2 and 3, 2q^2-1 above."""
+    check_int("n", n)
     if n < 2:
         raise ValueError("n must be >= 2")
     return 2 * q * q - 2 if n <= 3 else 2 * q * q - 1
@@ -140,6 +138,7 @@ def conjugate_index(l: int, n: int, q: int) -> int:
     """Index of the reversed relation: scalar e -> -e, product e -> q*e, perp
     fixed (``kernels.label_maps``)."""
     rank = scheme_rank(n, q)
+    check_int("l", l)
     if not 0 <= l < rank:
         raise ValueError(f"relation index {l} out of range [0, {rank - 1}]")
     return int(kernels.label_maps(q)[0][l])
@@ -202,7 +201,8 @@ def intersection_number_closed(n: int, q: int, h: int, i: int, j: int) -> int:
     check_parameters(n, q)
     rank = scheme_rank(n, q)
     last = 2 * (q * q - 1)
-    for l in (h, i, j):
+    for name, l in zip("hij", (h, i, j)):
+        check_int(name, l)
         if not 0 <= l < rank:
             if l == last and n <= 3:
                 raise ValueError("perpendicular relation requires dimension >= 4")
@@ -374,7 +374,8 @@ def _draw(ft, n: int, rng: random.Random, a=None, relation: int | None = None
 def _counted_histograms(ft, pairs, rank: int) -> np.ndarray:
     """``H[b, i, j]`` counts the points z with (x, z) in relation i and
     (z, y) in relation j, for each pair (x, y) of independent points, by
-    ``kernels.count_isotropic`` and without the points.
+    ``kernels.count_isotropic``, a character sum over the coordinates, and
+    without the points.
 
     The count sorts every isotropic z, zero included, by <x, z> and <z, y>,
     which give the product label or, at 0, the perpendicular one.  Then
@@ -709,7 +710,7 @@ def _triple_counts(M: np.ndarray, st: _Structure) -> tuple[np.ndarray, np.ndarra
     x's packed counts for every (i, y) are then one product onehot_x @ P of
     its (rank, N) indicator matrix and P[z, y] = B^(M[z, y] - g0), taken for
     a block of rows at once as a stack of per-row products of at most
-    ``BLAS_CALL`` multiply-adds, each compared whole with the packed counts
+    ``kernels.BLAS_CALL`` multiply-adds, each compared whole with the packed counts
     of the representative of M[x, y]; digits are unpacked only where the two
     differ.  Time O(G rank N^3) multiply-adds over G = ceil(rank / w) digit
     groups; memory O(N^2 + rank^3 + ROW_BLOCK + N rank).
@@ -727,7 +728,7 @@ def _triple_counts(M: np.ndarray, st: _Structure) -> tuple[np.ndarray, np.ndarra
         width += 1
     assert base**width <= 2**53, "packed counts must stay exact in float64"
     rows_per_block = max(1, ROW_BLOCK // (count * rank))
-    columns_per_product = max(1, BLAS_CALL // (count * rank))
+    columns_per_product = max(1, kernels.BLAS_CALL // (count * rank))
     indicator = np.eye(rank)
     powers = np.empty((count, count))
     packed = powers.T  # packed[y, z] = B^(M[z, y] - g0), one digit group at a time
@@ -837,9 +838,18 @@ def verify_relation_matrix(M: np.ndarray, rank: int | None = None,
     return AxiomReport(passed=all(ok for _, ok, _ in checks), checks=checks)
 
 
+def _check_same_space(us: UnitarySpace, sd: SchemeDescriptor) -> None:
+    if (us.n, us.q) != (sd.n, sd.q):
+        raise ValueError(f"the descriptor of (n, q) = ({sd.n}, {sd.q}) does not describe the"
+                         f" space of (n, q) = ({us.n}, {us.q})")
+
+
 def verify_scheme_axioms(us: UnitarySpace, sd: SchemeDescriptor | None = None,
                          seed: int = 0) -> AxiomReport:
-    """Exhaustively classify all pairs and check the scheme axioms."""
+    """Exhaustively classify all pairs and check the scheme axioms; a
+    descriptor of another (n, q) raises a ``ValueError``."""
+    if sd is not None:
+        _check_same_space(us, sd)
     return verify_relation_matrix(relation_matrix(us), sd=sd, seed=seed)
 
 
@@ -849,7 +859,9 @@ def verify_scheme_axioms(us: UnitarySpace, sd: SchemeDescriptor | None = None,
 
 def build_adjacency_matrices(us: UnitarySpace, sd: SchemeDescriptor) -> list[np.ndarray]:
     """0/1 adjacency matrices of all relations, verified to span the algebra:
-    A_i A_j = sum_h p_ij^h A_h holds exactly."""
+    A_i A_j = sum_h p_ij^h A_h holds exactly.  A descriptor of another
+    (n, q) raises a ``ValueError``."""
+    _check_same_space(us, sd)
     check_budget("dense", us.size)
     M = kernels.classify_matrix(us.block_codes, us.tables)
     st = _structure(M, sd.rank)
@@ -905,8 +917,7 @@ def fuse_relation_matrix(M: np.ndarray, blocks) -> np.ndarray:
     block_of = {}
     for b, block in enumerate(blocks):
         for l in block:
-            if not isinstance(l, (int, np.integer)):
-                raise ValueError(f"block {b} holds {l!r}, not a relation index")
+            check_int(f"block {b} entry", l)
             if not 0 <= l <= high:
                 raise ValueError(f"relation {l} is not a label of the matrix, 0..{high}")
             if l in block_of:

@@ -36,6 +36,12 @@ def check_budget(name: str, amount: int) -> None:
                          f"{_decimal(limit)}")
 
 
+def check_int(name: str, value, error: type[ValueError] = ValueError) -> None:
+    """Refuse ``value``, naming it, unless it is an int or a numpy integer (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, not {value!r}")
+
+
 def _decimal(x: int) -> str:
     """``x`` in decimal below 10^100, else ``10^k`` or ``over 10^k``: Python
     refuses to print an int of more than 4300 digits."""
@@ -49,6 +55,7 @@ def _decimal(x: int) -> str:
 
 def isotropic_count(n: int, q: int) -> int:
     """Closed-form size of the set of nonzero isotropic vectors in F_{q^2}^n."""
+    check_int("n", n)
     if n < 0:
         raise ValueError("dimension must be non-negative")
     if n <= 1:
@@ -193,7 +200,7 @@ def _witness_vectors(n: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return x, hyperbolic_partner(ft, n, x)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed, so that 1.0 and True miss the entry of 1
 def witness_pair(l: int, n: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """A canonical ordered pair of isotropic vectors lying in relation l.
 
@@ -207,6 +214,7 @@ def witness_pair(l: int, n: int, q: int) -> tuple[tuple[int, ...], tuple[int, ..
     ft = build_field(q)
     nrel = ft.order - 1
     last = 2 * nrel
+    check_int("l", l)
     if not 0 <= l <= last:
         raise ValueError(f"relation index {l} out of range [0, {last}]")
     x, v = _witness_vectors(n, q)

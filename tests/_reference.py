@@ -16,10 +16,12 @@ sampled constancy check one pick at a time, against the row blocks, packed
 products and batched histograms of the library's relation-matrix
 validators.  The third writes
 integer blocks by one ``%`` pass, against the library's table of decimal
-words.  The last two sections hold the character-table identities as one
+words.  The next two sections hold the character-table identities as one
 four-product Z[w] matrix product at a time, against the library's batched
 three-product form, and the spot check's assembled tensor, against its
-slice-by-slice check.
+slice-by-slice check.  The last counts isotropic vectors by a transfer
+matrix over the coordinates, on the library's field tables, against its
+count by additive characters.
 """
 
 import functools
@@ -544,3 +546,94 @@ def assembly_differs(q, tensor):
     nrel = q * q - 1
     slices = tensor[np.arange(nrel, tensor.shape[0], nrel)]
     return (_tensor_from_histograms(q, slices)[0] != tensor).any(axis=(1, 2))
+
+
+# ---------------------------------------------------------------------------
+# Isotropic counts by a transfer matrix over the coordinates: the state after
+# k coordinates counts the prefixes z in F^k by their (<z, z>, <x, z>,
+# <z, y>) over those coordinates, one cell for each value in F_q x F x F, and
+# coordinate k moves every count by (N(c), x_k conj(c), c conj(y_k)) for each
+# of the q^2 values c of z_k.
+
+
+def count_isotropic_transfer(ft, xs, ys):
+    """``kernels.count_isotropic`` by the transfer matrix, for a stack of pairs.
+
+    The first two coordinates are written directly, by one ``bincount`` of
+    every prefix.  After that each pair's state is kept in coordinates of its
+    own: stored cell (a, b) holds the count of the cell M(a, b) = (x_k a,
+    conj(y_k) b) of <x, z> and <z, y>, with a - conj(b) in place of x_k a
+    when x_k = 0 and b - conj(a) in place of conj(y_k) b when y_k = 0.  M is
+    an F_q-linear bijection of F^2 that takes (conj(c), c) to the move of
+    coordinate k, so in stored coordinates every pair moves by (N(c),
+    conj(c), c), and one gather index serves the whole stack.  A pair with
+    x_k = y_k = 0 moves only its norm and keeps its M.  The last coordinate
+    fills only the cells of norm 0.  Exact in int64: before the last
+    coordinate a cell counts at most q^(2n-2) vectors of F^(n-1).
+    """
+    pairs, n = xs.shape
+    order, q = ft.order, ft.q
+    assert order ** (n - 1) < 1 << 63, "counts before the last coordinate must fit int64"
+    add, mul, conj = ft.add_table, ft.mul_table, ft.conj_table
+    sub = add[:, ft.neg_table]  # sub[a, b] = a - b
+    ids = np.arange(order)
+    base = np.asarray(ft.base_field)
+    slot = np.zeros(order, dtype=np.int64)  # norms are kept by their place in F_q
+    slot[base] = np.arange(q)
+    square = order * order
+    ybar = conj[ys]
+
+    # every prefix of the first coordinates, by its cell
+    nu = np.zeros(1, dtype=np.int64)
+    alpha = beta = np.zeros((pairs, 1), dtype=np.int64)
+    for k in range(min(n, 2)):
+        nu = add[nu[:, None], ft.norm_table].ravel()
+        alpha = add[alpha[:, :, None], mul[xs[:, k, None, None], conj]].reshape(pairs, -1)
+        beta = add[beta[:, :, None], mul[ids, ybar[:, k, None, None]]].reshape(pairs, -1)
+    cells = (slot[nu] * square + alpha * order + beta) * pairs + np.arange(pairs)[:, None]
+    state = np.bincount(cells.ravel(), minlength=q * square * pairs).reshape(-1, pairs)
+
+    # norm_shift[t, c]: the norm that c moves to norm t; spread[t, s]: the
+    # values c that move norm s to t
+    norm_shift = slot[sub[base[:, None], ft.norm_table]]
+    spread = (norm_shift[:, :, None] == np.arange(q)).sum(axis=1)
+    # M of every pair at every later coordinate, as the cell of each stored cell
+    a, b = ids[:, None], ids[None, :]
+    x, y = xs[:, 2:, None, None], ybar[:, 2:, None, None]
+    maps = (np.where(x != 0, mul[x, a], sub[a, conj[b]]) * order
+            + np.where(y != 0, mul[y, b], sub[b, conj[a]])).reshape(pairs, -1, square)
+    columns = np.arange(pairs)
+    rows = columns[:, None]
+    cell_of = np.tile(np.arange(square), (pairs, 1))
+    stored = cell_of.copy()  # M^-1
+    for k in range(2, n):
+        moving = (xs[:, k] != 0) | (ys[:, k] != 0)
+        cell_of[moving] = maps[moving, k - 2]
+        source = stored[rows, cell_of]
+        stored[rows, cell_of] = np.arange(square)
+        # the same gather for every norm, by an index of one norm's cells
+        state = state.reshape(q, -1).take((source.T * pairs + columns).ravel(), axis=1
+                                          ).reshape(-1, pairs)
+        targets = 1 if k == n - 1 else q
+        new = np.empty((targets * square, pairs), dtype=np.int64)
+        # a contiguous copy, so that ``take`` copies whole rows
+        new[:, moving] = _transfer_moved(np.ascontiguousarray(state[:, moving]),
+                                         norm_shift[:targets], sub, conj)
+        new[:, ~moving] = (spread[:targets] @ state[:, ~moving].reshape(q, -1)
+                           ).reshape(targets * square, -1)
+        state = new
+    state = state.reshape(-1, pairs)[:square]  # norm 0
+    return state.T[rows, stored].reshape(pairs, order, order)
+
+
+def _transfer_moved(state, norm_shift, sub, conj):
+    """The state after one coordinate, in stored coordinates: cell (t, a, b)
+    sums the cells (t - N(c), a - conj(c), b - c) over every c, for the
+    target norms of ``norm_shift``."""
+    order = conj.size
+    out = np.zeros((norm_shift.shape[0] * order * order, state.shape[1]), dtype=np.int64)
+    for c in range(order):
+        rows = ((norm_shift[:, c, None, None] * order + sub[:, conj[c], None]) * order
+                + sub[:, c]).ravel()
+        out += state.take(rows, axis=0)
+    return out

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,22 @@ def test_malformed_partitions(get_table, get_descriptor):
         fuse(ct, sd, ((0,), (1, 3), (2,), (4, 5), (6,)))
 
 
+@pytest.mark.parametrize("entry", [1.7, "1", True, np.float64(1)])
+def test_partition_entries_must_be_integers(entry, get_table):
+    """Entries are checked, not coerced: 1.7 would otherwise fuse as 1."""
+    with pytest.raises(FusionError, match=f"^block 1 entry must be an integer, not {re.escape(repr(entry))}$"):
+        fuse(get_table(3), [0, 2, 1, 3, 5, 4], [(0,), (entry, 2), (3,), (4, 5)])
+
+
+@pytest.mark.parametrize("conj", [[0, 2, 1, 3, 5], [0, 2, 1, 3, 5, 4, 9]], ids=["short", "long"])
+def test_conjugation_map_must_cover_the_relations(conj, get_table):
+    with pytest.raises(FusionError, match=f"^the conjugation map has {len(conj)} entries for 6 "
+                                          "relations$"):
+        fuse(get_table(3), conj, [(0,), (1, 2), (3,), (4, 5)])
+    assert fuse(get_table(3), conj[:5] + [4], [(0,), (1, 2), (3,), (4, 5)]).blocks == (
+        (0,), (1, 2), (3,), (4, 5))
+
+
 @pytest.mark.parametrize("n,blocks,empty", [
     (2, ((0,), (1, 2), (), (3, 4, 5)), 2),
     (2, ((0,), (1, 2), (3, 4, 5), ()), 3),
@@ -242,10 +260,11 @@ def test_relation_level_fusion_needs_every_label(get_space):
     (np.zeros((0, 0), dtype=np.int64), ((0,),), "^relation matrix is empty$"),
     ([[0.0, 1.0], [1.0, 0.0]], ((0,), (1,)), "^relation labels must be integers$"),
     ([[0, 1], [1, 0]], ((0,), (5,), (1,)), r"^relation 5 is not a label of the matrix, 0\.\.1$"),
-    ([[0, 1], [1, 0]], [["a"], [1]], "^block 0 holds 'a', not a relation index$"),
-    ([[0, 1], [1, 0]], ((0,), (1.0,)), "^block 1 holds 1.0, not a relation index$"),
+    ([[0, 1], [1, 0]], [["a"], [1]], "^block 0 entry must be an integer, not 'a'$"),
+    ([[0, 1], [1, 0]], ((0,), (1.0,)), "^block 1 entry must be an integer, not 1.0$"),
+    ([[0, 1], [1, 0]], ((0,), (True,)), "^block 1 entry must be an integer, not True$"),
 ], ids=["negative", "two-blocks", "empty", "float", "beyond-labels", "string-entry",
-        "float-entry"])
+        "float-entry", "bool-entry"])
 def test_relation_level_fusion_rejects_bad_input(M, blocks, message):
     with pytest.raises(ValueError, match=message):
         fuse_relation_matrix(np.array(M), blocks)

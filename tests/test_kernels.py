@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -13,13 +14,16 @@ from unitary_schemes.fields import SUPPORTED_Q, build_field
 from unitary_schemes.scheme import classify_pair, max_dimension, scheme_rank
 from unitary_schemes.space import BUDGETS, isotropic_count, witness_pair
 
-from _reference import RefField, assembly_differs, classify, full_codes, isotropic_vectors, vectors
+from _reference import (RefField, assembly_differs, classify, count_isotropic_transfer, full_codes,
+                        isotropic_vectors, vectors)
 
 ROW_CASES = [(n, q) for q in SUPPORTED_Q for n in (2, 3)] + [(4, 2), (4, 3)]
 MATRIX_CASES = [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4)]
 # the acceptance suite's oracle grid
 ORACLE_GRID = [(n, q) for q in (2, 3) for n in (2, 3, 4, 5) if (n, q) != (5, 3)]
 DRAW_CASES = [(2, 2), (3, 2), (4, 2), (2, 3)]
+# every (n, q) that ``check_parameters`` admits
+ADMITTED = [(n, q) for q in SUPPORTED_Q for n in range(2, max_dimension(q) + 1)]
 SCAN_CASES = [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)]
 
 
@@ -415,7 +419,8 @@ def _products(ft, x, vs):
     return acc
 
 
-@pytest.mark.parametrize("n,q", [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (2, 4), (3, 4)])
+@pytest.mark.parametrize("n,q", [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (4, 3), (2, 4),
+                                 (3, 4)])
 def test_count_isotropic_matches_enumeration(n, q):
     """Any x and y, zero coordinates and zero vectors included: the count
     is the histogram of (<x, z>, <z, y>) over the isotropic z of F^n."""
@@ -517,12 +522,40 @@ def test_hyperplane_points_cover_each_hyperplane_once(n, q, get_space):
 
 @pytest.mark.parametrize("q", SUPPORTED_Q)
 def test_count_isotropic_stays_inside_int64(q):
-    """At the largest admitted n, a count before the last coordinate is at
-    most q^(2n-2) <= 0.17 * 2^63, and one after it at most the isotropic
-    vectors and zero, below 2^63."""
+    """Each prime is a prime = 1 (mod 210) below 2^22, so it has p-th roots of
+    unity for every p and a matrix product of 81 residues is exact in
+    float64; at the largest admitted n the primes' product exceeds every
+    count, and so does the bound by which the kernel picks its primes."""
+    for prime in kernels.PRIMES:
+        assert prime < 2**22 and prime % 210 == 1
+        assert all(prime % d for d in range(2, math.isqrt(prime) + 1))
+        assert 81 * (prime - 1) ** 2 < 2**51
     n = max_dimension(q)
-    assert 100 * q ** (2 * n - 2) <= 17 * 2**63
-    assert isotropic_count(n, q) + 1 < 2**63
+    assert isotropic_count(n, q) + 1 < 2**63 < math.prod(kernels.PRIMES)
+    assert (q**n + 1) * (q ** (n - 1) + 1) < math.prod(kernels.PRIMES)
+
+
+@pytest.mark.parametrize("n,q", ADMITTED)
+def test_count_isotropic_matches_transfer_matrix(n, q):
+    """At every admitted (n, q), the character sum equals the transfer-matrix
+    count, dtype included, at two pairs drawn as the spot check draws them
+    and one pair with zero coordinates."""
+    ft = build_field(q)
+    nrel = ft.order - 1
+    rng = random.Random(n * q)
+    pairs = []
+    while len(pairs) < 2:
+        a = scheme_mod._draw(ft, n, rng)
+        pairs += [(a, scheme_mod._draw(ft, n, rng, a, h))
+                  for h in range(nrel, scheme_rank(n, q), nrel)]
+    pairs = pairs[:2] + [tuple([rng.randrange(ft.order) if rng.random() < 0.5 else 0
+                                for _ in range(n)] for _ in range(2))]
+    xs = np.array([x for x, _ in pairs])
+    ys = np.array([y for _, y in pairs])
+    got = kernels.count_isotropic(ft, xs, ys)
+    want = count_isotropic_transfer(ft, xs, ys)
+    assert got.dtype == want.dtype == np.int64
+    assert np.array_equal(got, want)
 
 
 def test_one_count_sorts_every_isotropic_vector():
@@ -577,39 +610,16 @@ def test_spot_check_names_the_first_assembled_difference(n, q, get_descriptor):
 
 def test_spot_check_holds_no_second_tensor():
     """At rank 160 the spot check allocates under a quarter of the 31 MB
-    tensor it checks: the samples are counted in bounded stacks and the
-    assembly is checked slice by slice."""
-    tensor = scheme_mod._closed_tensor(3, 9)
-    tracemalloc.start()
-    try:
-        scheme_mod._spot_check(3, 9, tensor, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < tensor.nbytes // 4
-
-
-@pytest.mark.parametrize("chunk,cells", [(8, 1), (64, 600), (1 << 14, 1 << 30)])
-def test_count_isotropic_in_stacks_and_blocks(chunk, cells, monkeypatch):
-    """The counts do not depend on how the pairs are split into stacks or
-    how each value's gathered counts are split into blocks."""
-    n, q = 4, 3
-    ft = build_field(q)
-    rng = random.Random(5)
-    xs = np.array([[rng.randrange(ft.order) if rng.random() < 0.7 else 0 for _ in range(n)]
-                   for _ in range(9)] + [[0] * n])
-    ys = np.array([[rng.randrange(ft.order) if rng.random() < 0.7 else 0 for _ in range(n)]
-                   for _ in range(10)])
-    zs = _every_vector(ft, n)
-    norms = np.zeros(len(zs), dtype=np.int64)
-    for k in range(n):
-        norms = ft.add_table[norms, ft.norm_table[zs[:, k]]]
-    isotropic = zs[norms == 0]
-    monkeypatch.setattr(kernels, "CHUNK", chunk)
-    monkeypatch.setattr(kernels, "STACK_CELLS", cells)
-    got = kernels.count_isotropic(ft, xs, ys)
-    for x, y, counts in zip(xs, ys, got):
-        alpha = _products(ft, x, isotropic)
-        beta = ft.conj_table[_products(ft, y, isotropic)]
-        want = np.bincount(alpha * ft.order + beta, minlength=ft.order**2)
-        assert np.array_equal(counts.ravel(), want), (x, y)
+    tensor it checks: the samples are counted a coordinate at a time and the
+    assembly is checked slice by slice.  At rank 161 it stays within 7.9 MiB
+    at (4, 9) and 9.4 MiB at (10, 9), which a count gathering the cells of
+    every coordinate at once passes."""
+    for n, limit in ((3, None), (4, 7.9), (10, 9.4)):
+        tensor = scheme_mod._closed_tensor(n, 9)
+        tracemalloc.start()
+        try:
+            scheme_mod._spot_check(n, 9, tensor, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (tensor.nbytes // 4 if limit is None else limit * 2**20), n

@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -25,7 +26,8 @@ from unitary_schemes.scheme import (
     verify_relation_matrix,
     verify_scheme_axioms,
 )
-from unitary_schemes.space import witness_pair
+from unitary_schemes.fusion import canonical_fusions
+from unitary_schemes.space import isotropic_count, witness_pair
 
 from _reference import (RefField, assert_matches_decomposition, assert_same_structure,
                         intersection_number_bruteforce, isotropic_vectors,
@@ -308,6 +310,12 @@ def test_axioms_exhaustive(n, q, get_space, get_descriptor):
     assert report.passed, report.failing()
 
 
+def test_axioms_refuse_a_descriptor_of_another_space(get_space, get_descriptor):
+    with pytest.raises(ValueError, match=r"^the descriptor of \(n, q\) = \(3, 2\) does not "
+                                         r"describe the space of \(n, q\) = \(2, 2\)$"):
+        verify_scheme_axioms(get_space(2, 2), get_descriptor(3, 2))
+
+
 def test_axiom_budget(get_space):
     us = get_space(4, 3)
     with pytest.raises(ValueError, match="^5017600 pairs exceed the pairs budget of 5000000$"):
@@ -345,6 +353,35 @@ def test_adjacency_matrices(get_space, get_descriptor):
     assert np.array_equal(mats[1].T, mats[2])  # conjugate scalar relations
     # closure is verified inside; (4,2) exercises the non-trivial sizes
     build_adjacency_matrices(get_space(4, 2), get_descriptor(4, 2))
+
+
+def test_adjacency_refuses_a_descriptor_of_another_space(get_space, get_descriptor):
+    with pytest.raises(ValueError, match=r"^the descriptor of \(n, q\) = \(3, 2\) does not "
+                                         r"describe the space of \(n, q\) = \(2, 2\)$"):
+        build_adjacency_matrices(get_space(2, 2), get_descriptor(3, 2))
+
+
+@pytest.mark.parametrize("call,name,good,bad", [
+    (lambda n: isotropic_count(n, 2), "n", 3, 2.5),
+    (lambda n: isotropic_count(n, 2), "n", 3, True),
+    (lambda n: scheme_rank(n, 2), "n", 4, 2.5),
+    (lambda n: canonical_fusions(n), "n", 3, 2.5),
+    (lambda l: witness_pair(l, 2, 2), "l", 1, 1.5),
+    (lambda l: witness_pair(l, 2, 2), "l", 1, True),
+    (lambda l: conjugate_index(l, 2, 2), "l", 1, 1.0),
+    (lambda l: conjugate_index(l, 2, 2), "l", 1, True),
+    (lambda h: intersection_number_closed(2, 2, h, 0, 0), "h", 0, np.float64(0)),
+    (lambda j: intersection_number_closed(2, 2, 0, 0, j), "j", 1, 1.0),
+], ids=["count-float", "count-bool", "rank-float", "fusions-float", "witness-float",
+        "witness-bool", "conjugate-float", "conjugate-bool", "closed-h-numpy-float",
+        "closed-j-float"])
+def test_integer_arguments_are_checked_not_coerced(call, name, good, bad):
+    """An int or a numpy integer is taken as it is; a float, a numpy float or
+    a bool is refused with a ``ValueError`` naming the argument, even where
+    it equals an integer (and ``witness_pair`` has cached that integer)."""
+    assert call(np.int64(good)) == call(good)
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, not {re.escape(repr(bad))}$"):
+        call(bad)
 
 
 def test_adjacency_budget(get_space, get_descriptor):
