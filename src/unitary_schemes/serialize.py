@@ -10,7 +10,10 @@ in [0, 2^12) into a cached table of decimal words and the others after one
 sort, and the words are gathered and joined.  ASCII text is read back by one
 int64 conversion; other text, or a block that this conversion or a check on
 its result rejects, is read line by line with ``int``, which names the
-failing line.
+failing line.  A character table is read in one scan: one match of its
+joined entries, one split and one ``int`` pass.  ``mode`` must be one of
+``MODES``, ``commutative`` true or false, a ``witness`` three relations in
+[0, rank) after ``commutative false``.
 
 The relation-matrix format is the small-scheme exchange layout: a header
 line "points rank" followed by one whitespace-separated integer row per
@@ -27,12 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chartable import CharTable
-from .scheme import SchemeDescriptor, check_labels, is_commutative
+from .scheme import MODES, SchemeDescriptor, check_labels, is_commutative
 
 FORMAT_LINE = "unitary-scheme-document 1"
 REQUIRED_FIELDS = ("n", "q", "rank", "order", "mode", "seed")
 # a character-table entry A + B w of Z[w], as document_from_chartable writes it
-_ENTRY = re.compile(r"(-?[0-9]+)([+-])([0-9]+)\*w")
+_ENTRY = r"-?[0-9]+[+-][0-9]+\*w"
+_TABLE = re.compile(f"{_ENTRY}(?: {_ENTRY})*")
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,8 +91,9 @@ def chartable_from_document(doc: SchemeDocument) -> CharTable:
     decimal integers A, B, has valencies or multiplicities of another length
     or not all positive, multiplicities not summing to the order, a row 0
     other than the valencies or a column 0 other than all ones raises a
-    ValueError naming the field.  These checks cost O(rank) beyond the
-    parse; the table identities are left to ``verify_orthogonality``."""
+    ValueError naming the field.  The table is read in one scan, and walked
+    entry by entry only to name a failure; its identities are left to
+    ``verify_orthogonality``."""
     if doc.chartable is None or doc.multiplicities is None:
         raise ValueError("document carries no character table")
     if doc.valencies is None:
@@ -108,21 +113,26 @@ def chartable_from_document(doc: SchemeDocument) -> CharTable:
     if sum(doc.multiplicities) != doc.order:
         raise ValueError(f"multiplicities sum to {sum(doc.multiplicities)}, "
                          f"the order line says {doc.order}")
-    p = np.zeros((2, size, size), dtype=object)
-    for i, row in enumerate(doc.chartable):  # eigenvalues of integer matrices
-        for j, text in enumerate(row):
-            match = _ENTRY.fullmatch(text)
-            if match is None:
-                raise ValueError(f"chartable row {i}, column {j}: {text} is not in Z[w]")
-            a, sign, b = match.groups()
-            p[:, i, j] = int(a), int(sign + b)
-    for j, k in enumerate(doc.valencies):  # row 0 of P is the valencies
-        if (p[0, 0, j], p[1, 0, j]) != (k, 0):
-            raise ValueError(f"valencies: chartable row 0, column {j} is "
-                             f"{doc.chartable[0][j]}, the valency is {k}")
-    for i in range(size):  # column 0 of P is all ones
-        if (p[0, i, 0], p[1, i, 0]) != (1, 0):
-            raise ValueError(f"chartable row {i}, column 0: {doc.chartable[i][0]} is not 1")
+    text = " ".join([" ".join(row) for row in doc.chartable])
+    # a matched text has no space inside an entry, so it splits into A, +-B words
+    words = (text.replace("*w", "").replace("-", " -").replace("+", " ").split()
+             if _TABLE.fullmatch(text) else ())
+    if len(words) != 2 * size * size:  # some entry is not "A+B*w": name the first
+        for i, row in enumerate(doc.chartable):
+            for j, entry in enumerate(row):
+                if re.fullmatch(_ENTRY, entry) is None:
+                    raise ValueError(f"chartable row {i}, column {j}: {entry} is not in Z[w]")
+    values = list(map(int, words))  # eigenvalues of integer matrices
+    a, b = values[0::2], values[1::2]
+    if a[:size] != list(doc.valencies) or a[::size] != [1] * size or any(b[:size] + b[::size]):
+        for j, k in enumerate(doc.valencies):  # row 0 of P is the valencies
+            if (a[j], b[j]) != (k, 0):
+                raise ValueError(f"valencies: chartable row 0, column {j} is "
+                                 f"{doc.chartable[0][j]}, the valency is {k}")
+        for i in range(size):  # column 0 of P is all ones
+            if (a[i * size], b[i * size]) != (1, 0):
+                raise ValueError(f"chartable row {i}, column 0: {doc.chartable[i][0]} is not 1")
+    p = np.array((a, b), dtype=object).reshape(2, size, size)
     return CharTable(p=p, multiplicities=doc.multiplicities,
                      valencies=doc.valencies, order=doc.order)
 
@@ -185,6 +195,8 @@ def parse_document(text: str) -> SchemeDocument:
             if key in ("n", "q", "rank", "order", "seed"):
                 fields[key] = int(rest)
             elif key == "mode":
+                if rest not in MODES:
+                    raise ValueError(f"mode must be one of {MODES}, not {rest!r}")
                 fields["mode"] = rest
             elif key == "valencies":
                 fields["valencies"] = tuple(int(x) for x in rest.split())
@@ -197,15 +209,15 @@ def parse_document(text: str) -> SchemeDocument:
                 count = int(rest)
                 block_end = _block_end(lines, pos, count, key)
                 entries = _int_rows(lines[pos:block_end], 4) if text.isascii() else None
-                if entries is None or ((entries[:, :3] < 0) | (entries[:, :3] >= rank)).any():
+                # a negative index reads as >= 2^63 in the uint64 view
+                if entries is None or (entries[:, :3].view(np.uint64) >= rank).any():
                     quads = []  # line by line, to name the failing line
                     for _ in range(count):
                         quad = _line_ints(lines[pos])
                         if len(quad) != 4:
                             raise ValueError(f"tensor line has {len(quad)} integers, "
                                              "expected 4 (h i j value)")
-                        h, i, j, _ = quad
-                        if not (0 <= h < rank and 0 <= i < rank and 0 <= j < rank):
+                        if not all(0 <= x < rank for x in quad[:3]):
                             raise ValueError(f"tensor index out of range [0, {rank}) "
                                              f"in {lines[pos]!r}")
                         quads.append(quad)
@@ -215,19 +227,22 @@ def parse_document(text: str) -> SchemeDocument:
                 entries.setflags(write=False)
                 fields["tensor_entries"] = entries
             elif key == "commutative":
+                if rest not in ("true", "false"):
+                    raise ValueError(f"commutative must be true or false, not {rest!r}")
                 fields["commutative"] = rest == "true"
             elif key == "witness":
-                fields["witness"] = tuple(int(x) for x in rest.split())
+                witness = tuple(int(x) for x in rest.split())
+                if (fields.get("commutative") is not False or len(witness) != 3
+                        or not all(0 <= x < fields.get("rank", 0) for x in witness)):
+                    raise ValueError("witness must be 3 relations in [0, rank), "
+                                     "after a commutative false line")
+                fields["witness"] = witness
             elif key == "fusion":
                 fields["fusion"] = rest
             elif key == "chartable":
-                count = int(rest)
-                block_end = _block_end(lines, pos, count, key)
-                rows = []
-                for _ in range(count):
-                    rows.append(tuple(lines[pos].split()))
-                    pos += 1
-                fields["chartable"] = tuple(rows)
+                block_end = _block_end(lines, pos, int(rest), key)
+                fields["chartable"] = tuple(tuple(row.split()) for row in lines[pos:block_end])
+                pos = block_end
             elif key == "multiplicities":
                 fields["multiplicities"] = tuple(int(x) for x in rest.split())
             else:

@@ -19,20 +19,22 @@ integer blocks by one ``%`` pass, against the library's table of decimal
 words.  The next two sections hold the character-table identities as one
 four-product Z[w] matrix product at a time, against the library's batched
 three-product form, and the spot check's assembled tensor, against its
-slice-by-slice check.  The last counts isotropic vectors by a transfer
+slice-by-slice check.  The next counts isotropic vectors by a transfer
 matrix over the coordinates, on the library's field tables, against its
-count by additive characters.
+count by additive characters.  The last reads a character-table document
+one entry at a time, against the library's one scan of the whole table.
 """
 
 import functools
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
 
 from unitary_schemes import kernels
-from unitary_schemes.chartable import second_eigenmatrix
+from unitary_schemes.chartable import CharTable, second_eigenmatrix
 from unitary_schemes.eisenstein import Eisenstein
 from unitary_schemes.scheme import _Structure, _tensor_from_histograms, check_labels, scheme_rank
 from unitary_schemes.space import witness_pair
@@ -637,3 +639,51 @@ def _transfer_moved(state, norm_shift, sub, conj):
                 + sub[:, c]).ravel()
         out += state.take(rows, axis=0)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Character-table documents, one entry at a time
+
+_ENTRY = re.compile(r"(-?[0-9]+)([+-])([0-9]+)\*w")
+
+
+def chartable_from_document(doc):
+    """``serialize.chartable_from_document`` by one ``fullmatch``, two ``int``
+    calls and one object-array write per entry, then row 0 and column 0
+    checked one element at a time."""
+    if doc.chartable is None or doc.multiplicities is None:
+        raise ValueError("document carries no character table")
+    if doc.valencies is None:
+        raise ValueError("document carries no valencies")
+    size = len(doc.chartable)
+    if size != doc.rank or size == 0:
+        raise ValueError(f"chartable has {size} rows, the rank line says {doc.rank}")
+    for i, row in enumerate(doc.chartable):
+        if len(row) != size:
+            raise ValueError(f"chartable row {i} has {len(row)} entries, expected {size}")
+    for name in ("valencies", "multiplicities"):
+        values = getattr(doc, name)
+        if len(values) != size:
+            raise ValueError(f"{name} has {len(values)} entries, expected {size}")
+        if min(values) <= 0:
+            raise ValueError(f"{name} must be positive, got {min(values)}")
+    if sum(doc.multiplicities) != doc.order:
+        raise ValueError(f"multiplicities sum to {sum(doc.multiplicities)}, "
+                         f"the order line says {doc.order}")
+    p = np.zeros((2, size, size), dtype=object)
+    for i, row in enumerate(doc.chartable):
+        for j, text in enumerate(row):
+            match = _ENTRY.fullmatch(text)
+            if match is None:
+                raise ValueError(f"chartable row {i}, column {j}: {text} is not in Z[w]")
+            a, sign, b = match.groups()
+            p[:, i, j] = int(a), int(sign + b)
+    for j, k in enumerate(doc.valencies):
+        if (p[0, 0, j], p[1, 0, j]) != (k, 0):
+            raise ValueError(f"valencies: chartable row 0, column {j} is "
+                             f"{doc.chartable[0][j]}, the valency is {k}")
+    for i in range(size):
+        if (p[0, i, 0], p[1, i, 0]) != (1, 0):
+            raise ValueError(f"chartable row {i}, column 0: {doc.chartable[i][0]} is not 1")
+    return CharTable(p=p, multiplicities=doc.multiplicities,
+                     valencies=doc.valencies, order=doc.order)

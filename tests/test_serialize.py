@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import dataclasses
 import io
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from unitary_schemes import cli
 from unitary_schemes.eisenstein import OMEGA
 from unitary_schemes.fields import SUPPORTED_Q
 from unitary_schemes.fusion import coarse_partition, fuse
@@ -34,6 +36,7 @@ from unitary_schemes.serialize import (
 )
 
 from _reference import append_rows
+from _reference import chartable_from_document as chartable_per_entry
 
 
 @pytest.mark.parametrize("n,q", [(2, 2), (4, 2), (2, 3)])
@@ -178,6 +181,73 @@ def test_chartable_document_reads_both_signs_beyond_int64():
     assert table.entry(1, 1) == -2**80 - 2**70 * OMEGA
 
 
+@pytest.fixture(scope="module")
+def chartable_texts(tmp_path_factory):
+    """The documents of ``chartable --n N --fusion F --out`` for n = 2 ... 12
+    and the three fusions (the 33 tables of perfbench's doc_import), and for
+    n = 140, whose entries pass int64 with both signs."""
+    out = tmp_path_factory.mktemp("chartables")
+    texts = {}
+    for n in (*range(2, 13), 140):
+        for fusion in ("none", "symmetrize", "coarse"):
+            path = out / f"{n}_{fusion}.txt"
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["chartable", "--n", str(n), "--fusion", fusion,
+                                 "--out", str(path)]) == 0
+            texts[n, fusion] = path.read_text()
+    return texts
+
+
+def test_chartable_reader_matches_the_per_entry_oracle(chartable_texts):
+    assert len(chartable_texts) == 36
+    for (n, fusion), text in chartable_texts.items():
+        doc = parse_document(text)
+        got, want = chartable_from_document(doc), chartable_per_entry(doc)
+        assert got.p.shape == want.p.shape == (2, doc.rank, doc.rank)
+        assert got.p.tolist() == want.p.tolist(), (n, fusion)
+        assert all(type(x) is int for x in got.p.flat)
+        assert (got.multiplicities, got.valencies, got.order) == \
+            (want.multiplicities, want.valencies, want.order)
+    big = chartable_from_document(parse_document(chartable_texts[140, "none"])).p
+    assert big.max() >= 2**63 and big.min() < -2**63
+
+
+def _oracle_message(doc):
+    with pytest.raises(ValueError) as want:
+        chartable_per_entry(doc)
+    return str(want.value)
+
+
+@pytest.mark.parametrize("n,fusion", [(12, "none"), (4, "coarse")])
+@pytest.mark.parametrize("edits,message", [
+    ({(0, 0): "1.0+0*w"}, "chartable row 0, column 0: 1.0+0*w is not in Z[w]"),
+    ({"middle": "1/2+0*w"}, ": 1/2+0*w is not in Z[w]"),
+    ({"last": "+1+0*w"}, ": +1+0*w is not in Z[w]"),
+    ({"middle": "", "last": "x"}, ":  is not in Z[w]"),  # the first bad entry is named
+    ({"middle": "1+0*w 2+0*w"}, ": 1+0*w 2+0*w is not in Z[w]"),  # a space inside an entry
+    ({(0, 1): "5+0*w"}, "valencies: chartable row 0, column 1 is 5+0*w, the valency is"),
+    ({(0, 1): "2+1*w", (1, 0): "2+0*w"}, "valencies: chartable row 0, column 1 is 2+1*w"),
+    ({"last-row-0": "1+0*w"}, "is 1+0*w, the valency is"),
+    ({(1, 0): "1+1*w"}, "chartable row 1, column 0: 1+1*w is not 1"),
+    ({"last-column-0": "-1+0*w"}, ", column 0: -1+0*w is not 1"),
+], ids=["first", "middle", "last", "first-of-two", "space", "valency", "row-0-before-column-0",
+        "last-valency", "column-0", "last-column-0"])
+def test_tampered_chartable_gets_the_oracle_message(n, fusion, edits, message, chartable_texts):
+    doc = parse_document(chartable_texts[n, fusion])
+    size = doc.rank
+    places = {"middle": (size // 2, size // 2), "last": (size - 1, size - 1),
+              "last-row-0": (0, size - 1), "last-column-0": (size - 1, 0)}
+    rows = [list(row) for row in doc.chartable]
+    for where, entry in edits.items():
+        i, j = places.get(where, where)
+        rows[i][j] = entry
+    bad = dataclasses.replace(doc, chartable=tuple(map(tuple, rows)))
+    expected = _oracle_message(bad)
+    assert message in expected  # the edit fails the check it is meant for
+    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+        chartable_from_document(bad)
+
+
 def test_csv_renderings(get_table, get_descriptor):
     doc = document_from_descriptor(get_descriptor(2, 2))
     csv = tensor_csv(doc)
@@ -300,6 +370,49 @@ def test_parse_document_refuses_a_repeated_line(key, get_table, get_descriptor):
     with pytest.raises(ValueError,
                        match=f"^line {end + 1}: second {key} line, the first is line {start + 1}$"):
         parse_document("\n".join(lines) + "\n")
+
+
+def _witness_document(get_descriptor):
+    """A non-commutative document, its commutative and witness lines last."""
+    text = render_document(document_from_descriptor(get_descriptor(2, 3, "closed")))
+    lines = text.splitlines()
+    assert lines[-3:] == ["commutative false", "witness 1 8 11", "end"]
+    return text, len(lines)
+
+
+@pytest.mark.parametrize("word", ["TRUE", "False", "yes", "1", ""])
+def test_parse_document_refuses_a_commutative_word_other_than_true_or_false(word, get_descriptor):
+    text, count = _witness_document(get_descriptor)
+    bad = text.replace("\ncommutative false\n", f"\ncommutative {word}\n")
+    with pytest.raises(ValueError, match=f"^line {count - 2}: commutative must be true or false, "
+                                         f"not {re.escape(repr(word))}$"):
+        parse_document(bad)
+
+
+@pytest.mark.parametrize("old,new,line", [
+    ("witness 1 8 11", "witness 1 8", -1),  # two relations
+    ("witness 1 8 11", "witness 1 8 11 2", -1),
+    ("witness 1 8 11", "witness 1 8 16", -1),  # rank 16
+    ("witness 1 8 11", "witness -1 8 11", -1),
+    ("commutative false", "commutative true", -1),
+    ("commutative false\n", "", -2),  # no commutative line: render would drop the witness
+], ids=["two", "four", "past-rank", "negative", "beside-true", "alone"])
+def test_parse_document_refuses_a_witness_that_does_not_render_back(old, new, line,
+                                                                    get_descriptor):
+    text, count = _witness_document(get_descriptor)
+    assert text.count(old) == 1
+    message = "witness must be 3 relations in [0, rank), after a commutative false line"
+    with pytest.raises(ValueError, match=f"^line {count + line}: {re.escape(message)}$"):
+        parse_document(text.replace(old, new))
+
+
+@pytest.mark.parametrize("mode", ["nonsense", "Closed", "closed ", ""])
+def test_parse_document_refuses_a_mode_outside_the_modes(mode, get_descriptor):
+    text = render_document(document_from_descriptor(get_descriptor(2, 2, "closed")))
+    assert text.count("\nmode closed\n") == 1
+    with pytest.raises(ValueError, match="^line 6: mode must be one of \\('bruteforce', "
+                                         f"'closed', 'both'\\), not {re.escape(repr(mode))}$"):
+        parse_document(text.replace("\nmode closed\n", f"\nmode {mode}\n"))
 
 
 def test_parse_document_missing_header_fields():
