@@ -47,7 +47,7 @@ import numpy as np
 
 from .eisenstein import Eisenstein
 from .scheme import INT64_LIMIT, SchemeDescriptor
-from .space import check_budget, isotropic_count
+from .space import check_budget, check_dimension, isotropic_count
 
 Matrix = tuple[tuple[Eisenstein, ...], ...]
 
@@ -113,8 +113,7 @@ def _eigenmatrix(n: int) -> np.ndarray:
 
 def char_table_closed(n: int) -> CharTable:
     """The character table of the q = 2 scheme in dimension n (n >= 2)."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    check_dimension(n)
     order = isotropic_count(n, 2)
     check_budget("chartable", order)
     p = _eigenmatrix(n)
@@ -126,7 +125,8 @@ def char_table_closed(n: int) -> CharTable:
 
 
 def closed_multiplicity_formulas(n: int) -> tuple[int, ...]:
-    """Multiplicities by the closed product formulas (independent of P)."""
+    """Multiplicities by the closed product formulas (independent of P), n >= 2."""
+    check_dimension(n)
     if n == 2:
         return (1, 1, 1, 2, 2, 2)
     if n == 3:

@@ -162,6 +162,12 @@ class FieldTables:
         return int(self.exp_table[e % (self.order - 1)])
 
 
+def check_int(name: str, value, error: type[ValueError] = ValueError) -> None:
+    """Refuse ``value``, naming it, unless it is an int or a numpy integer (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, not {value!r}")
+
+
 def _check_ids(vec, order: int, n: int | None = None) -> None:
     """Reject ``vec`` unless it is field-element ids in [0, order), and n of
     them when n is given."""
@@ -173,9 +179,10 @@ def _check_ids(vec, order: int, n: int | None = None) -> None:
                          f" field-element ids in [0, {order})")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed, so that 2.0 and True miss the entries of 2 and 1
 def build_field(q: int) -> FieldTables:
-    """Build the arithmetic tables for F_{q^2}, q in the supported range."""
+    """Build the arithmetic tables for F_{q^2}, q an integer in the supported range."""
+    check_int("q", q)
     pk = _prime_power(q)
     if pk is None:
         raise ValueError(f"q must be a prime power, got {q}")

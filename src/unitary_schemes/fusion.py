@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chartable import CharTable, multiplicities
+from .fields import check_int
 from .kernels import label_maps
 from .scheme import SchemeDescriptor, scheme_rank
-from .space import check_int
 
 Partition = tuple[tuple[int, ...], ...]
 
@@ -98,23 +98,23 @@ def fuse(ct: CharTable, sd_or_conj, blocks) -> FusedTable:
 
 def symmetrization_partition(n: int, q: int) -> Partition:
     """Each relation united with its converse."""
-    conj = label_maps(q)[0][:scheme_rank(n, q)].tolist()
+    rank = scheme_rank(n, q)  # validates n and q before the layout is made
+    conj = label_maps(q)[0][:rank].tolist()
     return tuple((l,) if l == c else (l, c) for l, c in enumerate(conj) if l <= c)
 
 
 def coarse_partition(n: int, q: int = 2) -> Partition:
     """Scalar relations merged into one class and product relations into
     another (the perpendicular class, when present, stays alone)."""
+    rank = scheme_rank(n, q)
     nrel = q * q - 1
     blocks = [(0,), tuple(range(1, nrel)), tuple(range(nrel, 2 * nrel))]
-    if scheme_rank(n, q) == 2 * nrel + 1:
+    if rank == 2 * nrel + 1:
         blocks.append((2 * nrel,))
     return tuple(blocks)
 
 
 def canonical_fusions(n: int, q: int = 2) -> list[tuple[str, Partition]]:
-    if n < 2:
-        raise ValueError("n must be >= 2")
     return [
         ("symmetrize", symmetrization_partition(n, q)),
         ("coarse", coarse_partition(n, q)),

@@ -34,6 +34,11 @@ index, and x is checked to be a point by reading its blocks back there.
 There is no column pass: (z, y) lies in the converse of the relation of
 (y, z), so a column is the row of y read through ``label_maps``' conj.
 
+``label_counts`` is the one histogram of labels or label pairs over points,
+from the witness tensor to the axiom checks.  It joins ``CHUNK`` labels at a
+time into codes, and ``group_size`` sets the blocks of the row passes, of
+``label_counts`` and of every blocked loop in ``scheme``.
+
 ``count_isotropic`` counts by additive characters, without the points, how
 many isotropic z of F^n take each value of <x, z> and <z, y>, for pairs (x, y).
 """
@@ -48,11 +53,10 @@ import numpy as np
 
 from .fields import _check_ids, build_field
 
-# Elements (vectors x points) per gather in a row pass, and points per chunk
-# of a witness histogram, so that numpy's conversion of the uint16 codes or
-# keys to index arrays stays in cache.
+# Elements (vectors x points) per gather in a row pass, and labels joined
+# into codes at a time by ``label_counts``, so that its arrays stay in cache.
 CHUNK = 1 << 14
-# Multiply-adds per BLAS call in ``count_isotropic`` and ``scheme._triple_counts``:
+# Multiply-adds per BLAS call of ``_matmul`` (``count_isotropic``, ``scheme._triple_counts``):
 # OpenBLAS runs a product of at most 4 * 65536 on the calling thread, and a
 # larger one wakes worker threads, which keep spinning after it returns.
 BLAS_CALL = 2**17
@@ -221,9 +225,39 @@ def block_tables(ft, n: int, start: np.ndarray, rank: np.ndarray) -> BlockTables
 
 
 def group_size(count: int) -> int:
-    """Vectors gathered together in a pass over ``count`` points: as many as
-    fill ``CHUNK`` gathered elements, and at least one."""
+    """Rows of ``count`` elements per block, as many as fill ``CHUNK`` and at
+    least one: the blocks of the row passes, ``label_counts`` and scheme."""
     return max(1, CHUNK // count)
+
+
+def label_counts(a: np.ndarray, rank: int, b: np.ndarray | None = None) -> np.ndarray:
+    """``counts[..., i]``, the places along the last axis of the stack ``a``
+    that hold label i, or, given ``b`` of a's shape, ``counts[..., i, j]``,
+    those that hold i in ``a`` and j in ``b``, as int64.  The labels, of any
+    integer dtype and in [0, rank), are joined into codes ``CHUNK`` at a
+    time, ``group_size`` rows of the stack together or one row in chunks,
+    in the narrowest unsigned dtype that holds them; ``bincount`` widens
+    them to intp."""
+    pair = b is not None
+    cells = rank * rank if pair else rank
+    length = a.shape[-1]
+    rows = a.reshape(math.prod(a.shape[:-1]), length)
+    other = b.reshape(rows.shape) if pair else None
+    group = group_size(max(length, 1))
+    code = np.min_scalar_type(min(group, len(rows)) * cells)  # holds every code of a block
+    counts = np.zeros((len(rows), cells), dtype=np.int64)
+    for first in range(0, len(rows), group):
+        dest = counts[first:first + group]
+        for start in range(0, length, CHUNK):
+            part = np.s_[first:first + group, start:start + CHUNK]
+            codes = rows[part].astype(code)
+            if pair:  # labels lie in [0, rank), so the cast of b's own dtype is exact
+                codes *= code.type(rank)
+                np.add(codes, other[part], out=codes, casting="unsafe")
+            if len(dest) > 1:  # each row's own cells
+                codes += np.arange(0, dest.size, cells, dtype=code)[:, None]
+            dest += np.bincount(codes.ravel(), minlength=dest.size).reshape(dest.shape)
+    return counts.reshape(*a.shape[:-1], *(rank,) * (1 + pair))
 
 
 def _row_labels(xbs: np.ndarray, codes: np.ndarray, t: BlockTables) -> np.ndarray:

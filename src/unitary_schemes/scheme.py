@@ -14,20 +14,19 @@ coordinates, without the points (``_spot_check``).
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .fields import _check_ids, build_field
+from .fields import _check_ids, build_field, check_int
 from .space import (
     UnitarySpace,
     _inner,
     _isotropic,
     check_budget,
-    check_int,
+    check_dimension,
     enumerate_isotropic,
     isotropic_count,
     witness_pair,
@@ -47,13 +46,6 @@ MODES = ("bruteforce", "closed", "both")
 # so keeping that below 2^63 keeps all int64 tensor arithmetic exact.
 INT64_LIMIT = 2**63
 
-# float64 entries in the indicator stack of one row block of
-# ``_triple_counts`` (256 KB, so that a block stays in cache)
-ROW_BLOCK = 2**15
-# labels counted at a time by ``_structure``, so that its intp copies of a
-# row block stay at 512 KB whatever the size of the matrix
-LABEL_BLOCK = 2**16
-
 
 def max_dimension(q: int) -> int:
     """Largest n whose isotropic-point count stays below ``INT64_LIMIT``."""
@@ -65,8 +57,7 @@ def max_dimension(q: int) -> int:
 
 def check_parameters(n: int, q: int) -> None:
     """Reject n < 2, an unsupported q, and (n, q) with 2^63 points or more."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    check_dimension(n)
     build_field(q)  # validates q
     if isotropic_count(n, q) >= INT64_LIMIT:
         raise ValueError(
@@ -124,9 +115,8 @@ class SchemeDescriptor:
 
 def scheme_rank(n: int, q: int) -> int:
     """Number of relations: 2q^2-2 in dimensions 2 and 3, 2q^2-1 above."""
-    check_int("n", n)
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    check_dimension(n)
+    build_field(q)  # validates q
     return 2 * q * q - 2 if n <= 3 else 2 * q * q - 1
 
 
@@ -251,30 +241,6 @@ def _closed_tensor(n: int, q: int) -> np.ndarray:
 # brute force
 
 
-def _joint_histogram(rows: np.ndarray, cols: np.ndarray, rank: int) -> np.ndarray:
-    """``H[..., i, j]`` counts the z with ``rows[..., z]`` = i and
-    ``cols[..., z]`` = j, for label arrays of one shape."""
-    lead = rows.shape[:-1]
-    stack = math.prod(lead)
-    codes = rows.astype(np.intp) * rank
-    codes += cols.astype(np.intp, copy=False)
-    codes += (np.arange(stack) * (rank * rank)).reshape(*lead, 1)
-    return np.bincount(codes.ravel(), minlength=stack * rank * rank).reshape(*lead, rank, rank)
-
-
-def _column_counts(row: np.ndarray, col: np.ndarray, rank: int) -> np.ndarray:
-    """``H[i, j]`` counts the points z with uint8 label i in ``row`` and
-    label j in ``col``.  The labels are joined into uint16 keys rank * i + j
-    (below 2^16, as rank <= 2^8) ``CHUNK`` points at a time, so that neither
-    the keys nor the intp copy ``bincount`` makes of them spans all N."""
-    counts = np.zeros(rank * rank, dtype=np.int64)
-    for start in range(0, row.size, kernels.CHUNK):
-        keys = row[start:start + kernels.CHUNK] * np.uint16(rank)
-        keys += col[start:start + kernels.CHUNK]
-        counts += np.bincount(keys, minlength=rank * rank)
-    return counts.reshape(rank, rank)
-
-
 def _assemble(q: int, product: np.ndarray, e: np.ndarray, scalar: np.ndarray,
               relabelled: np.ndarray) -> None:
     """The assembly rule: write the slices of scalar relations e into
@@ -323,8 +289,8 @@ def _witness_tensor(us: UnitarySpace, row: np.ndarray, partners) -> tuple[np.nda
     rank = 2 * (us.ft.order - 1) + len(partners) - 1
     conj = kernels.label_maps(us.q)[0][:rank]
     counts = np.stack([
-        _column_counts(row, kernels.classify_row(y, us.block_codes, us.tables), rank)[:, conj]
-        for y in partners])
+        kernels.label_counts(row, rank, kernels.classify_row(y, us.block_codes, us.tables))
+        for y in partners])[:, :, conj]
     return _tensor_from_histograms(us.q, counts)
 
 
@@ -411,15 +377,15 @@ def _counted_histograms(ft, pairs, rank: int) -> np.ndarray:
 
 def _assembly_differs(q: int, tensor: np.ndarray) -> np.ndarray:
     """Whether each relation's slice of ``tensor`` differs from the one
-    ``_assemble`` makes from its product-0 slice, checked a block of about
-    ``kernels.CHUNK`` entries at a time rather than against a second whole
-    tensor.  The perpendicular slice is copied unchanged by
+    ``_assemble`` makes from its product-0 slice, checked
+    ``kernels.group_size(rank^2)`` slices at a time rather than against a
+    second whole tensor.  The perpendicular slice is copied unchanged by
     ``_tensor_from_histograms``, so it cannot differ.
     """
     nrel = q * q - 1
     rank = tensor.shape[0]
     wrong = np.zeros(rank, dtype=bool)
-    step = max(1, kernels.CHUNK // (rank * rank))
+    step = kernels.group_size(rank * rank)
     for start in range(0, nrel, step):
         e = np.arange(start, min(start + step, nrel))
         scalar = np.empty((e.size, rank, rank), dtype=tensor.dtype)
@@ -636,22 +602,14 @@ def _label_range(M: np.ndarray) -> tuple[int, int]:
 def check_labels(M: np.ndarray, rank: int | None = None) -> int:
     """The rank of a square, non-empty integer matrix whose labels lie in
     [0, rank); ``rank`` defaults to the largest label plus one.  Any other
-    matrix raises a ``ValueError``."""
+    matrix, or a ``rank`` that is not an integer, raises a ``ValueError``."""
     low, high = _label_range(M)
     if rank is None:
         rank = high + 1
+    check_int("rank", rank)
     if low < 0 or high >= rank:
         raise ValueError(f"relation labels must lie in 0..{rank - 1}")
     return rank
-
-
-def _pair_histogram(labels: np.ndarray, converse: np.ndarray, rank: int) -> np.ndarray:
-    """The (rank, rank) histogram of the codes (labels, converse), both
-    arrays of labels in [0, rank), ``labels`` of dtype intp."""
-    codes = labels * rank
-    # labels lie in [0, rank), so the cast of M's own dtype is exact
-    np.add(codes, converse, out=codes, dtype=np.intp, casting="unsafe")
-    return np.bincount(codes.ravel(), minlength=rank * rank).reshape(rank, rank)
 
 
 def _structure(M: np.ndarray, rank: int | None) -> _Structure:
@@ -661,31 +619,28 @@ def _structure(M: np.ndarray, rank: int | None) -> _Structure:
     square, is empty, holds labels outside [0, rank) or has more relations
     than points (in a scheme every relation meets every row) raises a
     ``ValueError``; the last bound also keeps the rank x rank histogram small.
-    The counts run over blocks of rows of about ``LABEL_BLOCK`` labels.  The
-    pair code is (a, b) at (x, y) exactly when it is (b, a) at (y, x), so a
-    block counts its diagonal square whole and the columns right of it once,
-    adding that histogram transposed for the pairs below the square; a
-    matrix of one block is counted in one pass.
+    The counts run over blocks of ``kernels.group_size(N)`` rows, by
+    ``kernels.label_counts``.  The pair code is (a, b) at (x, y) exactly when
+    it is (b, a) at (y, x), so a block counts its diagonal square whole and
+    the columns right of it once, adding that histogram transposed for the
+    pairs below the square; a matrix of one block is counted in one pass.
     """
     count = M.shape[0]
     rank = check_labels(M, rank)
     if rank > count:
         raise ValueError(f"{rank} relations cannot all meet each row of {count} points")
+    rows = kernels.label_counts(M, rank)
     # pairs[a, b]: ordered pairs (x, y) with M[x, y] = a and M[y, x] = b
     pairs = np.zeros((rank, rank), dtype=np.int64)
-    rows = np.empty((count, rank), dtype=np.int64)
-    step = max(1, LABEL_BLOCK // count)
+    step = kernels.group_size(count)
     for x0 in range(0, count, step):
         x1 = x0 + step
-        labels = M[x0:x1].astype(np.intp)
-        pairs += _pair_histogram(labels[:, x0:x1], M[x0:x1, x0:x1].T, rank)
+        square = M[x0:x1, x0:x1]
+        pairs += kernels.label_counts(square.ravel(), rank, square.T.ravel())
         if x1 < count:
-            right = _pair_histogram(labels[:, x1:], M[x1:, x0:x1].T, rank)
+            right = kernels.label_counts(M[x0:x1, x1:].ravel(), rank, M[x1:, x0:x1].T.ravel())
             pairs += right
             pairs += right.T
-        labels += np.arange(0, len(labels) * rank, rank)[:, None]
-        rows[x0:x1] = np.bincount(labels.ravel(), minlength=len(labels) * rank
-                                  ).reshape(-1, rank)
     sizes = pairs.sum(axis=1).tolist()
     identity = bool((np.diagonal(M) == 0).all()) and sizes[0] == count
     spread = np.count_nonzero(pairs, axis=1)
@@ -709,26 +664,25 @@ def _triple_counts(M: np.ndarray, st: _Structure) -> tuple[np.ndarray, np.ndarra
     below 2^53, and float64 products compute them exactly in any order.  Row
     x's packed counts for every (i, y) are then one product onehot_x @ P of
     its (rank, N) indicator matrix and P[z, y] = B^(M[z, y] - g0), taken for
-    a block of rows at once as a stack of per-row products of at most
-    ``kernels.BLAS_CALL`` multiply-adds, each compared whole with the packed counts
-    of the representative of M[x, y]; digits are unpacked only where the two
+    a block of ``kernels.group_size(N rank)`` rows at once by
+    ``kernels._matmul``, and compared whole with the packed counts of the
+    representative of M[x, y]; digits are unpacked only where the two
     differ.  Time O(G rank N^3) multiply-adds over G = ceil(rank / w) digit
-    groups; memory O(N^2 + rank^3 + ROW_BLOCK + N rank).
+    groups; memory O(N^2 + rank^3 + N rank + CHUNK).
     """
     count, rank = M.shape[0], st.rank
     labels = M.astype(np.intp)
     relations = np.arange(rank)
     xs = (st.rows > 0).argmax(axis=0)
     ys = (labels[xs] == relations[:, None]).argmax(axis=1)
-    tensor = _joint_histogram(labels[xs], labels[:, ys].T, rank)
+    tensor = kernels.label_counts(labels[xs], rank, labels[:, ys].T)
     varies = np.zeros((rank, rank, rank), dtype=bool)
     base = int(st.rows.max()) + 1
     width = 1
     while width < rank and base ** (width + 1) <= 2**53:
         width += 1
     assert base**width <= 2**53, "packed counts must stay exact in float64"
-    rows_per_block = max(1, ROW_BLOCK // (count * rank))
-    columns_per_product = max(1, kernels.BLAS_CALL // (count * rank))
+    rows_per_block = kernels.group_size(count * rank)
     indicator = np.eye(rank)
     powers = np.empty((count, count))
     packed = powers.T  # packed[y, z] = B^(M[z, y] - g0), one digit group at a time
@@ -744,18 +698,15 @@ def _triple_counts(M: np.ndarray, st: _Structure) -> tuple[np.ndarray, np.ndarra
         for x0 in range(0, count, rows_per_block):
             block = labels[x0:x0 + rows_per_block]
             onehot = np.take(indicator, block, axis=0)  # onehot[x, z, i] = [M[x, z] = i]
-            for y0 in range(0, count, columns_per_product):
-                cols = block[:, y0:y0 + columns_per_product]
-                # got[x, y, i], one product per row x
-                got = packed[y0:y0 + columns_per_product] @ onehot
-                want = np.take(reference, cols, axis=0)
-                differ = got != want
-                if differ.any():
-                    x, y, i = np.nonzero(differ)
-                    wrong = (got[x, y, i].astype(np.int64)[:, None] // scale % base
-                             != want[x, y, i].astype(np.int64)[:, None] // scale % base)
-                    at, k = np.nonzero(wrong)
-                    varies[cols[x[at], y[at]], i[at], g0 + k] = True
+            got = kernels._matmul(packed, onehot)  # got[x, y, i], one product per row x
+            want = np.take(reference, block, axis=0)
+            differ = got != want
+            if differ.any():
+                x, y, i = np.nonzero(differ)
+                wrong = (got[x, y, i].astype(np.int64)[:, None] // scale % base
+                         != want[x, y, i].astype(np.int64)[:, None] // scale % base)
+                at, k = np.nonzero(wrong)
+                varies[block[x[at], y[at]], i[at], g0 + k] = True
     return tensor, varies
 
 
@@ -796,8 +747,10 @@ def verify_relation_matrix(M: np.ndarray, rank: int | None = None,
     """
     M = np.asarray(M)
     if sd is not None:
-        if rank is not None and rank != sd.rank:
-            raise ValueError(f"rank {rank} differs from the descriptor's rank {sd.rank}")
+        if rank is not None:
+            check_int("rank", rank)
+            if rank != sd.rank:
+                raise ValueError(f"rank {rank} differs from the descriptor's rank {sd.rank}")
         rank = sd.rank
     st = _structure(M, rank)
     checks: list[tuple[str, bool, str]] = [
@@ -819,7 +772,7 @@ def verify_relation_matrix(M: np.ndarray, rank: int | None = None,
         checks.append(("valencies", valency_ok, "every row realises the valencies"))
 
     relation, xs, ys = _sampled_pairs(M, st, seed)
-    hist = _joint_histogram(M[xs], M[:, ys].T, st.rank)
+    hist = kernels.label_counts(M[xs], st.rank, M[:, ys].T)
     # each sample against the first sample of its relation, and the descriptor
     split = np.zeros(st.rank, dtype=bool)
     split[relation[(hist != hist[np.searchsorted(relation, relation)]).any(axis=(1, 2))]] = True

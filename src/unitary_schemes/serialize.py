@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chartable import CharTable
+from .fields import check_int
 from .scheme import MODES, SchemeDescriptor, check_labels, is_commutative
 
 FORMAT_LINE = "unitary-scheme-document 1"
@@ -76,6 +77,7 @@ def document_from_descriptor(sd: SchemeDescriptor, seed: int = 0) -> SchemeDocum
 
 def document_from_chartable(ct: CharTable, n: int, fusion: str | None = None,
                             seed: int = 0) -> SchemeDocument:
+    check_int("n", n)  # the document's n line must read back as an integer
     rendered = tuple(tuple(f"{a}{'-' if b < 0 else '+'}{abs(b)}*w" for a, b in zip(ra, rb))
                      for ra, rb in zip(*ct.p.tolist()))
     return SchemeDocument(

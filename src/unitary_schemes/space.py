@@ -16,7 +16,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernels
-from .fields import FieldTables, _check_ids, build_field, norm_solutions, trace_solutions
+from .fields import (FieldTables, _check_ids, build_field, check_int, norm_solutions,
+                     trace_solutions)
 
 # Every size limit of the package, name: (unit, limit); README lists what each gates.
 BUDGETS = {
@@ -36,10 +37,11 @@ def check_budget(name: str, amount: int) -> None:
                          f"{_decimal(limit)}")
 
 
-def check_int(name: str, value, error: type[ValueError] = ValueError) -> None:
-    """Refuse ``value``, naming it, unless it is an int or a numpy integer (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise error(f"{name} must be an integer, not {value!r}")
+def check_dimension(n: int) -> None:
+    """Refuse, naming it, an n that is not an integer of at least 2."""
+    check_int("n", n)
+    if n < 2:
+        raise ValueError("n must be >= 2")
 
 
 def _decimal(x: int) -> str:
@@ -56,6 +58,7 @@ def _decimal(x: int) -> str:
 def isotropic_count(n: int, q: int) -> int:
     """Closed-form size of the set of nonzero isotropic vectors in F_{q^2}^n."""
     check_int("n", n)
+    check_int("q", q)
     if n < 0:
         raise ValueError("dimension must be non-negative")
     if n <= 1:
@@ -154,6 +157,7 @@ def hyperbolic_partner(ft: FieldTables, n: int, u) -> tuple[int, ...]:
     nonzero coordinate k of u: every vector before e_k is supported after k,
     where u vanishes.
     """
+    check_int("n", n)
     _check_ids(u, ft.order, n)
     if all(c == 0 for c in u) or hermitian_inner(ft, u, u) != 0:
         raise ValueError("hyperbolic partner needs a nonzero isotropic vector")
@@ -169,10 +173,8 @@ def hyperbolic_partner(ft: FieldTables, n: int, u) -> tuple[int, ...]:
 
 def enumerate_isotropic(n: int, q: int) -> UnitarySpace:
     """Collect the nonzero isotropic vectors of F_{q^2}^n by a meet-in-the-middle scan."""
-    if n < 0:
-        raise ValueError("dimension must be non-negative")
     ft = build_field(q)
-    count = isotropic_count(n, q)
+    count = isotropic_count(n, q)  # refuses an n that is not an integer >= 0
     check_budget("scan", count)
     block_codes, start, rank = kernels.isotropic_scan(n, ft.order, ft.norm_table,
                                                       ft.add_table, count)
@@ -187,8 +189,7 @@ def unit_norm_witness(ft: FieldTables) -> int:
 
 def standard_isotropic_vector(ft: FieldTables, n: int) -> tuple[int, ...]:
     """The vector (1, a, 0, ..., 0) with a * conj(a) = -1."""
-    if n < 2:
-        raise ValueError("need dimension at least 2")
+    check_dimension(n)
     return (ft.one, unit_norm_witness(ft)) + (0,) * (n - 2)
 
 
@@ -209,8 +210,7 @@ def witness_pair(l: int, n: int, q: int) -> tuple[tuple[int, ...], tuple[int, ..
     vectors with disjoint support (hence needs n >= 4).  Pairs are cached,
     and x and its partner are found once per (n, q).
     """
-    if n < 2:
-        raise ValueError("need dimension at least 2")
+    check_dimension(n)
     ft = build_field(q)
     nrel = ft.order - 1
     last = 2 * nrel

@@ -306,9 +306,8 @@ def test_scaled_product_pairs_count_like_direct_passes(n, q, get_space):
         col = conj[kernels.classify_row(b, us.block_codes, t)]
         for e in range(nrel):
             ga = us.scalar_multiple(ft.exp(e), a)
-            direct = scheme_mod._joint_histogram(
-                kernels.classify_row(ga, us.block_codes, t), col, rank)
-            relabelled = scheme_mod._joint_histogram(scale[e][row], col, rank)
+            direct = kernels.label_counts(kernels.classify_row(ga, us.block_codes, t), rank, col)
+            relabelled = kernels.label_counts(scale[e][row], rank, col)
             assert np.array_equal(relabelled, direct)
             assert classify_pair(us, ga, b).index == nrel + e
 
@@ -447,7 +446,7 @@ def test_count_isotropic_matches_enumeration(n, q):
 @pytest.mark.parametrize("n,q", ORACLE_GRID)
 def test_counted_histograms_equal_enumeration(n, q, get_space):
     """The spot check's oracle: at the same random a, b and c, the histograms
-    counted over coordinates equal ``_column_counts`` of row(a) and the
+    counted over coordinates equal ``label_counts`` of row(a) and the
     columns of the partners, the partners' rows read through conj, and give
     the same tensor as ``_witness_tensor``."""
     us = get_space(n, q)
@@ -462,18 +461,29 @@ def test_counted_histograms_equal_enumeration(n, q, get_space):
         row = kernels.classify_row(a, us.block_codes, t)
         conj = kernels.label_maps(q)[0].astype(np.uint8)
         enumerated = np.stack([
-            scheme_mod._column_counts(row, conj[kernels.classify_row(y, us.block_codes, t)], rank)
+            kernels.label_counts(row, rank, conj[kernels.classify_row(y, us.block_codes, t)])
             for y in partners])
         assert np.array_equal(counted, enumerated)
         assert np.array_equal(scheme_mod._tensor_from_histograms(q, counted)[0],
                               scheme_mod._witness_tensor(us, row, partners)[0])
 
 
+def _bincount_oracle(a, rank, b=None):
+    """``kernels.label_counts`` as one whole ``bincount`` of int64 codes, each
+    row of the stack offset to its own cells."""
+    rows = a.reshape(math.prod(a.shape[:-1]), a.shape[-1]).astype(np.int64)
+    codes, cells = (rows, rank) if b is None else (
+        rows * rank + b.reshape(rows.shape).astype(np.int64), rank * rank)
+    codes += np.arange(len(rows))[:, None] * cells
+    counts = np.bincount(codes.ravel(), minlength=len(rows) * cells)
+    return counts.reshape(*a.shape[:-1], *(rank,) * (1 if b is None else 2))
+
+
 @pytest.mark.parametrize("n,q", [(4, 3), (8, 2), (3, 9)])
 def test_column_counts_match_joint_histogram(n, q, get_space):
-    """The chunked witness histogram equals one ``bincount`` over all points,
-    in one chunk at (4, 3) and across chunk boundaries at (8, 2) and (3, 9),
-    rank 160."""
+    """The witness histogram of two rows by ``label_counts`` equals one
+    ``bincount`` over all points, in one chunk at (4, 3) and across chunk
+    boundaries at (8, 2) and (3, 9), rank 160."""
     us = get_space(n, q)
     t = us.tables
     rank = scheme_rank(n, q)
@@ -481,8 +491,45 @@ def test_column_counts_match_joint_histogram(n, q, get_space):
     row = kernels.classify_row(us.point(rng.randrange(us.size)), us.block_codes, t)
     col = kernels.classify_row(us.point(rng.randrange(us.size)), us.block_codes, t)
     assert row.dtype == col.dtype == np.uint8
-    assert np.array_equal(scheme_mod._column_counts(row, col, rank),
-                          scheme_mod._joint_histogram(row, col, rank))
+    got = kernels.label_counts(row, rank, col)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _bincount_oracle(row, rank, col))
+    assert got.sum() == us.size
+
+
+@pytest.mark.parametrize("length", [0, 1, kernels.CHUNK - 1, kernels.CHUNK, kernels.CHUNK + 1,
+                                    3 * kernels.CHUNK + 5])
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)], ids=["1d", "2d", "3d"])
+@pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.uint64])
+def test_label_counts_match_one_bincount(length, lead, dtype):
+    """Label and label-pair histograms of 1-D, 2-D and 3-D stacks equal one
+    whole ``bincount``, for empty rows, within one chunk, at its edges and
+    across several chunks, with rows grouped below ``CHUNK`` labels; rank 30
+    makes codes up to 899, which a uint8 code would wrap."""
+    rank = 30
+    rng = np.random.default_rng(length)
+    a, b = rng.integers(0, rank, (2, *lead, length)).astype(dtype)
+    for other in (None, b):
+        got = kernels.label_counts(a, rank, other)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _bincount_oracle(a, rank, other))
+
+
+def test_label_counts_memory_stays_chunked():
+    """Two uint8 rows of 10^7 labels are counted, as a pair and as a stack,
+    in O(``CHUNK``) memory: intp codes of all the labels would take 80 MB."""
+    rank = 30
+    rows = np.random.default_rng(0).integers(0, rank, (2, 10**7), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        pair = kernels.label_counts(rows[0], rank, rows[1])
+        single = kernels.label_counts(rows, rank)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pair.sum() == single[0].sum() == 10**7
+    assert np.array_equal(pair.sum(axis=1), single[0])
+    assert peak <= 32 * kernels.CHUNK
 
 
 @pytest.mark.parametrize("n,q", DRAW_CASES)

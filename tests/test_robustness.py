@@ -1,14 +1,20 @@
 """Mutated documents and relation matrices: importing them fails only with a
-ValueError, and unmutated inputs re-render byte for byte."""
+ValueError, and unmutated inputs re-render byte for byte.  Every public
+function's n, q and rank refuse anything but an integer with a ValueError."""
 
 import functools
+import inspect
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import unitary_schemes
 from unitary_schemes import (
     build_descriptor,
+    build_field,
     char_table_closed,
     chartable_from_document,
     document_from_chartable,
@@ -134,3 +140,85 @@ def test_relation_matrices_rerender_byte_for_byte(n, q):
     assert render_relation_matrix(matrix, rank) == text
     assert len(scheme_from_relation_matrix(matrix)[1]) == rank
     assert verify_relation_matrix(matrix, rank).passed
+
+
+# Valid arguments of every public function that takes n, q or rank.
+INTEGER_ARGUMENTS = {
+    "char_table_closed": lambda: {"n": 2},
+    "closed_multiplicity_formulas": lambda: {"n": 2},
+    "build_field": lambda: {"q": 2},
+    "canonical_fusions": lambda: {"n": 2, "q": 2},
+    "coarse_partition": lambda: {"n": 2, "q": 2},
+    "symmetrization_partition": lambda: {"n": 2, "q": 2},
+    "build_descriptor": lambda: {"n": 2, "q": 2},
+    "conjugate_index": lambda: {"l": 0, "n": 2, "q": 2},
+    "intersection_number_closed": lambda: {"n": 2, "q": 2, "h": 0, "i": 0, "j": 0},
+    "scheme_rank": lambda: {"n": 2, "q": 2},
+    "verify_relation_matrix": lambda: {"M": _matrix(), "rank": 6},
+    "document_from_chartable": lambda: {"ct": char_table_closed(2), "n": 2},
+    "render_relation_matrix": lambda: {"matrix": _matrix(), "rank": 6},
+    "enumerate_isotropic": lambda: {"n": 2, "q": 2},
+    "hyperbolic_partner": lambda: {"ft": build_field(2), "n": 2, "u": (1, 1)},
+    "isotropic_count": lambda: {"n": 2, "q": 2},
+    "witness_pair": lambda: {"l": 0, "n": 2, "q": 2},
+}
+NOT_INTEGERS = [2.0, np.float64(2), True, "2"]
+
+
+def _matrix():
+    return relation_matrix(enumerate_isotropic(2, 2))
+
+
+def test_integer_sweep_covers_every_public_function():
+    """A public function (cached ones included) that takes n, q or rank is
+    listed above, so the sweep below calls it."""
+    functions = {name: getattr(unitary_schemes, name) for name in unitary_schemes.__all__}
+    takes = {name for name, f in functions.items()
+             if callable(f) and not inspect.isclass(f)
+             and {"n", "q", "rank"} & set(inspect.signature(f).parameters)}
+    assert takes == set(INTEGER_ARGUMENTS)
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_ARGUMENTS))
+def test_numpy_integer_n_q_and_rank_are_accepted(name):
+    """n, q and rank may be numpy integers wherever they are taken."""
+    valid = INTEGER_ARGUMENTS[name]()
+    params = {"n", "q", "rank"} & set(valid)
+    getattr(unitary_schemes, name)(**{**valid, **{p: np.int64(valid[p]) for p in params}})
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_ARGUMENTS))
+def test_non_integer_n_q_and_rank_raise_value_error(name):
+    """2.0, np.float64(2), True and "2" as n, q or rank raise a ValueError
+    that names the argument, never a TypeError or a result; the valid
+    arguments pass."""
+    function = getattr(unitary_schemes, name)
+    valid = INTEGER_ARGUMENTS[name]()
+    function(**valid)
+    for param in {"n", "q", "rank"} & set(valid):
+        for value in NOT_INTEGERS:
+            with pytest.raises(ValueError, match=rf"\b{param}\b"):
+                function(**{**valid, param: value})
+
+
+@pytest.mark.parametrize("call,param", [
+    (lambda: unitary_schemes.scheme_rank(3, 6), "q"),
+    (lambda: unitary_schemes.scheme_rank(3, 11), "q"),
+    (lambda: unitary_schemes.conjugate_index(1, 3, 6), "q"),
+    (lambda: unitary_schemes.symmetrization_partition(3, 6), "q"),
+    (lambda: unitary_schemes.coarse_partition(3, 6), "q"),
+    (lambda: unitary_schemes.canonical_fusions(1), "n"),
+    (lambda: unitary_schemes.isotropic_count(3, 2.5), "q"),
+    (lambda: unitary_schemes.closed_multiplicity_formulas(1), "n"),
+    (lambda: unitary_schemes.closed_multiplicity_formulas(4.0), "n"),
+    (lambda: verify_relation_matrix(_matrix(), rank=6.5), "rank"),
+    (lambda: verify_relation_matrix(_matrix(), rank=6.0, sd=build_descriptor(2, 2)), "rank"),
+], ids=["rank-q6", "rank-q11", "conjugate-q6", "symmetrize-q6", "coarse-q6",
+        "fusions-n1", "count-q2.5", "multiplicities-n1", "multiplicities-n4.0",
+        "verify-rank6.5", "verify-rank6.0-descriptor"])
+def test_out_of_range_arguments_raise_value_error(call, param):
+    """A q outside ``SUPPORTED_Q``, an n below 2 and a float rank, also
+    beside a descriptor whose rank it equals, raise a ValueError naming the
+    argument."""
+    with pytest.raises(ValueError, match=rf"\b{param}\b"):
+        call()

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from unitary_schemes import kernels
 from unitary_schemes import scheme as scheme_mod
 from unitary_schemes.fields import SUPPORTED_Q
 from unitary_schemes.scheme import (
@@ -625,32 +626,36 @@ def test_triple_counts_integer_dtypes(dtype, get_space):
         _assert_triple_counts_match_reference(T.astype(dtype))
 
 
-@pytest.mark.parametrize("cells", [1, 1000, scheme_mod.LABEL_BLOCK])
+@pytest.mark.parametrize("cells", [16, 1000, 1 << 16])
 def test_structure_row_blocks_match_whole_matrix(cells, get_space, monkeypatch):
     """``_structure`` over row blocks equals the whole-matrix oracle on
     relation matrices, edited and tampered ones and their copies in other
     integer dtypes, with a rank above the largest label as well, whether a
-    block holds one row, a few rows with a shorter last block, or every row;
-    a rank below a label is refused by both with the same message."""
-    monkeypatch.setattr(scheme_mod, "LABEL_BLOCK", cells)
-    blocked = inspect.unwrap(scheme_mod._structure)
+    block holds one row counted in chunks of 16 labels (every matrix here
+    has more points), a few rows with a shorter last block, or every row; a
+    rank below a label is refused by both with the same message.
+    ``kernels.CHUNK`` sets the blocks, so the matrices are classified before
+    it is patched."""
+    mats = []
     for n, q in ((3, 2), (4, 2), (2, 3)):
         M = relation_matrix(get_space(n, q))
-        mats = [M, *_single_edits(M, 3, n * q)]
+        mats += [M, *_single_edits(M, 3, n * q)]
         if n == 4:
             mats += [tamper(M) for tamper in (_tamper_diagonal, _tamper_converse,
                                               _tamper_partition, _tamper_constancy)]
-        for T in mats:
-            for dtype in (np.uint8, np.int16, np.int64, np.uint64):
-                A = T.astype(dtype)
-                for rank in (None, int(A.max()) + 2):
-                    assert_same_structure(blocked(A, rank), structure(A, rank))
-                with pytest.raises(ValueError, match="^relation labels must lie in 0"):
-                    blocked(A, int(A.max()))
+    monkeypatch.setattr(kernels, "CHUNK", cells)
+    blocked = inspect.unwrap(scheme_mod._structure)
+    for T in mats:
+        for dtype in (np.uint8, np.int16, np.int64, np.uint64):
+            A = T.astype(dtype)
+            for rank in (None, int(A.max()) + 2):
+                assert_same_structure(blocked(A, rank), structure(A, rank))
+            with pytest.raises(ValueError, match="^relation labels must lie in 0"):
+                blocked(A, int(A.max()))
 
 
 def test_structure_memory_stays_below_its_matrix(get_space):
-    """``_structure`` counts ``LABEL_BLOCK`` labels at a time: at (6, 2) it
+    """``_structure`` counts ``kernels.CHUNK`` labels at a time: at (6, 2) it
     peaks under 3 MB, below the 4.3 MB uint8 matrix it reads, where the
     whole-matrix oracle's int64 copies peak at 66 MB."""
     M = relation_matrix(get_space(6, 2))
@@ -669,8 +674,9 @@ def test_structure_memory_stays_below_its_matrix(get_space):
 def test_triple_counts_memory(n, q, get_space):
     """Peak at most c rank N^2 8 bytes with c = 2: two N x N arrays (the
     labels and one digit group's powers), a row block's indicator stack of
-    ``ROW_BLOCK`` entries and its products.  The row-histogram kernel of
-    ``_reference.triple_counts`` holds N rank^2 counts per row instead."""
+    at most max(``kernels.CHUNK``, N rank) entries and its products.  The
+    row-histogram kernel of ``_reference.triple_counts`` holds N rank^2
+    counts per row instead."""
     M = relation_matrix(get_space(n, q))
     st = scheme_mod._structure(M, None)
     tracemalloc.start()
