@@ -64,7 +64,7 @@ class CharTable:
     def __post_init__(self):
         p = np.array(self.p, dtype=object)  # a private copy
         if (p.ndim != 3 or p.shape[0] != 2 or p.shape[1] != p.shape[2]
-                or not all(isinstance(x, int) for x in p.flat)):
+                or not set(map(type, p.flat)) <= {int}):  # no bool, no numpy integer
             raise ValueError("P must be a (2, r, r) array of integers A, B of A + B w")
         for name in ("multiplicities", "valencies"):
             values = getattr(self, name)

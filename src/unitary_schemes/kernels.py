@@ -37,7 +37,7 @@ There is no column pass: (z, y) lies in the converse of the relation of
 ``label_counts`` is the one histogram of labels or label pairs over points,
 from the witness tensor to the axiom checks.  It joins ``CHUNK`` labels at a
 time into codes, and ``group_size`` sets the blocks of the row passes, of
-``label_counts`` and of every blocked loop in ``scheme``.
+``label_counts``, of ``scheme``'s blocked loops and of ``serialize``'s writer.
 
 ``count_isotropic`` counts by additive characters, without the points, how
 many isotropic z of F^n take each value of <x, z> and <z, y>, for pairs (x, y).
@@ -226,7 +226,7 @@ def block_tables(ft, n: int, start: np.ndarray, rank: np.ndarray) -> BlockTables
 
 def group_size(count: int) -> int:
     """Rows of ``count`` elements per block, as many as fill ``CHUNK`` and at
-    least one: the blocks of the row passes, ``label_counts`` and scheme."""
+    least one: the blocks of the row passes, ``label_counts``, scheme and serialize."""
     return max(1, CHUNK // count)
 
 

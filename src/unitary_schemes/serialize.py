@@ -4,10 +4,11 @@ Documents are line-oriented, one scheme per file, with the intersection
 tensor stored as sparse (h, i, j, value) quadruples in lexicographic order.
 Rendering the parse of a rendered document reproduces it byte for byte.
 
-Integer blocks (tensor quadruples, relation-matrix rows) are written by
-looking their numbers up: each distinct value is formatted once, the values
-in [0, 2^12) into a cached table of decimal words and the others after one
-sort, and the words are gathered and joined.  ASCII text is read back by one
+Integer blocks (tensor quadruples, relation-matrix rows) are written as
+ASCII bytes: each column's numbers become indices into fixed-width words,
+cut from a cached table of [0, 2^12) or formatted once per distinct value,
+and the words are taken into a record buffer a chunk of rows at a time,
+stripped of their padding and decoded.  ASCII text is read back by one
 int64 conversion; other text, or a block that this conversion or a check on
 its result rejects, is read line by line with ``int``, which names the
 failing line.  A character table is read in one scan: one match of its
@@ -31,6 +32,7 @@ import numpy as np
 
 from .chartable import CharTable
 from .fields import check_int
+from .kernels import group_size
 from .scheme import MODES, SchemeDescriptor, check_labels, is_commutative
 
 FORMAT_LINE = "unitary-scheme-document 1"
@@ -278,53 +280,51 @@ WORD_BOUND = 1 << 12
 
 
 @functools.cache
-def _word_table(sep: str) -> np.ndarray:
-    """The decimals of 0 .. WORD_BOUND - 1 each followed by ``sep``, then the
-    same decimals each followed by a newline, as one read-only object array."""
-    table = _words(range(WORD_BOUND), sep)
-    table.setflags(write=False)
-    return table
+def _digit_words(end: str) -> np.ndarray:
+    """The decimals of 0 .. WORD_BOUND - 1, each followed by ``end``, as bytes."""
+    return np.array([f"{v}{end}" for v in range(WORD_BOUND)], dtype="S")
 
 
-def _words(values, sep: str) -> np.ndarray:
-    """Each value's decimal followed by ``sep``, then each followed by a newline."""
-    return np.array([f"{v}{end}" for end in (sep, "\n") for v in values], dtype=object)
+def _column_words(part: np.ndarray, end: str) -> tuple[np.ndarray, np.ndarray]:
+    """NUL-padded words, decimals each followed by ``end``, and the index of
+    each entry of ``part`` among them: a cut of the cached table if every
+    entry lies in [0, WORD_BOUND), else the distinct values, found by one
+    sort and formatted once.  Words of up to 16 bytes are padded to 2^k
+    bytes, which ``take`` copies fastest."""
+    low, high = int(part.min()), int(part.max())
+    size = max(len(str(low)), len(str(high))) + len(end)  # an extreme's is the longest
+    dtype = f"S{1 << (size - 1).bit_length() if size <= 16 else size}"
+    if low >= 0 and high < WORD_BOUND:
+        return _digit_words(end)[:high + 1].astype(dtype), part
+    ordered = np.sort(part, axis=None)
+    values = ordered[np.r_[True, ordered[1:] != ordered[:-1]]]
+    words = np.array([f"{v}{end}" for v in values.tolist()], dtype=dtype)
+    return words, np.searchsorted(values, part)
 
 
 def _append_rows(lines: list[str], rows: np.ndarray, sep: str) -> None:
-    """Append the rows of an integer array to ``lines`` as one string of
-    ``sep``-separated decimals, one line per row.
-
-    Every entry becomes an index into a table of words that carry their
-    trailing separator, ``sep`` or, in the last column, a newline; the block
-    is those words gathered and joined once.  Values outside [0, WORD_BOUND)
-    are formatted once per distinct value, found by one sort, and their
-    words are spliced into the table after each of its two halves."""
+    """Append the rows of an integer array to ``lines`` as lines of
+    ``sep``-separated decimals, ``group_size(width)`` rows to a string, with
+    no newline after a string's last row: ``_text`` puts it there.  Each word
+    carries its ``sep`` or, in the last column, its newline; a chunk of rows
+    is taken into one reused record buffer and loses its NUL padding in one
+    ``translate``.  The buffer has a field per column, or, where a column's
+    take would move fewer than width^2 entries (a relation matrix), one 2-D
+    field for every column but the last."""
     count, width = rows.shape
     if not count:
         return
-    words = _word_table(sep)
-    flat = rows.ravel()
-    index = flat.astype(np.intp)  # entries outside the table are overwritten
-    outside = np.flatnonzero((flat < 0) | (flat >= WORD_BOUND))
-    newline = WORD_BOUND  # offset of a value's newline word from its sep word
-    if outside.size:
-        found = flat[outside]
-        ordered = np.sort(found)
-        # distinct values by sorting: np.unique hashes integers, 0.5 ms on the
-        # 16 k outside values of the (8, 5) tensor block against 0.04 ms here
-        values = ordered[np.r_[True, ordered[1:] != ordered[:-1]]]
-        extra = _words(values.tolist(), sep)
-        newline += len(values)
-        words = np.concatenate((words[:WORD_BOUND], extra[:len(values)],
-                                words[WORD_BOUND:], extra[len(values):]))
-        index[outside] = WORD_BOUND + np.searchsorted(values, found)
-    index[width - 1::width] += newline
-    block = words[index]
-    del index  # three whole-block temporaries at once set a build's peak RSS
-    block = block.tolist()
-    block[-1] = block[-1][:-1]  # no newline after the last row
-    lines.append("".join(block))
+    step = group_size(width)
+    by_column = width * width <= min(count, step)  # 2-D takes over short rows are slow
+    body = [rows[:, k] for k in range(width - 1)] if by_column else [rows[:, :-1]]
+    parts = [_column_words(part, sep) for part in body] + [_column_words(rows[:, -1], "\n")]
+    buffer = np.empty(min(step, count), [(f"f{k}", words.dtype, codes.shape[1:])
+                                         for k, (words, codes) in enumerate(parts)])
+    for start in range(0, count, step):
+        chunk = buffer[:count - start]
+        for k, (words, codes) in enumerate(parts):
+            np.take(words, codes[start:start + step], out=chunk[f"f{k}"])
+        lines.append(chunk.tobytes().translate(None, b"\0")[:-1].decode())
 
 
 def _int_rows(lines: list[str], width: int) -> np.ndarray | None:

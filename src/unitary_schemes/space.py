@@ -59,6 +59,7 @@ def isotropic_count(n: int, q: int) -> int:
     """Closed-form size of the set of nonzero isotropic vectors in F_{q^2}^n."""
     check_int("n", n)
     check_int("q", q)
+    n, q = int(n), int(q)  # a numpy integer's q**n would wrap at 2^63
     if n < 0:
         raise ValueError("dimension must be non-negative")
     if n <= 1:

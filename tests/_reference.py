@@ -479,7 +479,9 @@ def sampled_constancy(M, st, tensor, seed, samples=5):
 def append_rows(lines, rows, sep):
     """``serialize._append_rows`` as one ``%`` template over ``rows.tolist()``:
     a ``%d`` per entry, ``sep`` between the entries of a row and a newline
-    between rows."""
+    between rows, appended as one string.  The byte writer appends a string
+    per chunk of rows instead, so compare the two after joining with
+    newlines."""
     count, width = rows.shape
     if count:
         template = "\n".join([sep.join(["%d"] * width)] * count)

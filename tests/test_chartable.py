@@ -167,10 +167,27 @@ def test_table_holds_integer_parts_read_only(get_table):
     [[[OMEGA]], [[0]]],
     [[[1, 1]], [[0, 0]]],
     [[1]],
-], ids=["fraction", "float", "eisenstein", "not-square", "one-part"])
+    [[[True]], [[0]]],
+    [[[np.int64(1)]], [[0]]],
+], ids=["fraction", "float", "eisenstein", "not-square", "one-part", "bool", "numpy-int"])
 def test_table_refuses_anything_but_integer_parts(bad):
     with pytest.raises(ValueError, match="^P must be a \\(2, r, r\\) array of integers"):
         CharTable(p=bad, multiplicities=(1,), valencies=(1,), order=1)
+
+
+def test_table_of_bools_is_refused_and_its_int_twin_reads_back():
+    """True would be rendered "True+0*w", which the reader refuses as not in
+    Z[w]; the same table of ints renders and reads back equal."""
+    fields = {"multiplicities": (1, 1), "valencies": (1, 1), "order": 2}
+    with pytest.raises(ValueError, match="^P must be a \\(2, r, r\\) array of integers"):
+        CharTable(p=[[[True, True], [True, -1]], [[0, 0], [0, 0]]], **fields)
+    table = CharTable(p=[[[1, 1], [1, -1]], [[0, 0], [0, 0]]], **fields)
+    text = render_document(document_from_chartable(table, 2))
+    assert "chartable 2\n1+0*w 1+0*w\n1+0*w -1+0*w\n" in text
+    back = chartable_from_document(parse_document(text))
+    assert back.p.tolist() == table.p.tolist()
+    assert (back.multiplicities, back.valencies, back.order) == (
+        table.multiplicities, table.valencies, table.order)
 
 
 @pytest.mark.parametrize("field", ["multiplicities", "valencies"])

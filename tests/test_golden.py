@@ -21,7 +21,7 @@ DIGESTS = Path(__file__).with_name("golden_digests.json")
 FUSIONS = ("none", "symmetrize", "coarse")
 CHARTABLE_N = (*range(2, 13), 40)
 VERIFY_N = range(2, 7)
-BUILD_NQ = ((2, 2), (2, 4), (4, 3), (3, 9), (8, 5))  # closed mode, doc and csv
+BUILD_NQ = ((2, 2), (2, 4), (4, 3), (3, 9), (8, 5), (10, 9))  # closed mode, doc and csv
 EXPORT_NQ = ((2, 3), (4, 2))
 
 

@@ -4,6 +4,7 @@ function's n, q and rank refuse anything but an integer with a ValueError."""
 
 import functools
 import inspect
+import re
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from unitary_schemes import (
     verify_orthogonality,
     verify_relation_matrix,
 )
+from unitary_schemes.scheme import check_parameters
 
 # what `build --n 2 --q 2`, `build --n 4 --q 2 --mode closed` and
 # `chartable --n 3 --out` write
@@ -199,6 +201,23 @@ def test_non_integer_n_q_and_rank_raise_value_error(name):
         for value in NOT_INTEGERS:
             with pytest.raises(ValueError, match=rf"\b{param}\b"):
                 function(**{**valid, param: value})
+
+
+@pytest.mark.parametrize("n,q", [(2, 2), (20, 3), (21, 3), (40, 3), (41, 3), (27, 5), (64, 2)])
+def test_numpy_integer_n_and_q_count_and_refuse_like_ints(n, q):
+    """``q ** n`` of a numpy integer would wrap at 2^63; a numpy n or q gives
+    the int result, and the same refusal past int64."""
+    expected = unitary_schemes.isotropic_count(n, q)
+    for args in ((np.int64(n), q), (n, np.int64(q)), (np.int64(n), np.int64(q))):
+        assert unitary_schemes.isotropic_count(*args) == expected
+        assert type(unitary_schemes.isotropic_count(*args)) is int
+        try:
+            check_parameters(n, q)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                check_parameters(*args)
+        else:
+            check_parameters(*args)
 
 
 @pytest.mark.parametrize("call,param", [

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import io
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from unitary_schemes import cli
+from unitary_schemes import cli, kernels
 from unitary_schemes.eisenstein import OMEGA
 from unitary_schemes.fields import SUPPORTED_Q
 from unitary_schemes.fusion import coarse_partition, fuse
@@ -548,10 +549,11 @@ def integer_blocks(draw):
 
 
 def assert_writes_like_the_percent_pass(rows, sep):
+    # the writer appends one string per chunk of rows, which _text joins
     got, expected = ["head"], ["head"]
     _append_rows(got, rows, sep)
     append_rows(expected, rows, sep)
-    assert got == expected
+    assert "\n".join(got) == "\n".join(expected)
 
 
 @settings(max_examples=300, deadline=None)
@@ -570,3 +572,56 @@ def test_word_table_writes_every_edge_like_the_percent_pass(dtype, width):
     for block in (rows, rows[:1], rows[:0]):
         for sep in (" ", ","):
             assert_writes_like_the_percent_pass(block, sep)
+
+
+@pytest.mark.parametrize("width", [1, 4, 5, 200])
+def test_writer_chunk_edges_write_like_the_percent_pass(width):
+    """One row short of a chunk, a chunk and one row past it, for blocks
+    with a field per column (widths 1, 4, 5) and for a wide one (200)."""
+    step = kernels.group_size(width)
+    rng = np.random.default_rng(width)
+    for count in (step - 1, step, step + 1, 2 * step + 1):
+        rows = rng.integers(-5, 2 * WORD_BOUND, (count, width))
+        for sep in (" ", ","):
+            assert_writes_like_the_percent_pass(rows, sep)
+            got = []
+            _append_rows(got, rows, sep)
+            assert len(got) == -(-count // step)  # one string per chunk
+
+
+def test_writer_row_wider_than_a_chunk_writes_like_the_percent_pass():
+    """Relation-matrix rows of CHUNK + 1 labels: one row per chunk."""
+    width = kernels.CHUNK + 1
+    rows = np.random.default_rng(0).integers(0, 161, (3, width)).astype(np.uint8)
+    assert_writes_like_the_percent_pass(rows, " ")
+    got = []
+    _append_rows(got, rows, " ")
+    assert len(got) == 3
+
+
+@pytest.mark.parametrize("dtype,extreme", [(np.int64, -(1 << 63)), (np.int64, (1 << 63) - 1),
+                                           (np.uint64, (1 << 64) - 1)])
+@pytest.mark.parametrize("column", [0, 3])
+def test_writer_extremes_in_one_chunk_write_like_the_percent_pass(dtype, extreme, column):
+    """An int64 or uint64 extreme in the second of three chunks only: its
+    column's words widen in every chunk, and the others' do not."""
+    step = kernels.group_size(4)
+    rows = np.random.default_rng(1).integers(0, 200, (3 * step, 4)).astype(dtype)
+    rows[step + 7, column] = extreme
+    for sep in (" ", ","):
+        assert_writes_like_the_percent_pass(rows, sep)
+
+
+def test_render_memory_stays_near_its_text():
+    """Writing the (10, 9) tensor block holds its chunk strings and then the
+    joined text, and no whole-block table beside them (3.3x the text when
+    every number became a str)."""
+    doc = document_from_descriptor(build_descriptor(10, 9, mode="closed"))
+    render_document(doc)  # the cached word tables are built outside the count
+    tracemalloc.start()
+    try:
+        text = render_document(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * len(text)
