@@ -21,7 +21,7 @@ from .chartable import (
     verify_orthogonality,
     verify_reconstruction,
 )
-from .eisenstein import OMEGA, Eisenstein
+from .eisenstein import Eisenstein
 from .fields import FieldTables, build_field, norm_solutions, trace_solutions
 from .fusion import (
     FusedTable,
@@ -73,7 +73,7 @@ __all__ = [
     "CharTable", "char_table_closed", "closed_multiplicity_formulas",
     "idempotents", "minimal_polynomial_annihilates", "multiplicities",
     "reconstruct_intersection", "second_eigenmatrix", "verify_homomorphism",
-    "verify_orthogonality", "verify_reconstruction", "OMEGA", "Eisenstein",
+    "verify_orthogonality", "verify_reconstruction", "Eisenstein",
     "FieldTables", "build_field", "norm_solutions", "trace_solutions", "FusedTable",
     "FusionError", "canonical_fusions", "coarse_partition", "fuse",
     "symmetrization_partition", "AxiomReport", "OracleMismatch",

@@ -45,16 +45,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .eisenstein import Eisenstein
+from .eisenstein import Eisenstein, render
+from .fields import check_int
 from .scheme import INT64_LIMIT, SchemeDescriptor
 from .space import check_budget, check_dimension, isotropic_count
-
-Matrix = tuple[tuple[Eisenstein, ...], ...]
 
 
 @dataclass(frozen=True, eq=False)
 class CharTable:
-    """``p`` is P = p[0] + p[1] w, a read-only (2, r, r) array of Python ints."""
+    """``p`` is P = p[0] + p[1] w, a read-only (2, r, r) array of Python ints;
+    the other fields are integers (no bool, no float), kept as Python ints."""
 
     p: np.ndarray
     multiplicities: tuple[int, ...]
@@ -66,11 +66,17 @@ class CharTable:
         if (p.ndim != 3 or p.shape[0] != 2 or p.shape[1] != p.shape[2]
                 or not set(map(type, p.flat)) <= {int}):  # no bool, no numpy integer
             raise ValueError("P must be a (2, r, r) array of integers A, B of A + B w")
+        check_int("order", self.order)
+        object.__setattr__(self, "order", int(self.order))
         for name in ("multiplicities", "valencies"):
             values = getattr(self, name)
             if len(values) != p.shape[1]:
                 raise ValueError(f"{name} has {len(values)} entries, P has"
                                  f" {p.shape[1]} columns")
+            if not set(map(type, values)) <= {int}:
+                for k, value in enumerate(values):
+                    check_int(f"{name}[{k}]", value)
+                object.__setattr__(self, name, values := tuple(map(int, values)))
             if min(values, default=1) <= 0:
                 raise ValueError(f"{name} must be positive, got {min(values)}")
         p.setflags(write=False)
@@ -80,8 +86,18 @@ class CharTable:
     def size(self) -> int:
         return self.p.shape[1]
 
-    def entry(self, i: int, j: int) -> Eisenstein:
-        return Eisenstein(self.p[0, i, j], self.p[1, i, j])
+    def entry(self, i: int, j: int) -> tuple[int, int]:
+        """P[i][j] as the integer pair (A, B) of A + B w."""
+        _check_indices(self, i=i, j=j)
+        return self.p[0, i, j], self.p[1, i, j]
+
+
+def _check_indices(ct: CharTable, **indices) -> None:
+    """Refuse, naming it, an index that is not an integer in [0, ct.size)."""
+    for name, index in indices.items():
+        check_int(name, index)
+        if not 0 <= index < ct.size:
+            raise ValueError(f"{name} = {index} is outside [0, {ct.size})")
 
 
 # 1, w and w^2 = -1 - w as (A, B) columns, indexed by the power of w
@@ -188,14 +204,6 @@ def _verdict(mask: np.ndarray, *kind):
     return (False, (*kind, *(int(v) for v in bad[0]))) if bad.size else (True, None)
 
 
-def _to_eisenstein(x, scale: int) -> list[Matrix]:
-    """The Z[w] matrices x[:, i] / scale of a (2, k, N, N) stack as nested
-    tuples of Eisenstein values, one value made per distinct entry."""
-    value = functools.cache(lambda a, b: Eisenstein(Fraction(a, scale), Fraction(b, scale)))
-    return [tuple(tuple(map(value, ra, rb)) for ra, rb in zip(*xi))
-            for xi in x.transpose(1, 0, 2, 3).tolist()]
-
-
 def _vector(values) -> np.ndarray:
     return np.array(values, dtype=object)
 
@@ -287,14 +295,19 @@ def verify_reconstruction(ct: CharTable, sd: SchemeDescriptor):
 
 def reconstruct_intersection(ct: CharTable, h: int, i: int, j: int):
     """Recover p_ij^h from the table as an exact rational, (1/(order*k_h))
-    sum_l P_i(l) P_j(l) conj(P_h(l)) m_l: the scalar form of verify_reconstruction."""
-    total = sum(
-        (ct.entry(l, i) * ct.entry(l, j) * ct.entry(l, h).conj() * ct.multiplicities[l]
-         for l in range(ct.size)),
-        Eisenstein(0),
-    )
-    value = total / (ct.order * ct.valencies[h])
-    return value.as_rational()
+    sum_l P_i(l) P_j(l) conj(P_h(l)) m_l: the scalar reference form of
+    verify_reconstruction, with its own product of Python-int pairs (A, B)."""
+    _check_indices(ct, h=h, i=i, j=j)
+    columns = (zip(*ct.p[:, :, c].tolist()) for c in (i, j, h))
+    total_a = total_b = 0
+    for (a, b), (c, d), (e, f), m in zip(*columns, ct.multiplicities):
+        xa, xb = a * c - b * d, a * d + b * c - b * d  # w^2 = -1 - w
+        total_a += m * (xa * (e - f) + xb * f)  # x conj(e + f w) = x ((e - f) - f w)
+        total_b += m * (xb * e - xa * f)
+    if total_b:
+        raise ValueError(f"p^{h}_({i}, {j}) = ({render((total_a, total_b))})"
+                         f"/{ct.order * ct.valencies[h]} is not rational")
+    return Fraction(total_a, ct.order * ct.valencies[h])
 
 
 def second_eigenmatrix(ct: CharTable) -> tuple[np.ndarray, int]:
@@ -360,9 +373,9 @@ def minimal_polynomial_annihilates(ct: CharTable, intersection_mats) -> bool:
     return not (total != 0).any()
 
 
-def idempotents(ct: CharTable, adjacency) -> list[Matrix]:
+def idempotents(ct: CharTable, adjacency) -> list[tuple[tuple, ...]]:
     """The primitive idempotents E_i = (1/order) sum_j Q[j][i] A_j, verified
-    idempotent with trace m_i, as nested tuples of Eisenstein values.  Meant
+    idempotent with trace m_i, as nested tuples of ``eisenstein`` values.  Meant
     for small orders only; each A_j enters as the 0/1 pattern of its nonzero
     entries.
 
@@ -381,10 +394,12 @@ def idempotents(ct: CharTable, adjacency) -> list[Matrix]:
     f = f.reshape(2, *masks.shape)
     squares = _differs(_matmul(f, f), *(f * scale)).any(axis=(1, 2))
     traces = f.trace(axis1=2, axis2=3).T.tolist()
+    value = functools.cache(lambda a, b: Eisenstein(Fraction(a, scale), Fraction(b, scale)))
     for i, (wrong, trace) in enumerate(zip(squares, traces)):
         if wrong:
             raise AssertionError(f"E_{i} is not idempotent")
         if trace != [ct.multiplicities[i] * scale, 0]:
-            raise AssertionError(f"E_{i} has trace {Eisenstein(*trace) / scale}, "
+            raise AssertionError(f"E_{i} has trace {value(*trace)}, "
                                  f"expected {ct.multiplicities[i]}")
-    return _to_eisenstein(f, scale)
+    return [tuple(tuple(map(value, ra, rb)) for ra, rb in zip(*fi))
+            for fi in f.transpose(1, 0, 2, 3).tolist()]

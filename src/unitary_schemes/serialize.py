@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chartable import CharTable
+from .eisenstein import render
 from .fields import check_int
 from .kernels import group_size
 from .scheme import MODES, SchemeDescriptor, check_labels, is_commutative
@@ -80,8 +81,7 @@ def document_from_descriptor(sd: SchemeDescriptor, seed: int = 0) -> SchemeDocum
 def document_from_chartable(ct: CharTable, n: int, fusion: str | None = None,
                             seed: int = 0) -> SchemeDocument:
     check_int("n", n)  # the document's n line must read back as an integer
-    rendered = tuple(tuple(f"{a}{'-' if b < 0 else '+'}{abs(b)}*w" for a, b in zip(ra, rb))
-                     for ra, rb in zip(*ct.p.tolist()))
+    rendered = tuple(tuple(map(render, zip(ra, rb))) for ra, rb in zip(*ct.p.tolist()))
     return SchemeDocument(
         n=n, q=2, rank=ct.size, order=ct.order, mode="closed", seed=seed,
         valencies=ct.valencies, chartable=rendered,
@@ -411,5 +411,7 @@ def parse_relation_matrix(text: str) -> tuple[np.ndarray, int]:
             rows.append(row)
         matrix = np.array(rows, dtype=np.int64)
     if matrix.min() < 0 or matrix.max() >= rank:
-        raise ValueError("relation indices exceed the declared rank")
+        row, column = np.argwhere((matrix < 0) | (matrix >= rank))[0]
+        raise ValueError(f"line {lines[row + 1][0]}: relation index {matrix[row, column]}"
+                         f" is outside [0, {rank})")
     return matrix, rank

@@ -491,6 +491,20 @@ def append_rows(lines, rows, sep):
 # ---------------------------------------------------------------------------
 # Z[w] identities of a character table, one product at a time
 
+# the units 1, w and w-bar = w^2 = -1 - w as integer pairs (A, B) of A + B w,
+# for writing tables in the paper's notation
+ONE, W, WB = (1, 0), (0, 1), (-1, -1)
+
+
+def zw(x, unit=ONE):
+    """The integer pair of x * ``unit``, x an integer."""
+    return x * unit[0], x * unit[1]
+
+
+def zw_rows(rows):
+    """Rows of integers and pairs with every integer x made the pair (x, 0)."""
+    return [[x if isinstance(x, tuple) else zw(x) for x in row] for row in rows]
+
 
 def zw_matmul(x, y):
     """(A + B w)(C + D w) for (2, ...) stacks of object arrays, by four
@@ -530,11 +544,11 @@ def idempotents(ct, adjacency):
         square = zw_matmul(fi, fi)
         if ((square[0] != fi[0] * scale) | (square[1] != fi[1] * scale)).any():
             raise AssertionError(f"E_{i} is not idempotent")
+        value = functools.cache(lambda a, b: Eisenstein(Fraction(a, scale), Fraction(b, scale)))
         trace = tuple(fi.trace(axis1=1, axis2=2))
         if trace != (ct.multiplicities[i] * scale, 0):
-            raise AssertionError(f"E_{i} has trace {Eisenstein(*trace) / scale}, "
+            raise AssertionError(f"E_{i} has trace {value(*trace)}, "
                                  f"expected {ct.multiplicities[i]}")
-        value = functools.cache(lambda a, b: Eisenstein(Fraction(a, scale), Fraction(b, scale)))
         out.append(tuple(tuple(map(value, ra, rb)) for ra, rb in zip(*fi.tolist())))
     return out
 

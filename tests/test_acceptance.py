@@ -15,7 +15,6 @@ from unitary_schemes.chartable import (
     verify_homomorphism,
     verify_orthogonality,
 )
-from unitary_schemes.eisenstein import OMEGA, Eisenstein
 from unitary_schemes.fusion import canonical_fusions, coarse_partition, fuse
 from unitary_schemes.scheme import (
     build_descriptor,
@@ -31,8 +30,7 @@ from unitary_schemes.scheme import (
 from unitary_schemes.serialize import parse_relation_matrix, render_relation_matrix
 from unitary_schemes.space import enumerate_isotropic, isotropic_count, witness_pair
 
-W = OMEGA
-WB = OMEGA.conj()
+from _reference import W, WB, zw, zw_rows
 
 
 def report(number, name, passed):
@@ -166,34 +164,33 @@ def test_criterion_06_intersection_matrices(get_descriptor):
 
 
 def table_rows(ct):
-    """The entries of ``ct`` as nested lists of Eisenstein values."""
+    """The entries of ``ct`` as nested lists of integer pairs (A, B) of A + B w."""
     return [[ct.entry(i, j) for j in range(ct.size)] for i in range(ct.size)]
 
 
 def frozen_table(n):
     if n == 2:
-        rows = [[1, 1, 1, 2, 2, 2], [1, W, WB, 2, 2 * WB, 2 * W],
-                [1, WB, W, 2, 2 * W, 2 * WB], [1, 1, 1, -1, -1, -1],
-                [1, W, WB, -1, -WB, -W], [1, WB, W, -1, -W, -WB]]
+        rows = [[1, 1, 1, 2, 2, 2], [1, W, WB, 2, zw(2, WB), zw(2, W)],
+                [1, WB, W, 2, zw(2, W), zw(2, WB)], [1, 1, 1, -1, -1, -1],
+                [1, W, WB, -1, zw(-1, WB), zw(-1, W)], [1, WB, W, -1, zw(-1, W), zw(-1, WB)]]
         mult = (1, 1, 1, 2, 2, 2)
     elif n == 3:
-        rows = [[1, 1, 1, 8, 8, 8], [1, W, WB, -4, -4 * WB, -4 * W],
-                [1, WB, W, -4, -4 * W, -4 * WB], [1, 1, 1, -1, -1, -1],
-                [1, W, WB, 2, 2 * WB, 2 * W], [1, WB, W, 2, 2 * W, 2 * WB]]
+        rows = [[1, 1, 1, 8, 8, 8], [1, W, WB, -4, zw(-4, WB), zw(-4, W)],
+                [1, WB, W, -4, zw(-4, W), zw(-4, WB)], [1, 1, 1, -1, -1, -1],
+                [1, W, WB, 2, zw(2, WB), zw(2, W)], [1, WB, W, 2, zw(2, W), zw(2, WB)]]
         mult = (1, 3, 3, 8, 6, 6)
     else:
         big = 2 ** (2 * n - 3)
         e1, e3, e6 = -((-2) ** (n - 1)), -((-2) ** (n - 2)), -((-2) ** (n - 3))
         rows = [[1, 1, 1, big, big, big, big - (-2) ** (n - 1) - 4],
-                [1, W, WB, e1, e1 * WB, e1 * W, 0],
-                [1, WB, W, e1, e1 * W, e1 * WB, 0],
+                [1, W, WB, e1, zw(e1, WB), zw(e1, W), 0],
+                [1, WB, W, e1, zw(e1, W), zw(e1, WB), 0],
                 [1, 1, 1, e3, e3, e3, 3 * (-2) ** (n - 2) - 3],
-                [1, W, WB, e3, e3 * WB, e3 * W, 0],
-                [1, WB, W, e3, e3 * W, e3 * WB, 0],
+                [1, W, WB, e3, zw(e3, WB), zw(e3, W), 0],
+                [1, WB, W, e3, zw(e3, W), zw(e3, WB), 0],
                 [1, 1, 1, e6, e6, e6, 3 * (-2) ** (n - 3) - 3]]
         mult = closed_multiplicity_formulas(n)
-    entries = [[x if isinstance(x, Eisenstein) else Eisenstein(x) for x in row] for row in rows]
-    return entries, mult
+    return zw_rows(rows), mult
 
 
 def test_criterion_07_character_tables(get_table):
@@ -273,13 +270,13 @@ def test_criterion_09_fusion(get_space, get_table, get_descriptor):
         for kind, blocks in canonical_fusions(n):
             fused = fuse(get_table(n), get_descriptor(n, 2), blocks)
             rows, mult = fused_expectations(n, kind)
-            ok &= table_rows(fused.table) == [[Eisenstein(x) for x in r] for r in rows]
+            ok &= table_rows(fused.table) == zw_rows(rows)
             ok &= fused.table.multiplicities == mult
     for n in (4, 5, 6):
         for kind, blocks in canonical_fusions(n):
             fused = fuse(get_table(n), get_descriptor(n, 2), blocks)
             rows, mult = fused_expectations(n, kind)
-            ok &= table_rows(fused.table) == [[Eisenstein(x) for x in r] for r in rows]
+            ok &= table_rows(fused.table) == zw_rows(rows)
             ok &= fused.table.multiplicities == mult
     fused = fuse(get_table(4), get_descriptor(4, 2), coarse_partition(4))
     ok &= fused.table.multiplicities[1] == 90

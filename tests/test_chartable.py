@@ -22,7 +22,7 @@ from unitary_schemes.chartable import (
     verify_orthogonality,
     verify_reconstruction,
 )
-from unitary_schemes.eisenstein import OMEGA, Eisenstein
+from unitary_schemes.eisenstein import Eisenstein
 from unitary_schemes.scheme import build_adjacency_matrices, intersection_matrices
 from unitary_schemes.serialize import (
     chartable_from_document,
@@ -32,18 +32,12 @@ from unitary_schemes.serialize import (
 )
 
 import _reference as ref
-from _reference import RefField, isotropic_vectors, tensor as reference_tensor
-
-W = OMEGA
-WB = OMEGA.conj()
-
-
-def E(x):
-    return x if isinstance(x, Eisenstein) else Eisenstein(x)
+from _reference import W, WB, RefField, isotropic_vectors, zw, zw_rows
+from _reference import tensor as reference_tensor
 
 
 def rows(ct):
-    """The entries of ``ct`` as nested lists of Eisenstein values."""
+    """The entries of ``ct`` as nested lists of integer pairs (A, B) of A + B w."""
     return [[ct.entry(i, j) for j in range(ct.size)] for i in range(ct.size)]
 
 
@@ -56,14 +50,14 @@ def test_table_n2_verbatim(get_table):
     ct = get_table(2)
     expected = [
         [1, 1, 1, 2, 2, 2],
-        [1, W, WB, 2, 2 * WB, 2 * W],
-        [1, WB, W, 2, 2 * W, 2 * WB],
+        [1, W, WB, 2, zw(2, WB), zw(2, W)],
+        [1, WB, W, 2, zw(2, W), zw(2, WB)],
         [1, 1, 1, -1, -1, -1],
-        [1, W, WB, -1, -WB, -W],
-        [1, WB, W, -1, -W, -WB],
+        [1, W, WB, -1, zw(-1, WB), zw(-1, W)],
+        [1, WB, W, -1, zw(-1, W), zw(-1, WB)],
     ]
-    assert rows(ct) == [[E(x) for x in r] for r in expected]
-    assert ct.entry(3, 3) == -1
+    assert rows(ct) == zw_rows(expected)
+    assert ct.entry(3, 3) == (-1, 0)
     assert ct.multiplicities == (1, 1, 1, 2, 2, 2)
     assert ct.order == 9
 
@@ -72,25 +66,25 @@ def test_table_n3_verbatim(get_table):
     ct = get_table(3)
     expected = [
         [1, 1, 1, 8, 8, 8],
-        [1, W, WB, -4, -4 * WB, -4 * W],
-        [1, WB, W, -4, -4 * W, -4 * WB],
+        [1, W, WB, -4, zw(-4, WB), zw(-4, W)],
+        [1, WB, W, -4, zw(-4, W), zw(-4, WB)],
         [1, 1, 1, -1, -1, -1],
-        [1, W, WB, 2, 2 * WB, 2 * W],
-        [1, WB, W, 2, 2 * W, 2 * WB],
+        [1, W, WB, 2, zw(2, WB), zw(2, W)],
+        [1, WB, W, 2, zw(2, W), zw(2, WB)],
     ]
-    assert rows(ct) == [[E(x) for x in r] for r in expected]
-    assert ct.entry(1, 3) == -4
+    assert rows(ct) == zw_rows(expected)
+    assert ct.entry(1, 3) == (-4, 0)
     assert ct.multiplicities == (1, 3, 3, 8, 6, 6)
     assert ct.order == 27
 
 
 def test_table_n4_entries(get_table):
     ct = get_table(4)
-    assert ct.entry(0, 6) == 36
-    assert ct.entry(1, 3) == 8          # -(-2)^3
-    assert ct.entry(1, 4) == 8 * WB
-    assert ct.entry(3, 6) == 9          # 3*(-2)^2 - 3
-    assert ct.entry(6, 6) == -9
+    assert ct.entry(0, 6) == (36, 0)
+    assert ct.entry(1, 3) == (8, 0)     # -(-2)^3
+    assert ct.entry(1, 4) == zw(8, WB)
+    assert ct.entry(3, 6) == (9, 0)     # 3*(-2)^2 - 3
+    assert ct.entry(6, 6) == (-9, 0)
     assert ct.valencies == (1, 1, 1, 32, 32, 32, 36)
     assert ct.multiplicities == (1, 15, 15, 20, 30, 30, 24)
 
@@ -110,10 +104,16 @@ def tampered(ct, p):
 
 
 def with_entry(ct, i, j, value):
-    """``ct`` with P[i][j] replaced by the Z[w] value ``value``."""
+    """``ct`` with P[i][j] replaced by the integer pair ``value``."""
     p = ct.p.copy()
-    p[:, i, j] = int(value.a), int(value.b)
+    p[:, i, j] = value
     return tampered(ct, p)
+
+
+def plus_one(ct, i, j):
+    """``ct`` with 1 added to P[i][j]."""
+    a, b = ct.entry(i, j)
+    return with_entry(ct, i, j, (a + 1, b))
 
 
 def swapped_rows(ct, i, j):
@@ -157,14 +157,14 @@ def test_table_holds_integer_parts_read_only(get_table):
     p = ct.p.copy()
     table = tampered(ct, p)
     p[0, 1, 1] = 7
-    assert table.entry(1, 1) == OMEGA
+    assert table.entry(1, 1) == W
     assert verify_orthogonality(table) == (True, None)
 
 
 @pytest.mark.parametrize("bad", [
     [[[Fraction(1, 2)]], [[0]]],
     [[[0.5]], [[0]]],
-    [[[OMEGA]], [[0]]],
+    [[[Eisenstein(0, 1)]], [[0]]],
     [[[1, 1]], [[0, 0]]],
     [[1]],
     [[[True]], [[0]]],
@@ -214,9 +214,51 @@ def test_table_refuses_a_non_positive_entry(field, value, get_table):
         CharTable(p=ct.p, order=ct.order, **fields)
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("multiplicities", (1.9, 1, 1, 2, 2, 2), r"multiplicities\[0\] must be an integer, not 1\.9"),
+    ("multiplicities", (1, 1, 1, 2, 2, True), r"multiplicities\[5\] must be an integer, not True"),
+    ("valencies", (1.0, 1, 1, 2, 2, 2), r"valencies\[0\] must be an integer, not 1\.0"),
+    ("valencies", (1, 1, 1, 2, 2, "2"), r"valencies\[5\] must be an integer, not '2'"),
+    ("order", 9.0, r"order must be an integer, not 9\.0"),
+    ("order", True, r"order must be an integer, not True"),
+])
+def test_table_refuses_a_field_that_is_not_integer(field, value, message, get_table):
+    """A float multiplicity would be truncated by the int64 identities (1.9
+    passed verify_orthogonality as 1), and a float valency end in a bare
+    TypeError from math.lcm; both are refused when the table is built."""
+    ct = get_table(2)
+    fields = {"multiplicities": ct.multiplicities, "valencies": ct.valencies,
+              "order": ct.order, field: value}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        CharTable(p=ct.p, **fields)
+
+
+def test_table_keeps_numpy_integer_fields_as_python_ints():
+    """At n = 20 the identities run on Python ints, where an np.int64 field
+    would meet a product past int64 (an OverflowError if it were kept)."""
+    ct = char_table_closed(20)
+    table = CharTable(p=ct.p, multiplicities=tuple(np.int64(m) for m in ct.multiplicities),
+                      valencies=np.array(ct.valencies), order=np.int64(ct.order))
+    assert table.multiplicities == ct.multiplicities and table.valencies == ct.valencies
+    assert all(type(x) is int for x in (*table.multiplicities, *table.valencies, table.order))
+    assert verify_orthogonality(table) == (True, None)
+
+
+@pytest.mark.parametrize("i,j,name", [(-1, 0, "i"), (6, 0, "i"), (0, -1, "j"), (0, 6, "j")])
+def test_entry_refuses_an_index_outside_the_table(i, j, name, get_table):
+    index = i if name == "i" else j
+    with pytest.raises(ValueError, match=rf"^{name} = {index} is outside \[0, 6\)$"):
+        get_table(2).entry(i, j)
+
+
+def test_entry_is_a_pair_of_python_ints(get_table):
+    a, b = get_table(2).entry(1, 4)
+    assert (type(a), type(b), a, b) == (int, int, -2, -2)  # 2 w-bar = -2 - 2 w
+
+
 def test_table_beyond_int64():
     ct = char_table_closed(40)
-    assert ct.entry(0, 3) == 2**77
+    assert ct.entry(0, 3) == (2**77, 0)
     assert type(ct.p[0, 0, 3]) is int and ct.p[0, 0, 3] == 2**77
     assert ct.multiplicities == closed_multiplicity_formulas(40)
     assert max(ct.multiplicities) > 2**63
@@ -234,10 +276,10 @@ def test_orthogonality(n, get_table):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_row_structure(n, get_table):
     ct = get_table(n)
-    assert all(row[0] == 1 for row in rows(ct))
-    assert rows(ct)[0] == [Eisenstein(k) for k in ct.valencies]
+    assert all(row[0] == (1, 0) for row in rows(ct))
+    assert rows(ct)[0] == [(k, 0) for k in ct.valencies]
     for row in rows(ct)[1:]:
-        assert sum(row, Eisenstein(0)) == 0
+        assert [sum(part) for part in zip(*row)] == [0, 0]
 
 
 def test_orthogonality_detects_row_multiplicity_mismatch(get_table):
@@ -256,7 +298,7 @@ def test_homomorphism(n, get_table, get_descriptor):
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_homomorphism_witness_on_changed_entry(n, get_table, get_descriptor):
     ct = get_table(n)
-    changed = with_entry(ct, 2, 4, ct.entry(2, 4) + 1)
+    changed = plus_one(ct, 2, 4)
     assert verify_homomorphism(changed, get_descriptor(n, 2, "closed")) == (False, (2, 1, 4))
 
 
@@ -289,7 +331,7 @@ def test_reconstruction_array_matches_scalar(n, get_table, get_descriptor):
                for h in range(ct.size) for i in range(ct.size) for j in range(ct.size))
     # on a tampered table the array names the scalar form's first failure
     # (a wrong rational, or a w part where the scalar form raises)
-    changed = with_entry(ct, 2, 4, ct.entry(2, 4) + 1)
+    changed = plus_one(ct, 2, 4)
 
     def scalar_fails(h, i, j):
         try:
@@ -308,6 +350,20 @@ def test_reconstruction_examples(get_table, get_descriptor):
     for i in range(7):
         assert reconstruct_intersection(ct, 0, i, sd.conj_map[i]) == sd.valencies[i]
     assert reconstruct_intersection(ct, 6, 6, 6) == 9
+
+
+@pytest.mark.parametrize("h,i,j,name,index", [
+    (-1, 0, 0, "h", -1), (6, 0, 0, "h", 6), (0, -1, 0, "i", -1), (0, 0, 6, "j", 6),
+])
+def test_reconstruction_refuses_an_index_outside_the_table(h, i, j, name, index, get_table):
+    """-1 would wrap to row 5 and give p^5_00 = 0 where no p^-1_00 exists."""
+    with pytest.raises(ValueError, match=rf"^{name} = {index} is outside \[0, 6\)$"):
+        reconstruct_intersection(get_table(2), h, i, j)
+
+
+def test_reconstruction_refuses_a_w_part(get_table):
+    with pytest.raises(ValueError, match=r"^p\^0_\(1, 4\) = \(-1-1\*w\)/9 is not rational$"):
+        reconstruct_intersection(plus_one(get_table(2), 2, 4), 0, 1, 4)
 
 
 def test_reconstruction_against_independent_oracle(get_table):
@@ -335,7 +391,7 @@ def test_second_eigenmatrix(n, get_table):
 def test_second_eigenmatrix_rejects_tampered_table(n, get_table):
     ct = get_table(n)
     doubled = tampered(ct, 2 * ct.p)
-    for table in (doubled, swapped_rows(ct, 1, 3), with_entry(ct, 2, 4, ct.entry(2, 4) + 1)):
+    for table in (doubled, swapped_rows(ct, 1, 3), plus_one(ct, 2, 4)):
         with pytest.raises(AssertionError, match="^P Q = Q P = order \\* I fails$"):
             second_eigenmatrix(table)
 
@@ -362,7 +418,8 @@ def test_eigenvalue_bound(n, get_table):
     ct = get_table(n)
     for row in rows(ct):
         for x, k in zip(row, ct.valencies):
-            assert x.abs_square() <= k * k
+            a, b = x
+            assert a * a - a * b + b * b <= k * k
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -414,7 +471,7 @@ def test_chartable_budget():
 
 def test_chartable_paths_construct_no_fraction(monkeypatch, tmp_path):
     # P, its identities, the printer and the document writer and reader all
-    # run on integer parts; Fraction is left to Eisenstein values
+    # run on integer parts; Fraction is left to the idempotents' values
     text = render_document(document_from_chartable(char_table_closed(6), 6))
     made = []
     original = Fraction.__new__
@@ -493,7 +550,7 @@ def test_minimal_polynomials_match_on_tampered_tables(n, get_table, get_descript
     mats = intersection_matrices(get_descriptor(n, 2))
     p = ct.p.copy()
     p[:, 3:6, 3] = [[2], [0]]  # a genuine eigenvalue of column 3 dropped
-    for table in (tampered(ct, p), with_entry(ct, 2, 4, ct.entry(2, 4) + 1),
+    for table in (tampered(ct, p), plus_one(ct, 2, 4),
                   swapped_rows(ct, 1, 3), tampered(ct, 2 * ct.p)):
         result = minimal_polynomial_annihilates(table, mats)
         assert result == ref.minimal_polynomial_annihilates(table, mats)
@@ -598,7 +655,7 @@ def test_both_dtypes_give_the_same_verdicts(n, monkeypatch, get_table, get_descr
     mats = intersection_matrices(sd)
     dropped = ct.p.copy()
     dropped[:, 3:6, 3] = [[2], [0]]  # column 3 loses the values of rows 3 to 5
-    tables = [ct, tampered(ct, dropped), with_entry(ct, 2, 4, ct.entry(2, 4) + 1),
+    tables = [ct, tampered(ct, dropped), plus_one(ct, 2, 4),
               swapped_rows(ct, 1, 3), tampered(ct, 2 * ct.p)]
     results = []
     for table in tables:

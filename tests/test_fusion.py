@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from unitary_schemes.chartable import CharTable, reconstruct_intersection, verify_orthogonality
-from unitary_schemes.eisenstein import Eisenstein
 from unitary_schemes.fusion import (
     FusionError,
     canonical_fusions,
@@ -20,22 +19,22 @@ from unitary_schemes.scheme import (
     scheme_rank,
 )
 
-
-def E(rows):
-    return [[Eisenstein(x) for x in row] for row in rows]
+from _reference import zw_rows
 
 
 def rows(ct):
-    """The entries of ``ct`` as nested lists of Eisenstein values."""
+    """The entries of ``ct`` as nested lists of integer pairs (A, B) of A + B w."""
     return [[ct.entry(i, j) for j in range(ct.size)] for i in range(ct.size)]
 
 
 def expected_symmetrization(n):
     """Fused table in canonical dual-block order {0},{1,2},{3},{4,5}(,{6})."""
     if n == 2:
-        return E([[1, 2, 2, 4], [1, -1, 2, -2], [1, 2, -1, -2], [1, -1, -1, 1]]), (1, 2, 2, 4)
+        rows = [[1, 2, 2, 4], [1, -1, 2, -2], [1, 2, -1, -2], [1, -1, -1, 1]]
+        return zw_rows(rows), (1, 2, 2, 4)
     if n == 3:
-        return E([[1, 2, 8, 16], [1, -1, -4, 4], [1, 2, -1, -2], [1, -1, 2, -2]]), (1, 6, 8, 12)
+        rows = [[1, 2, 8, 16], [1, -1, -4, 4], [1, 2, -1, -2], [1, -1, 2, -2]]
+        return zw_rows(rows), (1, 6, 8, 12)
     a, b, c = (-2) ** (n - 1), (-2) ** (n - 2), (-2) ** (n - 3)
     rows = [
         [1, 2, 2 ** (2 * n - 3), 2 ** (2 * n - 2), 2 ** (2 * n - 3) - a - 4],
@@ -48,15 +47,15 @@ def expected_symmetrization(n):
     s = (-1) ** n
     m3 = 4 * (2**n - s) * (2 ** (n - 3) + s) // 9
     m6 = 8 * (2 ** (n - 1) + s) * (2 ** (n - 2) - s) // 9
-    return E(rows), (1, m12, m3, 2 * m12, m6)
+    return zw_rows(rows), (1, m12, m3, 2 * m12, m6)
 
 
 def expected_coarse(n):
     """Fused table in canonical dual-block order {0},{1,2,4,5},{3}(,{6})."""
     if n == 2:
-        return E([[1, 2, 6], [1, -1, 0], [1, 2, -3]]), (1, 6, 2)
+        return zw_rows([[1, 2, 6], [1, -1, 0], [1, 2, -3]]), (1, 6, 2)
     if n == 3:
-        return E([[1, 2, 24], [1, -1, 0], [1, 2, -3]]), (1, 18, 8)
+        return zw_rows([[1, 2, 24], [1, -1, 0], [1, 2, -3]]), (1, 18, 8)
     a, b, c = (-2) ** (n - 1), (-2) ** (n - 2), (-2) ** (n - 3)
     rows = [
         [1, 2, 3 * 2 ** (2 * n - 3), 2 ** (2 * n - 3) - a - 4],
@@ -68,7 +67,7 @@ def expected_coarse(n):
     s = (-1) ** n
     m3 = 4 * (2**n - s) * (2 ** (n - 3) + s) // 9
     m6 = 8 * (2 ** (n - 1) + s) * (2 ** (n - 2) - s) // 9
-    return E(rows), (1, merged, m3, m6)
+    return zw_rows(rows), (1, merged, m3, m6)
 
 
 def test_canonical_partitions():

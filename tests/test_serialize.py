@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from unitary_schemes import cli, kernels
-from unitary_schemes.eisenstein import OMEGA
 from unitary_schemes.fields import SUPPORTED_Q
 from unitary_schemes.fusion import coarse_partition, fuse
 from unitary_schemes.scheme import (
@@ -179,7 +178,7 @@ def test_chartable_document_reads_both_signs_beyond_int64():
     table = chartable_from_document(dataclasses.replace(doc, chartable=tuple(map(tuple, rows))))
     assert table.p[:, 1, 1].tolist() == [-2**80, -2**70]
     assert table.p[:, 1, 2].tolist() == [2**80, 0]
-    assert table.entry(1, 1) == -2**80 - 2**70 * OMEGA
+    assert table.entry(1, 1) == (-2**80, -2**70)
 
 
 @pytest.fixture(scope="module")
@@ -426,6 +425,16 @@ def test_parse_relation_matrix_ragged_rows():
         parse_relation_matrix("3 2\n0 1 1\n\n1 0\n1 1 0\n")
     with pytest.raises(ValueError, match="^line 2: invalid literal"):
         parse_relation_matrix("2 2\n0 one\n1 0\n")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("2 2\n0 -1\n1 0\n", r"^line 2: relation index -1 is outside \[0, 2\)$"),
+    ("3 2\n0 1 1\n\n1 0 1\n1 7 0\n", r"^line 5: relation index 7 is outside \[0, 2\)$"),
+    ("3 2\n0 1 1\n1 0 9\n1 \u0662 0\n", r"^line 3: relation index 9 is outside \[0, 2\)$"),
+], ids=["negative", "too-large", "read-line-by-line"])
+def test_parse_relation_matrix_names_the_line_of_a_label_outside_the_rank(text, message):
+    with pytest.raises(ValueError, match=message):
+        parse_relation_matrix(text)
 
 
 def _tensor_lines(get_descriptor):
