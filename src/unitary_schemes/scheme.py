@@ -650,7 +650,7 @@ def _structure(M: np.ndarray, rank: int | None) -> _Structure:
 
 
 def _triple_counts(M: np.ndarray, st: _Structure) -> tuple[np.ndarray, np.ndarray]:
-    """Exact triple counts of a relation matrix, every pair checked.
+    """Exact triple counts of a relation matrix, every ordered pair checked.
 
     ``tensor[h, i, j]`` counts the z with (x, z) in relation i and (z, y) in
     relation j at one representative pair (x, y) of each non-empty relation
@@ -664,11 +664,32 @@ def _triple_counts(M: np.ndarray, st: _Structure) -> tuple[np.ndarray, np.ndarra
     below 2^53, and float64 products compute them exactly in any order.  Row
     x's packed counts for every (i, y) are then one product onehot_x @ P of
     its (rank, N) indicator matrix and P[z, y] = B^(M[z, y] - g0), taken for
-    a block of ``kernels.group_size(N rank)`` rows at once by
+    a block of b = ``kernels.group_size(N rank)`` rows from x0 at once by
     ``kernels._matmul``, and compared whole with the packed counts of the
     representative of M[x, y]; digits are unpacked only where the two
-    differ.  Time O(G rank N^3) multiply-adds over G = ceil(rank / w) digit
-    groups; memory O(N^2 + rank^3 + N rank + CHUNK).
+    differ.
+
+    Once ``_structure`` has verified the converse axiom (``st.split`` is
+    None), M[y, x] = conj M[x, y] for every pair, so A_i^T = A_{conj i} and
+    (A_i A_j)[x, y] = (A_{conj j} A_{conj i})[y, x] pair by pair: the
+    identity p^h_ij = p^{conj h}_{conj j, conj i} (Brouwer, Cohen and
+    Neumaier, *Distance-Regular Graphs*, Lemma 2.1.1; Bannai and Ito,
+    *Algebraic Combinatorics I*, section II.2).  A block then multiplies
+    only the columns y >= x0, which hold every unordered pair at least
+    once.  With the mirror mirror[h, i, j] = tensor[conj h, conj j, conj i],
+    a pair (y, x) left out varies at (conj h, conj j, conj i) exactly when
+    the count c at (x, y), in relation h, differs from mirror[h, i, j]:
+    either c differs from tensor[h, i, j], which (x, y) marks and the
+    mirrored marks carry over, or tensor differs from its mirror at
+    (h, i, j), and such a cell varies in both orientations, since the
+    reversed representative of conj h is a pair of h with the mirror's
+    counts.  So the mirrored marks and ``tensor != mirror`` are added to
+    ``varies``, and every ordered pair is still checked exactly.
+
+    Time about (N + b) / 2N of the O(G rank N^3) multiply-adds over
+    G = ceil(rank / w) digit groups when ``st.split`` is None, all of them
+    otherwise; memory O(N^2 + rank^3 + N rank + CHUNK), the mirror being one
+    more rank^3 array, built only when there is more than one block.
     """
     count, rank = M.shape[0], st.rank
     labels = M.astype(np.intp)
@@ -683,6 +704,7 @@ def _triple_counts(M: np.ndarray, st: _Structure) -> tuple[np.ndarray, np.ndarra
         width += 1
     assert base**width <= 2**53, "packed counts must stay exact in float64"
     rows_per_block = kernels.group_size(count * rank)
+    mirrored = st.split is None and rows_per_block < count
     indicator = np.eye(rank)
     powers = np.empty((count, count))
     packed = powers.T  # packed[y, z] = B^(M[z, y] - g0), one digit group at a time
@@ -697,16 +719,22 @@ def _triple_counts(M: np.ndarray, st: _Structure) -> tuple[np.ndarray, np.ndarra
         reference = tensor[:, :, g0:g0 + digits.size] @ power[g0:g0 + digits.size]
         for x0 in range(0, count, rows_per_block):
             block = labels[x0:x0 + rows_per_block]
+            y0 = x0 if mirrored else 0
             onehot = np.take(indicator, block, axis=0)  # onehot[x, z, i] = [M[x, z] = i]
-            got = kernels._matmul(packed, onehot)  # got[x, y, i], one product per row x
-            want = np.take(reference, block, axis=0)
+            got = kernels._matmul(packed[y0:], onehot)  # got[x, y - y0, i], one product per row x
+            want = np.take(reference, block[:, y0:], axis=0)
             differ = got != want
             if differ.any():
                 x, y, i = np.nonzero(differ)
                 wrong = (got[x, y, i].astype(np.int64)[:, None] // scale % base
                          != want[x, y, i].astype(np.int64)[:, None] // scale % base)
                 at, k = np.nonzero(wrong)
-                varies[block[x[at], y[at]], i[at], g0 + k] = True
+                varies[block[x[at], y0 + y[at]], i[at], g0 + k] = True
+    if mirrored:
+        conj = np.array(st.conj)
+        converse = np.ix_(conj, conj, conj)
+        mirror = tensor[converse].transpose(0, 2, 1)
+        varies |= varies[converse].transpose(0, 2, 1) | (tensor != mirror)
     return tensor, varies
 
 
@@ -813,13 +841,19 @@ def verify_scheme_axioms(us: UnitarySpace, sd: SchemeDescriptor | None = None,
 def build_adjacency_matrices(us: UnitarySpace, sd: SchemeDescriptor) -> list[np.ndarray]:
     """0/1 adjacency matrices of all relations, verified to span the algebra:
     A_i A_j = sum_h p_ij^h A_h holds exactly.  A descriptor of another
-    (n, q) raises a ``ValueError``."""
+    (n, q) raises a ``ValueError``.  A relation 0 other than the diagonal,
+    or a relation whose reversed pairs fall in other than one relation,
+    raises an ``AssertionError`` before the triple counts, which do not
+    check the converse axiom."""
     _check_same_space(us, sd)
     check_budget("dense", us.size)
     M = kernels.classify_matrix(us.block_codes, us.tables)
     st = _structure(M, sd.rank)
     if not st.identity:
         raise AssertionError("relation 0 is not the identity")
+    if st.split is not None:
+        raise AssertionError(f"reversed pairs of relation {st.split} fall in"
+                             f" {st.spread[st.split]} relations")
     tensor, varies = _triple_counts(M, st)
     bad = np.argwhere((varies | (tensor != sd.tensor)).any(axis=0))
     if bad.size:

@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import math
 import random
 import re
 import tracemalloc
@@ -540,6 +541,23 @@ def test_adjacency_rejects_tampered_descriptor(get_space, get_descriptor):
             build_adjacency_matrices(us, dataclasses.replace(sd, **{field: value}))
 
 
+def test_adjacency_refuses_a_split_converse(get_space, get_descriptor, monkeypatch):
+    """Constant triple counts do not imply the converse axiom, so a matrix
+    whose reversed pairs of relation 3 fall in two relations is refused
+    before its triple counts are taken."""
+    us, sd = get_space(4, 2), get_descriptor(4, 2)
+    classify = kernels.classify_matrix
+    monkeypatch.setattr(kernels, "classify_matrix",
+                        lambda codes, t: _tamper_converse(classify(codes, t)))
+
+    def triple_counts(M, st):
+        raise AssertionError("triple counts of a matrix with a split converse")
+
+    monkeypatch.setattr(scheme_mod, "_triple_counts", triple_counts)
+    with pytest.raises(AssertionError, match="^reversed pairs of relation 3 fall in 2 relations$"):
+        build_adjacency_matrices(us, sd)
+
+
 def test_sampled_pairs_follow_row_major_order(get_space):
     # the sampled check draws the p-th pair of relation h in np.nonzero order
     M = relation_matrix(get_space(4, 2))
@@ -624,6 +642,84 @@ def test_triple_counts_integer_dtypes(dtype, get_space):
     M = relation_matrix(get_space(4, 2))
     for T in (M, _tamper_constancy(M), *_single_edits(M, 2, 5)):
         _assert_triple_counts_match_reference(T.astype(dtype))
+
+
+@pytest.mark.parametrize("n,q", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4)])
+def test_triple_counts_row_blocks_match_reference(n, q, get_space, monkeypatch):
+    """The mirrored blocks of ``_triple_counts`` match the reference on
+    relation matrices and single edits, whether a block holds one row
+    (``kernels.CHUNK`` = 16), a few rows or every row; (2, 2), (3, 2) and
+    (2, 3), one block at the default ``CHUNK``, span several here.  The
+    matrices are classified before ``CHUNK`` is patched."""
+    M = relation_matrix(get_space(n, q))
+    mats = [M, *_single_edits(M, 3, n * q)]
+    for cells in (16, 1000, 1 << 16):
+        monkeypatch.setattr(kernels, "CHUNK", cells)
+        for T in mats:
+            _assert_triple_counts_match_reference(T)
+
+
+@pytest.mark.parametrize("n,q", [(4, 2), (2, 4)])
+def test_triple_counts_match_reference_on_converse_preserving_edits(n, q, get_space):
+    """Edits that set M[x, y] = l and M[y, x] = conj l keep the converse
+    axiom exact, so ``_triple_counts`` takes the mirrored path over several
+    blocks (at (2, 4) in two digit groups); the counts that vary after the
+    edit match the reference and the full products.  So do matrices with
+    one more relation, the single unordered pair {0, y} across blocks: the
+    representative (0, y) is the pair's only directly counted orientation,
+    so where its counts are not those of (y, 0) under the converse map,
+    only the mirrored tensor marks them."""
+    M = relation_matrix(get_space(n, q))
+    st = scheme_mod._structure(M, None)
+    assert kernels.group_size(M.shape[0] * st.rank) < M.shape[0]
+    rng = random.Random(n * q)
+    mats = []
+    for _ in range(4):
+        x, y = rng.sample(range(M.shape[0]), 2)
+        l = rng.choice([l for l in range(st.rank) if l != M[x, y]])
+        T = M.copy()
+        T[x, y], T[y, x] = l, st.conj[l]
+        mats.append(T)
+    for y in range(M.shape[0] - 5, M.shape[0]):
+        T = M.copy()
+        T[0, y] = T[y, 0] = st.rank
+        mats.append(T)
+    for T in mats:
+        edited = scheme_mod._structure(T, None)
+        assert edited.split is None
+        tensor, varies = scheme_mod._triple_counts(T, edited)
+        want_tensor, want_varies = triple_counts(T, edited)
+        assert np.array_equal(tensor, want_tensor) and np.array_equal(varies, want_varies)
+        assert varies.any()
+        full = scheme_mod._triple_counts(T, dataclasses.replace(edited, split=0))
+        assert np.array_equal(tensor, full[0]) and np.array_equal(varies, full[1])
+
+
+@pytest.mark.parametrize("n,q,bound", [(4, 2, 0.6), (5, 2, 0.55)])
+def test_triple_counts_mirror_saves_products(n, q, bound, get_space, monkeypatch):
+    """On a converse-closed matrix the mirrored path gives the full
+    products' output with at most ``bound`` of their multiply-adds, summed
+    as m k n over the calls of ``kernels._matmul``; ``split`` = 0 forces the
+    full products."""
+    M = relation_matrix(get_space(n, q))
+    st = scheme_mod._structure(M, None)
+    assert st.split is None
+    matmul = kernels._matmul
+    work = []
+
+    def counted(a, b):
+        batch = math.prod(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]))
+        work[-1] += batch * a.shape[-2] * a.shape[-1] * b.shape[-1]
+        return matmul(a, b)
+
+    monkeypatch.setattr(kernels, "_matmul", counted)
+    results = []
+    for s in (st, dataclasses.replace(st, split=0)):
+        work.append(0)
+        results.append(scheme_mod._triple_counts(M, s))
+    (tensor, varies), (full_tensor, full_varies) = results
+    assert np.array_equal(tensor, full_tensor) and np.array_equal(varies, full_varies)
+    assert work[0] <= bound * work[1]
 
 
 @pytest.mark.parametrize("cells", [16, 1000, 1 << 16])
