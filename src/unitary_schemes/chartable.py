@@ -47,7 +47,7 @@ import numpy as np
 
 from .eisenstein import Eisenstein, render
 from .fields import check_int
-from .scheme import INT64_LIMIT, SchemeDescriptor
+from .scheme import INT64_LIMIT, SchemeDescriptor, intersection_matrices
 from .space import check_budget, check_dimension, isotropic_count
 
 
@@ -371,6 +371,25 @@ def minimal_polynomial_annihilates(ct: CharTable, intersection_mats) -> bool:
         power = powers[:k, m] = power[:k] @ b[:k]
     total = coeffs @ powers.reshape(size, terms, -1)
     return not (total != 0).any()
+
+
+def verify_table(ct: CharTable, sd: SchemeDescriptor) -> tuple[str, bool, str]:
+    """The character-table check of ``verify``, as (name, ok, text): the
+    orthogonality, homomorphism, reconstruction, P Q = |X| I and minimal
+    polynomial identities all hold, with the count of equalities of each."""
+    try:
+        second_eigenmatrix(ct)
+        inverse = True
+    except AssertionError:
+        inverse = False
+    oks = (verify_orthogonality(ct)[0], verify_homomorphism(ct, sd)[0],
+           verify_reconstruction(ct, sd)[0], inverse,
+           minimal_polynomial_annihilates(ct, intersection_matrices(sd)))
+    square, cube = 2 * ct.size**2, sd.tensor.size
+    return ("character table", all(oks),
+            f"character table: {square} orthogonality, {cube} homomorphism, {cube} "
+            f"reconstruction, {square} eigenmatrix inverse and {cube} minimal polynomial "
+            "equalities")
 
 
 def idempotents(ct: CharTable, adjacency) -> list[tuple[tuple, ...]]:

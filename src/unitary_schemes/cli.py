@@ -93,86 +93,17 @@ def cmd_export(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    n, q = args.n, args.q
-    lines: list[tuple[bool, str]] = []
-    notes: list[str] = []
-
-    sd, us = scheme_mod.build_descriptor_with_space(n, q, args.mode, args.seed)
-    order = sd.order
-
-    if us is not None:
-        lines.append((us.size == order,
-                      f"counting: enumeration gives {us.size}, closed form {order}"))
-        if args.mode == "both":
-            lines.append((True, "oracle: closed-form tensor equals brute-force tensor, "
-                                f"{sd.tensor.size} entries compared"))
-        else:
-            notes.append("oracle: bruteforce mode, closed form not computed, skipped")
-
-    samples = scheme_mod.SAMPLES_PER_RELATION
-    representatives = (True, f"representatives: every relation recounted at {samples} "
-                             f"random pairs ({samples * sd.rank} histograms, counted over "
-                             "coordinates without enumeration)")
-    if us is None:  # the other modes recount inside the build
-        try:
-            scheme_mod._spot_check(n, q, sd.tensor, args.seed)
-        except AssertionError as exc:
-            representatives = (False, f"representatives: {exc}")
-    lines.append(representatives)
-
-    if us is not None:
-        try:
-            check_budget("pairs", us.size**2)
-        except ValueError as refusal:
-            notes.append(f"axioms: skipped, {refusal}")
-        else:
-            report = scheme_mod.verify_scheme_axioms(us, sd, seed=args.seed)
-            detail = ", ".join(name for name, _, _ in report.checks)
-            lines.append((report.passed, f"axioms: {detail}; {us.size**2} pairs classified, "
-                                         f"{samples} sampled pairs per relation"))
-    else:
-        notes.append("counting/axioms: closed mode, enumeration skipped")
-
-    commutative, first = scheme_mod.is_commutative(sd)
-    if q == 2:
-        lines.append((commutative, "commutative: expected for q=2"))
-    else:
-        detail = f"non-commutative as expected for q={q}"
-        nrel = q * q - 1
-        h, i, j = q, nrel, nrel + 1
-        detail += (f"; witness ({h},{i},{j}): {sd.p(h, i, j)} vs {sd.p(h, j, i)}"
-                   f"; first violating triple {first}")
-        lines.append((not commutative and sd.p(h, j, i) == 0, detail))
-
-    if q == 2:
-        table = ct_mod.char_table_closed(n)
-        ok_orth, _ = ct_mod.verify_orthogonality(table)
-        ok_hom, _ = ct_mod.verify_homomorphism(table, sd)
-        ok_rec, _ = ct_mod.verify_reconstruction(table, sd)
-        try:
-            ct_mod.second_eigenmatrix(table)
-            ok_q = True
-        except AssertionError:
-            ok_q = False
-        ok_min = ct_mod.minimal_polynomial_annihilates(
-            table, scheme_mod.intersection_matrices(sd))
-        square, cube = 2 * table.size ** 2, sd.tensor.size
-        lines.append((ok_orth and ok_hom and ok_rec and ok_q and ok_min,
-                      f"character table: {square} orthogonality, {cube} homomorphism, "
-                      f"{cube} reconstruction, {square} eigenmatrix inverse and "
-                      f"{cube} minimal polynomial equalities"))
-    if n <= 3:
-        notes.append("perpendicular class empty (dimension < 4)")
-
-    print(f"scheme (n={n}, q={q}): {order} points, rank {sd.rank}")
-    passed = True
-    for ok, text in lines:
-        passed &= ok
+    sd, us = scheme_mod.build_descriptor_with_space(args.n, args.q, args.mode, args.seed)
+    report = scheme_mod.verify_descriptor(sd, us, args.seed)
+    if sd.q == 2:
+        report.checks.append(ct_mod.verify_table(ct_mod.char_table_closed(sd.n), sd))
+    print(f"scheme (n={sd.n}, q={sd.q}): {sd.order} points, rank {sd.rank}")
+    for _, ok, text in report.checks:
         print(("ok   - " if ok else "FAIL - ") + text)
-    for note in notes:
+    for note in report.notes:
         print("note - " + note)
-    print("PASS" if passed else "FAIL")
-    return 0 if passed else 1
+    print("PASS" if report.passed else "FAIL")
+    return 0 if report.passed else 1
 
 
 def _parser() -> argparse.ArgumentParser:

@@ -332,6 +332,8 @@ def _reduce(x: np.ndarray, modulus: np.ndarray) -> np.ndarray:
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b, a's rows split so that no BLAS call makes over ``BLAS_CALL`` multiply-adds."""
     rows = max(1, BLAS_CALL // (a.shape[-1] * b.shape[-1]))
+    if rows >= a.shape[-2]:
+        return a @ b
     return np.concatenate([a[..., i:i + rows, :] @ b for i in range(0, a.shape[-2], rows)], -2)
 
 

@@ -15,7 +15,7 @@ coordinates, without the points (``_spot_check``).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -555,8 +555,15 @@ def is_commutative(sd: SchemeDescriptor) -> tuple[bool, tuple[int, int, int] | N
 
 @dataclass
 class AxiomReport:
-    passed: bool
+    """Ordered checks (name, ok, text) and notes on what was not checked;
+    the report passes when every check does."""
+
     checks: list[tuple[str, bool, str]]
+    notes: list[str] = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return all(ok for _, ok, _ in self.checks)
 
     def failing(self) -> list[tuple[str, bool, str]]:
         return [c for c in self.checks if not c[1]]
@@ -800,23 +807,33 @@ def verify_relation_matrix(M: np.ndarray, rank: int | None = None,
         checks.append(("valencies", valency_ok, "every row realises the valencies"))
 
     relation, xs, ys = _sampled_pairs(M, st, seed)
-    hist = kernels.label_counts(M[xs], st.rank, M[:, ys].T)
-    # each sample against the first sample of its relation, and the descriptor
-    split = np.zeros(st.rank, dtype=bool)
-    split[relation[(hist != hist[np.searchsorted(relation, relation)]).any(axis=(1, 2))]] = True
-    off = np.zeros(st.rank, dtype=bool)
-    if sd is not None:
-        off[relation[(hist != sd.tensor[relation]).any(axis=(1, 2))]] = True
-    failing = np.flatnonzero(split | off)
+
+    def counts(a: int, b: int) -> np.ndarray:  # the histograms of samples a to b - 1
+        return kernels.label_counts(M[xs[a:b]], st.rank, M[:, ys[a:b]].T)
+
+    # each sample against the descriptor or, without one, against the first
+    # sample of its relation (a sample that differs from that one differs
+    # from the descriptor too), whole relations of about group_size(rank^2)
+    # samples at a time
+    per = max(1, kernels.group_size(st.rank**2) // SAMPLES_PER_RELATION)
+    edges = np.searchsorted(relation, np.arange(0, st.rank + per, per)).tolist()
+    wrong = np.zeros(st.rank, dtype=bool)
+    for a, b in zip(edges, edges[1:]):
+        hist, group = counts(a, b), relation[a:b]
+        want = hist[np.searchsorted(group, group)] if sd is None else sd.tensor[group]
+        wrong[group[(hist != want).any(axis=(1, 2))]] = True
+    failing = np.flatnonzero(wrong)
     constancy_ok = not failing.size
     detail = f"triple counts constant over {SAMPLES_PER_RELATION} sampled pairs per relation"
     if not constancy_ok:
         h = int(failing[0])
-        detail = (f"triple counts differ between representatives of relation {h}" if split[h]
-                  else f"triple counts at relation {h} differ from the descriptor")
+        hist = counts(*np.searchsorted(relation, [h, h + 1]).tolist())
+        detail = (f"triple counts differ between representatives of relation {h}"
+                  if (hist != hist[0]).any() else
+                  f"triple counts at relation {h} differ from the descriptor")
     checks.append(("constancy", constancy_ok, detail))
 
-    return AxiomReport(passed=all(ok for _, ok, _ in checks), checks=checks)
+    return AxiomReport(checks)
 
 
 def _check_same_space(us: UnitarySpace, sd: SchemeDescriptor) -> None:
@@ -832,6 +849,58 @@ def verify_scheme_axioms(us: UnitarySpace, sd: SchemeDescriptor | None = None,
     if sd is not None:
         _check_same_space(us, sd)
     return verify_relation_matrix(relation_matrix(us), sd=sd, seed=seed)
+
+
+def verify_descriptor(sd: SchemeDescriptor, us: UnitarySpace | None, seed: int = 0
+                      ) -> AxiomReport:
+    """The scheme checks of ``verify`` that ``sd``'s mode runs (counting,
+    oracle, representatives, axioms, commutative; each text the line it
+    prints) and notes on what it skips.  ``us`` is the space that built
+    ``sd``, None in closed mode, the one build that does not recount the
+    relations at random pairs (``_spot_check``)."""
+    n, q, samples = sd.n, sd.q, SAMPLES_PER_RELATION
+    checks, notes = [], []
+    if us is not None:
+        checks.append(("counting", us.size == sd.order,
+                       f"counting: enumeration gives {us.size}, closed form {sd.order}"))
+        if sd.mode == "both":
+            checks.append(("oracle", True, "oracle: closed-form tensor equals brute-force "
+                                           f"tensor, {sd.tensor.size} entries compared"))
+        else:
+            notes.append("oracle: bruteforce mode, closed form not computed, skipped")
+    representatives = (True, f"representatives: every relation recounted at {samples} "
+                             f"random pairs ({samples * sd.rank} histograms, counted over "
+                             "coordinates without enumeration)")
+    if us is None:
+        try:
+            _spot_check(n, q, sd.tensor, seed)
+        except AssertionError as exc:
+            representatives = (False, f"representatives: {exc}")
+    checks.append(("representatives", *representatives))
+    if us is None:
+        notes.append("counting/axioms: closed mode, enumeration skipped")
+    else:
+        try:
+            check_budget("pairs", us.size**2)
+        except ValueError as refusal:
+            notes.append(f"axioms: skipped, {refusal}")
+        else:
+            axioms = verify_scheme_axioms(us, sd, seed=seed)
+            detail = ", ".join(name for name, _, _ in axioms.checks)
+            checks.append(("axioms", axioms.passed, f"axioms: {detail}; {us.size**2} pairs "
+                                                    f"classified, {samples} sampled pairs "
+                                                    "per relation"))
+    commutative, first = is_commutative(sd)
+    if q == 2:
+        checks.append(("commutative", commutative, "commutative: expected for q=2"))
+    else:
+        h, i, j = q, q * q - 1, q * q
+        checks.append(("commutative", not commutative and sd.p(h, j, i) == 0,
+                       f"non-commutative as expected for q={q}; witness ({h},{i},{j}): "
+                       f"{sd.p(h, i, j)} vs {sd.p(h, j, i)}; first violating triple {first}"))
+    if n <= 3:
+        notes.append("perpendicular class empty (dimension < 4)")
+    return AxiomReport(checks, notes)
 
 
 # ---------------------------------------------------------------------------

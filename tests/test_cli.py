@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from unitary_schemes import chartable as ct_mod
+from unitary_schemes import scheme as scheme_mod
 from unitary_schemes.cli import main
 from unitary_schemes.space import enumerate_isotropic
 from unitary_schemes.scheme import verify_relation_matrix
@@ -302,6 +303,90 @@ def test_verify_bruteforce_mode_passes(capsys):
     assert "note - oracle: bruteforce mode, closed form not computed, skipped" in out
     assert ("ok   - representatives: every relation recounted at 5 random pairs "
             "(30 histograms, counted over coordinates without enumeration)") in out.splitlines()
+
+
+@pytest.mark.parametrize("mode,names,notes", [
+    ("both", ["counting", "oracle", "representatives", "axioms", "commutative"], 1),
+    ("bruteforce", ["counting", "representatives", "axioms", "commutative"], 2),
+    ("closed", ["representatives", "commutative"], 2),
+])
+def test_verify_descriptor_runs_the_checks_of_its_mode(mode, names, notes):
+    sd, us = scheme_mod.build_descriptor_with_space(3, 2, mode)
+    report = scheme_mod.verify_descriptor(sd, us)
+    assert [name for name, _, _ in report.checks] == names
+    assert report.passed and len(report.notes) == notes
+    assert report.notes[-1] == "perpendicular class empty (dimension < 4)"
+
+
+def _failing_lines(out):
+    return [line for line in out.splitlines() if line.startswith("FAIL - ")]
+
+
+def test_verify_fails_on_a_changed_character_table(capsys, monkeypatch):
+    closed = ct_mod.char_table_closed
+
+    def changed(n):
+        table = closed(n)
+        p = table.p.copy()
+        p[0, 2, 4] += 1
+        return ct_mod.CharTable(p=p, multiplicities=table.multiplicities,
+                                valencies=table.valencies, order=table.order)
+
+    sd = scheme_mod.build_descriptor(3, 2)
+    assert ct_mod.verify_table(closed(3), sd)[:2] == ("character table", True)
+    assert ct_mod.verify_table(changed(3), sd)[:2] == ("character table", False)
+    monkeypatch.setattr(ct_mod, "char_table_closed", changed)
+    code, out, _ = run(capsys, "verify", "--n", "3", "--q", "2")
+    assert code == 1
+    assert _failing_lines(out) == [
+        "FAIL - character table: 72 orthogonality, 216 homomorphism, 216 reconstruction, "
+        "72 eigenmatrix inverse and 216 minimal polynomial equalities"]
+    assert out.splitlines()[-1] == "FAIL"
+
+
+def test_verify_fails_on_a_changed_relation_matrix(capsys, monkeypatch):
+    classify = scheme_mod.relation_matrix
+
+    def changed(us):
+        M = classify(us).copy()
+        M[1, 2] = M[1, 2] % 5 + 1  # another of the labels 1..5 of rank 6
+        return M
+
+    monkeypatch.setattr(scheme_mod, "relation_matrix", changed)
+    sd, us = scheme_mod.build_descriptor_with_space(3, 2)
+    report = scheme_mod.verify_descriptor(sd, us)
+    assert [name for name, _, _ in report.failing()] == ["axioms"]
+    assert not report.passed
+    code, out, _ = run(capsys, "verify", "--n", "3", "--q", "2")
+    assert code == 1
+    assert _failing_lines(out) == [
+        "FAIL - axioms: partition, identity, converse, valencies, constancy; 729 pairs "
+        "classified, 5 sampled pairs per relation"]
+    assert out.splitlines()[-1] == "FAIL"
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (3, 4)])
+def test_verify_fails_on_a_moved_witness_cell(n, q, capsys, monkeypatch):
+    """One count of row (h, j) moved to (h, j, i), the witness (q, q^2 - 1,
+    q^2) in its mirror order: the row sums hold, and p^h_ji is no longer 0."""
+    closed = scheme_mod._closed_tensor
+    h, i, j = q, q * q - 1, q * q
+
+    def moved(n, q):
+        tensor = closed(n, q).copy()
+        k = next(k for k in np.flatnonzero(tensor[h, j]) if k != i)
+        tensor[h, j, k] -= 1
+        tensor[h, j, i] += 1
+        return tensor
+
+    monkeypatch.setattr(scheme_mod, "_closed_tensor", moved)
+    report = scheme_mod.verify_descriptor(scheme_mod.build_descriptor(n, q, "closed"), None)
+    assert "commutative" in [name for name, _, _ in report.failing()]
+    code, out, _ = run(capsys, "verify", "--n", str(n), "--q", str(q), "--mode", "closed")
+    assert code == 1
+    assert any(line.startswith(f"FAIL - non-commutative as expected for q={q}; witness "
+                               f"({h},{i},{j}): ") for line in _failing_lines(out))
+    assert out.splitlines()[-1] == "FAIL"
 
 
 def test_build_largest_int64_dimension(capsys):

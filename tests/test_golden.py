@@ -21,6 +21,9 @@ DIGESTS = Path(__file__).with_name("golden_digests.json")
 FUSIONS = ("none", "symmetrize", "coarse")
 CHARTABLE_N = (*range(2, 13), 40)
 VERIFY_N = range(2, 7)
+# q > 2, the closed and bruteforce modes, and the pairs-budget note at (6, 3)
+VERIFY_CASES = ((2, 3, "both"), (3, 4, "closed"), (3, 2, "bruteforce"), (6, 2, "closed"),
+                (6, 3, "both"))
 BUILD_NQ = ((2, 2), (2, 4), (4, 3), (3, 9), (8, 5), (10, 9))  # closed mode, doc and csv
 EXPORT_NQ = ((2, 3), (4, 2))
 
@@ -31,6 +34,9 @@ def commands():
             yield ["chartable", "--n", str(n), "--fusion", fusion]
     for n in VERIFY_N:
         yield ["verify", "--n", str(n), "--q", "2"]
+    for n, q, mode in VERIFY_CASES:
+        mode_flag = [] if mode == "both" else ["--mode", mode]
+        yield ["verify", "--n", str(n), "--q", str(q), *mode_flag]
     for n, q in BUILD_NQ:
         for fmt in ("doc", "csv"):
             yield ["build", "--n", str(n), "--q", str(q), "--mode", "closed", "--format", fmt]

@@ -515,6 +515,20 @@ def test_label_counts_match_one_bincount(length, lead, dtype):
         assert np.array_equal(got, _bincount_oracle(a, rank, other))
 
 
+@pytest.mark.parametrize("shape_b", [(30, 20), (5, 30, 20)], ids=["2d", "stack"])
+def test_matmul_in_one_piece_equals_split(shape_b, monkeypatch):
+    """``_matmul`` returns the one product when a BLAS call covers it, and
+    the same array from a's rows split three at a time."""
+    rng = np.random.default_rng(0)
+    a = rng.integers(0, 100, (40, 30)).astype(float)
+    b = rng.integers(0, 100, shape_b).astype(float)
+    whole = kernels._matmul(a, b)
+    monkeypatch.setattr(kernels, "BLAS_CALL", 3 * 30 * 20)
+    split = kernels._matmul(a, b)
+    assert np.array_equal(whole, a @ b)
+    assert np.array_equal(split, whole)
+
+
 def test_label_counts_memory_stays_chunked():
     """Two uint8 rows of 10^7 labels are counted, as a pair and as a stack,
     in O(``CHUNK``) memory: intp codes of all the labels would take 80 MB."""
