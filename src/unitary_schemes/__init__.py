@@ -33,6 +33,7 @@ from .fusion import (
 )
 from .scheme import (
     AxiomReport,
+    CheckFailed,
     OracleMismatch,
     RelationLabel,
     SchemeDescriptor,
@@ -76,7 +77,7 @@ __all__ = [
     "verify_orthogonality", "verify_reconstruction", "Eisenstein",
     "FieldTables", "build_field", "norm_solutions", "trace_solutions", "FusedTable",
     "FusionError", "canonical_fusions", "coarse_partition", "fuse",
-    "symmetrization_partition", "AxiomReport", "OracleMismatch",
+    "symmetrization_partition", "AxiomReport", "CheckFailed", "OracleMismatch",
     "RelationLabel", "SchemeDescriptor", "build_adjacency_matrices",
     "build_descriptor", "classify_pair", "conjugate_index",
     "conjugate_relation", "intersection_matrices", "intersection_number_closed",

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Iterable
 
 from . import chartable as ct_mod
 from . import fusion as fusion_mod
@@ -34,15 +35,16 @@ def _print_table(table: ct_mod.CharTable) -> None:
         print(f"  {body}  | {str(m).rjust(mwidth)}")
 
 
-def _write(text: str, path: str | None) -> None:
-    """Write ``text`` to ``path``, or to stdout when it is None; a path that
-    cannot be written raises a ``ValueError`` naming it."""
+def _write(pieces: Iterable[str], path: str | None) -> None:
+    """Write the text ``pieces`` one at a time to ``path``, or to stdout when
+    it is None, so that neither the whole text nor its encoding is ever held;
+    a path that cannot be written raises a ``ValueError`` naming it."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     try:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
 
@@ -52,8 +54,8 @@ def cmd_build(args) -> int:
         return cmd_export(args)
     sd = scheme_mod.build_descriptor(args.n, args.q, args.mode, args.seed)
     doc = serialize.document_from_descriptor(sd, seed=args.seed)
-    _write(serialize.render_document(doc) if args.format == "doc"
-           else serialize.tensor_csv(doc), args.out)
+    _write(serialize.document_pieces(doc) if args.format == "doc"
+           else serialize.tensor_csv_pieces(doc), args.out)
     return 0
 
 
@@ -73,9 +75,8 @@ def cmd_chartable(args) -> int:
     if args.out is not None:
         doc = serialize.document_from_chartable(table, args.n, fusion=fusion_name,
                                                 seed=args.seed)
-        text = (serialize.render_document(doc) if args.format == "doc"
-                else serialize.chartable_csv(doc))
-        _write(text, args.out)
+        _write(serialize.document_pieces(doc) if args.format == "doc"
+               else serialize.chartable_csv_pieces(doc), args.out)
     return 0
 
 
@@ -88,16 +89,17 @@ def cmd_export(args) -> int:
     check_budget("pairs", isotropic_count(n, q) ** 2)
     us = scheme_mod.build_descriptor_with_space(n, q, mode, args.seed)[1] if mode else None
     matrix = scheme_mod.relation_matrix(us if us is not None else enumerate_isotropic(n, q))
-    _write(serialize.render_relation_matrix(matrix, scheme_mod.scheme_rank(n, q)), args.out)
+    _write(serialize.relation_matrix_pieces(matrix, scheme_mod.scheme_rank(n, q)), args.out)
     return 0
 
 
 def cmd_verify(args) -> int:
-    sd, us = scheme_mod.build_descriptor_with_space(args.n, args.q, args.mode, args.seed)
-    report = scheme_mod.verify_descriptor(sd, us, args.seed)
-    if sd.q == 2:
-        report.checks.append(ct_mod.verify_table(ct_mod.char_table_closed(sd.n), sd))
-    print(f"scheme (n={sd.n}, q={sd.q}): {sd.order} points, rank {sd.rank}")
+    n, q = args.n, args.q
+    sd, report = scheme_mod.verify_build(n, q, args.mode, args.seed)
+    if sd is not None and q == 2:
+        report.checks.append(ct_mod.verify_table(ct_mod.char_table_closed(n), sd))
+    print(f"scheme (n={n}, q={q}): {isotropic_count(n, q)} points, "
+          f"rank {scheme_mod.scheme_rank(n, q)}")
     for _, ok, text in report.checks:
         print(("ok   - " if ok else "FAIL - ") + text)
     for note in report.notes:

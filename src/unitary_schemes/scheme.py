@@ -14,6 +14,7 @@ coordinates, without the points (``_spot_check``).
 
 from __future__ import annotations
 
+import contextlib
 import random
 from dataclasses import dataclass, field
 
@@ -75,6 +76,27 @@ class OracleMismatch(AssertionError):
             f"closed form {closed} != brute force {brute} at (h,i,j)=({h},{i},{j})"
             f" for (n,q)=({n},{q})"
         )
+
+
+class CheckFailed(AssertionError):
+    """A check that a build runs on what it built failed; ``check`` names it
+    as ``verify`` prints it."""
+
+    def __init__(self, check: str, message: str):
+        self.check = check
+        super().__init__(message)
+
+
+@contextlib.contextmanager
+def _named_check(check: str):
+    """Raise an ``AssertionError`` of the block as a ``CheckFailed`` naming
+    ``check``; one that already names its check passes unchanged."""
+    try:
+        yield
+    except CheckFailed:
+        raise
+    except AssertionError as exc:
+        raise CheckFailed(check, str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -445,7 +467,8 @@ def _bruteforce_tensor(us: UnitarySpace, rank: int, seed: int):
     tensor, valencies = _witness_tensor(
         us, kernels.classify_row(pairs[0][0], us.block_codes, us.tables),
         [y for _, y in pairs])
-    _spot_check(us.n, us.q, tensor, seed)
+    with _named_check("representatives"):
+        _spot_check(us.n, us.q, tensor, seed)
     conj_map = tuple(classify_pair(us, *witness_pair(h, us.n, us.q)[::-1]).index
                      for h in range(rank))
     return tensor, tuple(valencies.tolist()), conj_map
@@ -503,7 +526,8 @@ def build_descriptor_with_space(n: int, q: int, mode: str = "both", seed: int = 
     brute = closed = us = None
     if mode in ("bruteforce", "both"):
         us = enumerate_isotropic(n, q)
-        brute = _bruteforce_tensor(us, rank, seed)
+        with _named_check("counting"):
+            brute = _bruteforce_tensor(us, rank, seed)
     if mode in ("closed", "both"):
         closed = (
             _closed_tensor(n, q),
@@ -521,7 +545,7 @@ def build_descriptor_with_space(n: int, q: int, mode: str = "both", seed: int = 
         if bk != ck:
             raise OracleMismatch(n, q, 0, -1, -1, ck, bk)
         if bc != cc:
-            raise AssertionError(f"conjugation maps disagree: {bc} vs {cc}")
+            raise CheckFailed("oracle", f"conjugation maps disagree: {bc} vs {cc}")
 
     tensor, valencies, conj_map = brute if brute is not None else closed
     tensor.flags.writeable = False
@@ -530,7 +554,8 @@ def build_descriptor_with_space(n: int, q: int, mode: str = "both", seed: int = 
         conj_map=conj_map, sub_count=isotropic_count(n - 2, q),
         parity_offset=parity_offset(q), mode=mode,
     )
-    _check_descriptor(sd)
+    with _named_check("descriptor"):
+        _check_descriptor(sd)
     return sd, us
 
 
@@ -762,10 +787,13 @@ def _sampled_pairs(M: np.ndarray, st: _Structure, seed: int
     count = M.shape[0]
     xs = np.searchsorted((running + starts).T.ravel(), picks + starts[relation],
                          side="right") - relation * count
-    # it is the r-th point y of row x with M[x, y] = h, counted from 0
+    # it is the r-th point y of row x with M[x, y] = h, counted from 0; the
+    # running count along the row fits the narrowest unsigned dtype that
+    # holds the row's length
     r = picks - running[xs, relation] + st.rows[xs, relation]
-    seen = np.cumsum(M[xs] == relation[:, None], axis=1)
-    ys = np.count_nonzero(seen <= r[:, None], axis=1)
+    narrow = np.min_scalar_type(count)
+    seen = np.cumsum(M[xs] == relation[:, None], axis=1, dtype=narrow)
+    ys = np.count_nonzero(seen <= r.astype(narrow)[:, None], axis=1)
     return relation, xs, ys
 
 
@@ -901,6 +929,19 @@ def verify_descriptor(sd: SchemeDescriptor, us: UnitarySpace | None, seed: int =
     if n <= 3:
         notes.append("perpendicular class empty (dimension < 4)")
     return AxiomReport(checks, notes)
+
+
+def verify_build(n: int, q: int, mode: str = "both", seed: int = 0
+                 ) -> tuple[SchemeDescriptor | None, AxiomReport]:
+    """Build the descriptor of (n, q) in ``mode`` and run ``verify_descriptor``
+    on it.  Where a check that the build runs on itself fails
+    (``CheckFailed``), that check is the report's only one and the descriptor
+    is None; an ``OracleMismatch`` propagates."""
+    try:
+        sd, us = build_descriptor_with_space(n, q, mode, seed)
+    except CheckFailed as exc:
+        return None, AxiomReport([(exc.check, False, f"{exc.check}: {exc}")])
+    return sd, verify_descriptor(sd, us, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,15 @@ Integer blocks (tensor quadruples, relation-matrix rows) are written as
 ASCII bytes: each column's numbers become indices into fixed-width words,
 cut from a cached table of [0, 2^12) or formatted once per distinct value,
 and the words are taken into a record buffer a chunk of rows at a time,
-stripped of their padding and decoded.  ASCII text is read back by one
-int64 conversion; other text, or a block that this conversion or a check on
-its result rejects, is read line by line with ``int``, which names the
-failing line.  A character table is read in one scan: one match of its
+stripped of their padding and decoded.  Each format has one producer of
+text pieces (``document_pieces``, ``tensor_csv_pieces``,
+``chartable_csv_pieces``, ``relation_matrix_pieces``), which refuses what it
+cannot write before its first piece; a writer takes the pieces one at a time
+and never holds the whole text, and ``render_document`` and the other
+``str`` renderers join them.  ASCII text is read back by one int64
+conversion; other text, or a block that this conversion or a check on its
+result rejects, is read line by line with ``int``, which names the failing
+line.  A character table is read in one scan: one match of its
 joined entries, one split and one ``int`` pass.  ``mode`` must be one of
 ``MODES``, ``commutative`` true or false, a ``witness`` three relations in
 [0, rank) after ``commutative false``.
@@ -24,8 +29,10 @@ point, entry (x, y) being the sequential relation index of that pair.
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 import warnings
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,7 +154,10 @@ def _text(lines: list[str]) -> str:
     return "\n".join(lines)
 
 
-def render_document(doc: SchemeDocument) -> str:
+def document_pieces(doc: SchemeDocument) -> Iterator[str]:
+    """The text of ``doc`` in the pieces a writer takes one at a time: the
+    lines before the tensor block, its rows ``_row_chunks`` at a time, and
+    the lines after it.  Nothing here refuses a document."""
     lines = [FORMAT_LINE]
     for key in ("n", "q", "rank", "order"):
         lines.append(f"{key} {getattr(doc, key)}")
@@ -159,7 +169,9 @@ def render_document(doc: SchemeDocument) -> str:
         lines.append("conjugation " + " ".join(map(str, doc.conj_map)))
     if doc.tensor_entries is not None:
         lines.append(f"tensor {len(doc.tensor_entries)}")
-        _append_rows(lines, doc.tensor_entries, " ")
+        yield _text(lines)
+        yield from _row_chunks(doc.tensor_entries, " ")
+        lines = []
     if doc.commutative is not None:
         lines.append(f"commutative {'true' if doc.commutative else 'false'}")
         if doc.witness is not None:
@@ -173,7 +185,11 @@ def render_document(doc: SchemeDocument) -> str:
     if doc.multiplicities is not None:
         lines.append("multiplicities " + " ".join(map(str, doc.multiplicities)))
     lines.append("end")
-    return _text(lines)
+    yield _text(lines)
+
+
+def render_document(doc: SchemeDocument) -> str:
+    return "".join(document_pieces(doc))
 
 
 def parse_document(text: str) -> SchemeDocument:
@@ -285,46 +301,51 @@ def _digit_words(end: str) -> np.ndarray:
     return np.array([f"{v}{end}" for v in range(WORD_BOUND)], dtype="S")
 
 
-def _column_words(part: np.ndarray, end: str) -> tuple[np.ndarray, np.ndarray]:
-    """NUL-padded words, decimals each followed by ``end``, and the index of
-    each entry of ``part`` among them: a cut of the cached table if every
-    entry lies in [0, WORD_BOUND), else the distinct values, found by one
-    sort and formatted once.  Words of up to 16 bytes are padded to 2^k
-    bytes, which ``take`` copies fastest."""
+def _column_words(part: np.ndarray, end: str) -> tuple[np.ndarray, np.ndarray | None]:
+    """NUL-padded words, decimals each followed by ``end``, for the entries
+    of ``part``, and the values they spell in order, by which
+    ``np.searchsorted`` indexes them.  The values are None where the words
+    are a cut of the cached table, indexed by the entries themselves: every
+    entry lies in [0, WORD_BOUND).  Otherwise they are the distinct entries,
+    found by one sort and formatted once.  Words of up to 16 bytes are padded
+    to 2^k bytes, which ``take`` copies fastest."""
     low, high = int(part.min()), int(part.max())
     size = max(len(str(low)), len(str(high))) + len(end)  # an extreme's is the longest
     dtype = f"S{1 << (size - 1).bit_length() if size <= 16 else size}"
     if low >= 0 and high < WORD_BOUND:
-        return _digit_words(end)[:high + 1].astype(dtype), part
+        return _digit_words(end)[:high + 1].astype(dtype), None
     ordered = np.sort(part, axis=None)
     values = ordered[np.r_[True, ordered[1:] != ordered[:-1]]]
-    words = np.array([f"{v}{end}" for v in values.tolist()], dtype=dtype)
-    return words, np.searchsorted(values, part)
+    return np.array([f"{v}{end}" for v in values.tolist()], dtype=dtype), values
 
 
-def _append_rows(lines: list[str], rows: np.ndarray, sep: str) -> None:
-    """Append the rows of an integer array to ``lines`` as lines of
-    ``sep``-separated decimals, ``group_size(width)`` rows to a string, with
-    no newline after a string's last row: ``_text`` puts it there.  Each word
-    carries its ``sep`` or, in the last column, its newline; a chunk of rows
-    is taken into one reused record buffer and loses its NUL padding in one
-    ``translate``.  The buffer has a field per column, or, where a column's
-    take would move fewer than width^2 entries (a relation matrix), one 2-D
-    field for every column but the last."""
+def _row_chunks(rows: np.ndarray, sep: str) -> Iterator[str]:
+    """The rows of an integer array as lines of ``sep``-separated decimals,
+    ``group_size(width)`` rows to a string.  Each word carries its ``sep``
+    or, in the last column, its newline; a chunk of rows is indexed into its
+    words, taken into one reused record buffer and loses its NUL padding in
+    one ``translate``, so nothing the size of the whole block is made.  The
+    buffer has a field per column, or, where a column's take would move
+    fewer than width^2 entries (a relation matrix), one 2-D field for every
+    column but the last."""
     count, width = rows.shape
     if not count:
         return
     step = group_size(width)
     by_column = width * width <= min(count, step)  # 2-D takes over short rows are slow
     body = [rows[:, k] for k in range(width - 1)] if by_column else [rows[:, :-1]]
-    parts = [_column_words(part, sep) for part in body] + [_column_words(rows[:, -1], "\n")]
-    buffer = np.empty(min(step, count), [(f"f{k}", words.dtype, codes.shape[1:])
-                                         for k, (words, codes) in enumerate(parts)])
+    columns = [(part, sep) for part in body] + [(rows[:, -1], "\n")]
+    parts = [(part, *_column_words(part, end)) for part, end in columns]
+    buffer = np.empty(min(step, count), [(f"f{k}", words.dtype, part.shape[1:])
+                                         for k, (part, words, _) in enumerate(parts)])
     for start in range(0, count, step):
         chunk = buffer[:count - start]
-        for k, (words, codes) in enumerate(parts):
-            np.take(words, codes[start:start + step], out=chunk[f"f{k}"])
-        lines.append(chunk.tobytes().translate(None, b"\0")[:-1].decode())
+        for k, (part, words, values) in enumerate(parts):
+            codes = part[start:start + step]
+            if values is not None:
+                codes = np.searchsorted(values, codes)
+            np.take(words, codes, out=chunk[f"f{k}"])
+        yield chunk.tobytes().translate(None, b"\0").decode()
 
 
 def _int_rows(lines: list[str], width: int) -> np.ndarray | None:
@@ -349,36 +370,53 @@ def _line_ints(line: str) -> list[int]:
     return values
 
 
-def tensor_csv(doc: SchemeDocument) -> str:
+def tensor_csv_pieces(doc: SchemeDocument) -> Iterable[str]:
+    """The tensor CSV of ``doc`` in pieces, as ``document_pieces`` gives a
+    document; a document without a tensor raises a ``ValueError`` here,
+    before the first piece."""
     if doc.tensor_entries is None:
         raise ValueError("document carries no tensor")
-    lines = ["h,i,j,value"]
-    _append_rows(lines, doc.tensor_entries, ",")
-    return _text(lines)
+    return itertools.chain(["h,i,j,value\n"], _row_chunks(doc.tensor_entries, ","))
 
 
-def chartable_csv(doc: SchemeDocument) -> str:
+def tensor_csv(doc: SchemeDocument) -> str:
+    return "".join(tensor_csv_pieces(doc))
+
+
+def chartable_csv_pieces(doc: SchemeDocument) -> Iterable[str]:
+    """The character-table CSV of ``doc``, one piece; a document without a
+    character table raises a ``ValueError``."""
     if doc.chartable is None:
         raise ValueError("document carries no character table")
     lines = []
     for row, m in zip(doc.chartable, doc.multiplicities):
         lines.append(",".join(row) + f",{m}")
-    return _text(lines)
+    return [_text(lines)]
+
+
+def chartable_csv(doc: SchemeDocument) -> str:
+    return "".join(chartable_csv_pieces(doc))
 
 
 # ---------------------------------------------------------------------------
 # relation-matrix exchange format
 
 
-def render_relation_matrix(matrix: np.ndarray, rank: int) -> str:
-    """The exchange text of ``matrix``.  A matrix that is not square, is
-    empty, is not of integers or holds labels outside [0, rank), which
-    ``parse_relation_matrix`` would refuse, raises a ``ValueError``."""
+def relation_matrix_pieces(matrix: np.ndarray, rank: int) -> Iterable[str]:
+    """The exchange text of ``matrix`` in pieces: the header line, then the
+    rows ``_row_chunks`` at a time.  A matrix that is not square, is empty,
+    is not of integers or holds labels outside [0, rank), which
+    ``parse_relation_matrix`` would refuse, raises a ``ValueError`` here,
+    before the first piece."""
     matrix = np.asarray(matrix)
     check_labels(matrix, rank)
-    lines = [f"{matrix.shape[0]} {rank}"]
-    _append_rows(lines, matrix, " ")
-    return _text(lines)
+    return itertools.chain([f"{matrix.shape[0]} {rank}\n"], _row_chunks(matrix, " "))
+
+
+def render_relation_matrix(matrix: np.ndarray, rank: int) -> str:
+    """The exchange text of ``matrix``, as ``relation_matrix_pieces`` refuses
+    or writes it."""
+    return "".join(relation_matrix_pieces(matrix, rank))
 
 
 def parse_relation_matrix(text: str) -> tuple[np.ndarray, int]:

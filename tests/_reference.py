@@ -472,20 +472,35 @@ def sampled_constancy(M, st, tensor, seed, samples=5):
     return True, f"triple counts constant over {samples} sampled pairs per relation"
 
 
+def sampled_pairs(M, st, seed, samples=5):
+    """``scheme._sampled_pairs`` with the running count along each picked
+    row in int64, as ``np.cumsum`` gives it: the relation, x and y of every
+    pick, in draw order."""
+    rng = random.Random(seed)
+    relation = np.repeat(np.arange(st.rank), np.minimum(samples, st.sizes))
+    picks = np.array([rng.randrange(st.sizes[h]) for h in relation.tolist()], dtype=np.int64)
+    running = np.cumsum(st.rows, axis=0)
+    starts = running[-1].cumsum() - running[-1]
+    count = M.shape[0]
+    xs = np.searchsorted((running + starts).T.ravel(), picks + starts[relation],
+                         side="right") - relation * count
+    r = picks - running[xs, relation] + st.rows[xs, relation]
+    seen = np.cumsum(M[xs] == relation[:, None], axis=1)
+    ys = np.count_nonzero(seen <= r[:, None], axis=1)
+    return relation, xs, ys
+
+
 # ---------------------------------------------------------------------------
 # Integer blocks, one ``%`` pass
 
 
-def append_rows(lines, rows, sep):
-    """``serialize._append_rows`` as one ``%`` template over ``rows.tolist()``:
-    a ``%d`` per entry, ``sep`` between the entries of a row and a newline
-    between rows, appended as one string.  The byte writer appends a string
-    per chunk of rows instead, so compare the two after joining with
-    newlines."""
+def rows_text(rows, sep):
+    """``serialize._row_chunks`` joined, as one ``%`` template over
+    ``rows.tolist()``: a ``%d`` per entry, ``sep`` between the entries of a
+    row and a newline after each row."""
     count, width = rows.shape
-    if count:
-        template = "\n".join([sep.join(["%d"] * width)] * count)
-        lines.append(template % tuple(rows.ravel().tolist()))
+    template = (sep.join(["%d"] * width) + "\n") * count
+    return template % tuple(rows.ravel().tolist())
 
 
 # ---------------------------------------------------------------------------

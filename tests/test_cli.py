@@ -1,14 +1,18 @@
 import argparse
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from unitary_schemes import chartable as ct_mod
+from unitary_schemes import cli
 from unitary_schemes import scheme as scheme_mod
+from unitary_schemes import serialize
 from unitary_schemes.cli import main
 from unitary_schemes.space import enumerate_isotropic
 from unitary_schemes.scheme import verify_relation_matrix
-from unitary_schemes.serialize import parse_document, parse_relation_matrix
+from unitary_schemes.serialize import (document_from_descriptor, parse_document,
+                                       parse_relation_matrix)
 
 
 def run(capsys, *argv):
@@ -135,6 +139,53 @@ def test_unwritable_out_path_is_an_error(argv, capsys, tmp_path):
     code, _, err = run(capsys, *argv, "--out", str(path))
     assert code == 2
     assert err == f"error: cannot write {path}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--n", "2", "--q", "2"],
+    ["build", "--n", "2", "--q", "2", "--format", "csv"],
+    ["build", "--n", "2", "--q", "2", "--format", "hanaki"],
+    ["chartable", "--n", "2"],
+    ["export", "--n", "2", "--q", "2"],
+], ids=" ".join)
+def test_full_device_is_an_error(argv, capsys):
+    # the write of a piece, or the flush at close, fails
+    code, _, err = run(capsys, *argv, "--out", "/dev/full")
+    assert code == 2
+    assert err == "error: cannot write /dev/full: No space left on device\n"
+
+
+def test_refused_relation_matrix_leaves_no_file(capsys, tmp_path, monkeypatch):
+    # a label past the rank is refused before the file is opened
+    relation_matrix = scheme_mod.relation_matrix
+
+    def past_the_rank(us):
+        matrix = relation_matrix(us).copy()
+        matrix[0, 1] = 6
+        return matrix
+
+    monkeypatch.setattr(scheme_mod, "relation_matrix", past_the_rank)
+    path = tmp_path / "as9.txt"
+    code, out, err = run(capsys, "export", "--n", "2", "--q", "2", "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert not path.exists()
+
+
+def test_writer_holds_no_copy_of_the_text(tmp_path):
+    """Writing the (10, 9) document, 14.9 MB, piece by piece: the joined text
+    and its encoded copy took twice its length; the sort of its distinct
+    tensor values, 0.3 times, is now the largest block."""
+    doc = document_from_descriptor(scheme_mod.build_descriptor(10, 9, mode="closed"))
+    path = tmp_path / "doc.txt"
+    cli._write(serialize.document_pieces(doc), str(path))  # the cached word tables
+    tracemalloc.start()
+    try:
+        cli._write(serialize.document_pieces(doc), str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 2
 
 
 def test_verify_refuses_out(capsys, tmp_path):
@@ -387,6 +438,53 @@ def test_verify_fails_on_a_moved_witness_cell(n, q, capsys, monkeypatch):
     assert any(line.startswith(f"FAIL - non-commutative as expected for q={q}; witness "
                                f"({h},{i},{j}): ") for line in _failing_lines(out))
     assert out.splitlines()[-1] == "FAIL"
+
+
+def _refuse(message):
+    def check(*args, **kwargs):
+        raise AssertionError(message)
+
+    return check
+
+
+@pytest.mark.parametrize("mode", ["both", "bruteforce"])
+@pytest.mark.parametrize("target,name", [("_spot_check", "representatives"),
+                                         ("_check_descriptor", "descriptor")])
+def test_verify_reports_a_failed_build_check(mode, target, name, capsys, monkeypatch):
+    # these checks run inside the build; they used to end verify in a traceback
+    monkeypatch.setattr(scheme_mod, target, _refuse("counts moved"))
+    sd, report = scheme_mod.verify_build(3, 2, mode)
+    assert sd is None and report.checks == [(name, False, f"{name}: counts moved")]
+    code, out, err = run(capsys, "verify", "--n", "3", "--q", "2", "--mode", mode)
+    assert (code, err) == (1, "")
+    assert out.splitlines() == ["scheme (n=3, q=2): 27 points, rank 6",
+                                f"FAIL - {name}: counts moved", "FAIL"]
+
+
+@pytest.mark.parametrize("target,name", [("_spot_check", "representatives"),
+                                         ("_check_descriptor", "descriptor")])
+def test_verify_closed_mode_reports_a_failed_check(target, name, capsys, monkeypatch):
+    monkeypatch.setattr(scheme_mod, target, _refuse("counts moved"))
+    code, out, err = run(capsys, "verify", "--n", "3", "--q", "2", "--mode", "closed")
+    assert (code, err) == (1, "")
+    assert _failing_lines(out) == [f"FAIL - {name}: counts moved"]
+    assert out.splitlines()[-1] == "FAIL"
+
+
+def test_verify_oracle_mismatch_stays_an_error(capsys, monkeypatch):
+    closed = scheme_mod._closed_tensor
+
+    def moved(n, q):
+        tensor = closed(n, q).copy()
+        tensor[4, 3, 3] -= 1
+        tensor[4, 3, 4] += 1
+        return tensor
+
+    monkeypatch.setattr(scheme_mod, "_closed_tensor", moved)
+    code, out, err = run(capsys, "verify", "--n", "4", "--q", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: closed form ")
+    assert err.endswith(" at (h,i,j)=(4,3,3) for (n,q)=(4,2)\n")
 
 
 def test_build_largest_int64_dimension(capsys):

@@ -1,5 +1,5 @@
 """Golden pins: SHA-256 digests of the chartable, verify, build and export
-outputs.
+outputs, on stdout and, for every command that takes one, in the --out file.
 
 Round trips pass under any rendering drift that the writer and the reader
 share; these digests pin the bytes themselves.  They were recorded once from
@@ -26,6 +26,7 @@ VERIFY_CASES = ((2, 3, "both"), (3, 4, "closed"), (3, 2, "bruteforce"), (6, 2, "
                 (6, 3, "both"))
 BUILD_NQ = ((2, 2), (2, 4), (4, 3), (3, 9), (8, 5), (10, 9))  # closed mode, doc and csv
 EXPORT_NQ = ((2, 3), (4, 2))
+HANAKI_NQ = (3, 2)  # build --format hanaki, in the default mode both
 
 
 def commands():
@@ -40,23 +41,31 @@ def commands():
     for n, q in BUILD_NQ:
         for fmt in ("doc", "csv"):
             yield ["build", "--n", str(n), "--q", str(q), "--mode", "closed", "--format", fmt]
+    n, q = HANAKI_NQ
+    yield ["build", "--n", str(n), "--q", str(q), "--format", "hanaki"]
     for n, q in EXPORT_NQ:
         yield ["export", "--n", str(n), "--q", str(q)]
 
 
 def outputs(argv, run, tmp_path):
-    """(key, text) for the stdout of ``argv`` and, for chartable, its --out
-    files in both formats; ``run(argv)`` returns (exit code, stdout)."""
+    """(key, text) for the stdout of ``argv`` and its --out files: for
+    chartable one in each format, for build and export the file that holds
+    what stdout does; ``run(argv)`` returns (exit code, stdout)."""
     key = " ".join(argv)
     code, out = run(argv)
     assert code == 0, key
     yield "stdout " + key, out
     if argv[0] == "chartable":
-        for fmt in ("doc", "csv"):
-            path = tmp_path / f"out.{fmt}"
-            code, _ = run(argv + ["--format", fmt, "--out", str(path)])
-            assert code == 0, key
-            yield f"{fmt} {key}", path.read_text()
+        files = [(f"{fmt} {key}", ["--format", fmt]) for fmt in ("doc", "csv")]
+    elif argv[0] in ("build", "export"):
+        files = [("out " + key, [])]
+    else:
+        files = []
+    for name, flags in files:
+        path = tmp_path / "out.txt"
+        code, _ = run(argv + flags + ["--out", str(path)])
+        assert code == 0, key
+        yield name, path.read_bytes().decode()
 
 
 def digest(text: str) -> str:
@@ -71,8 +80,11 @@ def test_output_matches_golden_digest(argv, capsys, tmp_path):
         code = main(args)
         return code, capsys.readouterr().out
 
-    for key, text in outputs(argv, run, tmp_path):
+    texts = dict(outputs(argv, run, tmp_path))
+    for key, text in texts.items():
         assert digest(text) == expected[key], key
+    if argv[0] in ("build", "export"):  # the file holds stdout's bytes
+        assert texts["out " + " ".join(argv)] == texts["stdout " + " ".join(argv)]
 
 
 if __name__ == "__main__":

@@ -33,7 +33,8 @@ from unitary_schemes.space import isotropic_count, witness_pair
 
 from _reference import (RefField, assert_matches_decomposition, assert_same_structure,
                         intersection_number_bruteforce, isotropic_vectors,
-                        sample_representatives, sampled_constancy, structure,
+                        sample_representatives, sampled_constancy, sampled_pairs,
+                        structure,
                         tensor as reference_tensor, triple_counts)
 
 
@@ -569,6 +570,32 @@ def test_sampled_pairs_follow_row_major_order(get_space):
         expected += [(h, hx[p], hy[p]) for p in [rng.randrange(hx.size) for _ in range(5)]]
     assert len(expected) == 35
     assert list(zip(relation.tolist(), xs.tolist(), ys.tolist())) == expected
+
+
+@pytest.mark.parametrize("n,q", [(4, 2), (2, 3), (2, 9)])
+def test_sampled_pairs_equal_the_int64_running_count(n, q, get_space):
+    # the running count along each row in uint8 (4, 2), (2, 3) or uint16
+    # (2, 9) picks what the int64 one picked
+    M = relation_matrix(get_space(n, q))
+    st = scheme_mod._structure(M, None)
+    for seed in range(3):
+        got = scheme_mod._sampled_pairs(M, st, seed)
+        for a, b in zip(got, sampled_pairs(M, st, seed)):
+            assert np.array_equal(a, b)
+
+
+def test_sampled_pairs_memory(get_space):
+    """At (2, 9), 800 points and rank 160, the running count over the 800
+    picked rows took 4.9 MB in int64 and the pick 11.4 MB at its peak."""
+    M = relation_matrix(get_space(2, 9))
+    st = scheme_mod._structure(M, None)
+    tracemalloc.start()
+    try:
+        scheme_mod._sampled_pairs(M, st, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def _single_edits(M, count, seed):

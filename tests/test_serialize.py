@@ -23,7 +23,7 @@ from unitary_schemes.scheme import (
 )
 from unitary_schemes.serialize import (
     WORD_BOUND,
-    _append_rows,
+    _row_chunks,
     chartable_csv,
     chartable_from_document,
     document_from_chartable,
@@ -35,7 +35,7 @@ from unitary_schemes.serialize import (
     tensor_csv,
 )
 
-from _reference import append_rows
+from _reference import rows_text
 from _reference import chartable_from_document as chartable_per_entry
 
 
@@ -558,11 +558,8 @@ def integer_blocks(draw):
 
 
 def assert_writes_like_the_percent_pass(rows, sep):
-    # the writer appends one string per chunk of rows, which _text joins
-    got, expected = ["head"], ["head"]
-    _append_rows(got, rows, sep)
-    append_rows(expected, rows, sep)
-    assert "\n".join(got) == "\n".join(expected)
+    # the writer gives one string per chunk of rows
+    assert "".join(_row_chunks(rows, sep)) == rows_text(rows, sep)
 
 
 @settings(max_examples=300, deadline=None)
@@ -593,8 +590,7 @@ def test_writer_chunk_edges_write_like_the_percent_pass(width):
         rows = rng.integers(-5, 2 * WORD_BOUND, (count, width))
         for sep in (" ", ","):
             assert_writes_like_the_percent_pass(rows, sep)
-            got = []
-            _append_rows(got, rows, sep)
+            got = list(_row_chunks(rows, sep))
             assert len(got) == -(-count // step)  # one string per chunk
 
 
@@ -603,9 +599,7 @@ def test_writer_row_wider_than_a_chunk_writes_like_the_percent_pass():
     width = kernels.CHUNK + 1
     rows = np.random.default_rng(0).integers(0, 161, (3, width)).astype(np.uint8)
     assert_writes_like_the_percent_pass(rows, " ")
-    got = []
-    _append_rows(got, rows, " ")
-    assert len(got) == 3
+    assert len(list(_row_chunks(rows, " "))) == 3
 
 
 @pytest.mark.parametrize("dtype,extreme", [(np.int64, -(1 << 63)), (np.int64, (1 << 63) - 1),
