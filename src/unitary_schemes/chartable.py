@@ -48,7 +48,7 @@ import numpy as np
 from .eisenstein import Eisenstein, render
 from .fields import check_int
 from .scheme import INT64_LIMIT, SchemeDescriptor, intersection_matrices
-from .space import check_budget, check_dimension, isotropic_count
+from .space import budgeted_count, check_budget, check_dimension
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,8 +130,7 @@ def _eigenmatrix(n: int) -> np.ndarray:
 def char_table_closed(n: int) -> CharTable:
     """The character table of the q = 2 scheme in dimension n (n >= 2)."""
     check_dimension(n)
-    order = isotropic_count(n, 2)
-    check_budget("chartable", order)
+    order = budgeted_count("chartable", n, 2)
     p = _eigenmatrix(n)
     valencies = tuple(p[0, 0])
     mult = multiplicities(p, valencies, order)

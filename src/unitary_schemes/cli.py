@@ -84,7 +84,7 @@ def cmd_export(args) -> int:
     """The relation matrix, for ``export`` and ``build --format hanaki``, which
     first builds and cross-checks the descriptor in its ``--mode``.  The pairs
     budget is checked from the closed point count before any enumeration."""
-    n, q, mode = args.n, args.q, getattr(args, "mode", None)  # export has no --mode
+    n, q, mode = args.n, args.q, getattr(args, "mode", None)  # export has neither --mode nor --seed
     scheme_mod.check_parameters(n, q)
     check_budget("pairs", isotropic_count(n, q) ** 2)
     us = scheme_mod.build_descriptor_with_space(n, q, mode, args.seed)[1] if mode else None
@@ -115,13 +115,14 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_q=True, with_out=True):
+    def common(p, with_q=True, with_out=True, with_seed=True):
         p.add_argument("--n", type=int, required=True, help="dimension (>= 2)")
         if with_q:
             p.add_argument("--q", type=int, required=True,
                            help=f"field parameter, one of {SUPPORTED_Q}")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for representative spot checks")
+        if with_seed:
+            p.add_argument("--seed", type=int, default=0,
+                           help="seed for representative spot checks")
         if with_out:
             p.add_argument("--out", type=str, default=None, help="output path")
 
@@ -144,7 +145,7 @@ def _parser() -> argparse.ArgumentParser:
                               "is always the same")
 
     p_export = sub.add_parser("export", help="write the relation matrix")
-    common(p_export)
+    common(p_export, with_seed=False)  # nothing it writes depends on a seed
 
     p_verify = sub.add_parser("verify", help="run the verification suite")
     common(p_verify, with_out=False)  # the report goes to stdout only
@@ -164,6 +165,9 @@ def main(argv=None) -> int:
                 "verify": cmd_verify}
     try:
         return commands[args.command](args)
+    except scheme_mod.CheckFailed as exc:  # verify reports these; build stops
+        print(f"error: {exc.check}: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, ArithmeticError, scheme_mod.OracleMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,6 +49,7 @@ MODES = ("bruteforce", "closed", "both")
 INT64_LIMIT = 2**63
 
 
+@lru_cache(maxsize=None)
 def max_dimension(q: int) -> int:
     """Largest n whose isotropic-point count stays below ``INT64_LIMIT``."""
     n = 2
@@ -57,10 +59,11 @@ def max_dimension(q: int) -> int:
 
 
 def check_parameters(n: int, q: int) -> None:
-    """Reject n < 2, an unsupported q, and (n, q) with 2^63 points or more."""
+    """Reject n < 2, an unsupported q, and (n, q) with 2^63 points or more,
+    from n alone: the point count grows with n."""
     check_dimension(n)
     build_field(q)  # validates q
-    if isotropic_count(n, q) >= INT64_LIMIT:
+    if n > max_dimension(q):
         raise ValueError(
             f"(n, q) = ({n}, {q}) has at least 2^63 points, beyond the int64 tensor;"
             f" the largest n for q = {q} is {max_dimension(q)}"
@@ -114,7 +117,8 @@ class SchemeDescriptor:
 
     ``tensor[h, i, j]`` counts, for any pair (x, y) in relation h, the vectors
     z with (x, z) in relation i and (z, y) in relation j.  The tensor is a
-    read-only int64 array of shape (rank, rank, rank).
+    read-only int64 array of shape (rank, rank, rank); the valencies are the
+    row sums of its identity slice ``tensor[0]``.
     """
 
     n: int
@@ -123,8 +127,6 @@ class SchemeDescriptor:
     valencies: tuple[int, ...]
     tensor: np.ndarray
     conj_map: tuple[int, ...]
-    sub_count: int
-    parity_offset: int
     mode: str
 
     @property
@@ -193,14 +195,6 @@ def _relation(ft, x, y) -> int:
 
 # ---------------------------------------------------------------------------
 # closed formulas
-
-
-def closed_valencies(n: int, q: int) -> tuple[int, ...]:
-    nrel = q * q - 1
-    if n <= 3:
-        k = isotropic_count(n, q) // nrel - 1
-        return (1,) * nrel + (k,) * nrel
-    return (1,) * nrel + (q ** (2 * n - 3),) * nrel + (q * q * isotropic_count(n - 2, q),)
 
 
 def intersection_number_closed(n: int, q: int, h: int, i: int, j: int) -> int:
@@ -284,8 +278,8 @@ def _assemble(q: int, product: np.ndarray, e: np.ndarray, scalar: np.ndarray,
     relabelled[stack, scale] = product
 
 
-def _tensor_from_histograms(q: int, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The whole tensor, and the valencies, from the histograms of one point
+def _tensor_from_histograms(q: int, counts: np.ndarray) -> np.ndarray:
+    """The whole tensor from the histograms of one point
     x: ``counts[0]`` at (x, v) with <x, v> = 1 and, when there is a
     perpendicular relation, ``counts[1]`` at (x, y) with y perpendicular to
     x and independent of it.  The pairs (x, g^e x), (g^e x, v) and (x, y)
@@ -296,12 +290,12 @@ def _tensor_from_histograms(q: int, counts: np.ndarray) -> tuple[np.ndarray, np.
     tensor = np.empty((rank, rank, rank), dtype=np.int64)
     _assemble(q, counts[0], np.arange(nrel), tensor[:nrel], tensor[nrel:2 * nrel])
     tensor[2 * nrel:] = counts[1:]
-    return tensor, counts[0].sum(axis=1)
+    return tensor
 
 
-def _witness_tensor(us: UnitarySpace, row: np.ndarray, partners) -> tuple[np.ndarray, np.ndarray]:
+def _witness_tensor(us: UnitarySpace, row: np.ndarray, partners) -> np.ndarray:
     """The whole tensor counted at the pairs one point x and its partners
-    give, and the valencies; ``row`` is row(x).
+    give; ``row`` is row(x).
 
     ``partners`` holds v with <x, v> = 1 and, when there is a perpendicular
     relation, a point y perpendicular to x and independent of it.  (z, y)
@@ -462,16 +456,18 @@ def _spot_check(n: int, q: int, tensor: np.ndarray, seed: int) -> None:
 
 
 def _bruteforce_tensor(us: UnitarySpace, rank: int, seed: int):
+    """The counted tensor, spot-checked at random pairs, and the conjugation
+    map read off the reversed witness pairs."""
     nrel = us.ft.order - 1
     pairs = [witness_pair(h, us.n, us.q) for h in range(nrel, rank, nrel)]
-    tensor, valencies = _witness_tensor(
+    tensor = _witness_tensor(
         us, kernels.classify_row(pairs[0][0], us.block_codes, us.tables),
         [y for _, y in pairs])
     with _named_check("representatives"):
         _spot_check(us.n, us.q, tensor, seed)
     conj_map = tuple(classify_pair(us, *witness_pair(h, us.n, us.q)[::-1]).index
                      for h in range(rank))
-    return tensor, tuple(valencies.tolist()), conj_map
+    return tensor, conj_map
 
 
 # ---------------------------------------------------------------------------
@@ -529,31 +525,23 @@ def build_descriptor_with_space(n: int, q: int, mode: str = "both", seed: int = 
         with _named_check("counting"):
             brute = _bruteforce_tensor(us, rank, seed)
     if mode in ("closed", "both"):
-        closed = (
-            _closed_tensor(n, q),
-            closed_valencies(n, q),
-            tuple(kernels.label_maps(q)[0][:rank].tolist()),
-        )
+        closed = _closed_tensor(n, q), tuple(kernels.label_maps(q)[0][:rank].tolist())
 
     if mode == "both":
-        bt, bk, bc = brute
-        ct, ck, cc = closed
+        (bt, bc), (ct, cc) = brute, closed
         diff = _first_difference(bt, ct)
         if diff is not None:
             h, i, j = diff
             raise OracleMismatch(n, q, h, i, j, int(ct[h, i, j]), int(bt[h, i, j]))
-        if bk != ck:
-            raise OracleMismatch(n, q, 0, -1, -1, ck, bk)
         if bc != cc:
             raise CheckFailed("oracle", f"conjugation maps disagree: {bc} vs {cc}")
 
-    tensor, valencies, conj_map = brute if brute is not None else closed
+    tensor, conj_map = brute if brute is not None else closed
     tensor.flags.writeable = False
-    sd = SchemeDescriptor(
-        n=n, q=q, rank=rank, valencies=tuple(valencies), tensor=tensor,
-        conj_map=conj_map, sub_count=isotropic_count(n - 2, q),
-        parity_offset=parity_offset(q), mode=mode,
-    )
+    # p^0_ij = k_i at j = conj i, else 0 (Brouwer, Cohen, Neumaier, Lemma 2.1.1)
+    valencies = tuple(tensor[0].sum(axis=1).tolist())
+    sd = SchemeDescriptor(n=n, q=q, rank=rank, valencies=valencies, tensor=tensor,
+                          conj_map=conj_map, mode=mode)
     with _named_check("descriptor"):
         _check_descriptor(sd)
     return sd, us

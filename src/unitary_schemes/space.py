@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NoReturn
 
 import numpy as np
 
@@ -29,12 +30,36 @@ BUDGETS = {
 }
 
 
+# A point count is computed, and printed exactly, only below about 2^COUNT_BITS,
+# far above every budget; ``budgeted_count`` refuses a larger one from n alone.
+COUNT_BITS = 1 << 19
+
+
 def check_budget(name: str, amount: int) -> None:
     """Refuse, before the work it bounds, an ``amount`` over budget ``name``."""
+    if amount > BUDGETS[name][1]:
+        _refuse(name, _decimal(amount))
+
+
+def _refuse(name: str, amount: str) -> NoReturn:
     unit, limit = BUDGETS[name]
-    if amount > limit:
-        raise ValueError(f"{_decimal(amount)} {unit} exceed the {name} budget of "
-                         f"{_decimal(limit)}")
+    raise ValueError(f"{amount} {unit} exceed the {name} budget of {_decimal(limit)}")
+
+
+def budgeted_count(name: str, n: int, q: int) -> int:
+    """``isotropic_count(n, q)``, refused as ``check_budget`` refuses it when
+    it is over budget ``name``.  Where the count would pass 2^COUNT_BITS, the
+    refusal comes from n alone, before any big-integer work: the count is
+    q^(2n-1) (1 + O(q^(1-n))), so it is shown as ``over 10^k`` with k from
+    (2n-1) log10(q), rounded down past the float error so that 10^k < count."""
+    check_int("n", n)
+    check_int("q", q)
+    n, q = int(n), int(q)  # a numpy integer's 2n - 1 would wrap at 2^63
+    if (2 * n - 1) * math.log2(q) > COUNT_BITS:
+        _refuse(name, f"over 10^{math.floor((2 * n - 1) * math.log10(q) * (1 - 1e-12))}")
+    count = isotropic_count(n, q)
+    check_budget(name, count)
+    return count
 
 
 def check_dimension(n: int) -> None:
@@ -46,7 +71,9 @@ def check_dimension(n: int) -> None:
 
 def _decimal(x: int) -> str:
     """``x`` in decimal below 10^100, else ``10^k`` or ``over 10^k``: Python
-    refuses to print an int of more than 4300 digits."""
+    refuses to print an int of more than 4300 digits.  Every amount passed
+    here stays below about 2^COUNT_BITS (``budgeted_count``), where finding
+    k exactly takes milliseconds."""
     if x < 10**100:
         return str(x)
     k = int((x.bit_length() - 1) * math.log10(2)) - 1  # 10^k < x
@@ -175,8 +202,7 @@ def hyperbolic_partner(ft: FieldTables, n: int, u) -> tuple[int, ...]:
 def enumerate_isotropic(n: int, q: int) -> UnitarySpace:
     """Collect the nonzero isotropic vectors of F_{q^2}^n by a meet-in-the-middle scan."""
     ft = build_field(q)
-    count = isotropic_count(n, q)  # refuses an n that is not an integer >= 0
-    check_budget("scan", count)
+    count = budgeted_count("scan", n, q)  # refuses an n that is not an integer >= 0
     block_codes, start, rank = kernels.isotropic_scan(n, ft.order, ft.norm_table,
                                                       ft.add_table, count)
     return UnitarySpace(n=n, q=q, ft=ft, block_codes=block_codes,

@@ -578,7 +578,7 @@ def assembly_differs(q, tensor):
     perpendicular slices."""
     nrel = q * q - 1
     slices = tensor[np.arange(nrel, tensor.shape[0], nrel)]
-    return (_tensor_from_histograms(q, slices)[0] != tensor).any(axis=(1, 2))
+    return (_tensor_from_histograms(q, slices) != tensor).any(axis=(1, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -151,7 +151,7 @@ def test_criterion_06_intersection_matrices(get_descriptor):
     ok = True
     for n in (4, 5, 6):
         sd = get_descriptor(n, 2)
-        ok &= sd.sub_count == 2 ** (2 * n - 5) - (-2) ** (n - 3) - 1
+        ok &= isotropic_count(n - 2, 2) == 2 ** (2 * n - 5) - (-2) ** (n - 3) - 1
         mats = intersection_matrices(sd)
         ok &= mats == displayed_intersection_matrices(n)
         arrays = [np.array(m, dtype=object) for m in mats]

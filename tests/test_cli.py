@@ -1,4 +1,5 @@
 import argparse
+import time
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from unitary_schemes import chartable as ct_mod
 from unitary_schemes import cli
 from unitary_schemes import scheme as scheme_mod
-from unitary_schemes import serialize
+from unitary_schemes import serialize, space
 from unitary_schemes.cli import main
 from unitary_schemes.space import enumerate_isotropic
 from unitary_schemes.scheme import verify_relation_matrix
@@ -119,6 +120,34 @@ def test_chartable_refuses_a_huge_dimension_before_any_work(capsys, monkeypatch)
     assert err == "error: over 10^120411 points exceed the chartable budget of 10^4000\n"
 
 
+BEYOND_INT64 = ("(n, q) = (1000000000, 9) has at least 2^63 points, beyond the int64 tensor;"
+                " the largest n for q = 9 is 10")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["chartable", "--n", "1000000000"],
+     "over 10^602059991 points exceed the chartable budget of 10^4000"),
+    (["build", "--n", "1000000000", "--q", "9"], BEYOND_INT64),
+    (["verify", "--n", "1000000000", "--q", "9"], BEYOND_INT64),
+    (["export", "--n", "1000000000", "--q", "9"], BEYOND_INT64),
+], ids=["chartable", "build", "verify", "export"])
+def test_huge_dimensions_refuse_from_n(argv, message, capsys, monkeypatch):
+    """These refusals used to compute the point count first: at n = 10^9 and
+    q = 9, a number of 6.3 * 10^9 bits."""
+    count = space.isotropic_count
+
+    def small_only(n, q):
+        assert n < 10**4, f"isotropic_count({n}, {q})"
+        return count(n, q)
+
+    for module in (space, scheme_mod, cli):
+        monkeypatch.setattr(module, "isotropic_count", small_only)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_export_roundtrip(capsys, tmp_path):
     path = tmp_path / "as9.txt"
     code, _, _ = run(capsys, "export", "--n", "2", "--q", "2", "--out", str(path))
@@ -194,6 +223,17 @@ def test_verify_refuses_out(capsys, tmp_path):
     code, out, err = run_exit(capsys, "verify", "--n", "2", "--q", "2", "--out", str(path))
     assert (code, out) == (2, "")
     assert "unrecognized arguments: --out" in err
+    assert not path.exists()
+
+
+def test_export_refuses_seed(capsys, tmp_path):
+    # nothing export writes depends on a seed; a --seed it would ignore is a
+    # usage error
+    path = tmp_path / "as32.txt"
+    code, out, err = run_exit(capsys, "export", "--n", "2", "--q", "3", "--seed", "1",
+                              "--out", str(path))
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --seed" in err
     assert not path.exists()
 
 
@@ -469,6 +509,36 @@ def test_verify_closed_mode_reports_a_failed_check(target, name, capsys, monkeyp
     assert (code, err) == (1, "")
     assert _failing_lines(out) == [f"FAIL - {name}: counts moved"]
     assert out.splitlines()[-1] == "FAIL"
+
+
+@pytest.mark.parametrize("mode,target,name", [
+    ("both", "_spot_check", "representatives"),
+    ("bruteforce", "_spot_check", "representatives"),
+    ("closed", "_check_descriptor", "descriptor"),  # a closed build runs no spot check
+])
+@pytest.mark.parametrize("fmt", ["doc", "csv", "hanaki"])
+def test_build_stops_on_a_failed_build_check(fmt, mode, target, name, capsys, monkeypatch,
+                                             tmp_path):
+    # a CheckFailed used to end build in a traceback
+    monkeypatch.setattr(scheme_mod, target, _refuse("moved"))
+    path = tmp_path / "out.txt"
+    code, out, err = run(capsys, "build", "--n", "3", "--q", "2", "--mode", mode,
+                         "--format", fmt, "--out", str(path))
+    assert (code, out, err) == (2, "", f"error: {name}: moved\n")
+    assert not path.exists()
+
+
+def test_verify_fails_when_the_counted_conjugation_map_differs(capsys, monkeypatch):
+    # the reversed witness pairs classified unreversed: every relation its own
+    # converse
+    classify = scheme_mod.classify_pair
+    monkeypatch.setattr(scheme_mod, "classify_pair", lambda us, x, y: classify(us, y, x))
+    code, out, err = run(capsys, "verify", "--n", "3", "--q", "2")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "scheme (n=3, q=2): 27 points, rank 6",
+        "FAIL - oracle: conjugation maps disagree: (0, 1, 2, 3, 4, 5) vs (0, 2, 1, 3, 5, 4)",
+        "FAIL"]
 
 
 def test_verify_oracle_mismatch_stays_an_error(capsys, monkeypatch):

@@ -140,6 +140,19 @@ def test_division_by_zero():
 
 
 @pytest.mark.parametrize("q", SUPPORTED_Q)
+def test_negative_powers_are_powers_of_the_inverse(q):
+    ft = build_field(q)
+    for a in range(1, ft.order):
+        assert ft.pow(a, -1) == ft.inv(a)
+        assert ft.mul(ft.pow(a, -5), ft.pow(a, 5)) == ft.one
+
+
+def test_log_of_zero():
+    with pytest.raises(ValueError, match="^zero field element has no discrete log$"):
+        build_field(3).log(0)
+
+
+@pytest.mark.parametrize("q", SUPPORTED_Q)
 def test_modulus_poly_has_base_coefficients_and_kills_generator(q):
     ft = build_field(q)
     c0, c1, c2 = ft.modulus_poly

@@ -464,8 +464,8 @@ def test_counted_histograms_equal_enumeration(n, q, get_space):
             kernels.label_counts(row, rank, conj[kernels.classify_row(y, us.block_codes, t)])
             for y in partners])
         assert np.array_equal(counted, enumerated)
-        assert np.array_equal(scheme_mod._tensor_from_histograms(q, counted)[0],
-                              scheme_mod._witness_tensor(us, row, partners)[0])
+        assert np.array_equal(scheme_mod._tensor_from_histograms(q, counted),
+                              scheme_mod._witness_tensor(us, row, partners))
 
 
 def _bincount_oracle(a, rank, b=None):

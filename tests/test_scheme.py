@@ -22,6 +22,7 @@ from unitary_schemes.scheme import (
     intersection_number_closed,
     is_commutative,
     max_dimension,
+    parity_offset,
     relation_matrix,
     scheme_from_relation_matrix,
     scheme_rank,
@@ -93,6 +94,12 @@ def test_witness_classification_roundtrip(n, q, get_space):
     for l in range(scheme_rank(n, q)):
         x, y = witness_pair(l, n, q)
         assert classify_pair(us, x, y).index == l
+
+
+@pytest.mark.parametrize("l", [-1, 6])
+def test_conjugate_index_refuses_an_index_out_of_range(l):
+    with pytest.raises(ValueError, match=rf"^relation index {l} out of range \[0, 5\]$"):
+        conjugate_index(l, 3, 2)
 
 
 def test_conjugate_relation_uses_descriptor(get_descriptor):
@@ -246,14 +253,14 @@ def test_oracle_agreement_beyond_small_q(n, q, rank):
     # prime-power q and odd q exercise the embedding and the parity offset
     sd = build_descriptor(n, q, mode="both")
     assert sd.rank == rank
-    assert sd.parity_offset == (0 if q % 2 == 0 else (q + 1) // 2)
+    assert parity_offset(q) == (0 if q % 2 == 0 else (q + 1) // 2)
 
 
 def test_closed_mode_no_enumeration():
     sd = build_descriptor(10, 2, mode="closed")
     assert sd.rank == 7
     assert sd.valencies[3] == 2**17
-    assert sd.valencies[6] == 4 * sd.sub_count
+    assert sd.valencies[6] == 4 * isotropic_count(8, 2)
     ok, _ = is_commutative(sd)
     assert ok
 
@@ -263,8 +270,8 @@ def test_intersection_matrices_display_entries(get_descriptor):
     mats = intersection_matrices(sd)
     assert mats[0] == [[int(i == j) for j in range(7)] for i in range(7)]
     assert mats[6][6][6] == 9      # (q^2-1)^2 + q^4 * count(n-4)
-    assert mats[3][3][3] == 10     # sub_count + 1
-    assert mats[6][6][0] == 4 * sd.sub_count
+    assert mats[3][3][3] == 10     # count(n-2) + 1
+    assert mats[6][6][0] == 4 * isotropic_count(2, 2)
 
 
 @pytest.mark.parametrize("n,q", [(2, 2), (3, 2), (4, 2)])
@@ -521,6 +528,70 @@ def test_validators_detect_tampered_matrices(tamper, check, message, get_space):
         assert check in [name for name, _, _ in report.failing()]
     with pytest.raises(ValueError, match=message):
         scheme_from_relation_matrix(T)
+
+
+def _moved_identity_slice(tensor):
+    """Moves one unit of relation 3's valency out of the conjugate column of
+    the identity slice; every row sum stays."""
+    tensor[0, 3, 3] -= 1
+    tensor[0, 3, 4] += 1
+
+
+def _grown_valency(tensor):
+    tensor[0, 3, 3] += 1
+
+
+@pytest.mark.parametrize("edit,conj,message", [
+    (_grown_valency, None, "valencies do not sum to the number of points"),
+    (None, [0, 2, 2, 3, 5, 4], "conjugation map is not an involution"),
+    (None, [3, 2, 1, 0, 5, 4], "conjugate relations have different valencies"),
+    (_moved_identity_slice, None, "identity-relation slice does not recover valencies"),
+], ids=["sum", "involution", "conjugate-valencies", "identity-slice"])
+def test_closed_build_refuses_a_descriptor_that_breaks_an_identity(edit, conj, message,
+                                                                  monkeypatch):
+    """Each refusal of ``_check_descriptor``, reached through a closed build
+    at (3, 2) whose tensor or conjugation map is changed; the valencies are
+    read off the changed identity slice."""
+    if edit is not None:
+        closed = scheme_mod._closed_tensor
+
+        def edited(n, q):
+            tensor = closed(n, q).copy()
+            edit(tensor)
+            return tensor
+
+        monkeypatch.setattr(scheme_mod, "_closed_tensor", edited)
+    if conj is not None:
+        label_maps = kernels.label_maps
+        monkeypatch.setattr(kernels, "label_maps",
+                            lambda q: (np.array(conj), *label_maps(q)[1:]))
+    with pytest.raises(scheme_mod.CheckFailed, match=f"^{message}$") as info:
+        build_descriptor(3, 2, mode="closed")
+    assert info.value.check == "descriptor"
+
+
+def test_verify_fails_converse_on_a_descriptor_with_another_conjugation_map(
+        get_space, get_descriptor):
+    M = relation_matrix(get_space(3, 2))
+    sd = dataclasses.replace(get_descriptor(3, 2), conj_map=tuple(range(6)))
+    report = verify_relation_matrix(M, sd=sd)
+    assert report.failing() == [("converse", False,
+                                 "conjugation map differs from the descriptor")]
+
+
+def test_adjacency_refuses_a_relation_0_off_the_diagonal(get_space, get_descriptor,
+                                                         monkeypatch):
+    us, sd = get_space(2, 2), get_descriptor(2, 2)
+    classify = kernels.classify_matrix
+
+    def off_diagonal(codes, t):
+        M = classify(codes, t).copy()
+        M[0, 0], M[0, 1] = M[0, 1], M[0, 0]
+        return M
+
+    monkeypatch.setattr(kernels, "classify_matrix", off_diagonal)
+    with pytest.raises(AssertionError, match="^relation 0 is not the identity$"):
+        build_adjacency_matrices(us, sd)
 
 
 def test_verify_rejects_rank_other_than_descriptor(get_space, get_descriptor):

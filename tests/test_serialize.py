@@ -25,6 +25,7 @@ from unitary_schemes.serialize import (
     WORD_BOUND,
     _row_chunks,
     chartable_csv,
+    chartable_csv_pieces,
     chartable_from_document,
     document_from_chartable,
     document_from_descriptor,
@@ -33,6 +34,7 @@ from unitary_schemes.serialize import (
     render_document,
     render_relation_matrix,
     tensor_csv,
+    tensor_csv_pieces,
 )
 
 from _reference import rows_text
@@ -259,6 +261,17 @@ def test_csv_renderings(get_table, get_descriptor):
     assert len(lines) == 6
     assert lines[0].endswith(",1")
     assert lines[0].startswith("1+0*w,")
+
+
+def test_documents_without_the_part_a_reader_or_writer_needs(get_table, get_descriptor):
+    doc = document_from_descriptor(get_descriptor(2, 2))
+    table = document_from_chartable(get_table(2), 2)
+    with pytest.raises(ValueError, match="^document carries no valencies$"):
+        chartable_from_document(dataclasses.replace(table, valencies=None))
+    with pytest.raises(ValueError, match="^document carries no tensor$"):
+        tensor_csv_pieces(dataclasses.replace(doc, tensor_entries=None))
+    with pytest.raises(ValueError, match="^document carries no character table$"):
+        chartable_csv_pieces(doc)
 
 
 def test_parse_document_rejections():

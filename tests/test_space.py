@@ -1,12 +1,14 @@
 import itertools
+import math
 import random
 import re
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from unitary_schemes import kernels
+from unitary_schemes import kernels, space
 from unitary_schemes.fields import build_field
 from unitary_schemes.scheme import classify_pair
 from unitary_schemes.space import (
@@ -71,6 +73,36 @@ def test_budget_rejection(monkeypatch):
     # 2^24 coordinate vectors
     assert isotropic_count(13, 2) > BUDGETS["scan"][1] >= isotropic_count(8, 3)
     assert min(3**16, 9**8) > BUDGETS["scan"][1] >= isotropic_count(4, 9)
+
+
+def test_huge_dimension_refused_from_n(monkeypatch):
+    """At n = 10^9 the count alone is a number of 2 * 10^9 bits at q = 2 and
+    6.3 * 10^9 at q = 9; the refusal comes from n, without it."""
+    def no_count(n, q):
+        raise AssertionError(f"isotropic_count({n}, {q})")
+
+    monkeypatch.setattr(space, "isotropic_count", no_count)
+    start = time.perf_counter()
+    for q, k in ((2, 602059991), (9, 1908485017)):
+        with pytest.raises(ValueError, match=f"^over 10\\^{k} points exceed the scan budget"
+                                             " of 16777216$"):
+            enumerate_isotropic(10**9, q)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("q", [2, 3, 9])
+def test_count_exponent_from_logarithms_is_the_exact_one(q):
+    """Just past ``COUNT_BITS`` the exponent k of ``over 10^k`` comes from
+    logarithms; there it is the one printed from the exact count, so
+    10^k < count."""
+    n = int(space.COUNT_BITS / math.log2(q) / 2)
+    while (2 * n - 1) * math.log2(q) <= space.COUNT_BITS:
+        n += 1
+    with pytest.raises(ValueError) as refused:
+        space.budgeted_count("scan", n, q)
+    exact = space._decimal(isotropic_count(n, q))
+    assert str(refused.value).split(" points")[0] == exact
+    assert exact.startswith("over 10^")
 
 
 @pytest.mark.parametrize("n,q", [(2, 2), (3, 2), (2, 3)])
